@@ -1,9 +1,8 @@
 """conewave: wave kernels, diffraction coefficients and wave-trace
 singularities on Euclidean cones and surfaces with conical singularities."""
 
-from .geometry import (ConeChain, ConePoint, PlanarPoint, ShiftFrame,
-                       angular_separation, chain_frame, classify_ray,
-                       cone_distance, cone_point, develop,
+from .geometry import (ConeChain, ConePoint, PlanarPoint, angular_separation,
+                       classify_ray, cone_distance, cone_point, develop,
                        shifted_vertex_coords)
 from .special import (Mollifier, SampledFunction1D, bessel_j, find_roots_convex,
                       half_derivative, mollified_delta, mollified_inverse_power)

@@ -43,6 +43,8 @@ def _parse_range(text: str) -> np.ndarray:
         start, step, stop = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise InputError(f"bad range {text!r}, expected start:step:stop") from exc
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise InputError(f"bad range {text!r}, parts must be finite")
     if step <= 0 or stop < start:
         raise InputError(f"bad range {text!r}")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1

@@ -97,46 +97,56 @@ def _sinc(x):
     return np.sinc(np.asarray(x) / math.pi)
 
 
-def s_times_cos_half(alpha: float, dtheta: float) -> float:
-    """S_alpha(dtheta) * cos(dtheta/2), stable across dtheta = +-pi.
+def s_times_cos_half(alpha: float, dtheta):
+    """S_alpha(dtheta) * cos(dtheta/2), stable across dtheta = +-pi, for
+    scalars or arrays (a float for scalar input).
 
     Near +-pi both factors degenerate (pole against zero); the ratio
     sin(w/2)/sin(pi w/alpha) is evaluated through sinc to keep full
     precision.  Genuine poles on other sheets raise GeometricDirection.
     """
     check_cone_angle(alpha)
-    num = -math.sin(2.0 * math.pi**2 / alpha) / (2.0 * alpha)
-    w_m = dtheta + math.pi  # distance from the pole at -pi
-    w_p = dtheta - math.pi  # distance from the pole at +pi
+    d = np.asarray(dtheta, dtype=float)
+    num = -math.sin(2.0 * math.pi**2 / alpha)
     window = min(REGULARIZE_WINDOW, 0.25 * alpha)
-    if abs(w_m) < window:
-        # cos(dtheta/2) = sin(w_m/2), sin((pi/a)(pi+dtheta)) = sin(pi w_m/a)
-        ratio = (alpha / (2.0 * math.pi)) * _sinc(0.5 * w_m) / _sinc(
-            math.pi * w_m / alpha)
-        other = math.sin((math.pi / alpha) * (2.0 * math.pi - w_m))
-        if abs(other) < POLE_TOL:
-            raise GeometricDirection("double pole in regularized product")
-        return float(num * ratio / other)
-    if abs(w_p) < window:
-        # cos(dtheta/2) = -sin(w_p/2), sin((pi/a)(pi-dtheta)) = -sin(pi w_p/a)
-        ratio = (alpha / (2.0 * math.pi)) * _sinc(0.5 * w_p) / _sinc(
-            math.pi * w_p / alpha)
-        other = math.sin((math.pi / alpha) * (2.0 * math.pi + w_p))
-        if abs(other) < POLE_TOL:
-            raise GeometricDirection("double pole in regularized product")
-        return float(num * ratio / other)
-    return scattering_matrix_value(alpha, dtheta) * math.cos(0.5 * dtheta)
+    w_m = d + math.pi  # distance from the pole at -pi
+    w_p = d - math.pi  # distance from the pole at +pi
+    near_m = np.abs(w_m) < window
+    near = near_m | (np.abs(w_p) < window)
+    # w: distance from the nearby pole.  At -pi, cos(dtheta/2) = sin(w/2) and
+    # sin((pi/a)(pi+dtheta)) = sin(pi w/a); at +pi both change sign.
+    w = np.where(near_m, w_m, w_p)
+    # the other sine factor of S_alpha; it vanishes only on another sheet
+    other = np.sin((math.pi / alpha)
+                   * (2.0 * math.pi + np.where(near_m, -w_m, w_p)))
+    if np.any(near & (np.abs(other) < POLE_TOL)):
+        raise GeometricDirection("double pole in regularized product")
+    d1, d2 = _sine_factors(alpha, d)
+    pole = ~near & ((np.abs(d1) < POLE_TOL) | (np.abs(d2) < POLE_TOL))
+    if np.any(pole):
+        raise GeometricDirection(
+            f"S_{alpha}({d[pole][0]}) evaluated at a geometric direction")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (alpha / (2.0 * math.pi)) * _sinc(0.5 * w) / _sinc(
+            math.pi * w / alpha)
+        out = np.where(near, num / (2.0 * alpha) * ratio / other,
+                       num / (2.0 * alpha * (d1 * d2)) * np.cos(0.5 * d))
+    return float(out) if out.ndim == 0 else out
 
 
-def regularized_pair_product(alpha: float, theta_a: float, theta_b: float) -> float:
-    """S_alpha(theta_a - theta_b) * (sin theta_a + sin theta_b), stable.
+def regularized_pair_product(alpha: float, theta_a, theta_b):
+    """S_alpha(theta_a - theta_b) * (sin theta_a + sin theta_b), stable, for
+    scalars or arrays (a float for scalar input).
 
     This is the combination entering every leading diffraction amplitude; it
     stays finite across the geometric direction theta_a - theta_b = +-pi
     because the sine sum vanishes there for aligned configurations.
     """
-    return 2.0 * math.sin(0.5 * (theta_a + theta_b)) * s_times_cos_half(
+    theta_a = np.asarray(theta_a, dtype=float)
+    theta_b = np.asarray(theta_b, dtype=float)
+    out = 2.0 * np.sin(0.5 * (theta_a + theta_b)) * s_times_cos_half(
         alpha, theta_a - theta_b)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def regularized_sine_product(alpha: float, which: str) -> float:

@@ -5,6 +5,10 @@ class ConewaveError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidInput(ConewaveError, ValueError):
+    """Argument outside the domain of a formula (also a ValueError)."""
+
+
 class PointOnCut(ConewaveError):
     """Point falls on (or outside) the slit chart of a developing map."""
 

@@ -3,8 +3,8 @@
 The cone of total angle alpha > 0 is (0, inf)_r x (R / alpha Z)_theta with the
 metric dr^2 + r^2 dtheta^2.  This module provides the distance function, the
 slit developing charts used to flatten a neighbourhood of a vertex-hitting
-geodesic, shifted-vertex polar coordinates, and the two-cone chain frame in
-which all the two-diffraction computations take place.
+geodesic, shifted-vertex polar coordinates, and the two-cone chain in whose
+frame all the two-diffraction computations take place.
 
 Chart conventions (used consistently everywhere downstream): for diffraction
 sign eps = +1 the removed cut is the upward ray {(0, y): y > 0} and chart
@@ -19,7 +19,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import DegeneratePoint, PointOnCut
+import numpy as np
+
+from .errors import DegeneratePoint, InvalidInput, PointOnCut
 
 # Angular tolerance for classifying a ray as geometrically diffractive.
 # Classification feeds branch selection only, never quantitative output.
@@ -35,8 +37,8 @@ NONGEOMETRIC_DIFFRACTIVE = "nongeometric_diffractive"
 
 def check_cone_angle(alpha: float) -> float:
     """Validate a total cone angle (radians).  alpha = 2*pi is the plane."""
-    if not alpha > 0:
-        raise ValueError(f"cone angle must be positive, got {alpha}")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise InvalidInput(f"cone angle must be positive and finite, got {alpha}")
     return float(alpha)
 
 
@@ -75,24 +77,6 @@ class PlanarPoint:
     @property
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
-
-
-@dataclass(frozen=True)
-class ShiftFrame:
-    """Diffraction sign and vertex-shift distance; p_eps(s) = (0, -eps*s)."""
-
-    epsilon: int
-    s: float
-
-    def __post_init__(self):
-        if self.epsilon not in (+1, -1):
-            raise ValueError(f"epsilon must be +1 or -1, got {self.epsilon}")
-        if self.s < 0:
-            raise ValueError(f"shift distance must be >= 0, got {self.s}")
-
-    @property
-    def vertex(self) -> PlanarPoint:
-        return PlanarPoint(0.0, -self.epsilon * self.s)
 
 
 @dataclass(frozen=True)
@@ -164,22 +148,6 @@ class ConeChain:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class CutRay:
-    """Vertical cut ray {(base.x, base.y + direction*t): t > 0}."""
-
-    base: PlanarPoint
-    direction: int  # +1 upward, -1 downward
-
-
-@dataclass(frozen=True)
-class ChainFrame:
-    q1_star: PlanarPoint
-    q2_star: PlanarPoint
-    cut1: CutRay
-    cut2: CutRay
-
-
 def reduce_angle(alpha: float, theta: float) -> float:
     """Reduce an angle to the fundamental domain [0, alpha)."""
     check_cone_angle(alpha)
@@ -243,15 +211,14 @@ def chart_window(eps: int) -> tuple[float, float]:
     raise ValueError(f"eps must be +1 or -1, got {eps}")
 
 
-def chart_angle(eps: int, x: float, y: float) -> float:
-    """Continuous chart angle of (x, y) around the origin, in the eps-window."""
-    psi = math.atan2(y, x)
+def chart_angle(eps: int, x, y):
+    """Continuous chart angle of (x, y) around the origin, in the eps-window,
+    for scalars or arrays (a float for scalar input)."""
     lo, hi = chart_window(eps)
-    if psi >= hi:
-        psi -= 2.0 * math.pi
-    elif psi < lo:
-        psi += 2.0 * math.pi
-    return psi
+    psi = np.arctan2(y, x)
+    psi = np.where(psi >= hi, psi - 2.0 * math.pi, psi)
+    psi = np.where(psi < lo, psi + 2.0 * math.pi, psi)
+    return float(psi) if psi.ndim == 0 else psi
 
 
 def develop(alpha: float, eps: int, r_star: float, q: ConePoint,
@@ -295,20 +262,11 @@ def shifted_vertex_coords(q: PlanarPoint, eps: int, s: float) -> tuple[float, fl
     the eps-chart, so that s = 0 reproduces ordinary polar coordinates for
     points whose principal angle already lies in the chart window.
     """
-    frame = ShiftFrame(eps, s)
-    vx = q.x - frame.vertex.x
-    vy = q.y - frame.vertex.y
+    if s < 0:
+        raise ValueError(f"shift distance must be >= 0, got {s}")
+    vx, vy = q.x, q.y + eps * s
+    theta = chart_angle(eps, vx, vy)
     r_s = math.hypot(vx, vy)
     if r_s == 0.0:
         raise DegeneratePoint(f"point {q} coincides with the shifted vertex at s={s}")
-    return r_s, chart_angle(eps, vx, vy)
-
-
-def chain_frame(chain: ConeChain) -> ChainFrame:
-    """Frame points and cut rays of the two-cone chain."""
-    return ChainFrame(
-        q1_star=PlanarPoint(chain.b + chain.c, 0.0),
-        q2_star=PlanarPoint(-chain.a, 0.0),
-        cut1=CutRay(base=PlanarPoint(chain.b, 0.0), direction=chain.eps1),
-        cut2=CutRay(base=PlanarPoint(0.0, 0.0), direction=chain.eps2),
-    )
+    return r_s, theta

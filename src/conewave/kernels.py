@@ -24,7 +24,7 @@ import scipy.integrate
 import scipy.special
 
 from .diffraction import regularized_pair_product
-from .errors import ModeTailTooLarge, OnFront, TangentRoot
+from .errors import InvalidInput, ModeTailTooLarge, OnFront, TangentRoot
 from .geometry import (ConePoint, angular_separation, check_cone_angle,
                        chart_angle, cone_distance, reduce_angle)
 from .special import Mollifier, find_roots_convex, mollified_delta
@@ -181,8 +181,8 @@ def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
     matrix-vector product per time on top of a single Bessel table.
     """
     check_cone_angle(alpha)
-    if h <= 0:
-        raise ValueError("the mode sum requires a positive mollifier width")
+    if not h > 0:
+        raise InvalidInput("the mode sum requires a positive mollifier width")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     lam_max = math.sqrt(2.0 * math.log(1e13)) / h
     rmax = max(r1, r2)
@@ -266,6 +266,15 @@ def _moving_point_frame(q: KernelQuery, eps: int) -> tuple[np.ndarray, np.ndarra
     return p1, p2
 
 
+def _moving_radii(x1: np.ndarray, x2: np.ndarray, shift: np.ndarray,
+                  s: float):
+    """(r1(s), r2(s), v1, v2): offsets of x1, x2 from the vertex moved to
+    s * shift, and their lengths."""
+    v1 = x1 - s * shift
+    v2 = x2 - s * shift
+    return math.hypot(*v1), math.hypot(*v2), v1, v2
+
+
 def sine_kernel_moving_point(q: KernelQuery, eps: int = -1) -> KernelValue:
     """Moving-vertex representation of the C_{4pi} sine kernel (h = 0).
 
@@ -281,20 +290,15 @@ def sine_kernel_moving_point(q: KernelQuery, eps: int = -1) -> KernelValue:
     x1, x2 = _moving_point_frame(q, eps)
     shift = np.array([0.0, 1.0 if eps == -1 else -1.0])
 
-    def radii(s):
-        v1 = x1 - s * shift
-        v2 = x2 - s * shift
-        return math.hypot(*v1), math.hypot(*v2), v1, v2
-
     def g(s):
-        r1s, r2s, _, _ = radii(s)
+        r1s, r2s, _, _ = _moving_radii(x1, x2, shift, s)
         return r1s + r2s - q.t
 
     s_max = q.t + abs(x1[1]) + abs(x2[1]) + 1.0
     roots = find_roots_convex(g, s_max)
     total = 0.0
     for s in roots:
-        r1s, r2s, v1, v2 = radii(s)
+        r1s, r2s, v1, v2 = _moving_radii(x1, x2, shift, s)
         dg = -(v1 @ shift) / r1s - (v2 @ shift) / r2s
         # |g'| ~ sqrt(2 curvature (t - t_front)); below 1e-6 the evaluation
         # time is within ~1e-13 of the front and the contribution diverges
@@ -369,23 +373,19 @@ def halfwave_mu_4pi(t: float, q1: ConePoint, q2: ConePoint,
     shift = np.array([0.0, 1.0])
 
     def integrand(s):
-        v1 = x1 - s * shift
-        v2 = x2 - s * shift
-        r1s = math.hypot(*v1)
-        r2s = math.hypot(*v2)
+        r1s, r2s, v1, v2 = _moving_radii(x1, x2, shift, s)
         th1 = chart_angle(-1, v1[0], v1[1])
         th2 = chart_angle(-1, v2[0], v2[1])
         amp = math.sin(0.5 * (th1 + th2)) / math.sqrt(r1s * r2s)
         return (-1j / (4.0 * math.pi**2)) * amp * _omega_moment1(
             r1s + r2s - t, h)
 
+    def g(s):  # a sum of two distances, hence convex
+        r1s, r2s, _, _ = _moving_radii(x1, x2, shift, s)
+        return r1s + r2s - t
+
     s_max = t + abs(x1[1]) + abs(x2[1]) + 1.0
-    try:
-        breaks = find_roots_convex(
-            lambda s: math.hypot(*(x1 - s * shift)) + math.hypot(*(x2 - s * shift)) - t,
-            s_max)
-    except Exception:
-        breaks = []
+    breaks = find_roots_convex(g, s_max)
     points = sorted({0.0, *breaks, s_max})
     re, _ = scipy.integrate.quad(lambda s: integrand(s).real, 0.0, s_max,
                                  points=points[1:-1] or None, limit=300)

@@ -23,15 +23,14 @@ oracle for the whole composition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffraction import scattering_matrix_value, s_times_cos_half
+from .diffraction import regularized_pair_product, scattering_matrix_value
 from .errors import (DegenerateDistance, NoInteriorCriticalPoint,
                      QuadratureFailure)
-from .geometry import ConeChain, PlanarPoint, chart_window
-from .special import GAMMA_HALF  # noqa: F401  (re-exported for tests)
+from .geometry import ConeChain, PlanarPoint, chart_angle
 
 QUARTER_TURN = np.exp(1j * math.pi / 4.0)
 
@@ -143,10 +142,7 @@ def phase_hessian_fd(cp: CompositionPoint, step: float = 1e-5) -> np.ndarray:
 
     def phi(x, y, w2):
         q = PlanarPoint(x, y)
-        p1s, p2s = cp.p1_shifted, cp.p2_shifted
-        f1 = (_dist(cp.q1, p1s) + _dist(p1s, q) - (cp.t - cp.t0)) * cp.omega
-        f2 = (_dist(q, p2s) + _dist(p2s, cp.q2) - cp.t0) * w2
-        return f1 + f2
+        return phase_phi1(cp, q) + phase_phi2(replace(cp, omega=w2), q)
 
     x0 = np.array([sd.q_c.x, sd.q_c.y, cp.omega])
     hess = np.empty((3, 3))
@@ -178,23 +174,6 @@ def psi_shift_derivatives(chain: ConeChain, q1: PlanarPoint, q2: PlanarPoint,
     return (chain.eps1 * omega * q1.y / r1, chain.eps2 * omega * q2.y / r2)
 
 
-def _chart_angles(eps: int, px: float, py: float, x, y):
-    """Chart angles of points (x, y) around the vertex (px, py)."""
-    psi = np.arctan2(np.asarray(y) - py, np.asarray(x) - px)
-    lo, hi = chart_window(eps)
-    psi = np.where(psi >= hi, psi - 2.0 * math.pi, psi)
-    psi = np.where(psi < lo, psi + 2.0 * math.pi, psi)
-    return psi
-
-
-def _pair_product_vec(alpha: float, th_out, th_in):
-    """Vectorized regularized product S_alpha(dth) (sin th_out + sin th_in)."""
-    th_out = np.asarray(th_out, dtype=float)
-    th_in = np.asarray(th_in, dtype=float)
-    stc = np.vectorize(lambda d: s_times_cos_half(alpha, d))(th_out - th_in)
-    return 2.0 * np.sin(0.5 * (th_out + th_in)) * stc
-
-
 def leg_amplitude(alpha: float, eps: int, vertex: PlanarPoint,
                   q_out, q_in, omega):
     """Leading one-cone amplitude between chart points around `vertex`:
@@ -207,11 +186,12 @@ def leg_amplitude(alpha: float, eps: int, vertex: PlanarPoint,
     """
     q_out = np.asarray(q_out, dtype=float)
     q_in = np.asarray(q_in, dtype=float)
-    th_out = _chart_angles(eps, vertex.x, vertex.y, q_out[..., 0], q_out[..., 1])
-    th_in = _chart_angles(eps, vertex.x, vertex.y, q_in[..., 0], q_in[..., 1])
-    rho_out = np.hypot(q_out[..., 0] - vertex.x, q_out[..., 1] - vertex.y)
-    rho_in = np.hypot(q_in[..., 0] - vertex.x, q_in[..., 1] - vertex.y)
-    product = _pair_product_vec(alpha, th_out, th_in)
+    dx_out, dy_out = q_out[..., 0] - vertex.x, q_out[..., 1] - vertex.y
+    dx_in, dy_in = q_in[..., 0] - vertex.x, q_in[..., 1] - vertex.y
+    product = regularized_pair_product(alpha, chart_angle(eps, dx_out, dy_out),
+                                       chart_angle(eps, dx_in, dy_in))
+    rho_out = np.hypot(dx_out, dy_out)
+    rho_in = np.hypot(dx_in, dy_in)
     return -eps * 2.0j * math.pi * product * omega / np.sqrt(rho_out * rho_in)
 
 
@@ -329,11 +309,8 @@ def nondegeneracy_check(kind: str, chain: ConeChain | None = None,
 
         def phase(v):
             tt, x1, y1, x2, y2, w, s1, s2 = v
-            p1x, p1y = chain.b, -chain.eps1 * s1
-            p2x, p2y = 0.0, -chain.eps2 * s2
-            return (math.hypot(x2 - p2x, y2 - p2y)
-                    + math.hypot(p2x - p1x, p2y - p1y)
-                    + math.hypot(p1x - x1, p1y - y1) - tt) * w
+            return composed_phase_psi(chain, tt, PlanarPoint(x1, y1),
+                                      PlanarPoint(x2, y2), s1, s2, w)
 
         x0 = np.array([t, q1.x, q1.y, q2.x, q2.y, omega, 0.0, 0.0])
         rows = _phase_differentials(phase, x0, [5, 6, 7], step)
@@ -429,9 +406,9 @@ def oscillatory_oracle(chain: ConeChain, t: float, q1: PlanarPoint,
             amp1 = leg_amplitude(chain.alpha1, chain.eps1, p1,
                                  np.array([q1.x, q1.y]), pts, omega)
             # a2 carries w2 linearly; the linear factor moved into j_w2
-            th_out = _chart_angles(chain.eps2, p2.x, p2.y, X, Y)
-            th_in = _chart_angles(chain.eps2, p2.x, p2.y, q2.x, q2.y)
-            prod2 = _pair_product_vec(chain.alpha2, th_out, th_in)
+            prod2 = regularized_pair_product(
+                chain.alpha2, chart_angle(chain.eps2, X - p2.x, Y - p2.y),
+                chart_angle(chain.eps2, q2.x - p2.x, q2.y - p2.y))
             amp1 = amp1 * (-chain.eps2 * 2.0j * math.pi) * prod2 / np.sqrt(
                 R * r2_leg)
         d1 = np.hypot(q1.x - p1.x, q1.y - p1.y)

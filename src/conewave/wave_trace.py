@@ -24,7 +24,9 @@ import scipy.signal
 from .diffraction import (INCOMING_AT_0, OUTGOING_AT_PI,
                           regularized_sine_product, sine_product_limit_numeric)
 from .errors import BadLeg, IncompleteSpectrum, WindowContaminated
+from .geometry import ConeChain, PlanarPoint
 from .special import Mollifier, mollified_inverse_power
+from .two_diffraction import composed_phase_psi
 
 
 @dataclass(frozen=True)
@@ -254,13 +256,12 @@ def trace_pipeline_check(L: float, b: float, omega: float = 1.0,
     r1_leg = span - r2_leg    # distance p1 -> q + (L, 0)
     t_orbit = L
 
+    # eps1 = -1, eps2 = +1: p1(s1) = (b, s1), p2(s2) = (0, -s2)
+    chain = ConeChain(r2_leg, b, r1_leg, math.pi, math.pi, -1, +1)
+
     def chain_phase(u: float, y: float) -> float:
-        # eps1 = -1, eps2 = +1: p1(s1) = (b, s1), p2(s2) = (0, -s2)
-        s1 = s2 = 0.5 * u
-        leg2 = math.hypot(x0 - 0.0, y + s2)
-        mid = math.hypot(b, s1 + s2)
-        leg1 = math.hypot(x0 + L - b, y - s1)
-        return (leg2 + mid + leg1 - t_orbit) * omega
+        return composed_phase_psi(chain, t_orbit, PlanarPoint(x0 + L, y),
+                                  PlanarPoint(x0, y), 0.5 * u, 0.5 * u, omega)
 
     def psi_tilde(u: float) -> float:
         res = scipy.optimize.minimize_scalar(
@@ -272,7 +273,9 @@ def trace_pipeline_check(L: float, b: float, omega: float = 1.0,
     kappa = omega * L / (b * span)
     kappa_err = abs(kappa_fd - kappa) / kappa
 
-    hess_y_fd = _second_derivative(lambda y: chain_phase(0.0, y), 0.0, 1e-4)
+    # step as for kappa: at 1e-4 the roundoff of the second difference,
+    # about 16 eps |phi| / step^2 after extrapolation, reaches the 1e-6 gate
+    hess_y_fd = _second_derivative(lambda y: chain_phase(0.0, y), 0.0, 1e-3)
     hess_y = omega * span / (r1_leg * r2_leg)
     hess_y_err = abs(hess_y_fd - hess_y) / hess_y
 

@@ -52,8 +52,9 @@ def test_at5_differentiated_propagator():
     assert rep.details["upsilon_err"] < 5e-2
 
 
-def test_at6_trace_pipeline():
-    rep = _report(verification.at6_trace_pipeline, 0)
+@pytest.mark.parametrize("seed", [0, 4])
+def test_at6_trace_pipeline(seed):
+    rep = _report(verification.at6_trace_pipeline, seed)
     assert rep.passed, rep.summary
     assert rep.details["final"] < 1e-10
     assert rep.details["fd"] < 1e-6

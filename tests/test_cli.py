@@ -135,3 +135,21 @@ def test_unwritable_output_is_input_error(tmp_path):
                   tmp_path)
     assert res.returncode == 2
     assert "cannot write" in res.stderr
+
+
+KERNEL_ARGS = ["kernel", "--alpha", "12.566370614359172", "--r1", "0.5",
+               "--theta1", "0", "--r2", "0.5", "--theta2", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--alpha", "-1", "--thetas", "0:0.1:1"],
+    ["scatter", "--alpha", "inf", "--thetas", "0:0.1:1"],
+    KERNEL_ARGS + ["--ts", "1:0.1:1.2", "--h", "0"],
+    KERNEL_ARGS + ["--ts", "nan:0.1:1"],
+], ids=["alpha-negative", "alpha-inf", "h-zero", "ts-nan"])
+def test_bad_input_exits_two(argv, capsys):
+    """Out-of-domain numbers are input errors (exit 2), not tracebacks."""
+    from conewave import cli
+
+    assert cli.main(argv) == 2
+    assert "error" in capsys.readouterr().err

@@ -117,6 +117,26 @@ def test_s_times_cos_half_regularization():
             a = s_times_cos_half(alpha, PI - d)
             b = scattering_matrix_value(alpha, PI - d) * math.cos((PI - d) / 2)
             assert a == pytest.approx(b, rel=1e-11)
+    # arrays: the same angles, both windows and both sides of each switch,
+    # match the per-element values
+    for alpha in (3 * PI, 4 * PI, 7.0):
+        d = np.array([-PI - 0.251, -PI - 0.249, -PI, -PI + 1e-9, -1.0, 0.3,
+                      PI - 0.249, PI - 0.251, PI, PI + 1e-7])
+        arr = s_times_cos_half(alpha, d)
+        assert isinstance(arr, np.ndarray) and arr.shape == d.shape
+        scal = [s_times_cos_half(alpha, float(v)) for v in d]
+        assert all(isinstance(v, float) for v in scal)
+        assert np.array_equal(arr, np.array(scal))
+        pair = regularized_pair_product(alpha, d.reshape(2, 5), 0.1)
+        assert pair.shape == (2, 5)
+        assert np.array_equal(pair.ravel(), [
+            regularized_pair_product(alpha, float(v), 0.1) for v in d])
+    # a genuine pole inside an array raises, as it does for a scalar:
+    # S_{4pi} has a pole at 3pi, outside both windows
+    with pytest.raises(GeometricDirection):
+        s_times_cos_half(4 * PI, 3 * PI)
+    with pytest.raises(GeometricDirection):
+        s_times_cos_half(4 * PI, np.array([0.0, 1.0, 3 * PI, 2.0]))
 
 
 def test_regularized_pair_product_smooth_across_alignment():

@@ -6,9 +6,9 @@ import pytest
 
 from conewave.errors import DegeneratePoint, PointOnCut
 from conewave.geometry import (ConeChain, ConePoint, PlanarPoint,
-                               angular_separation, chain_frame, classify_ray,
-                               cone_distance, cone_point, develop,
-                               shifted_vertex_coords)
+                               angular_separation, chart_angle, chart_window,
+                               classify_ray, cone_distance, cone_point,
+                               develop, shifted_vertex_coords)
 
 PI = math.pi
 
@@ -130,6 +130,22 @@ def test_shifted_vertex_coords():
         assert th == pytest.approx(math.atan2(y, x), abs=1e-15)
     with pytest.raises(DegeneratePoint):
         shifted_vertex_coords(PlanarPoint(0.0, -0.5), +1, 0.5)
+    with pytest.raises(ValueError):
+        shifted_vertex_coords(PlanarPoint(1.0, 0.0), +1, -0.1)
+    # chart_angle on arrays matches it element by element, at both window edges
+    for eps in (+1, -1):
+        lo, hi = chart_window(eps)
+        edges = np.array([lo, hi])
+        psi = np.concatenate([edges - 1e-9, edges, edges + 1e-9,
+                              rng.uniform(-PI, PI, 8)])
+        x, y = np.cos(psi), np.sin(psi)
+        arr = chart_angle(eps, x, y)
+        assert isinstance(arr, np.ndarray) and arr.shape == psi.shape
+        scal = [chart_angle(eps, float(xi), float(yi)) for xi, yi in zip(x, y)]
+        assert all(isinstance(v, float) for v in scal)
+        assert np.array_equal(arr, np.array(scal))
+        # points on the cut itself land on one end of the window
+        assert np.all((arr >= lo) & (arr <= hi))
 
 
 def test_shifted_radius_is_convex_in_s():
@@ -146,21 +162,6 @@ def test_shifted_radius_is_convex_in_s():
         # r(s) = sqrt(r0^2 + (s - s0)^2) with s0 = -q.y, r0 = |q.x|
         expected = np.sqrt(q.x**2 + (s + q.y) ** 2)
         assert np.allclose(r, expected, atol=1e-12)
-
-
-def test_chain_frame():
-    chain = ConeChain(1.0, 1.0, 1.0, 3 * PI, 4 * PI, +1, -1)
-    frame = chain_frame(chain)
-    assert (frame.q2_star.x, frame.q2_star.y) == (-1.0, 0.0)
-    assert (frame.q1_star.x, frame.q1_star.y) == (2.0, 0.0)
-    # collinear frame: leg lengths add up
-    total = (abs(frame.q2_star.x - 0.0) + chain.b
-             + abs(frame.q1_star.x - chain.b))
-    assert total == chain.total_length
-    chain2 = ConeChain(2.0, 3.0, 1.0, 3 * PI, 3 * PI, -1, +1)
-    frame2 = chain_frame(chain2)
-    assert (frame2.cut1.base.x, frame2.cut1.direction) == (3.0, -1)
-    assert (frame2.cut2.base.x, frame2.cut2.direction) == (0.0, +1)
 
 
 def test_chain_json_roundtrip():
