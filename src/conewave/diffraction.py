@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometricDirection
+from .errors import GeometricDirection, InvalidInput
 from .geometry import check_cone_angle
 
 # |sin factor| below this counts as a pole of the closed form.
@@ -74,7 +74,7 @@ def scattering_matrix_fourier(alpha: float, theta: float, N: int,
     averaged over the partial sums."""
     check_cone_angle(alpha)
     if N < 0:
-        raise ValueError("N must be >= 0")
+        raise InvalidInput(f"N must be >= 0, got {N}")
     if N == 0:
         return -1j / alpha
     k = np.arange(1, N + 1)

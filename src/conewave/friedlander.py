@@ -16,8 +16,19 @@ causal side), A2 the pullback through
     y = (t^2 - r1^2 - r2^2) / (2 r1 r2),   z = theta1 - theta2,
 
 and A3 multiplication by (2 pi sqrt(2 r1 r2))^(-1).  The slowly decaying
-arctan translates are summed directly up to a cutoff with digamma /
-polygamma closed forms for the tails.
+arctan translates of the y > 1 branch are summed exactly: with
+c = arccosh y, kappa = coth(pi c / alpha) and theta = pi x / alpha,
+
+    sum_k arctan((x + alpha k) / c) = Phi(x)
+        = theta + atan2((kappa - 1) sin theta cos theta,
+                        cos^2 theta + kappa sin^2 theta)
+
+(symmetric summation).  Both sides are odd in x and share the
+x-derivative, the periodized Poisson kernel
+(pi/alpha) sinh(2 pi c/alpha) / (cosh(2 pi c/alpha) - cos(2 pi x/alpha)).
+Since kappa > 1 the atan2 denominator is positive, so Phi is continuous
+across the poles of tan theta.  Hence G_alpha = (Phi(pi - z) + Phi(pi + z)) / pi
+for y > 1, with no truncation.
 """
 
 from __future__ import annotations
@@ -26,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 from scipy.interpolate import RectBivariateSpline
 
 from .errors import OutOfGrid
@@ -70,38 +80,24 @@ def _g_alpha_low(alpha: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _g_alpha_high(alpha: float, y: np.ndarray, z: np.ndarray,
-                  k_direct: int) -> np.ndarray:
-    """Periodized y > 1 branch with polygamma tail corrections."""
-    c = np.arccosh(y)[:, None]  # (Ny, 1)
-    total = np.zeros((y.size, z.size))
-    for k in range(-k_direct, k_direct + 1):
-        zp = (z + alpha * k)[None, :]
-        total += np.arctan((math.pi - zp) / c) + np.arctan((math.pi + zp) / c)
+def _g_alpha_high(alpha: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Periodized y > 1 branch, summed exactly: (Phi(pi - z) + Phi(pi + z)) / pi."""
+    # kappa - 1 = 2 / expm1(2u), free of the cancellation in coth(u) - 1
+    km1 = (2.0 / np.expm1(2.0 * math.pi * np.arccosh(y) / alpha))[:, None]
 
-    # tails k > K and k < -K of arctan((pi - z')/c) + arctan((pi + z')/c)
-    # ~ c [1/(z'-pi) - 1/(z'+pi)] - (c^3/3) [1/(z'-pi)^3 - 1/(z'+pi)^3]
-    kk = k_direct + 1
-    x1 = (z - math.pi) / alpha
-    x2 = (z + math.pi) / alpha
-    x1m = (-z - math.pi) / alpha
-    x2m = (-z + math.pi) / alpha
-    psi = scipy.special.digamma
-    psi2 = lambda x: scipy.special.polygamma(2, x)
-    lead = (psi(kk + x2) - psi(kk + x1) + psi(kk + x2m) - psi(kk + x1m))
-    cubic = 0.5 * (psi2(kk + x2) - psi2(kk + x1)
-                   + psi2(kk + x2m) - psi2(kk + x1m))
-    total += (c / alpha) * lead[None, :]
-    total -= (c**3 / (3.0 * alpha**3)) * cubic[None, :]
+    def phi(x):
+        theta = (math.pi / alpha) * x[None, :]
+        s, co = np.sin(theta), np.cos(theta)
+        return theta + np.arctan2(km1 * s * co, co * co + (1.0 + km1) * s * s)
+
     # sign fixed by the alpha = 2pi degenerate case: the periodized branch
     # telescopes to the constant +1 there, removing the spurious jump at the
     # diffracted front that the plane kernel cannot have
-    return total / math.pi
+    return (phi(math.pi - z) + phi(math.pi + z)) / math.pi
 
 
 def build_friedlander(alpha: float, y_min: float = -1.5, y_max: float = 4.5,
-                      ny: int = 2400, nz: int = 768,
-                      k_direct: int | None = None) -> FriedlanderGrid:
+                      ny: int = 2400, nz: int = 768) -> FriedlanderGrid:
     """Sample G_alpha on a uniform grid and apply the half-derivative in y.
 
     The node y = 1 must land on the grid so the square-root cusp of the
@@ -110,8 +106,6 @@ def build_friedlander(alpha: float, y_min: float = -1.5, y_max: float = 4.5,
     check_cone_angle(alpha)
     if not (y_min < -1.0 < 1.0 < y_max):
         raise ValueError("y range must contain [-1, 1]")
-    if k_direct is None:
-        k_direct = max(24, math.ceil(200.0 / alpha))
     y = np.linspace(y_min, y_max, ny + 1)
     d = (y_max - y_min) / ny
     i1 = int(round((1.0 - y_min) / d))
@@ -123,7 +117,7 @@ def build_friedlander(alpha: float, y_min: float = -1.5, y_max: float = 4.5,
     low = y < 1.0
     high = y > 1.0
     g[low] = _g_alpha_low(alpha, y[low], z)
-    g[high] = _g_alpha_high(alpha, y[high], z, k_direct)
+    g[high] = _g_alpha_high(alpha, y[high], z)
     # G is continuous at y = 1 (the arctan limits reproduce the translate
     # count); fill the node from the y < 1 branch
     g[i1] = _g_alpha_low(alpha, np.array([1.0]), z)[0]

@@ -14,7 +14,7 @@ import scipy.optimize
 import scipy.signal
 import scipy.special
 
-from .errors import NonUniformGrid, NotConvex, QuadratureFailure
+from .errors import InvalidInput, NonUniformGrid, NotConvex, QuadratureFailure
 
 GAMMA_HALF = math.sqrt(math.pi)  # Gamma(1/2)
 _GAMMA_5_2 = 0.75 * math.sqrt(math.pi)  # Gamma(5/2)
@@ -31,8 +31,9 @@ class Mollifier:
     width_h: float
 
     def __post_init__(self):
-        if not self.width_h > 0:
-            raise ValueError(f"mollifier width must be positive, got {self.width_h}")
+        if not (self.width_h > 0 and math.isfinite(self.width_h)):
+            raise InvalidInput(
+                f"mollifier width must be positive and finite, got {self.width_h}")
 
     def frequency_cutoff(self, tiny: float = 1e-18) -> float:
         """Frequency beyond which the damping profile is below `tiny`."""

@@ -146,7 +146,11 @@ KERNEL_ARGS = ["kernel", "--alpha", "12.566370614359172", "--r1", "0.5",
     ["scatter", "--alpha", "inf", "--thetas", "0:0.1:1"],
     KERNEL_ARGS + ["--ts", "1:0.1:1.2", "--h", "0"],
     KERNEL_ARGS + ["--ts", "nan:0.1:1"],
-], ids=["alpha-negative", "alpha-inf", "h-zero", "ts-nan"])
+    ["trace", "--h", "0", "--t-range", "0.5:0.1:1"],
+    ["trace", "--h", "inf", "--t-range", "0.5:0.1:1"],
+    ["scatter", "--alpha", "7", "--thetas", "0:0.1:1", "--fourier-n", "-1"],
+], ids=["alpha-negative", "alpha-inf", "h-zero", "ts-nan", "trace-h-zero",
+        "trace-h-inf", "fourier-n-negative"])
 def test_bad_input_exits_two(argv, capsys):
     """Out-of-domain numbers are input errors (exit 2), not tracebacks."""
     from conewave import cli

@@ -56,6 +56,40 @@ def test_g_branch_point_values(grid_4pi):
     assert abs(fg.g[yk, zi]) < abs(fg.g[yj, zi])
 
 
+def _brute_g_high(alpha, y, z):
+    """Translate sum of the y > 1 branch, Richardson-extrapolated in K.
+
+    The partial sums have a tail a/K + b/K^2 + ...; the first step on
+    K = 2000/4000 leaves b/K^2 (up to 6e-8 here), the second, with
+    K = 1000, removes it.
+    """
+    c = math.acosh(y)
+
+    def brute(K):
+        zp = z + alpha * np.arange(-K, K + 1)
+        return np.sum(np.arctan((PI - zp) / c) + np.arctan((PI + zp) / c)) / PI
+
+    b1, b2, b4 = brute(1000), brute(2000), brute(4000)
+    return (4 * (2 * b4 - b2) - (2 * b2 - b1)) / 3
+
+
+@pytest.mark.parametrize("alpha", [PI, 7.0, 4 * PI])
+def test_g_high_matches_translate_sum(alpha):
+    fg = build_friedlander(alpha)
+    for y in (1.0025, 1.5, 2.5, 4.5):
+        yi = np.argmin(np.abs(fg.y - y))
+        for frac in (-0.5, -0.31, 0.0, 0.17, 0.5):
+            zi = np.argmin(np.abs(fg.z - frac * alpha))
+            oracle = _brute_g_high(alpha, fg.y[yi], fg.z[zi])
+            assert fg.g[yi, zi] == pytest.approx(oracle, abs=1e-9)
+
+
+def test_g_high_telescopes_at_2pi(grid_2pi):
+    """At alpha = 2 pi the periodized y > 1 branch is the constant 1."""
+    high = grid_2pi.g[grid_2pi.y > 1.0]
+    assert np.max(np.abs(high - 1.0)) < 1e-13
+
+
 def test_matches_4pi_closed_form(grid_4pi):
     rng = np.random.default_rng(42)
     count = 0
