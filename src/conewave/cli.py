@@ -51,6 +51,17 @@ def _parse_range(text: str) -> np.ndarray:
     return start + step * np.arange(n)
 
 
+def _parse_point(text: str) -> PlanarPoint:
+    """'x,y' chain-frame point."""
+    try:
+        x, y = (float(p) for p in text.split(","))
+    except ValueError as exc:
+        raise InputError(f"bad point {text!r}, expected x,y") from exc
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InputError(f"bad point {text!r}, coordinates must be finite")
+    return PlanarPoint(x, y)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as handle:
@@ -143,8 +154,7 @@ def cmd_scatter(args) -> int:
 def cmd_compose(args) -> int:
     _require(args, "chain", "t", "q1", "q2", "omega")
     chain = ConeChain.from_dict(_load_json(args.chain))
-    q1 = PlanarPoint(*(float(v) for v in args.q1.split(",")))
-    q2 = PlanarPoint(*(float(v) for v in args.q2.split(",")))
+    q1, q2 = _parse_point(args.q1), _parse_point(args.q2)
     cp = CompositionPoint(chain, q1, q2, 0.0, 0.0, args.omega, args.t)
     sd = stationary_eliminate(cp)
     theta1 = -math.atan2(q1.y, q1.x - chain.b)
@@ -183,9 +193,13 @@ def cmd_compose(args) -> int:
 def cmd_trace(args) -> int:
     if args.surface is not None:
         data = _load_json(args.surface)
-        if data.get("type") != "pillowcase":
+        if not isinstance(data, dict) or data.get("type") != "pillowcase":
             raise InputError("surface JSON must have type 'pillowcase'")
-        surf = wave_trace.PillowcaseSurface(float(data["a"]), float(data["b"]))
+        try:
+            sides = float(data["a"]), float(data["b"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"surface JSON needs numbers a and b: {exc!r}") from exc
+        surf = wave_trace.PillowcaseSurface(*sides)
     else:
         surf = wave_trace.PillowcaseSurface(args.a, args.b)
     moll = Mollifier(args.h)

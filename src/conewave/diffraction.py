@@ -67,18 +67,18 @@ def scattering_matrix_value(alpha: float, theta: float) -> float:
     return ev.value
 
 
-def scattering_matrix_fourier(alpha: float, theta: float, N: int,
-                              cesaro: bool = True) -> complex:
+def scattering_matrix_fourier(alpha: float, theta: float, N: int) -> complex:
     """Fourier-series oracle (-i/alpha) sum_k e^{-i pi |2 k pi/alpha|}
-    e^{-2 i k pi theta/alpha}, truncated at |k| <= N, optionally Cesaro
-    averaged over the partial sums."""
+    e^{-2 i k pi theta/alpha}, truncated at |k| <= N and Cesaro averaged over
+    the partial sums (the coefficients do not decay, so the plain partial
+    sums do not converge)."""
     check_cone_angle(alpha)
     if N < 0:
         raise InvalidInput(f"N must be >= 0, got {N}")
     if N == 0:
         return -1j / alpha
     k = np.arange(1, N + 1)
-    weights = 1.0 - k / (N + 1.0) if cesaro else np.ones_like(k, dtype=float)
+    weights = 1.0 - k / (N + 1.0)
     terms = 2.0 * np.cos(2.0 * k * math.pi * theta / alpha) * np.exp(
         -2j * math.pi**2 * k / alpha)
     return complex(-1j / alpha * (1.0 + np.sum(weights * terms)))

@@ -50,8 +50,9 @@ class ConePoint:
     theta: float
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"radial coordinate must be >= 0, got {self.r}")
+        if not (self.r >= 0 and math.isfinite(self.r) and math.isfinite(self.theta)):
+            raise InvalidInput("need a finite r >= 0 and a finite theta, got "
+                               f"({self.r}, {self.theta})")
 
     @property
     def is_vertex(self) -> bool:
@@ -97,13 +98,15 @@ class ConeChain:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"chain leg {name} must be positive")
+            leg = getattr(self, name)
+            if not (leg > 0 and math.isfinite(leg)):
+                raise InvalidInput(
+                    f"chain leg {name} must be positive and finite, got {leg}")
         check_cone_angle(self.alpha1)
         check_cone_angle(self.alpha2)
         for name in ("eps1", "eps2"):
             if getattr(self, name) not in (+1, -1):
-                raise ValueError(f"{name} must be +1 or -1")
+                raise InvalidInput(f"{name} must be +1 or -1")
 
     @property
     def total_length(self) -> float:
@@ -133,15 +136,15 @@ class ConeChain:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConeChain":
-        return cls(
-            a=float(data["a"]),
-            b=float(data["b"]),
-            c=float(data["c"]),
-            alpha1=float(data["alpha1"]),
-            alpha2=float(data["alpha2"]),
-            eps1=int(data["eps1"]),
-            eps2=int(data["eps2"]),
-        )
+        try:
+            fields = {key: float(data[key])
+                      for key in ("a", "b", "c", "alpha1", "alpha2")}
+            fields.update({key: int(data[key]) for key in ("eps1", "eps2")})
+        except KeyError as exc:
+            raise InvalidInput(f"chain is missing the key {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInput(f"bad chain {data!r}: {exc}") from exc
+        return cls(**fields)
 
     @classmethod
     def from_json(cls, text: str) -> "ConeChain":

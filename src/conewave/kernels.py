@@ -27,7 +27,8 @@ from .diffraction import regularized_pair_product
 from .errors import InvalidInput, ModeTailTooLarge, OnFront, TangentRoot
 from .geometry import (ConePoint, angular_separation, check_cone_angle,
                        chart_angle, cone_distance, reduce_angle)
-from .special import Mollifier, find_roots_convex, mollified_delta
+from .special import (Mollifier, damped_moment, find_roots_convex,
+                      mollified_delta)
 
 BEFORE_DIRECT = "before_direct"
 BETWEEN_FRONTS = "between_fronts"
@@ -48,12 +49,12 @@ class KernelQuery:
     h: float = 0.0
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("time must be positive")
-        if self.h < 0:
-            raise ValueError("mollifier width must be >= 0")
+        if not (self.t > 0 and math.isfinite(self.t)):
+            raise InvalidInput(f"time must be positive and finite, got {self.t}")
+        if not (self.h >= 0 and math.isfinite(self.h)):
+            raise InvalidInput(f"mollifier width must be finite and >= 0, got {self.h}")
         if self.q1.is_vertex or self.q2.is_vertex:
-            raise ValueError("pointwise kernel evaluation requires r1, r2 > 0")
+            raise InvalidInput("pointwise kernel evaluation requires r1, r2 > 0")
 
 
 @dataclass(frozen=True)
@@ -173,8 +174,7 @@ def _masked_bessel(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
 def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
                          dtheta_signed: float, h: float,
                          mode_cut: int | None = None,
-                         tail_tol: float = 1e-8,
-                         nodes_per_unit: int = 12) -> np.ndarray:
+                         tail_tol: float = 1e-8) -> np.ndarray:
     """Cheeger mode sum evaluated on a batch of times (shared geometry).
 
     The Bessel products are time independent, so a whole t sweep costs one
@@ -192,7 +192,8 @@ def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
         mode_cut = int(math.ceil(nu_max * alpha / (2.0 * math.pi)))
 
     max_freq = float(ts.max()) + r1 + r2
-    n_lam = max(256, int(lam_max * nodes_per_unit * max_freq / (2.0 * math.pi)))
+    # 12 Gauss nodes per period of sin(lam * max_freq) on [0, lam_max]
+    n_lam = max(256, int(lam_max * 12 * max_freq / (2.0 * math.pi)))
     panel = 2048
     n_panels = max(1, -(-n_lam // panel))
     nodes, weights = np.polynomial.legendre.leggauss(min(n_lam, panel))
@@ -347,15 +348,6 @@ def upsilon0(t: float, q1: ConePoint, q2: ConePoint, dir_theta: float,
     return amp * math.cos(0.5 * (q1.theta + q2.theta) - dir_theta)
 
 
-def _omega_moment1(u, h: float):
-    """int_0^inf w e^{i u w - h^2 w^2 / 2} dw, closed form via Dawson F."""
-    u = np.asarray(u, dtype=float)
-    x = u / (math.sqrt(2.0) * h)
-    real = (1.0 - 2.0 * x * scipy.special.dawsn(x)) / (h * h)
-    imag = math.sqrt(2.0 * math.pi) * u / (2.0 * h**3) * np.exp(-x * x)
-    return real + 1j * imag
-
-
 def halfwave_mu_4pi(t: float, q1: ConePoint, q2: ConePoint,
                     moll: Mollifier) -> complex:
     """Half-wave kernel on C_{4 pi} as the boundary-parameter oscillatory
@@ -364,8 +356,9 @@ def halfwave_mu_4pi(t: float, q1: ConePoint, q2: ConePoint,
         (-i/4 pi^2) int_{s>=0} int_{w>0} e^{i (r1(s)+r2(s)-t) w}
             sin((th1(s)+th2(s))/2) (r1(s) r2(s))^(-1/2) w dw ds,
 
-    frequency-mollified by e^{-h^2 w^2 / 2}.  The w integral is closed form;
-    the s integral is adaptive with the front roots supplied as break points.
+    frequency-mollified by e^{-h^2 w^2 / 2}.  The w integral is the closed
+    form damped_moment(r1(s) + r2(s) - t, h, 2); the s integral is adaptive
+    with the front roots supplied as break points.
     """
     h = moll.width_h
     query = KernelQuery(t, q1, q2, h)
@@ -377,8 +370,8 @@ def halfwave_mu_4pi(t: float, q1: ConePoint, q2: ConePoint,
         th1 = chart_angle(-1, v1[0], v1[1])
         th2 = chart_angle(-1, v2[0], v2[1])
         amp = math.sin(0.5 * (th1 + th2)) / math.sqrt(r1s * r2s)
-        return (-1j / (4.0 * math.pi**2)) * amp * _omega_moment1(
-            r1s + r2s - t, h)
+        return (-1j / (4.0 * math.pi**2)) * amp * damped_moment(
+            r1s + r2s - t, h, 2.0)
 
     def g(s):  # a sum of two distances, hence convex
         r1s, r2s, _, _ = _moving_radii(x1, x2, shift, s)

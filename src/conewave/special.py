@@ -1,6 +1,7 @@
 """Shared numerical kernels: Bessel J, Gaussian mollifiers, half-order
 fractional differentiation on a grid, the smoothed model singularities
-(t - L - i0)^order, and bracketed root finding for convex front equations.
+(t - L - i0)^order of any negative order (one closed form in Kummer's
+function 1F1), and bracketed root finding for convex front equations.
 """
 
 from __future__ import annotations
@@ -9,12 +10,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.optimize
 import scipy.signal
 import scipy.special
 
-from .errors import InvalidInput, NonUniformGrid, NotConvex, QuadratureFailure
+from .errors import InvalidInput, NonUniformGrid, NotConvex
 
 GAMMA_HALF = math.sqrt(math.pi)  # Gamma(1/2)
 _GAMMA_5_2 = 0.75 * math.sqrt(math.pi)  # Gamma(5/2)
@@ -34,10 +34,6 @@ class Mollifier:
         if not (self.width_h > 0 and math.isfinite(self.width_h)):
             raise InvalidInput(
                 f"mollifier width must be positive and finite, got {self.width_h}")
-
-    def frequency_cutoff(self, tiny: float = 1e-18) -> float:
-        """Frequency beyond which the damping profile is below `tiny`."""
-        return math.sqrt(2.0 * math.log(1.0 / tiny)) / self.width_h
 
 
 def mollified_delta(moll: Mollifier, u) -> float:
@@ -201,60 +197,45 @@ def half_derivative(f: SampledFunction1D, method: str = "rl") -> SampledFunction
     return SampledFunction1D(f.grid, out)
 
 
-def _damped_trig_half_integral(u: float, h: float, kind: str,
-                               abs_target: float) -> float:
-    """int_0^wmax trig(u*w) w^(-1/2) e^{-h^2 w^2/2} dw, adaptively.
+def damped_moment(u, h: float, s: float):
+    """int_0^inf w^(s-1) e^{i u w - h^2 w^2/2} dw for s > 0, for scalars or
+    arrays u (complex, or a complex array).
 
-    The substitution w = v^2 removes the endpoint singularity; oscillation
-    break points are supplied explicitly so quad's error estimate is honest.
+    With a = h^2/2 and x = u^2/(4a) the cosine and sine halves are Kummer
+    functions:
+
+        (1/2) Gamma(s/2) a^(-s/2) 1F1(s/2; 1/2; -x)
+        + i (u/2) Gamma((s+1)/2) a^(-(s+1)/2) 1F1((s+1)/2; 3/2; -x).
     """
-    wmax = math.sqrt(2.0 * math.log(1e18)) / h
-    vmax = math.sqrt(wmax)
-    trig = math.sin if kind == "sin" else math.cos
-    points = None
-    if abs(u) > 0:
-        # phase u v^2 advances pi between consecutive break points
-        ks = np.arange(1.0, abs(u) * vmax * vmax / math.pi)
-        if ks.size and ks.size < 900:
-            points = list(np.sqrt(ks * math.pi / abs(u)))
-    val, err = scipy.integrate.quad(
-        lambda v: 2.0 * trig(u * v * v) * math.exp(-0.5 * (h * v * v) ** 2),
-        0.0, vmax, points=points, limit=max(200, 4 * len(points or []) + 100),
-        epsabs=min(1.49e-8, abs_target / 3.0), epsrel=1e-11)
-    if err > abs_target:
-        raise QuadratureFailure(
-            f"model-distribution quadrature error {err:.3e} above target "
-            f"{abs_target:.3e}")
-    return val
+    if not (s > 0 and h > 0 and math.isfinite(s) and math.isfinite(h)):
+        raise InvalidInput(
+            f"exponent s and width h must be positive and finite, got {s}, {h}")
+    u = np.asarray(u, dtype=float)
+    a = 0.5 * h * h
+    x = -u * u / (4.0 * a)
+    even = (0.5 * math.gamma(0.5 * s) * a ** (-0.5 * s)
+            * scipy.special.hyp1f1(0.5 * s, 0.5, x))
+    odd = (0.5 * u * math.gamma(0.5 * s + 0.5) * a ** (-0.5 * s - 0.5)
+           * scipy.special.hyp1f1(0.5 * s + 0.5, 1.5, x))
+    out = even + 1j * odd
+    return complex(out) if out.ndim == 0 else out
 
 
-def mollified_inverse_power(moll: Mollifier, t: float, L: float, order) -> complex:
-    """Gaussian smoothing of the model singularity (t - L - i0)^order.
+def mollified_inverse_power(moll: Mollifier, t, L: float, order):
+    """Gaussian smoothing of the model singularity (t - L - i0)^order, for
+    any order < 0 and scalar or array t:
 
-    order -1:   model(t) = i * int_0^inf e^{i w (L - t)} e^{-h^2 w^2/2} dw,
-                the frequency content matching the half-wave trace convention
-                Tr e^{-i t sqrt(Delta)}; evaluated in closed form by rotating
-                the contour (Dawson function).
-    order -1/2: model(t) = (e^{i pi/4}/Gamma(1/2)) *
-                int_0^inf e^{i w (L - t)} w^{-1/2} e^{-h^2 w^2/2} dw,
-                by adaptive quadrature with absolute error target 1e-9
-                relative to the peak scale (QuadratureFailure if missed).
+        model(t) = (e^{i pi s/2} / Gamma(s)) *
+                   int_0^inf w^(s-1) e^{i w (L - t)} e^{-h^2 w^2/2} dw,
+
+    s = -order, the frequency content matching the half-wave trace
+    convention Tr e^{-i t sqrt(Delta)}; as h -> 0 it tends to |t - L|^order
+    for t > L and e^{i pi s} |t - L|^order for t < L.  The integral is the
+    closed form damped_moment(L - t, h, s).
     """
-    h = moll.width_h
-    u = t - L
-    if order == -1:
-        x = u / (math.sqrt(2.0) * h)
-        s_part = math.sqrt(2.0) / h * scipy.special.dawsn(x)
-        c_part = math.sqrt(math.pi / 2.0) / h * math.exp(-x * x)
-        # i * (C - i S) = S + i C
-        return complex(s_part, c_part)
-    if order == -0.5:
-        scale = scipy.special.gamma(0.25) / (2.0 * (0.5 * h * h) ** 0.25)
-        target = 1e-9 * scale
-        c_part = _damped_trig_half_integral(u, h, "cos", target)
-        s_part = _damped_trig_half_integral(u, h, "sin", target)
-        return complex(c_part, -s_part) * np.exp(1j * math.pi / 4.0) / GAMMA_HALF
-    raise ValueError(f"order must be -1 or -1/2, got {order}")
+    s = -float(order)
+    moment = damped_moment(L - np.asarray(t, dtype=float), moll.width_h, s)
+    return 1j ** s / math.gamma(s) * moment
 
 
 def find_roots_convex(g, s_max: float, n_convexity: int = 65,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diffraction import regularized_pair_product, scattering_matrix_value
-from .errors import (DegenerateDistance, NoInteriorCriticalPoint,
+from .errors import (DegenerateDistance, InvalidInput, NoInteriorCriticalPoint,
                      QuadratureFailure)
 from .geometry import ConeChain, PlanarPoint, chart_angle
 
@@ -53,13 +53,17 @@ class CompositionPoint:
     t0: float | None = None
 
     def __post_init__(self):
-        if self.s1 < 0 or self.s2 < 0:
-            raise ValueError("vertex shifts must be >= 0")
-        if not self.omega > 0:
-            raise ValueError("frequency must be positive")
+        if not (self.s1 >= 0 and self.s2 >= 0
+                and math.isfinite(self.s1) and math.isfinite(self.s2)):
+            raise InvalidInput("vertex shifts must be finite and >= 0")
+        if not (self.omega > 0 and math.isfinite(self.omega)):
+            raise InvalidInput(
+                f"frequency must be positive and finite, got {self.omega}")
+        if not math.isfinite(self.t):
+            raise InvalidInput(f"time must be finite, got {self.t}")
         t0 = self.t0 if self.t0 is not None else self.chain.a + 0.5 * self.chain.b
         if not (self.chain.a < t0 < self.chain.a + self.chain.b):
-            raise ValueError("t0 must lie in (a, a + b)")
+            raise InvalidInput("t0 must lie in (a, a + b)")
         object.__setattr__(self, "t0", float(t0))
 
     @property

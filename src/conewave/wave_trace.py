@@ -23,7 +23,8 @@ import scipy.signal
 
 from .diffraction import (INCOMING_AT_0, OUTGOING_AT_PI,
                           regularized_sine_product, sine_product_limit_numeric)
-from .errors import BadLeg, IncompleteSpectrum, WindowContaminated
+from .errors import (BadLeg, IncompleteSpectrum, InvalidInput,
+                     WindowContaminated)
 from .geometry import ConeChain, PlanarPoint
 from .special import Mollifier, mollified_inverse_power
 from .two_diffraction import composed_phase_psi
@@ -47,8 +48,10 @@ class PillowcaseSurface:
     b_rect: float
 
     def __post_init__(self):
-        if not (self.a_rect > 0 and self.b_rect > 0):
-            raise ValueError("rectangle sides must be positive")
+        sides = (self.a_rect, self.b_rect)
+        if not all(side > 0 and math.isfinite(side) for side in sides):
+            raise InvalidInput(
+                f"rectangle sides must be positive and finite, got {sides}")
 
     @property
     def area(self) -> float:
@@ -105,8 +108,8 @@ def pillowcase_spectrum(surface: PillowcaseSurface, lambda_max: float) -> Spectr
     lambda = pi sqrt(m^2/a^2 + n^2/b^2) with multiplicity 2 when both
     indices are positive and 1 otherwise.
     """
-    if not lambda_max > 0:
-        raise ValueError("lambda_max must be positive")
+    if not (lambda_max > 0 and math.isfinite(lambda_max)):
+        raise InvalidInput(f"lambda_max must be positive and finite, got {lambda_max}")
     a, b = surface.a_rect, surface.b_rect
     m_max = int(math.floor(a * lambda_max / math.pi))
     n_max = int(math.floor(b * lambda_max / math.pi))
@@ -153,17 +156,15 @@ def mollified_trace(spec: Spectrum, t_grid: np.ndarray,
     return out
 
 
-def detect_trace_peaks(t_grid: np.ndarray, values: np.ndarray,
-                       t_min: float = 0.5,
-                       prominence_factor: float = 3.0) -> np.ndarray:
-    """Times of local maxima of |trace| with prominence above the noise floor
-    (the median magnitude over t >= t_min)."""
+def detect_trace_peaks(t_grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Times of local maxima of |trace| with prominence above three times the
+    noise floor (the median magnitude over t >= 0.5)."""
     t = np.asarray(t_grid, dtype=float)
     mag = np.abs(np.asarray(values))
-    mask = t >= t_min
+    mask = t >= 0.5
     floor = float(np.median(mag[mask]))
     idx, _ = scipy.signal.find_peaks(np.where(mask, mag, 0.0),
-                                     prominence=prominence_factor * floor)
+                                     prominence=3.0 * floor)
     return t[idx]
 
 
@@ -176,7 +177,7 @@ class SingularityFit:
 
 def extract_singularity_coefficient(t_grid: np.ndarray, values: np.ndarray,
                                     L: float, moll: Mollifier,
-                                    order: int = -1) -> SingularityFit:
+                                    order: float = -1) -> SingularityFit:
     """Least-squares fit of c * model over the window |t - L| <= 6 h, where
     model is the mollified (t - L - i0)^order.
 
@@ -196,8 +197,7 @@ def extract_singularity_coefficient(t_grid: np.ndarray, values: np.ndarray,
     if ring.any() and float(np.abs(v[ring]).max()) > 0.5 * core_peak:
         raise WindowContaminated(
             f"competing peak within 10h = {10 * h:.3f} of L = {L}")
-    model = np.array([mollified_inverse_power(moll, tt, L, order)
-                      for tt in t[core]])
+    model = mollified_inverse_power(moll, t[core], L, order)
     target = v[core]
     coeff = complex(np.vdot(model, target) / np.vdot(model, model))
     residual = float(np.linalg.norm(target - coeff * model)

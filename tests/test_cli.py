@@ -139,6 +139,9 @@ def test_unwritable_output_is_input_error(tmp_path):
 
 KERNEL_ARGS = ["kernel", "--alpha", "12.566370614359172", "--r1", "0.5",
                "--theta1", "0", "--r2", "0.5", "--theta2", "2"]
+CHAIN = {"a": 1.0, "b": 2.0, "c": 1.0, "alpha1": 3 * PI, "alpha2": 3 * PI,
+         "eps1": -1, "eps2": 1}
+COMPOSE_ARGS = ["compose", "--chain", "chain.json", "--t", "4", "--q2=-1,0"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -149,11 +152,29 @@ KERNEL_ARGS = ["kernel", "--alpha", "12.566370614359172", "--r1", "0.5",
     ["trace", "--h", "0", "--t-range", "0.5:0.1:1"],
     ["trace", "--h", "inf", "--t-range", "0.5:0.1:1"],
     ["scatter", "--alpha", "7", "--thetas", "0:0.1:1", "--fourier-n", "-1"],
+    COMPOSE_ARGS + ["--q1", "abc", "--omega", "2"],
+    COMPOSE_ARGS + ["--q1", "1,2,3", "--omega", "2"],
+    ["compose", "--chain", "chain_no_c.json", "--t", "4", "--q1=3,0",
+     "--q2=-1,0", "--omega", "2"],
+    COMPOSE_ARGS + ["--q1=3,0", "--omega=-5"],
+    KERNEL_ARGS + ["--r1", "-1", "--ts", "1:0.1:1.2"],
+    KERNEL_ARGS + ["--ts", "1:0.1:1.2", "--h", "-1"],
+    KERNEL_ARGS + ["--ts=-1:1:2"],
+    ["trace", "--a", "-1", "--t-range", "0.5:0.1:1"],
+    ["trace", "--a", "nan", "--t-range", "0.5:0.1:1"],
+    ["trace", "--surface", "surface_no_b.json", "--t-range", "0.5:0.1:1"],
 ], ids=["alpha-negative", "alpha-inf", "h-zero", "ts-nan", "trace-h-zero",
-        "trace-h-inf", "fourier-n-negative"])
-def test_bad_input_exits_two(argv, capsys):
+        "trace-h-inf", "fourier-n-negative", "q1-text", "q1-three-parts",
+        "chain-without-c", "omega-negative", "r1-negative", "h-negative",
+        "ts-negative", "trace-a-negative", "trace-a-nan", "surface-without-b"])
+def test_bad_input_exits_two(argv, capsys, tmp_path, monkeypatch):
     """Out-of-domain numbers are input errors (exit 2), not tracebacks."""
     from conewave import cli
 
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain.json").write_text(json.dumps(CHAIN))
+    no_c = {k: v for k, v in CHAIN.items() if k != "c"}
+    (tmp_path / "chain_no_c.json").write_text(json.dumps(no_c))
+    (tmp_path / "surface_no_b.json").write_text('{"type": "pillowcase", "a": 1}')
     assert cli.main(argv) == 2
     assert "error" in capsys.readouterr().err

@@ -5,10 +5,11 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from conewave.errors import NonUniformGrid, NotConvex
+from conewave.errors import InvalidInput, NonUniformGrid, NotConvex
 from conewave.special import (GAMMA_HALF, Mollifier, SampledFunction1D,
-                              bessel_j, find_roots_convex, half_derivative,
-                              mollified_delta, mollified_inverse_power)
+                              bessel_j, damped_moment, find_roots_convex,
+                              half_derivative, mollified_delta,
+                              mollified_inverse_power)
 
 PI = math.pi
 
@@ -167,6 +168,66 @@ def test_mollified_inverse_power_order_minus_half():
     u = 0.4
     val = mollified_inverse_power(Mollifier(0.005), 2.0 + u, 2.0, -0.5)
     assert val == pytest.approx(complex(u**-0.5, 0.0), abs=2e-2)
+
+
+def test_mollified_inverse_power_order_minus_half_small_h():
+    """Far from L at small h the model is its h -> 0 limit (t - L - i0)^(-1/2):
+    u^(-1/2) for u = t - L > 0 and i |u|^(-1/2) for u < 0; the Gaussian
+    smoothing moves it by about (3/8) h^2 / u^2 relative (1.5e-6 here)."""
+    moll = Mollifier(0.005)
+    for u, limit in ((2.5, 2.5**-0.5), (-2.5, 1j * 2.5**-0.5)):
+        got = mollified_inverse_power(moll, 2.0 + u, 2.0, -0.5)
+        assert got == pytest.approx(limit, rel=1e-5)
+
+
+def test_mollified_inverse_power_order_minus_three_halves():
+    """Direct omega quadrature of (e^{3 i pi/4} / Gamma(3/2)) *
+    int_0^inf w^{1/2} e^{i w (L-t)} e^{-h^2 w^2/2} dw."""
+    h = 0.04
+    moll = Mollifier(h)
+    wmax = 10.0 / h
+    for u in (0.0, 0.03, -0.11, 0.3):
+        re, _ = scipy.integrate.quad(
+            lambda w: math.sqrt(w) * math.cos(u * w) * math.exp(-0.5 * (h * w) ** 2),
+            0, wmax, limit=400)
+        im, _ = scipy.integrate.quad(
+            lambda w: math.sqrt(w) * math.sin(u * w) * math.exp(-0.5 * (h * w) ** 2),
+            0, wmax, limit=400)
+        oracle = (np.exp(0.75j * PI) / scipy.special.gamma(1.5)
+                  * complex(re, -im))
+        got = mollified_inverse_power(moll, 2.0 + u, 2.0, -1.5)
+        assert got == pytest.approx(oracle, abs=1e-9 * abs(oracle))
+
+
+@pytest.mark.parametrize("order", [-0.5, -1, -1.5])
+def test_mollified_inverse_power_arrays(order):
+    moll = Mollifier(0.03)
+    ts = np.linspace(1.7, 2.3, 13).reshape(1, 13)
+    got = mollified_inverse_power(moll, ts, 2.0, order)
+    assert got.shape == ts.shape
+    each = np.array([mollified_inverse_power(moll, float(t), 2.0, order)
+                     for t in ts.ravel()])
+    # equal up to the rounding of complex vs numpy complex multiplication
+    assert np.max(np.abs(got.ravel() - each)) < 1e-15 * np.max(np.abs(each))
+
+
+@pytest.mark.parametrize("order", [0, 0.5, 1, math.nan, -math.inf])
+def test_mollified_inverse_power_rejects_order(order):
+    with pytest.raises(InvalidInput):
+        mollified_inverse_power(Mollifier(0.05), 2.1, 2.0, order)
+
+
+def test_damped_moment_first_moment_against_dawson():
+    """s = 2 against the Dawson-function closed form of
+    int_0^inf w e^{i u w - h^2 w^2/2} dw, with x = u / (sqrt(2) h):
+    (1 - 2 x F(x)) / h^2 + i sqrt(2 pi) u e^{-x^2} / (2 h^3)."""
+    for h in (0.01, 0.05, 0.2):
+        u = np.linspace(-3.0, 3.0, 241)
+        x = u / (math.sqrt(2.0) * h)
+        oracle = ((1.0 - 2.0 * x * scipy.special.dawsn(x)) / h**2
+                  + 1j * math.sqrt(2.0 * PI) * u / (2.0 * h**3) * np.exp(-x * x))
+        got = damped_moment(u, h, 2.0)
+        assert np.max(np.abs(got - oracle)) < 1e-14 * abs(oracle[120])
 
 
 def test_find_roots_convex():
