@@ -2,10 +2,10 @@
 singularities on Euclidean cones and surfaces with conical singularities."""
 
 from .geometry import (ConeChain, ConePoint, PlanarPoint, angular_separation,
-                       classify_ray, cone_distance, cone_point, develop,
+                       classify_ray, cone_distance, develop,
                        shifted_vertex_coords)
-from .special import (Mollifier, SampledFunction1D, bessel_j, find_roots_convex,
-                      half_derivative, mollified_delta, mollified_inverse_power)
+from .special import (Mollifier, find_roots_convex, mollified_delta,
+                      mollified_inverse_power)
 from .diffraction import (gtd_amplitude, regularized_sine_product,
                           scattering_matrix, scattering_matrix_fourier)
 from .kernels import (KernelQuery, KernelValue, cheeger_series_sweep,

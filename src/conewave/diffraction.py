@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometricDirection, InvalidInput
-from .geometry import check_cone_angle
+from .geometry import check_array_size, check_cone_angle
 
 # |sin factor| below this counts as a pole of the closed form.
 POLE_TOL = 1e-12
@@ -75,6 +75,7 @@ def scattering_matrix_fourier(alpha: float, theta: float, N: int) -> complex:
     check_cone_angle(alpha)
     if N < 0:
         raise InvalidInput(f"N must be >= 0, got {N}")
+    check_array_size(N, "the Fourier sum")
     if N == 0:
         return -1j / alpha
     k = np.arange(1, N + 1)

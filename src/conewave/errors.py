@@ -17,10 +17,6 @@ class DegeneratePoint(ConewaveError):
     """Point coincides with a (shifted) cone vertex."""
 
 
-class NonUniformGrid(ConewaveError):
-    """Operation requires a uniformly spaced grid."""
-
-
 class NotConvex(ConewaveError):
     """Sampled convexity check failed."""
 

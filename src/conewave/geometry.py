@@ -34,12 +34,22 @@ DIRECT = "direct"
 GEOMETRIC_DIFFRACTIVE = "geometric_diffractive"
 NONGEOMETRIC_DIFFRACTIVE = "nongeometric_diffractive"
 
+# Budget for array sizes set by input (elements): 128 MiB of float64.
+MAX_ARRAY_ELEMENTS = 2**24
+
 
 def check_cone_angle(alpha: float) -> float:
     """Validate a total cone angle (radians).  alpha = 2*pi is the plane."""
     if not (alpha > 0 and math.isfinite(alpha)):
         raise InvalidInput(f"cone angle must be positive and finite, got {alpha}")
     return float(alpha)
+
+
+def check_array_size(n: int, what: str) -> None:
+    """Validate an input-driven array size against MAX_ARRAY_ELEMENTS."""
+    if n > MAX_ARRAY_ELEMENTS:
+        raise InvalidInput(f"{what} needs {n} elements, above the budget of "
+                           f"{MAX_ARRAY_ELEMENTS}")
 
 
 @dataclass(frozen=True)
@@ -57,12 +67,6 @@ class ConePoint:
     @property
     def is_vertex(self) -> bool:
         return self.r == 0.0
-
-
-def cone_point(alpha: float, r: float, theta: float) -> ConePoint:
-    """ConePoint with the angle reduced canonically to [0, alpha)."""
-    check_cone_angle(alpha)
-    return ConePoint(r, reduce_angle(alpha, theta))
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,7 @@ def _region_pieces(alpha: float, r1: float, r2: float, dth: float):
     if abs(alpha - 2.0 * math.pi) < 1e-14:
         return d_f, [(1.0 / (2.0 * math.pi), d_f, math.inf)]
     if abs(alpha - 4.0 * math.pi) > 1e-14:
-        raise ValueError("closed forms exist only for alpha = 2 pi or 4 pi")
+        raise InvalidInput("closed forms exist only for alpha = 2 pi or 4 pi")
     diffracted = r1 + r2
     if dth <= math.pi:
         return d_f, [
@@ -132,7 +132,7 @@ def sine_kernel_closed_mollified(alpha: float, t: float, r1: float, r2: float,
     its time derivative (mollifier differentiated).
     """
     if tderiv not in (0, 1):
-        raise ValueError("tderiv must be 0 or 1")
+        raise InvalidInput("tderiv must be 0 or 1")
     d_f, pieces = _region_pieces(alpha, r1, r2, dth)
     moll = Mollifier(h)
     half_width = 9.0 * h
@@ -254,8 +254,8 @@ def _moving_point_frame(q: KernelQuery, eps: int) -> tuple[np.ndarray, np.ndarra
     alpha = 4.0 * math.pi
     dth = angular_separation(alpha, q.q1.theta, q.q2.theta)
     if dth < 1e-8:
-        raise ValueError("coincident angular coordinates do not embed in the "
-                         "moving-vertex chart")
+        raise InvalidInput("coincident angular coordinates do not embed in the "
+                           "moving-vertex chart")
     lo = max(-0.5 * math.pi, 0.5 * math.pi - dth) + 1e-9
     hi = min(0.5 * math.pi, 1.5 * math.pi - dth) - 1e-9
     phi1 = 0.5 * (lo + hi)
@@ -287,7 +287,7 @@ def sine_kernel_moving_point(q: KernelQuery, eps: int = -1) -> KernelValue:
         (1/8 pi) (r1(s) r2(s))^(-1/2) |cos(dtheta(s)/2)|^(-1).
     """
     if eps not in (+1, -1):
-        raise ValueError("eps must be +1 or -1")
+        raise InvalidInput("eps must be +1 or -1")
     x1, x2 = _moving_point_frame(q, eps)
     shift = np.array([0.0, 1.0 if eps == -1 else -1.0])
 
@@ -326,9 +326,9 @@ def spherical_wave_l(j: int, t: float, q: ConePoint, moll: Mollifier) -> complex
     """Mollified spherical wave l_{+-1}(t) = (4 pi sqrt(r))^(-1) delta(t - r)
     exp(-+ i theta / 2) on C_{4 pi}."""
     if j not in (+1, -1):
-        raise ValueError("j must be +1 or -1")
+        raise InvalidInput("j must be +1 or -1")
     if not q.r > 0:
-        raise ValueError("r must be positive")
+        raise InvalidInput("r must be positive")
     amp = mollified_delta(moll, t - q.r) / (4.0 * math.pi * math.sqrt(q.r))
     return amp * np.exp(-0.5j * j * q.theta)
 
@@ -342,7 +342,7 @@ def upsilon0(t: float, q1: ConePoint, q2: ConePoint, dir_theta: float,
             cos((theta1 + theta2)/2 - dir_theta).
     """
     if not (q1.r > 0 and q2.r > 0):
-        raise ValueError("radii must be positive")
+        raise InvalidInput("radii must be positive")
     amp = mollified_delta(moll, t - q1.r - q2.r) / (
         4.0 * math.pi * math.sqrt(q1.r * q2.r))
     return amp * math.cos(0.5 * (q1.theta + q2.theta) - dir_theta)
@@ -399,8 +399,8 @@ def hw_leading_amplitude(alpha: float, eps: int, q1: ConePoint,
     """
     check_cone_angle(alpha)
     if eps not in (+1, -1):
-        raise ValueError("eps must be +1 or -1")
+        raise InvalidInput("eps must be +1 or -1")
     if not (q1.r > 0 and q2.r > 0):
-        raise ValueError("radii must be positive")
+        raise InvalidInput("radii must be positive")
     product = regularized_pair_product(alpha, q1.theta, q2.theta)
     return -eps * 2.0j * math.pi * product / math.sqrt(q1.r * q2.r)

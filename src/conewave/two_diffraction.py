@@ -170,14 +170,6 @@ def composed_phase_psi(chain: ConeChain, t: float, q1: PlanarPoint,
     return (_dist(q2, p2s) + _dist(p2s, p1s) + _dist(p1s, q1) - t) * omega
 
 
-def psi_shift_derivatives(chain: ConeChain, q1: PlanarPoint, q2: PlanarPoint,
-                          omega: float) -> tuple[float, float]:
-    """(dPsi/ds1, dPsi/ds2) at s1 = s2 = 0: eps_i * omega * y_i / r_i."""
-    r1 = _dist(q1, chain.p1)
-    r2 = _dist(q2, chain.p2)
-    return (chain.eps1 * omega * q1.y / r1, chain.eps2 * omega * q2.y / r2)
-
-
 def leg_amplitude(alpha: float, eps: int, vertex: PlanarPoint,
                   q_out, q_in, omega):
     """Leading one-cone amplitude between chart points around `vertex`:

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
-import scipy.signal
 
 from .diffraction import (INCOMING_AT_0, OUTGOING_AT_PI,
                           regularized_sine_product, sine_product_limit_numeric)
 from .errors import (BadLeg, IncompleteSpectrum, InvalidInput,
                      WindowContaminated)
-from .geometry import ConeChain, PlanarPoint
+from .geometry import ConeChain, PlanarPoint, check_array_size
 from .special import Mollifier, mollified_inverse_power
 from .two_diffraction import composed_phase_psi
 
@@ -113,6 +112,7 @@ def pillowcase_spectrum(surface: PillowcaseSurface, lambda_max: float) -> Spectr
     a, b = surface.a_rect, surface.b_rect
     m_max = int(math.floor(a * lambda_max / math.pi))
     n_max = int(math.floor(b * lambda_max / math.pi))
+    check_array_size((m_max + 1) * (n_max + 1), "the pillowcase index grid")
     m, n = np.meshgrid(np.arange(m_max + 1), np.arange(n_max + 1), indexing="ij")
     lam = math.pi * np.sqrt((m / a) ** 2 + (n / b) ** 2)
     mult = np.where((m >= 1) & (n >= 1), 2, 1)
@@ -159,6 +159,10 @@ def mollified_trace(spec: Spectrum, t_grid: np.ndarray,
 def detect_trace_peaks(t_grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Times of local maxima of |trace| with prominence above three times the
     noise floor (the median magnitude over t >= 0.5)."""
+    # imported here, not at the top: scipy.signal loads scipy.stats, which
+    # would nearly double the import time of the package
+    import scipy.signal
+
     t = np.asarray(t_grid, dtype=float)
     mag = np.abs(np.asarray(values))
     mask = t >= 0.5

@@ -12,7 +12,7 @@ import conewave
 PI = math.pi
 
 
-def run_cli(args, cwd):
+def run_python(args, cwd):
     # The child runs in ``cwd`` (a tmp dir), where a relative PYTHONPATH such
     # as ``src`` no longer resolves; put the absolute source directory of the
     # conewave under test first so the child imports that same package.
@@ -20,8 +20,22 @@ def run_cli(args, cwd):
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-m", "conewave.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def run_cli(args, cwd):
+    return run_python(["-m", "conewave.cli", *args], cwd)
+
+
+def test_cli_import_leaves_out_scipy_signal(tmp_path):
+    """Every CLI process pays the import of conewave.cli; scipy.signal, which
+    loads scipy.stats, is imported only by the peak detection that uses it."""
+    res = run_python(["-c", "import sys, conewave.cli; print(sorted("
+                      "m for m in ('scipy.signal', 'scipy.stats') "
+                      "if m in sys.modules))"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_predict(tmp_path):
@@ -163,10 +177,17 @@ COMPOSE_ARGS = ["compose", "--chain", "chain.json", "--t", "4", "--q2=-1,0"]
     ["trace", "--a", "-1", "--t-range", "0.5:0.1:1"],
     ["trace", "--a", "nan", "--t-range", "0.5:0.1:1"],
     ["trace", "--surface", "surface_no_b.json", "--t-range", "0.5:0.1:1"],
+    KERNEL_ARGS + ["--representation", "moving", "--theta2", "0",
+                   "--ts", "1:0.1:1.2"],
+    # sizes past the array budget are refused before anything is allocated
+    ["scatter", "--alpha", "7", "--thetas", "0:0.1:1",
+     "--fourier-n", "100000000000"],
+    ["trace", "--t-range", "0.5:0.1:1", "--lambda-max", "1e9"],
 ], ids=["alpha-negative", "alpha-inf", "h-zero", "ts-nan", "trace-h-zero",
         "trace-h-inf", "fourier-n-negative", "q1-text", "q1-three-parts",
         "chain-without-c", "omega-negative", "r1-negative", "h-negative",
-        "ts-negative", "trace-a-negative", "trace-a-nan", "surface-without-b"])
+        "ts-negative", "trace-a-negative", "trace-a-nan", "surface-without-b",
+        "moving-coincident-angles", "fourier-n-huge", "trace-lambda-max-huge"])
 def test_bad_input_exits_two(argv, capsys, tmp_path, monkeypatch):
     """Out-of-domain numbers are input errors (exit 2), not tracebacks."""
     from conewave import cli

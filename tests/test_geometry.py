@@ -7,8 +7,8 @@ import pytest
 from conewave.errors import DegeneratePoint, PointOnCut
 from conewave.geometry import (ConeChain, ConePoint, PlanarPoint,
                                angular_separation, chart_angle, chart_window,
-                               classify_ray, cone_distance, cone_point,
-                               develop, shifted_vertex_coords)
+                               classify_ray, cone_distance, develop,
+                               shifted_vertex_coords)
 
 PI = math.pi
 
@@ -42,7 +42,7 @@ def test_cone_distance_examples():
     # unfold to the cover of the plane: a vertex-avoiding straight segment
     # exists only for lifts with angular span <= pi; otherwise the geodesic
     # goes through the vertex (length r1 + r2)
-    q1, q2 = cone_point(3 * PI, 1.0, 0.0), cone_point(3 * PI, 1.0, 2 * PI)
+    q1, q2 = ConePoint(1.0, 0.0), ConePoint(1.0, 2 * PI)
     chords = [math.hypot(1 - math.cos(phi), math.sin(phi))
               for phi in (2 * PI + 3 * PI * k for k in range(-2, 3))
               if abs(phi) <= PI]

@@ -14,7 +14,6 @@ from conewave.two_diffraction import (CompositionPoint, amplitude_tilde,
                                       nondegeneracy_check, oscillatory_oracle,
                                       phase_hessian_fd, phase_phi1, phase_phi2,
                                       principal_symbol_lambda0,
-                                      psi_shift_derivatives,
                                       stationary_eliminate,
                                       stationary_phase_value)
 
@@ -23,6 +22,13 @@ PI = math.pi
 
 def default_chain(a=1.0, b=1.0, c=1.0, alpha=3 * PI):
     return ConeChain(a, b, c, alpha, alpha, -1, +1)
+
+
+def psi_shift_derivatives(chain, q1, q2, omega):
+    """(dPsi/ds1, dPsi/ds2) at s1 = s2 = 0: eps_i * omega * y_i / r_i."""
+    r1 = math.hypot(q1.x - chain.p1.x, q1.y - chain.p1.y)
+    r2 = math.hypot(q2.x - chain.p2.x, q2.y - chain.p2.y)
+    return (chain.eps1 * omega * q1.y / r1, chain.eps2 * omega * q2.y / r2)
 
 
 def test_phase_phi2_examples():
