@@ -21,7 +21,7 @@ from .two_diffraction import (CompositionPoint, StationaryData,
                               principal_symbol_lambda0, stationary_eliminate)
 from .wave_trace import (PillowcaseSurface, Spectrum, TracePrediction,
                          extract_singularity_coefficient, mollified_trace,
-                         pillowcase_spectrum,
+                         pillowcase_lengths, pillowcase_spectrum,
                          predict_two_diffraction_singularity,
                          trace_pipeline_check)
 

@@ -16,8 +16,9 @@ import sys
 import numpy as np
 
 from . import diffraction, friedlander, kernels, verification, wave_trace
-from .errors import ConewaveError, GeometricDirection, WindowContaminated
-from .geometry import ConeChain, ConePoint, PlanarPoint
+from .errors import (ConewaveError, GeometricDirection, InvalidInput,
+                     WindowContaminated)
+from .geometry import ConeChain, ConePoint, PlanarPoint, check_array_size
 from .special import Mollifier
 from .two_diffraction import (CompositionPoint, oscillatory_oracle,
                               principal_symbol_lambda0,
@@ -26,10 +27,6 @@ from .two_diffraction import (CompositionPoint, oscillatory_oracle,
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-
-class InputError(Exception):
-    pass
 
 
 def _fmt(x) -> str:
@@ -42,12 +39,14 @@ def _parse_range(text: str) -> np.ndarray:
     try:
         start, step, stop = (float(p) for p in text.split(":"))
     except ValueError as exc:
-        raise InputError(f"bad range {text!r}, expected start:step:stop") from exc
+        raise InvalidInput(f"bad range {text!r}, expected start:step:stop") from exc
     if not all(map(math.isfinite, (start, step, stop))):
-        raise InputError(f"bad range {text!r}, parts must be finite")
+        raise InvalidInput(f"bad range {text!r}, parts must be finite")
     if step <= 0 or stop < start:
-        raise InputError(f"bad range {text!r}")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        raise InvalidInput(f"bad range {text!r}")
+    count = (stop - start) / step + 1e-9
+    n = int(count) + 1 if math.isfinite(count) else math.inf
+    check_array_size(n, f"the range {text!r}")
     return start + step * np.arange(n)
 
 
@@ -56,9 +55,9 @@ def _parse_point(text: str) -> PlanarPoint:
     try:
         x, y = (float(p) for p in text.split(","))
     except ValueError as exc:
-        raise InputError(f"bad point {text!r}, expected x,y") from exc
+        raise InvalidInput(f"bad point {text!r}, expected x,y") from exc
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise InputError(f"bad point {text!r}, coordinates must be finite")
+        raise InvalidInput(f"bad point {text!r}, coordinates must be finite")
     return PlanarPoint(x, y)
 
 
@@ -67,9 +66,9 @@ def _load_json(path: str) -> dict:
         with open(path) as handle:
             return json.load(handle)
     except FileNotFoundError as exc:
-        raise InputError(f"input file not found: {path}") from exc
+        raise InvalidInput(f"input file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(
+        raise InvalidInput(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}:"
             f" {exc.msg}") from exc
 
@@ -82,7 +81,7 @@ def _write_text(path: str | None, text: str) -> None:
         with open(path, "w") as handle:
             handle.write(text)
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise InvalidInput(f"cannot write {path}: {exc}") from exc
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
@@ -97,18 +96,9 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _require(args, *names) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        raise InputError("missing required argument(s): "
-                         + ", ".join("--" + n.replace("_", "-")
-                                     for n in missing))
-
-
 def cmd_kernel(args) -> int:
     from .kernels import KernelQuery
 
-    _require(args, "alpha", "r1", "theta1", "r2", "theta2", "ts")
     alpha = args.alpha
     ts = _parse_range(args.ts)
     rows = []
@@ -135,7 +125,6 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_scatter(args) -> int:
-    _require(args, "alpha", "thetas")
     thetas = _parse_range(args.thetas)
     rows = []
     for theta in thetas:
@@ -152,7 +141,6 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    _require(args, "chain", "t", "q1", "q2", "omega")
     chain = ConeChain.from_dict(_load_json(args.chain))
     q1, q2 = _parse_point(args.q1), _parse_point(args.q2)
     cp = CompositionPoint(chain, q1, q2, 0.0, 0.0, args.omega, args.t)
@@ -194,11 +182,11 @@ def cmd_trace(args) -> int:
     if args.surface is not None:
         data = _load_json(args.surface)
         if not isinstance(data, dict) or data.get("type") != "pillowcase":
-            raise InputError("surface JSON must have type 'pillowcase'")
+            raise InvalidInput("surface JSON must have type 'pillowcase'")
         try:
             sides = float(data["a"]), float(data["b"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"surface JSON needs numbers a and b: {exc!r}") from exc
+            raise InvalidInput(f"surface JSON needs numbers a and b: {exc!r}") from exc
         surf = wave_trace.PillowcaseSurface(*sides)
     else:
         surf = wave_trace.PillowcaseSurface(args.a, args.b)
@@ -210,11 +198,13 @@ def cmd_trace(args) -> int:
     _write_text(args.out, _csv(["t", "re", "im"], rows))
 
     peaks = wave_trace.detect_trace_peaks(ts, trace)
-    lengths = sorted({2.0 * math.hypot(m * surf.a_rect, n * surf.b_rect)
-                      for m in range(8) for n in range(8) if (m, n) != (0, 0)})
+    # a peak t lies within min(a, b) of a multiple of 2 min(a, b), or below
+    # that shortest length, so its nearest length is at most t + 2 min(a, b)
+    lengths = wave_trace.pillowcase_lengths(
+        surf, float(ts[-1]) + 2.0 * min(surf.a_rect, surf.b_rect))
     peak_report = []
     for p in peaks:
-        nearest = min(lengths, key=lambda ell: abs(ell - p)) if lengths else None
+        nearest = min(lengths, key=lambda ell: abs(ell - p))
         entry = {"t_peak": float(p), "nearest_length": nearest}
         try:
             fit = wave_trace.extract_singularity_coefficient(ts, trace,
@@ -223,7 +213,7 @@ def cmd_trace(args) -> int:
                           "fitted_coefficient_im": fit.coefficient.imag,
                           "residual_ratio": fit.residual_ratio,
                           "valid": fit.valid})
-        except (WindowContaminated, ValueError) as exc:
+        except (WindowContaminated, InvalidInput) as exc:
             entry.update({"fitted_coefficient_re": None,
                           "fitted_coefficient_im": None,
                           "valid": False, "note": str(exc)})
@@ -233,7 +223,6 @@ def cmd_trace(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _require(args, "L", "b")
     pred = wave_trace.predict_two_diffraction_singularity(args.L, args.b)
     _write_text(args.out, _json_dump({
         "L": pred.L, "b": pred.b, "order": pred.order,
@@ -244,22 +233,8 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _parse_tol_overrides(pairs) -> dict:
-    out = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise InputError(f"bad --tol override {pair!r}, expected KEY=VAL")
-        key, val = pair.split("=", 1)
-        try:
-            out[key] = float(val)
-        except ValueError as exc:
-            raise InputError(f"bad --tol value in {pair!r}") from exc
-    return out
-
-
 def cmd_verify(args) -> int:
-    reports = verification.run_all(args.seed,
-                                   tol_overrides=_parse_tol_overrides(args.tol))
+    reports = verification.run_all(args.seed)
     print(verification.format_table(reports))
     if args.out:
         payload = [{
@@ -283,34 +258,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_kernel = sub.add_parser("kernel", help="sine-kernel sweep as CSV")
-    p_kernel.add_argument("--alpha", type=float, default=None)
+    p_kernel.add_argument("--alpha", type=float, required=True)
     p_kernel.add_argument("--representation", default="cheeger",
                           choices=["closed4pi", "cheeger", "friedlander",
                                    "moving"])
-    p_kernel.add_argument("--r1", type=float, default=None)
-    p_kernel.add_argument("--theta1", type=float, default=None)
-    p_kernel.add_argument("--r2", type=float, default=None)
-    p_kernel.add_argument("--theta2", type=float, default=None)
-    p_kernel.add_argument("--ts", default=None, help="t sweep start:step:stop")
+    p_kernel.add_argument("--r1", type=float, required=True)
+    p_kernel.add_argument("--theta1", type=float, required=True)
+    p_kernel.add_argument("--r2", type=float, required=True)
+    p_kernel.add_argument("--theta2", type=float, required=True)
+    p_kernel.add_argument("--ts", required=True, help="t sweep start:step:stop")
     p_kernel.add_argument("--h", type=float, default=0.05)
     p_kernel.add_argument("--out", default=None)
     p_kernel.set_defaults(func=cmd_kernel)
 
     p_scatter = sub.add_parser("scatter", help="scattering-matrix table")
-    p_scatter.add_argument("--alpha", type=float, default=None)
-    p_scatter.add_argument("--thetas", default=None,
+    p_scatter.add_argument("--alpha", type=float, required=True)
+    p_scatter.add_argument("--thetas", required=True,
                            help="theta sweep start:step:stop")
     p_scatter.add_argument("--fourier-n", type=int, default=500)
     p_scatter.add_argument("--out", default=None)
     p_scatter.set_defaults(func=cmd_scatter)
 
     p_compose = sub.add_parser("compose", help="two-diffraction composition")
-    p_compose.add_argument("--chain", default=None,
+    p_compose.add_argument("--chain", required=True,
                            help="chain JSON {a,b,c,alpha1,alpha2,eps1,eps2}")
-    p_compose.add_argument("--t", type=float, default=None)
-    p_compose.add_argument("--q1", default=None, help="x,y in chain frame")
-    p_compose.add_argument("--q2", default=None, help="x,y in chain frame")
-    p_compose.add_argument("--omega", type=float, default=None)
+    p_compose.add_argument("--t", type=float, required=True)
+    p_compose.add_argument("--q1", required=True, help="x,y in chain frame")
+    p_compose.add_argument("--q2", required=True, help="x,y in chain frame")
+    p_compose.add_argument("--omega", type=float, required=True)
     p_compose.add_argument("--out", default=None)
     p_compose.set_defaults(func=cmd_compose)
 
@@ -327,43 +302,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=cmd_trace)
 
     p_predict = sub.add_parser("predict", help="two-diffraction singularity")
-    p_predict.add_argument("--L", type=float, default=None)
-    p_predict.add_argument("--b", type=float, default=None)
+    p_predict.add_argument("--L", type=float, required=True)
+    p_predict.add_argument("--b", type=float, required=True)
     p_predict.add_argument("--out", default=None)
     p_predict.set_defaults(func=cmd_predict)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", default=None, help="JSON report path")
-    p_verify.add_argument("--tol", action="append", default=None,
-                          metavar="KEY=VAL",
-                          help="tolerance override, e.g. at1=1e-9 (repeatable)")
     p_verify.set_defaults(func=cmd_verify)
-
-    for sub_parser in (p_kernel, p_scatter, p_compose, p_trace, p_predict,
-                       p_verify):
-        sub_parser.add_argument("--config", default=None,
-                                help="JSON file with argument defaults")
-    parser._subcommand_parsers = {
-        "kernel": p_kernel, "scatter": p_scatter, "compose": p_compose,
-        "trace": p_trace, "predict": p_predict, "verify": p_verify}
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # argparse exits 2 with its usage line on a missing argument, an unknown
+    # option or a value of the wrong type
+    args = build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            defaults = _load_json(args.config)
-            subparser = parser._subcommand_parsers[args.command]
-            subparser.set_defaults(**{k.replace("-", "_"): v
-                                      for k, v in defaults.items()})
-            args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except ConewaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -88,7 +88,7 @@ def scattering_matrix_fourier(alpha: float, theta: float, N: int) -> complex:
 def gtd_amplitude(alpha: float, r1: float, r2: float, theta: float) -> float:
     """Leading diffracted-front coefficient (1/2pi) (r1 r2)^(-1/2) S_alpha."""
     if not (r1 > 0 and r2 > 0):
-        raise ValueError("radii must be positive")
+        raise InvalidInput("radii must be positive")
     return scattering_matrix_value(alpha, theta) / (
         2.0 * math.pi * math.sqrt(r1 * r2))
 
@@ -163,12 +163,12 @@ def regularized_sine_product(alpha: float, which: str) -> float:
         return 1.0 / (2.0 * math.pi)
     if which == OUTGOING_AT_PI:
         return -1.0 / (2.0 * math.pi)
-    raise ValueError(f"unknown limit {which!r}")
+    raise InvalidInput(f"unknown limit {which!r}")
 
 
-def sine_product_limit_numeric(alpha: float, which: str, t0: float = 1e-6,
-                               levels: int = 5) -> float:
-    """Richardson-extrapolated numerical version of the limit identities.
+def sine_product_limit_numeric(alpha: float, which: str) -> float:
+    """Richardson-extrapolated numerical version of the limit identities,
+    from the offsets t = 1e-6 / 2^j, j = 0..4.
 
     The product is evaluated in the offset variable t directly (the sine
     factors of S_alpha reexpanded around the pole), since forming the angle
@@ -188,8 +188,9 @@ def sine_product_limit_numeric(alpha: float, which: str, t0: float = 1e-6,
             math.sin(math.pi * t / alpha)
             * math.sin((math.pi / alpha) * (2.0 * math.pi - t)))
     else:
-        raise ValueError(f"unknown limit {which!r}")
-    ts = np.array([t0 / 2.0**j for j in range(levels)])
+        raise InvalidInput(f"unknown limit {which!r}")
+    levels = 5
+    ts = np.array([1e-6 / 2.0**j for j in range(levels)])
     vals = np.array([f(t) for t in ts])
     # Neville extrapolation to t = 0
     for order in range(1, levels):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from .errors import OutOfGrid
+from .errors import InvalidInput, OutOfGrid
 from .geometry import check_cone_angle, reduce_angle
 from .kernels import FRONT_TOL, KernelQuery, KernelValue, _fronts, classify_region
 from .special import GAMMA_HALF, l1_half_derivative
@@ -105,12 +105,12 @@ def build_friedlander(alpha: float, y_min: float = -1.5, y_max: float = 4.5,
     """
     check_cone_angle(alpha)
     if not (y_min < -1.0 < 1.0 < y_max):
-        raise ValueError("y range must contain [-1, 1]")
+        raise InvalidInput("y range must contain [-1, 1]")
     y = np.linspace(y_min, y_max, ny + 1)
     d = (y_max - y_min) / ny
     i1 = int(round((1.0 - y_min) / d))
     if abs(y[i1] - 1.0) > 1e-12:
-        raise ValueError("grid spacing must place a node at y = 1")
+        raise InvalidInput("grid spacing must place a node at y = 1")
     z = np.linspace(-0.5 * alpha, 0.5 * alpha, nz + 1)
 
     g = np.zeros((y.size, z.size))

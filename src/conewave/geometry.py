@@ -76,9 +76,6 @@ class PlanarPoint:
     x: float
     y: float
 
-    def __sub__(self, other: "PlanarPoint") -> "PlanarPoint":
-        return PlanarPoint(self.x - other.x, self.y - other.y)
-
     @property
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
@@ -215,7 +212,7 @@ def chart_window(eps: int) -> tuple[float, float]:
         return (-1.5 * math.pi, 0.5 * math.pi)
     if eps == -1:
         return (-0.5 * math.pi, 1.5 * math.pi)
-    raise ValueError(f"eps must be +1 or -1, got {eps}")
+    raise InvalidInput(f"eps must be +1 or -1, got {eps}")
 
 
 def chart_angle(eps: int, x, y):
@@ -228,19 +225,19 @@ def chart_angle(eps: int, x, y):
     return float(psi) if psi.ndim == 0 else psi
 
 
-def develop(alpha: float, eps: int, r_star: float, q: ConePoint,
-            margin: float = CUT_MARGIN) -> PlanarPoint:
+def develop(alpha: float, eps: int, r_star: float,
+            q: ConePoint) -> PlanarPoint:
     """Develop a cone point into the slit chart of the eps-cut.
 
     The chart is anchored on the geometrically diffractive geodesic through
     the vertex whose outgoing ray (through the base point at distance
     `r_star`) is theta = 0; that ray maps to the positive x-axis and the
     vertex to the origin.  The cone angle of `q` must admit a lift into the
-    eps-window, staying at least `margin` away from the cut ray.
+    eps-window, staying at least CUT_MARGIN away from the cut ray.
     """
     check_cone_angle(alpha)
     if not r_star > 0:
-        raise ValueError("r_star must be positive")
+        raise InvalidInput("r_star must be positive")
     if q.is_vertex:
         return PlanarPoint(0.0, 0.0)
     lo, hi = chart_window(eps)
@@ -251,7 +248,7 @@ def develop(alpha: float, eps: int, r_star: float, q: ConePoint,
     best = None
     for k in range(k_min, k_max + 1):
         psi = theta + k * alpha
-        if lo + margin < psi < hi - margin:
+        if lo + CUT_MARGIN < psi < hi - CUT_MARGIN:
             if best is None or abs(psi) < abs(best):
                 best = psi
     if best is None:
@@ -270,7 +267,7 @@ def shifted_vertex_coords(q: PlanarPoint, eps: int, s: float) -> tuple[float, fl
     points whose principal angle already lies in the chart window.
     """
     if s < 0:
-        raise ValueError(f"shift distance must be >= 0, got {s}")
+        raise InvalidInput(f"shift distance must be >= 0, got {s}")
     vx, vy = q.x, q.y + eps * s
     theta = chart_angle(eps, vx, vy)
     r_s = math.hypot(vx, vy)

@@ -38,6 +38,10 @@ NEAR_FRONT = "near_front"
 # Exact-formula front exclusion; mollified evaluations use 10*h instead.
 FRONT_TOL = 1e-12
 
+# The Cheeger mode sum is converged when its last two modes contribute at
+# most this fraction of the value.
+MODE_TAIL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class KernelQuery:
@@ -122,14 +126,14 @@ def _region_pieces(alpha: float, r1: float, r2: float, dth: float):
 
 
 def sine_kernel_closed_mollified(alpha: float, t: float, r1: float, r2: float,
-                                 dth: float, h: float, tderiv: int = 0,
-                                 n_nodes: int = 120) -> float:
+                                 dth: float, h: float,
+                                 tderiv: int = 0) -> float:
     """Gaussian-in-time mollification of the closed-form kernels.
 
     alpha must be 2*pi or 4*pi; dth is the reduced angle difference.  The
     convolution integral is desingularized with tau = d_f cosh(v) so plain
-    Gauss-Legendre converges fast.  tderiv in {0, 1} selects the kernel or
-    its time derivative (mollifier differentiated).
+    120-node Gauss-Legendre converges fast.  tderiv in {0, 1} selects the
+    kernel or its time derivative (mollifier differentiated).
     """
     if tderiv not in (0, 1):
         raise InvalidInput("tderiv must be 0 or 1")
@@ -142,7 +146,7 @@ def sine_kernel_closed_mollified(alpha: float, t: float, r1: float, r2: float,
         return rho if tderiv == 0 else -u / (h * h) * rho
 
     total = 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(120)
     for coeff, tau_a, tau_b in pieces:
         lo = max(tau_a, t - half_width, d_f + 1e-300)
         hi = min(tau_b, t + half_width)
@@ -173,8 +177,7 @@ def _masked_bessel(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
                          dtheta_signed: float, h: float,
-                         mode_cut: int | None = None,
-                         tail_tol: float = 1e-8) -> np.ndarray:
+                         mode_cut: int | None = None) -> np.ndarray:
     """Cheeger mode sum evaluated on a batch of times (shared geometry).
 
     The Bessel products are time independent, so a whole t sweep costs one
@@ -216,7 +219,7 @@ def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
     terms = mode_weights[:, None] * integrals
     values = terms.sum(axis=0)
     tail = np.abs(terms[-1]) + np.abs(terms[-2])
-    if np.any(tail > tail_tol * np.maximum(np.abs(values), 1e-30)):
+    if np.any(tail > MODE_TAIL_TOL * np.maximum(np.abs(values), 1e-30)):
         worst = int(np.argmax(tail))
         raise ModeTailTooLarge(
             f"last modes contribute {tail[worst]:.2e} relative to "
@@ -225,8 +228,7 @@ def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
 
 
 def sine_kernel_cheeger_series(alpha: float, q: KernelQuery,
-                               mode_cut: int | None = None,
-                               tail_tol: float = 1e-8) -> KernelValue:
+                               mode_cut: int | None = None) -> KernelValue:
     """Bessel mode sum for the mollified sine kernel on C_alpha.
 
     E_h = (2/alpha) * sum_k e^{i nu_k (th1 - th2)} * (1/2) *
@@ -239,7 +241,7 @@ def sine_kernel_cheeger_series(alpha: float, q: KernelQuery,
     """
     dth_signed = reduce_angle(alpha, q.q1.theta - q.q2.theta)
     value = float(cheeger_series_sweep(alpha, q.t, q.q1.r, q.q2.r, dth_signed,
-                                       q.h, mode_cut, tail_tol)[0])
+                                       q.h, mode_cut)[0])
     direct, diffracted, _ = _fronts(alpha, q)
     return KernelValue(value, classify_region(q.t, direct, diffracted, 10.0 * q.h))
 

@@ -114,17 +114,18 @@ def mollified_inverse_power(moll: Mollifier, t, L: float, order):
     return 1j ** s / math.gamma(s) * moment
 
 
-def find_roots_convex(g, s_max: float, n_convexity: int = 65,
-                      tol: float = 1e-12) -> list[float]:
+def find_roots_convex(g, s_max: float) -> list[float]:
     """All roots of a convex scalar function on [0, s_max] (0, 1 or 2 of them).
 
-    Convexity is checked on sampled second differences; the minimum is
-    bracketed first, then at most one root is extracted on each side by
-    Brent's method.
+    Convexity is checked on second differences at 65 samples; the minimum
+    is bracketed first, then at most one root is extracted on each side by
+    Brent's method.  A minimum within 1e-12 of zero (relative to the sampled
+    magnitude) is a double root.
     """
     if not s_max > 0:
         raise InvalidInput(f"s_max must be positive, got {s_max}")
-    s_nodes = np.linspace(0.0, s_max, n_convexity)
+    tol = 1e-12
+    s_nodes = np.linspace(0.0, s_max, 65)
     samples = np.array([g(s) for s in s_nodes])
     scale = float(np.max(np.abs(samples))) or 1.0
     second = samples[:-2] - 2.0 * samples[1:-1] + samples[2:]

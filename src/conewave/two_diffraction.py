@@ -139,10 +139,12 @@ def stationary_eliminate(cp: CompositionPoint) -> StationaryData:
                           hessian_det=-c_val * cp.omega, signature=+1)
 
 
-def phase_hessian_fd(cp: CompositionPoint, step: float = 1e-5) -> np.ndarray:
-    """Finite-difference Hessian of Phi = phi1 + phi2 in (x, y, w2) at the
-    stationary point (w2 treated as the second factor's frequency)."""
+def phase_hessian_fd(cp: CompositionPoint) -> np.ndarray:
+    """Finite-difference Hessian (step 1e-5) of Phi = phi1 + phi2 in
+    (x, y, w2) at the stationary point (w2 treated as the second factor's
+    frequency)."""
     sd = stationary_eliminate(cp)
+    step = 1e-5
 
     def phi(x, y, w2):
         q = PlanarPoint(x, y)
@@ -223,7 +225,7 @@ def principal_symbol_lambda0(chain: ConeChain, theta1: float, theta2: float,
     configuration).  The half-density factor is carried as metadata only.
     """
     if not omega > 0:
-        raise ValueError("frequency must be positive")
+        raise InvalidInput("frequency must be positive")
     s1_val = scattering_matrix_value(chain.alpha1, -math.pi - theta1)
     s2_val = scattering_matrix_value(chain.alpha2, theta2)
     value = (2.0 * math.pi * QUARTER_TURN * s2_val * s1_val
@@ -276,20 +278,19 @@ def _phase_differentials(phase, x0: np.ndarray, param_indices: list[int],
 def nondegeneracy_check(kind: str, chain: ConeChain | None = None,
                         t: float | None = None, q1: PlanarPoint | None = None,
                         q2: PlanarPoint | None = None, omega: float = 1.0,
-                        alpha: float | None = None, eps: int = +1,
-                        step: float = 1e-6,
-                        threshold: float = 1e-6) -> NondegeneracyReport:
+                        eps: int = +1) -> NondegeneracyReport:
     """Numerical rank check of the parametrization nondegeneracy conditions.
 
     kind="pair": the one-cone phase [|q1-p(s)| + |q2-p(s)| - t] w; the rows
     are the differentials of dphi/dw and dphi/ds in (t, q1, q2, w) at s = 0.
     kind="system": the composed phase Psi; rows for dPsi/dw, dPsi/ds1,
-    dPsi/ds2 at s1 = s2 = 0.  PASS iff the smallest singular value of the
-    stacked rows exceeds `threshold`.
+    dPsi/ds2 at s1 = s2 = 0, by Richardson differences with step 1e-6.  PASS
+    iff the smallest singular value of the stacked rows exceeds 1e-6.
     """
+    step = 1e-6
     if kind == "pair":
         if q1 is None or q2 is None or t is None:
-            raise ValueError("pair check needs t, q1, q2")
+            raise InvalidInput("pair check needs t, q1, q2")
 
         def phase(v):
             tt, x1, y1, x2, y2, w, s = v
@@ -301,7 +302,7 @@ def nondegeneracy_check(kind: str, chain: ConeChain | None = None,
         rows = _phase_differentials(phase, x0, [5, 6], step)
     elif kind == "system":
         if chain is None or t is None or q1 is None or q2 is None:
-            raise ValueError("system check needs chain, t, q1, q2")
+            raise InvalidInput("system check needs chain, t, q1, q2")
 
         def phase(v):
             tt, x1, y1, x2, y2, w, s1, s2 = v
@@ -311,9 +312,9 @@ def nondegeneracy_check(kind: str, chain: ConeChain | None = None,
         x0 = np.array([t, q1.x, q1.y, q2.x, q2.y, omega, 0.0, 0.0])
         rows = _phase_differentials(phase, x0, [5, 6, 7], step)
     else:
-        raise ValueError(f"unknown phase kind {kind!r}")
+        raise InvalidInput(f"unknown phase kind {kind!r}")
     smin = float(np.linalg.svd(rows, compute_uv=False)[-1])
-    return NondegeneracyReport(kind, smin, smin > threshold, rows)
+    return NondegeneracyReport(kind, smin, smin > 1e-6, rows)
 
 
 def stationary_phase_value(chain: ConeChain, t: float, q1: PlanarPoint,
@@ -341,7 +342,6 @@ def stationary_phase_value(chain: ConeChain, t: float, q1: PlanarPoint,
 def oscillatory_oracle(chain: ConeChain, t: float, q1: PlanarPoint,
                        q2: PlanarPoint, omega: float,
                        unit_amplitudes: bool = False,
-                       sigma_q: float | None = None,
                        rel_tol: float = 3e-4,
                        max_refine: int = 3,
                        t0: float | None = None) -> complex:
@@ -350,22 +350,21 @@ def oscillatory_oracle(chain: ConeChain, t: float, q1: PlanarPoint,
         int dq dw2  e^{i (phi1 + phi2)} a1(q1, q; w) a2(q, q2; w2) chi(q) W(w2)
 
     at s1 = s2 = 0 and external frequency w.  chi is a flat-top localizer
-    exp(-(|q - q_c|^2/(2 sigma_q^2))^3) around the stationary point (the
-    vanishing low-order derivatives keep its footprint out of the 1/omega
-    and 1/omega^2 terms) and W a Gaussian frequency window centered at w
-    (width w/6;
-    needed for absolute convergence, exact and flat at the stationary
-    point).  The w2 integral is closed form; (q) is integrated in polar
-    coordinates around p2 on a refining Gauss-Legendre grid.
+    exp(-(|q - q_c|^2/(2 sigma_q^2))^3) around the stationary point, with
+    sigma_q = min(A, B) / 3.2 (the vanishing low-order derivatives keep its
+    footprint out of the 1/omega and 1/omega^2 terms), and W a Gaussian
+    frequency window centered at w (width w/6; needed for absolute
+    convergence, exact and flat at the stationary point).  The w2 integral
+    is closed form; (q) is integrated in polar coordinates around p2 on a
+    refining Gauss-Legendre grid.
     """
     if omega < 50:
-        raise ValueError("oracle is meant for the asymptotic regime omega >= 50")
+        raise InvalidInput("oracle is meant for the asymptotic regime omega >= 50")
     cp = CompositionPoint(chain, q1, q2, 0.0, 0.0, omega, t, t0=t0)
     sd = stationary_eliminate(cp)
     p1, p2 = chain.p1, chain.p2
     r2_leg = math.hypot(q2.x - p2.x, q2.y - p2.y)
-    if sigma_q is None:
-        sigma_q = min(sd.A, sd.B) / 3.2
+    sigma_q = min(sd.A, sd.B) / 3.2
     sigma_w = omega / 6.0
 
     # polar coordinates around p2; u2 = rho - A exactly

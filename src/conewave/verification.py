@@ -71,9 +71,9 @@ def _random_offfront_queries(rng, n_points):
 
 
 @_timed
-def at1_moving_point(seed: int = 0, n_points: int = 200,
-                     tol: float = 1e-10) -> ATReport:
+def at1_moving_point(seed: int = 0) -> ATReport:
     """Moving-point = Cheeger-Taylor closed form, exact, three regions."""
+    n_points, tol = 200, 1e-10
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i, q in enumerate(_random_offfront_queries(rng, n_points)):
@@ -89,9 +89,9 @@ def at1_moving_point(seed: int = 0, n_points: int = 200,
 
 
 @_timed
-def at2_friedlander(seed: int = 0, n_points: int = 20,
-                    tol: float = 1e-2) -> ATReport:
+def at2_friedlander(seed: int = 0) -> ATReport:
     """Friedlander pipeline vs closed forms on C_{4 pi} and the plane."""
+    n_points, tol = 20, 1e-2
     rng = np.random.default_rng(seed)
     results = {}
     for alpha, closed_value in (
@@ -304,8 +304,9 @@ def at6_trace_pipeline(seed: int = 0) -> ATReport:
 
 
 @_timed
-def at7_pillowcase(lambda_max: float = 400.0, h: float = 0.02) -> ATReport:
+def at7_pillowcase() -> ATReport:
     """Pillowcase spectral run: Weyl count, peak locations, INFO coefficient."""
+    lambda_max, h = 400.0, 0.02
     surf = wave_trace.PillowcaseSurface(1.0, 1.0)
     spec = wave_trace.pillowcase_spectrum(surf, lambda_max)
     weyl_err = spec.weyl_relative_error()
@@ -314,10 +315,7 @@ def at7_pillowcase(lambda_max: float = 400.0, h: float = 0.02) -> ATReport:
     t_grid = np.linspace(0.5, 5.0, 4501)
     trace = wave_trace.mollified_trace(spec, t_grid, moll)
     peaks = wave_trace.detect_trace_peaks(t_grid, trace)
-    lengths = sorted({2.0 * math.hypot(m, n)
-                      for m in range(6) for n in range(6)
-                      if (m, n) != (0, 0)})
-    lengths = [ell for ell in lengths if ell <= t_grid[-1] + 0.1]
+    lengths = wave_trace.pillowcase_lengths(surf, t_grid[-1] + 0.1)
     peak_dev = max((min(abs(p - ell) for ell in lengths) for p in peaks),
                    default=math.inf)
     peaks_ok = len(peaks) > 0 and peak_dev <= 2.0 * h
@@ -348,11 +346,10 @@ def at7_pillowcase(lambda_max: float = 400.0, h: float = 0.02) -> ATReport:
                  "prediction": prediction.coefficient, **fit_details})
 
 
-def run_all(seed: int = 0, tol_overrides: dict | None = None) -> list[ATReport]:
-    tol = tol_overrides or {}
+def run_all(seed: int = 0) -> list[ATReport]:
     return [
-        at1_moving_point(seed, tol=tol.get("at1", 1e-10)),
-        at2_friedlander(seed, tol=tol.get("at2", 1e-2)),
+        at1_moving_point(seed),
+        at2_friedlander(seed),
         at3_scattering(seed),
         at4_two_diffraction(seed),
         at5_differentiated_propagator(seed),

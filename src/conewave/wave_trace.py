@@ -70,11 +70,12 @@ class Spectrum:
         f = np.asarray(self.frequencies, dtype=float)
         m = np.asarray(self.multiplicities, dtype=int)
         if f.shape != m.shape or f.ndim != 1:
-            raise ValueError("frequencies/multiplicities must be matching 1-D arrays")
+            raise InvalidInput(
+                "frequencies/multiplicities must be matching 1-D arrays")
         if np.any(np.diff(f) < 0) or np.any(f < 0):
-            raise ValueError("frequencies must be sorted and nonnegative")
+            raise InvalidInput("frequencies must be sorted and nonnegative")
         if np.any(m < 1):
-            raise ValueError("multiplicities must be positive")
+            raise InvalidInput("multiplicities must be positive")
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "multiplicities", m)
 
@@ -84,7 +85,7 @@ class Spectrum:
     def weyl_relative_error(self, lam: float | None = None) -> float:
         """Relative deviation of N(lambda) from Area * lambda^2 / (4 pi)."""
         if self.area is None:
-            raise ValueError("spectrum has no recorded area")
+            raise InvalidInput("spectrum has no recorded area")
         lam = self.lambda_max if lam is None else lam
         weyl = self.area * lam * lam / (4.0 * math.pi)
         return abs(self.counting_function(lam) - weyl) / weyl
@@ -130,6 +131,21 @@ def pillowcase_spectrum(surface: PillowcaseSurface, lambda_max: float) -> Spectr
             out_m.append(int(mm))
     return Spectrum(np.array(out_f), np.array(out_m), lambda_max,
                     area=surface.area)
+
+
+def pillowcase_lengths(surface: PillowcaseSurface,
+                       t_max: float) -> list[float]:
+    """Sorted distinct lengths 2 hypot(m a, n b) <= t_max (m, n >= 0, not
+    both 0) of the closed geodesics of the pillowcase: its trace peaks."""
+    if not (t_max >= 0 and math.isfinite(t_max)):
+        raise InvalidInput(f"t_max must be finite and >= 0, got {t_max}")
+    a, b = surface.a_rect, surface.b_rect
+    m_max, n_max = int(0.5 * t_max / a), int(0.5 * t_max / b)
+    check_array_size((m_max + 1) * (n_max + 1),
+                     "the closed-geodesic index grid")
+    lengths = {2.0 * math.hypot(m * a, n * b)
+               for m in range(m_max + 1) for n in range(n_max + 1)}
+    return sorted(ell for ell in lengths if 0.0 < ell <= t_max)
 
 
 def mollified_trace(spec: Spectrum, t_grid: np.ndarray,
@@ -195,7 +211,7 @@ def extract_singularity_coefficient(t_grid: np.ndarray, values: np.ndarray,
     v = np.asarray(values, dtype=complex)
     core = np.abs(t - L) <= 6.0 * h
     if core.sum() < 8:
-        raise ValueError("need at least 8 samples inside the fit window")
+        raise InvalidInput("need at least 8 samples inside the fit window")
     ring = (np.abs(t - L) > 4.0 * h) & (np.abs(t - L) <= 10.0 * h)
     core_peak = float(np.abs(v[np.abs(t - L) <= 2.0 * h]).max())
     if ring.any() and float(np.abs(v[ring]).max()) > 0.5 * core_peak:
@@ -236,9 +252,8 @@ def _second_derivative(f, x0: float, step: float) -> float:
     return (4.0 * c2 - c1) / 3.0
 
 
-def trace_pipeline_check(L: float, b: float, omega: float = 1.0,
-                         fd_tol: float = 1e-6,
-                         final_tol: float = 1e-10) -> PipelineReport:
+def trace_pipeline_check(L: float, b: float,
+                         omega: float = 1.0) -> PipelineReport:
     """Re-derive the two-diffraction trace coefficient step by step.
 
     Builds the reduced phase psi~ by numerically minimizing the full chain
@@ -250,7 +265,9 @@ def trace_pipeline_check(L: float, b: float, omega: float = 1.0,
 
     then assembles the coefficient from the verified factors, the two
     regularized scattering limits (+-1/(2 pi)) and the x-integral
-    normalization, and compares with the closed formula.
+    normalization, and compares with the closed formula.  It passes when
+    the Hessian identities hold to 1e-6 and the limits and the coefficient
+    to 1e-10.
     """
     if not 0 < b < L:
         raise BadLeg(f"leg b = {b} outside (0, {L})")
@@ -303,8 +320,8 @@ def trace_pipeline_check(L: float, b: float, omega: float = 1.0,
 
     formula = predict_two_diffraction_singularity(L, b).coefficient
     rel = abs(coefficient - formula) / abs(formula)
-    passed = (kappa_err < fd_tol and hess_y_err < fd_tol
-              and p_in_err < 1e-10 and p_out_err < 1e-10 and rel < final_tol)
+    passed = (kappa_err < 1e-6 and hess_y_err < 1e-6
+              and p_in_err < 1e-10 and p_out_err < 1e-10 and rel < 1e-10)
     return PipelineReport(L, b, kappa_fd, kappa, kappa_err, hess_y_err,
                           p_in, p_out, p_in_err, p_out_err,
                           complex(coefficient), formula, rel, passed)

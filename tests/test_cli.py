@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -133,7 +135,7 @@ def test_verify_exit_one_on_failure(monkeypatch, capsys):
     """A failing criterion must drive the verify subcommand to exit code 1."""
     from conewave import cli, verification
 
-    def fake_run_all(seed=0, tol_overrides=None):
+    def fake_run_all(seed=0):
         return [verification.ATReport("AT-0", "synthetic failure", False,
                                       "forced", 0.0)]
 
@@ -183,11 +185,13 @@ COMPOSE_ARGS = ["compose", "--chain", "chain.json", "--t", "4", "--q2=-1,0"]
     ["scatter", "--alpha", "7", "--thetas", "0:0.1:1",
      "--fourier-n", "100000000000"],
     ["trace", "--t-range", "0.5:0.1:1", "--lambda-max", "1e9"],
+    KERNEL_ARGS + ["--ts", "0:1e-12:1"],
 ], ids=["alpha-negative", "alpha-inf", "h-zero", "ts-nan", "trace-h-zero",
         "trace-h-inf", "fourier-n-negative", "q1-text", "q1-three-parts",
         "chain-without-c", "omega-negative", "r1-negative", "h-negative",
         "ts-negative", "trace-a-negative", "trace-a-nan", "surface-without-b",
-        "moving-coincident-angles", "fourier-n-huge", "trace-lambda-max-huge"])
+        "moving-coincident-angles", "fourier-n-huge", "trace-lambda-max-huge",
+        "ts-huge"])
 def test_bad_input_exits_two(argv, capsys, tmp_path, monkeypatch):
     """Out-of-domain numbers are input errors (exit 2), not tracebacks."""
     from conewave import cli
@@ -199,3 +203,54 @@ def test_bad_input_exits_two(argv, capsys, tmp_path, monkeypatch):
     (tmp_path / "surface_no_b.json").write_text('{"type": "pillowcase", "a": 1}')
     assert cli.main(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--alpha", "1"],
+    ["predict", "--L", "3", "--b", "1", "--config", "x.json"],
+    ["verify", "--tol", "at1=1"],
+    ["scatter", "--alpha", "abc", "--thetas", "0:0.1:1"],
+], ids=["missing-arguments", "config", "tol", "alpha-text"])
+def test_argparse_errors_exit_two(argv, tmp_path):
+    """A missing argument, an unknown option or a value of the wrong type
+    exits 2 with argparse's usage line and no traceback."""
+    res = run_cli(argv, tmp_path)
+    assert res.returncode == 2
+    assert "usage:" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_trace_thin_rectangle_nearest_lengths(tmp_path):
+    """On a thin rectangle the closed-geodesic lengths 2 hypot(m a, n b)
+    with large n lie inside the t range; every peak must be reported next
+    to its own length."""
+    h = 0.01
+    res = run_cli(["trace", "--a", "1", "--b", "0.1", "--h", str(h),
+                   "--lambda-max", "800", "--t-range", "0.5:0.001:3.0",
+                   "--out", "thin.csv", "--report", "peaks.json"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    peaks = json.loads((tmp_path / "peaks.json").read_text())["peaks"]
+    assert max(p["t_peak"] for p in peaks) > 2.9
+    for p in peaks:
+        assert abs(p["t_peak"] - p["nearest_length"]) <= 2.0 * h, p
+
+
+def _readme_cli_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme.read_text(),
+                      re.M | re.S).group(1)
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in joined.splitlines()
+            if line.startswith("conewave ")]
+
+
+def test_readme_cli_examples_parse():
+    """Every command of the README's CLI section parses, so the docs name
+    no deleted flag."""
+    from conewave import cli
+
+    commands = _readme_cli_commands()
+    assert {argv[0] for argv in commands} == {
+        "kernel", "scatter", "compose", "trace", "predict", "verify"}
+    parser = cli.build_parser()
+    for argv in commands:
+        assert callable(parser.parse_args(argv).func)

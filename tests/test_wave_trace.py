@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conewave.errors import BadLeg, IncompleteSpectrum, WindowContaminated
+from conewave.errors import (BadLeg, IncompleteSpectrum, InvalidInput,
+                             WindowContaminated)
 from conewave.special import Mollifier, mollified_inverse_power
 from conewave.wave_trace import (PillowcaseSurface, Spectrum,
                                  detect_trace_peaks,
                                  extract_singularity_coefficient,
-                                 mollified_trace, pillowcase_spectrum,
+                                 mollified_trace, pillowcase_lengths,
+                                 pillowcase_spectrum,
                                  predict_two_diffraction_singularity,
                                  trace_pipeline_check)
 
@@ -51,6 +53,19 @@ def test_pillowcase_spectrum_head(pillowcase_400):
                        atol=1e-12)
     assert list(spec.multiplicities[:5]) == [1, 2, 2, 2, 4]
     assert spec.counting_function(0.0) == 1
+
+
+def test_pillowcase_lengths():
+    square = pillowcase_lengths(PillowcaseSurface(1.0, 1.0), 5.1)
+    assert square == pytest.approx([2.0, 2 * math.sqrt(2), 4.0, 2 * math.sqrt(5)])
+    # a thin rectangle: 2 hypot(1, 0.1 n) up to the cut, n >= 8 included
+    thin = pillowcase_lengths(PillowcaseSurface(1.0, 0.1), 3.0)
+    assert thin[0] == pytest.approx(0.2) and thin[-1] == pytest.approx(3.0)
+    for n in range(12):
+        assert 2.0 * math.hypot(1.0, 0.1 * n) in thin
+    assert pillowcase_lengths(PillowcaseSurface(1.0, 1.0), 1.9) == []
+    with pytest.raises(InvalidInput):
+        pillowcase_lengths(PillowcaseSurface(1.0, 1.0), math.inf)
 
 
 def test_pillowcase_eigenfunctions_satisfy_the_equation():
