@@ -2,16 +2,15 @@
 singularities on Euclidean cones and surfaces with conical singularities."""
 
 from .geometry import (ConeChain, ConePoint, PlanarPoint, angular_separation,
-                       classify_ray, cone_distance, develop,
-                       shifted_vertex_coords)
+                       cone_distance)
 from .special import (Mollifier, find_roots_convex, mollified_delta,
                       mollified_inverse_power)
-from .diffraction import (gtd_amplitude, regularized_sine_product,
-                          scattering_matrix, scattering_matrix_fourier)
+from .diffraction import (regularized_sine_product, scattering_matrix,
+                          scattering_matrix_fourier)
 from .kernels import (KernelQuery, KernelValue, cheeger_series_sweep,
-                      halfwave_mu_4pi, hw_leading_amplitude,
-                      sine_kernel_4pi_closed, sine_kernel_cheeger_series,
-                      sine_kernel_moving_point, spherical_wave_l, upsilon0)
+                      halfwave_mu_4pi, sine_kernel_4pi_closed,
+                      sine_kernel_cheeger_series, sine_kernel_moving_point,
+                      spherical_wave_l, upsilon0)
 from .friedlander import (FriedlanderGrid, build_friedlander,
                           sine_kernel_friedlander)
 from .two_diffraction import (CompositionPoint, StationaryData,

@@ -18,7 +18,8 @@ import numpy as np
 from . import diffraction, friedlander, kernels, verification, wave_trace
 from .errors import (ConewaveError, GeometricDirection, InvalidInput,
                      WindowContaminated)
-from .geometry import ConeChain, ConePoint, PlanarPoint, check_array_size
+from .geometry import (ConeChain, ConePoint, PlanarPoint, check_array_size,
+                       reduce_angle)
 from .special import Mollifier
 from .two_diffraction import (CompositionPoint, oscillatory_oracle,
                               principal_symbol_lambda0,
@@ -97,26 +98,30 @@ def _json_dump(obj) -> str:
 
 
 def cmd_kernel(args) -> int:
-    from .kernels import KernelQuery
-
     alpha = args.alpha
-    ts = _parse_range(args.ts)
-    rows = []
     rep = args.representation
-    fg = friedlander.build_friedlander(alpha) if rep == "friedlander" else None
-    for t in ts:
-        q = KernelQuery(float(t), ConePoint(args.r1, args.theta1),
-                        ConePoint(args.r2, args.theta2), args.h)
-        if rep == "closed4pi":
-            value = kernels.sine_kernel_4pi_closed(q)
-        elif rep == "cheeger":
-            value = kernels.sine_kernel_cheeger_series(alpha, q)
-        elif rep == "moving":
-            value = kernels.sine_kernel_moving_point(q)
-        else:
-            value = friedlander.sine_kernel_friedlander(fg, q)
+    queries = [kernels.KernelQuery(float(t), ConePoint(args.r1, args.theta1),
+                                   ConePoint(args.r2, args.theta2), args.h)
+               for t in _parse_range(args.ts)]
+    if rep == "cheeger":
+        # one Bessel table serves the whole sweep
+        swept = kernels.cheeger_series_sweep(
+            alpha, [q.t for q in queries], args.r1, args.r2,
+            reduce_angle(alpha, args.theta1 - args.theta2), args.h)
+        values = [kernels.KernelValue(
+            float(v), kernels.front_region(alpha, q, 10.0 * q.h))
+            for v, q in zip(swept, queries)]
+    elif rep == "closed4pi":
+        values = [kernels.sine_kernel_4pi_closed(q) for q in queries]
+    elif rep == "moving":
+        values = [kernels.sine_kernel_moving_point(q) for q in queries]
+    else:
+        fg = friedlander.build_friedlander(alpha)
+        values = [friedlander.sine_kernel_friedlander(fg, q) for q in queries]
+    rows = []
+    for q, value in zip(queries, values):
         val = complex(value.value)
-        rows.append([float(t), args.r1, args.theta1, args.r2, args.theta2,
+        rows.append([q.t, args.r1, args.theta1, args.r2, args.theta2,
                      alpha, rep, val.real, val.imag, value.region])
     _write_text(args.out, _csv(
         ["t", "r1", "theta1", "r2", "theta2", "alpha", "representation",

@@ -1,4 +1,4 @@
-"""Absolute scattering matrix of the flat cone and diffracted-front amplitudes.
+"""Absolute scattering matrix of the flat cone and its regularized products.
 
 The cone of angle alpha scatters a wave arriving at the vertex into all
 directions with angular kernel
@@ -83,14 +83,6 @@ def scattering_matrix_fourier(alpha: float, theta: float, N: int) -> complex:
     terms = 2.0 * np.cos(2.0 * k * math.pi * theta / alpha) * np.exp(
         -2j * math.pi**2 * k / alpha)
     return complex(-1j / alpha * (1.0 + np.sum(weights * terms)))
-
-
-def gtd_amplitude(alpha: float, r1: float, r2: float, theta: float) -> float:
-    """Leading diffracted-front coefficient (1/2pi) (r1 r2)^(-1/2) S_alpha."""
-    if not (r1 > 0 and r2 > 0):
-        raise InvalidInput("radii must be positive")
-    return scattering_matrix_value(alpha, theta) / (
-        2.0 * math.pi * math.sqrt(r1 * r2))
 
 
 def _sinc(x):

@@ -9,14 +9,6 @@ class InvalidInput(ConewaveError, ValueError):
     """Argument outside the domain of a formula (also a ValueError)."""
 
 
-class PointOnCut(ConewaveError):
-    """Point falls on (or outside) the slit chart of a developing map."""
-
-
-class DegeneratePoint(ConewaveError):
-    """Point coincides with a (shifted) cone vertex."""
-
-
 class NotConvex(ConewaveError):
     """Sampled convexity check failed."""
 

@@ -41,7 +41,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from .errors import InvalidInput, OutOfGrid
 from .geometry import check_cone_angle, reduce_angle
-from .kernels import FRONT_TOL, KernelQuery, KernelValue, _fronts, classify_region
+from .kernels import FRONT_TOL, KernelQuery, KernelValue, front_region
 from .special import GAMMA_HALF, l1_half_derivative
 
 
@@ -59,10 +59,6 @@ class FriedlanderGrid:
     g: np.ndarray
     ag: np.ndarray
     _spline: RectBivariateSpline
-
-    @property
-    def y_range(self) -> tuple[float, float]:
-        return float(self.y[0]), float(self.y[-1])
 
 
 def _g_alpha_low(alpha: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -152,9 +148,7 @@ def sine_kernel_friedlander(fg: FriedlanderGrid, q: KernelQuery) -> KernelValue:
     """
     r1, r2 = q.q1.r, q.q2.r
     y, z = friedlander_pullback(fg.alpha, q.t, r1, r2, q.q1.theta, q.q2.theta)
-    direct, diffracted, _ = _fronts(fg.alpha, q)
-    tol = 10.0 * q.h if q.h > 0 else FRONT_TOL
-    region = classify_region(q.t, direct, diffracted, tol)
+    region = front_region(fg.alpha, q, 10.0 * q.h if q.h > 0 else FRONT_TOL)
     if y < -1.0:
         return KernelValue(0.0, region)
     if y > fg.y[-1]:

@@ -1,10 +1,10 @@
 """Exact Euclidean geometry of the flat cone C_alpha.
 
 The cone of total angle alpha > 0 is (0, inf)_r x (R / alpha Z)_theta with the
-metric dr^2 + r^2 dtheta^2.  This module provides the distance function, the
-slit developing charts used to flatten a neighbourhood of a vertex-hitting
-geodesic, shifted-vertex polar coordinates, and the two-cone chain in whose
-frame all the two-diffraction computations take place.
+metric dr^2 + r^2 dtheta^2.  This module provides the distance function,
+angular reduction, the chart angle of a point around a vertex, the array-size
+budget for input-driven sizes, and the two-cone chain in whose frame all the
+two-diffraction computations take place.
 
 Chart conventions (used consistently everywhere downstream): for diffraction
 sign eps = +1 the removed cut is the upward ray {(0, y): y > 0} and chart
@@ -15,24 +15,12 @@ geodesic always maps to the x-axis.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePoint, InvalidInput, PointOnCut
-
-# Angular tolerance for classifying a ray as geometrically diffractive.
-# Classification feeds branch selection only, never quantitative output.
-GEOMETRIC_ANGLE_TOL = 1e-9
-
-# Points closer than this (in angle) to a cut ray are rejected by develop().
-CUT_MARGIN = 1e-9
-
-DIRECT = "direct"
-GEOMETRIC_DIFFRACTIVE = "geometric_diffractive"
-NONGEOMETRIC_DIFFRACTIVE = "nongeometric_diffractive"
+from .errors import InvalidInput
 
 # Budget for array sizes set by input (elements): 128 MiB of float64.
 MAX_ARRAY_ELEMENTS = 2**24
@@ -76,10 +64,6 @@ class PlanarPoint:
     x: float
     y: float
 
-    @property
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
 
 @dataclass(frozen=True)
 class ConeChain:
@@ -121,20 +105,6 @@ class ConeChain:
     def p2(self) -> PlanarPoint:
         return PlanarPoint(0.0, 0.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, data: dict) -> "ConeChain":
         try:
@@ -146,10 +116,6 @@ class ConeChain:
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInput(f"bad chain {data!r}: {exc}") from exc
         return cls(**fields)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConeChain":
-        return cls.from_dict(json.loads(text))
 
 
 def reduce_angle(alpha: float, theta: float) -> float:
@@ -193,19 +159,6 @@ def cone_distance(alpha: float, q1: ConePoint, q2: ConePoint) -> float:
     return math.sqrt(max(d2, 0.0))
 
 
-def classify_ray(alpha: float, delta_theta: float) -> str:
-    """Classify a reduced angle difference relative to pi.
-
-    `delta_theta` must already be reduced via angular_separation.
-    """
-    check_cone_angle(alpha)
-    if abs(delta_theta - math.pi) < GEOMETRIC_ANGLE_TOL:
-        return GEOMETRIC_DIFFRACTIVE
-    if delta_theta > math.pi:
-        return NONGEOMETRIC_DIFFRACTIVE
-    return DIRECT
-
-
 def chart_window(eps: int) -> tuple[float, float]:
     """Open angle window of the eps-chart (cut excluded at both ends)."""
     if eps == +1:
@@ -223,54 +176,3 @@ def chart_angle(eps: int, x, y):
     psi = np.where(psi >= hi, psi - 2.0 * math.pi, psi)
     psi = np.where(psi < lo, psi + 2.0 * math.pi, psi)
     return float(psi) if psi.ndim == 0 else psi
-
-
-def develop(alpha: float, eps: int, r_star: float,
-            q: ConePoint) -> PlanarPoint:
-    """Develop a cone point into the slit chart of the eps-cut.
-
-    The chart is anchored on the geometrically diffractive geodesic through
-    the vertex whose outgoing ray (through the base point at distance
-    `r_star`) is theta = 0; that ray maps to the positive x-axis and the
-    vertex to the origin.  The cone angle of `q` must admit a lift into the
-    eps-window, staying at least CUT_MARGIN away from the cut ray.
-    """
-    check_cone_angle(alpha)
-    if not r_star > 0:
-        raise InvalidInput("r_star must be positive")
-    if q.is_vertex:
-        return PlanarPoint(0.0, 0.0)
-    lo, hi = chart_window(eps)
-    theta = reduce_angle(alpha, q.theta)
-    # Candidate lifts theta + k*alpha inside the window, closest to the axis.
-    k_min = math.floor((lo - theta) / alpha) - 1
-    k_max = math.ceil((hi - theta) / alpha) + 1
-    best = None
-    for k in range(k_min, k_max + 1):
-        psi = theta + k * alpha
-        if lo + CUT_MARGIN < psi < hi - CUT_MARGIN:
-            if best is None or abs(psi) < abs(best):
-                best = psi
-    if best is None:
-        raise PointOnCut(
-            f"angle {q.theta} has no lift into the eps={eps:+d} chart of "
-            f"C_{alpha}"
-        )
-    return PlanarPoint(q.r * math.cos(best), q.r * math.sin(best))
-
-
-def shifted_vertex_coords(q: PlanarPoint, eps: int, s: float) -> tuple[float, float]:
-    """Polar coordinates of q relative to the shifted vertex p_eps(s).
-
-    p_eps(s) = (0, -eps*s); the angle is returned on the continuous branch of
-    the eps-chart, so that s = 0 reproduces ordinary polar coordinates for
-    points whose principal angle already lies in the chart window.
-    """
-    if s < 0:
-        raise InvalidInput(f"shift distance must be >= 0, got {s}")
-    vx, vy = q.x, q.y + eps * s
-    theta = chart_angle(eps, vx, vy)
-    r_s = math.hypot(vx, vy)
-    if r_s == 0.0:
-        raise DegeneratePoint(f"point {q} coincides with the shifted vertex at s={s}")
-    return r_s, theta

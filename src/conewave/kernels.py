@@ -23,10 +23,10 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
-from .diffraction import regularized_pair_product
 from .errors import InvalidInput, ModeTailTooLarge, OnFront, TangentRoot
-from .geometry import (ConePoint, angular_separation, check_cone_angle,
-                       chart_angle, cone_distance, reduce_angle)
+from .geometry import (ConePoint, angular_separation, check_array_size,
+                       check_cone_angle, chart_angle, cone_distance,
+                       reduce_angle)
 from .special import (Mollifier, damped_moment, find_roots_convex,
                       mollified_delta)
 
@@ -85,6 +85,12 @@ def _fronts(alpha: float, q: KernelQuery) -> tuple[float, float, float]:
     diffracted = q.q1.r + q.q2.r
     dth = angular_separation(alpha, q.q1.theta, q.q2.theta)
     return direct, diffracted, dth
+
+
+def front_region(alpha: float, q: KernelQuery, tol: float) -> str:
+    """Front region of a query on C_alpha, each front widened by tol."""
+    direct, diffracted, _ = _fronts(alpha, q)
+    return classify_region(q.t, direct, diffracted, tol)
 
 
 def sine_kernel_4pi_closed(q: KernelQuery) -> KernelValue:
@@ -181,7 +187,9 @@ def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
     """Cheeger mode sum evaluated on a batch of times (shared geometry).
 
     The Bessel products are time independent, so a whole t sweep costs one
-    matrix-vector product per time on top of a single Bessel table.
+    matrix-vector product per time on top of a single Bessel table.  The
+    table, the phase block and the mode-by-time block are checked against
+    the array budget before any of them is allocated.
     """
     check_cone_angle(alpha)
     if not h > 0:
@@ -197,6 +205,9 @@ def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
     max_freq = float(ts.max()) + r1 + r2
     # 12 Gauss nodes per period of sin(lam * max_freq) on [0, lam_max]
     n_lam = max(256, int(lam_max * 12 * max_freq / (2.0 * math.pi)))
+    check_array_size((mode_cut + 1) * n_lam, "the Bessel table")
+    check_array_size(n_lam * ts.size, "the phase block")
+    check_array_size((mode_cut + 1) * ts.size, "the mode-by-time block")
     panel = 2048
     n_panels = max(1, -(-n_lam // panel))
     nodes, weights = np.polynomial.legendre.leggauss(min(n_lam, panel))
@@ -242,8 +253,7 @@ def sine_kernel_cheeger_series(alpha: float, q: KernelQuery,
     dth_signed = reduce_angle(alpha, q.q1.theta - q.q2.theta)
     value = float(cheeger_series_sweep(alpha, q.t, q.q1.r, q.q2.r, dth_signed,
                                        q.h, mode_cut)[0])
-    direct, diffracted, _ = _fronts(alpha, q)
-    return KernelValue(value, classify_region(q.t, direct, diffracted, 10.0 * q.h))
+    return KernelValue(value, front_region(alpha, q, 10.0 * q.h))
 
 
 def _moving_point_frame(q: KernelQuery, eps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,8 +321,7 @@ def sine_kernel_moving_point(q: KernelQuery, eps: int = -1) -> KernelValue:
         half_cos = math.sqrt(max(0.5 * (1.0 + cos_dth), 0.0))
         total += 1.0 / (8.0 * math.pi * math.sqrt(r1s * r2s) * half_cos)
 
-    direct, diffracted, _ = _fronts(4.0 * math.pi, q)
-    return KernelValue(total, classify_region(q.t, direct, diffracted, FRONT_TOL))
+    return KernelValue(total, front_region(4.0 * math.pi, q, FRONT_TOL))
 
 
 def gauss_hermite_mollify(f, t: float, h: float, n: int = 48) -> float:
@@ -387,22 +396,3 @@ def halfwave_mu_4pi(t: float, q1: ConePoint, q2: ConePoint,
     im, _ = scipy.integrate.quad(lambda s: integrand(s).imag, 0.0, s_max,
                                  points=points[1:-1] or None, limit=300)
     return complex(re, im)
-
-
-def hw_leading_amplitude(alpha: float, eps: int, q1: ConePoint,
-                         q2: ConePoint) -> complex:
-    """Leading (order-one-in-frequency) half-wave amplitude at s = 0:
-
-        -+ 2 pi i S_alpha(th1 - th2) (r1 r2)^(-1/2) [sin th1 + sin th2],
-
-    the upper sign for eps = +1.  Angles are chart angles of the eps-chart
-    (q1 near 0, q2 near -+ pi); the product with the sine factor is evaluated
-    in regularized form so geometric directions stay finite.
-    """
-    check_cone_angle(alpha)
-    if eps not in (+1, -1):
-        raise InvalidInput("eps must be +1 or -1")
-    if not (q1.r > 0 and q2.r > 0):
-        raise InvalidInput("radii must be positive")
-    product = regularized_pair_product(alpha, q1.theta, q2.theta)
-    return -eps * 2.0j * math.pi * product / math.sqrt(q1.r * q2.r)

@@ -24,7 +24,8 @@ from .diffraction import (INCOMING_AT_0, OUTGOING_AT_PI,
                           regularized_sine_product, sine_product_limit_numeric)
 from .errors import (BadLeg, IncompleteSpectrum, InvalidInput,
                      WindowContaminated)
-from .geometry import ConeChain, PlanarPoint, check_array_size
+from .geometry import (MAX_ARRAY_ELEMENTS, ConeChain, PlanarPoint,
+                       check_array_size)
 from .special import Mollifier, mollified_inverse_power
 from .two_diffraction import composed_phase_psi
 
@@ -153,8 +154,10 @@ def mollified_trace(spec: Spectrum, t_grid: np.ndarray,
     """sum_j mult_j e^{-i t lambda_j} e^{-h^2 lambda_j^2 / 2} on a t grid.
 
     Requires the truncation to be damped below 1e-10 at lambda_max.  The
-    lambda sum runs in fixed-size blocks with numpy's pairwise summation,
-    so results are deterministic.
+    lambda sum runs in blocks of at most 4096 frequencies with numpy's
+    pairwise summation, so results are deterministic; the block shrinks
+    with the t grid, so that the t.size x block temporaries stay within
+    MAX_ARRAY_ELEMENTS.
     """
     h = moll.width_h
     if math.exp(-0.5 * (h * spec.lambda_max) ** 2) >= 1e-10:
@@ -164,7 +167,7 @@ def mollified_trace(spec: Spectrum, t_grid: np.ndarray,
     t = np.asarray(t_grid, dtype=float)
     out = np.zeros(t.size, dtype=complex)
     weights = spec.multiplicities * np.exp(-0.5 * (h * spec.frequencies) ** 2)
-    block = 4096
+    block = max(1, min(4096, MAX_ARRAY_ELEMENTS // max(t.size, 1)))
     for start in range(0, spec.frequencies.size, block):
         lam = spec.frequencies[start:start + block]
         w = weights[start:start + block]
@@ -174,7 +177,7 @@ def mollified_trace(spec: Spectrum, t_grid: np.ndarray,
 
 def detect_trace_peaks(t_grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Times of local maxima of |trace| with prominence above three times the
-    noise floor (the median magnitude over t >= 0.5)."""
+    noise floor (the median magnitude over t >= 0.5); none if no t >= 0.5."""
     # imported here, not at the top: scipy.signal loads scipy.stats, which
     # would nearly double the import time of the package
     import scipy.signal
@@ -182,6 +185,8 @@ def detect_trace_peaks(t_grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     mag = np.abs(np.asarray(values))
     mask = t >= 0.5
+    if not mask.any():
+        return np.empty(0)
     floor = float(np.median(mag[mask]))
     idx, _ = scipy.signal.find_peaks(np.where(mask, mag, 0.0),
                                      prominence=3.0 * floor)

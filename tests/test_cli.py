@@ -160,6 +160,28 @@ CHAIN = {"a": 1.0, "b": 2.0, "c": 1.0, "alpha1": 3 * PI, "alpha2": 3 * PI,
 COMPOSE_ARGS = ["compose", "--chain", "chain.json", "--t", "4", "--q2=-1,0"]
 
 
+def test_kernel_cheeger_is_one_sweep(tmp_path, monkeypatch):
+    """`kernel --representation cheeger` evaluates the whole --ts sweep with
+    one Bessel table: its CSV equals cheeger_series_sweep on the same ts, and
+    its region column is that of the pointwise evaluation."""
+    from conewave import cli
+    from conewave.kernels import (KernelQuery, cheeger_series_sweep,
+                                  sine_kernel_cheeger_series)
+
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(KERNEL_ARGS + ["--ts", "0.3:0.3:2.4", "--out", "k.csv"]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "k.csv").read_text().strip().split("\n")[1:]]
+    ts = [float(row[0]) for row in rows]
+    want = cheeger_series_sweep(4 * PI, ts, 0.5, 0.5, 4 * PI - 2.0, 0.05)
+    assert [float(row[7]) for row in rows] == list(want)
+    q1, q2 = conewave.ConePoint(0.5, 0.0), conewave.ConePoint(0.5, 2.0)
+    regions = [sine_kernel_cheeger_series(
+        4 * PI, KernelQuery(t, q1, q2, 0.05)).region for t in ts]
+    assert [row[9] for row in rows] == regions
+    assert {"before_direct", "near_front", "after_diffracted"} <= set(regions)
+
+
 @pytest.mark.parametrize("argv", [
     ["scatter", "--alpha", "-1", "--thetas", "0:0.1:1"],
     ["scatter", "--alpha", "inf", "--thetas", "0:0.1:1"],
@@ -186,12 +208,16 @@ COMPOSE_ARGS = ["compose", "--chain", "chain.json", "--t", "4", "--q2=-1,0"]
      "--fourier-n", "100000000000"],
     ["trace", "--t-range", "0.5:0.1:1", "--lambda-max", "1e9"],
     KERNEL_ARGS + ["--ts", "0:1e-12:1"],
+    KERNEL_ARGS + ["--ts", "1:0.1:1.2", "--h", "1e-4"],
+    # Bessel table and phase block fit; the modes x times block does not
+    ["kernel", "--alpha", "2e4", "--r1", "1e-3", "--theta1", "0",
+     "--r2", "1e-3", "--theta2", "2", "--ts", "0.1:1e-5:0.6"],
 ], ids=["alpha-negative", "alpha-inf", "h-zero", "ts-nan", "trace-h-zero",
         "trace-h-inf", "fourier-n-negative", "q1-text", "q1-three-parts",
         "chain-without-c", "omega-negative", "r1-negative", "h-negative",
         "ts-negative", "trace-a-negative", "trace-a-nan", "surface-without-b",
         "moving-coincident-angles", "fourier-n-huge", "trace-lambda-max-huge",
-        "ts-huge"])
+        "ts-huge", "cheeger-h-tiny", "cheeger-modes-by-times-huge"])
 def test_bad_input_exits_two(argv, capsys, tmp_path, monkeypatch):
     """Out-of-domain numbers are input errors (exit 2), not tracebacks."""
     from conewave import cli

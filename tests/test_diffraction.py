@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conewave.diffraction import (INCOMING_AT_0, OUTGOING_AT_PI,
-                                  gtd_amplitude, regularized_pair_product,
+                                  regularized_pair_product,
                                   regularized_sine_product, s_times_cos_half,
                                   scattering_matrix, scattering_matrix_fourier,
                                   scattering_matrix_value,
@@ -79,17 +79,6 @@ def test_fourier_envelope_near_poles():
         err = abs(scattering_matrix_fourier(alpha, theta, n) - exact)
         products.append(err * n * 0.1**2)
     assert all(0.02 < p < 1.0 for p in products)
-
-
-def test_gtd_amplitude():
-    got = gtd_amplitude(4 * PI, 1.0, 1.0, 0.0)
-    assert got == pytest.approx(-1 / (8 * PI**2), abs=1e-15)
-    assert gtd_amplitude(4 * PI, 4.0, 1.0, 0.0) == pytest.approx(got / 2)
-    ratio = gtd_amplitude(3 * PI, 1.7, 0.4, 0.9) / gtd_amplitude(4 * PI, 1.7, 0.4, 0.9)
-    assert ratio == pytest.approx(
-        scattering_matrix_value(3 * PI, 0.9) / scattering_matrix_value(4 * PI, 0.9))
-    with pytest.raises(GeometricDirection):
-        gtd_amplitude(3 * PI, 1.0, 1.0, PI)
 
 
 def test_regularized_sine_product_limits():

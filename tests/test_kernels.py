@@ -7,8 +7,8 @@ from conewave.errors import ModeTailTooLarge, OnFront
 from conewave.geometry import ConePoint, cone_distance
 from conewave.kernels import (AFTER_DIFFRACTED, BEFORE_DIRECT, BETWEEN_FRONTS,
                               KernelQuery, cheeger_series_sweep,
-                              halfwave_mu_4pi, hw_leading_amplitude,
-                              sine_kernel_4pi_closed, sine_kernel_cheeger_series,
+                              halfwave_mu_4pi, sine_kernel_4pi_closed,
+                              sine_kernel_cheeger_series,
                               sine_kernel_closed_mollified,
                               sine_kernel_moving_point, spherical_wave_l,
                               upsilon0)
@@ -216,33 +216,6 @@ def test_halfwave_positive_frequency_content():
     right = np.abs(spec[freqs < -2.0]).sum()
     wrong = np.abs(spec[freqs > 2.0]).sum()
     assert wrong / (wrong + right) < 1e-3
-
-
-def test_hw_leading_amplitude_4pi_identity():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        r1, r2 = rng.uniform(0.5, 2.0, 2)
-        th1 = rng.uniform(-0.4, 0.4)
-        th2 = PI + rng.uniform(-0.4, 0.4)
-        got = hw_leading_amplitude(4 * PI, -1, ConePoint(r1, th1),
-                                   ConePoint(r2, th2))
-        expect = -1j * math.sin(0.5 * (th1 + th2)) / math.sqrt(r1 * r2)
-        assert got == pytest.approx(expect, rel=1e-12)
-
-
-def test_hw_leading_amplitude_zero_and_composition():
-    # sin th1 + sin th2 = 0 away from poles kills the amplitude
-    got = hw_leading_amplitude(3 * PI, +1, ConePoint(1.0, 0.4),
-                               ConePoint(1.0, -0.4))
-    assert abs(got) < 1e-14
-    # generic value assembled from the scattering matrix
-    from conewave.diffraction import scattering_matrix_value
-    th1, th2 = 0.3, PI + 0.1
-    got = hw_leading_amplitude(3 * PI, +1, ConePoint(1.2, th1),
-                               ConePoint(0.9, th2))
-    expect = (-2j * PI * scattering_matrix_value(3 * PI, th1 - th2)
-              * (math.sin(th1) + math.sin(th2)) / math.sqrt(1.2 * 0.9))
-    assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_representation_agreement_4pi_summary():

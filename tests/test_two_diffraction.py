@@ -161,6 +161,39 @@ def test_psi_shift_derivative_identity():
         assert fd2 == pytest.approx(ds2, abs=2e-5 * max(1, abs(ds2)))
 
 
+def _leg_amplitude_polar(alpha, eps, r_out, th_out, r_in, th_in):
+    """leg_amplitude at omega = 1 around the origin, from polar points whose
+    angles lie in the eps-window."""
+    return complex(leg_amplitude(
+        alpha, eps, PlanarPoint(0.0, 0.0),
+        [r_out * math.cos(th_out), r_out * math.sin(th_out)],
+        [r_in * math.cos(th_in), r_in * math.sin(th_in)], 1.0))
+
+
+def test_leg_amplitude_4pi_identity():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        r1, r2 = rng.uniform(0.5, 2.0, 2)
+        th1 = rng.uniform(-0.4, 0.4)
+        th2 = PI + rng.uniform(-0.4, 0.4)
+        got = _leg_amplitude_polar(4 * PI, -1, r1, th1, r2, th2)
+        expect = -1j * math.sin(0.5 * (th1 + th2)) / math.sqrt(r1 * r2)
+        assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_leg_amplitude_zero_and_composition():
+    # sin th1 + sin th2 = 0 away from poles kills the amplitude
+    got = _leg_amplitude_polar(3 * PI, +1, 1.0, 0.4, 1.0, -0.4)
+    assert abs(got) < 1e-14
+    # generic value assembled from the scattering matrix; -pi - 0.1 lies in
+    # the eps = +1 window (-3 pi/2, pi/2), pi + 0.1 does not
+    th1, th2 = 0.3, -PI - 0.1
+    got = _leg_amplitude_polar(3 * PI, +1, 1.2, th1, 0.9, th2)
+    expect = (-2j * PI * scattering_matrix_value(3 * PI, th1 - th2)
+              * (math.sin(th1) + math.sin(th2)) / math.sqrt(1.2 * 0.9))
+    assert got == pytest.approx(expect, rel=1e-12)
+
+
 def test_amplitude_tilde_structure():
     chain = default_chain()
     q1, q2 = chart_points_from_angles(chain, 1.0, 0.2, 1.0, PI - 0.2)

@@ -119,6 +119,29 @@ def test_mollified_trace_basics():
                         t, Mollifier(0.02))
 
 
+def test_mollified_trace_block_within_budget(monkeypatch):
+    """With a small array budget the lambda blocks shrink, down to a single
+    frequency once the t grid alone exceeds the budget, and the sum is
+    unchanged."""
+    from conewave import wave_trace
+
+    spec = pillowcase_spectrum(PillowcaseSurface(1.0, 1.3), 200.0)
+    t = np.linspace(0.5, 3.0, 251)
+    weights = spec.multiplicities * np.exp(-0.5 * (0.05 * spec.frequencies) ** 2)
+    direct = np.exp(-1j * np.outer(t, spec.frequencies)) @ weights
+    for budget in (1000, 100):
+        monkeypatch.setattr(wave_trace, "MAX_ARRAY_ELEMENTS", budget)
+        got = mollified_trace(spec, t, Mollifier(0.05))
+        assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_trace_peaks_none_below_half():
+    """A t grid entirely below 0.5 has no noise floor, hence no peaks."""
+    t = np.arange(0.1, 0.405, 0.01)
+    peaks = detect_trace_peaks(t, 2.0 + np.cos(7.0 * t))
+    assert isinstance(peaks, np.ndarray) and peaks.size == 0
+
+
 def test_trace_peaks_on_length_set(trace_400):
     t_grid, trace, _ = trace_400
     peaks = detect_trace_peaks(t_grid, trace)
