@@ -200,11 +200,14 @@ def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
     if mode_cut is None:
         x_max = lam_max * rmax
         nu_max = x_max + 9.0 * x_max ** (1.0 / 3.0) + 14.0
-        mode_cut = int(math.ceil(nu_max * alpha / (2.0 * math.pi)))
+        mode_cut = nu_max * alpha / (2.0 * math.pi)
 
     max_freq = float(ts.max()) + r1 + r2
     # 12 Gauss nodes per period of sin(lam * max_freq) on [0, lam_max]
-    n_lam = max(256, int(lam_max * 12 * max_freq / (2.0 * math.pi)))
+    n_lam = lam_max * 12 * max_freq / (2.0 * math.pi)
+    if not (math.isfinite(mode_cut) and math.isfinite(n_lam)):  # int() refuses inf
+        raise InvalidInput(f"h = {h}, t = {ts.max()}, alpha = {alpha}: sizes overflow")
+    mode_cut, n_lam = int(math.ceil(mode_cut)), max(256, int(n_lam))
     check_array_size((mode_cut + 1) * n_lam, "the Bessel table")
     check_array_size(n_lam * ts.size, "the phase block")
     check_array_size((mode_cut + 1) * ts.size, "the mode-by-time block")

@@ -122,15 +122,10 @@ def pillowcase_spectrum(surface: PillowcaseSurface, lambda_max: float) -> Spectr
     lam, mult = lam[keep].ravel(), mult[keep].ravel()
     order = np.argsort(lam)
     lam, mult = lam[order], mult[order]
-    # merge numerically equal frequencies
-    out_f, out_m = [lam[0]], [int(mult[0])]
-    for f, mm in zip(lam[1:], mult[1:]):
-        if f - out_f[-1] <= 1e-12 * max(f, 1.0):
-            out_m[-1] += int(mm)
-        else:
-            out_f.append(f)
-            out_m.append(int(mm))
-    return Spectrum(np.array(out_f), np.array(out_m), lambda_max,
+    # merge numerically equal frequencies: a group starts at each gap
+    starts = np.flatnonzero(np.diff(lam) > 1e-12 * np.maximum(lam[1:], 1.0))
+    starts = np.concatenate(([0], starts + 1))
+    return Spectrum(lam[starts], np.add.reduceat(mult, starts), lambda_max,
                     area=surface.area)
 
 
@@ -151,28 +146,39 @@ def pillowcase_lengths(surface: PillowcaseSurface,
 
 def mollified_trace(spec: Spectrum, t_grid: np.ndarray,
                     moll: Mollifier) -> np.ndarray:
-    """sum_j mult_j e^{-i t lambda_j} e^{-h^2 lambda_j^2 / 2} on a t grid.
+    """sum_j mult_j e^{-i t lambda_j} e^{-h^2 lambda_j^2 / 2} on a uniform t
+    grid, t_k = t_0 + k dt to within 16 eps max|t| (0, 1 or 2 points pass).
 
-    Requires the truncation to be damped below 1e-10 at lambda_max.  The
-    lambda sum runs in blocks of at most 4096 frequencies with numpy's
-    pairwise summation, so results are deterministic; the block shrinks
-    with the t grid, so that the t.size x block temporaries stay within
-    MAX_ARRAY_ELEMENTS.
+    Requires the truncation to be damped below 1e-10 at lambda_max.  With
+    B = ceil(sqrt(n)), e^{-i t_{bB+m} lambda} = e^{-i t_{bB} lambda}
+    e^{-i m dt lambda}, both factors straight from np.exp (no recurrence),
+    so the sum is one product of the B x L offset phasors and the
+    L x ceil(n/B) weighted anchor phasors: about 2 L sqrt(n) exponentials,
+    not n L.  lambda runs in chunks of MAX_ARRAY_ELEMENTS // max(B, n/B)
+    (at least 1), so every temporary stays within the array budget.
     """
     h = moll.width_h
     if math.exp(-0.5 * (h * spec.lambda_max) ** 2) >= 1e-10:
         raise IncompleteSpectrum(
             f"damping at lambda_max = {spec.lambda_max} is only "
             f"{math.exp(-0.5 * (h * spec.lambda_max) ** 2):.2e}")
-    t = np.asarray(t_grid, dtype=float)
-    out = np.zeros(t.size, dtype=complex)
+    t = np.asarray(t_grid, dtype=float).ravel()
+    n = t.size
+    dt = (t[-1] - t[0]) / (n - 1) if n > 1 else 0.0
+    dev = float(np.max(np.abs(t - (t[:1] + dt * np.arange(n))), initial=0.0))
+    tol = 16.0 * np.finfo(float).eps * float(np.max(np.abs(t), initial=0.0))
+    if not dev <= tol:
+        raise InvalidInput(f"the t grid deviates from uniform steps by {dev:.2e}")
+    block = math.isqrt(n - 1) + 1 if n else 1
+    anchors, offsets = t[::block], dt * np.arange(block)
     weights = spec.multiplicities * np.exp(-0.5 * (h * spec.frequencies) ** 2)
-    block = max(1, min(4096, MAX_ARRAY_ELEMENTS // max(t.size, 1)))
-    for start in range(0, spec.frequencies.size, block):
-        lam = spec.frequencies[start:start + block]
-        w = weights[start:start + block]
-        out += np.exp(-1j * np.outer(t, lam)) @ w
-    return out
+    chunk = max(1, MAX_ARRAY_ELEMENTS // max(block, anchors.size))
+    out = np.zeros((block, anchors.size), dtype=complex)
+    for start in range(0, spec.frequencies.size, chunk):
+        lam, w = spec.frequencies[start:start + chunk], weights[start:start + chunk]
+        out += (np.exp(-1j * np.outer(offsets, lam))
+                @ (np.exp(-1j * np.outer(lam, anchors)) * w[:, None]))
+    return out.T.ravel()[:n]
 
 
 def detect_trace_peaks(t_grid: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -209,6 +209,11 @@ def test_kernel_cheeger_is_one_sweep(tmp_path, monkeypatch):
     ["trace", "--t-range", "0.5:0.1:1", "--lambda-max", "1e9"],
     KERNEL_ARGS + ["--ts", "0:1e-12:1"],
     KERNEL_ARGS + ["--ts", "1:0.1:1.2", "--h", "1e-4"],
+    # sizes that overflow to inf before they could be checked
+    KERNEL_ARGS + ["--ts", "1:0.1:1.2", "--h", "1e-320"],
+    KERNEL_ARGS + ["--ts", "1e300:1:1e300", "--h", "1e-10"],
+    ["kernel", "--alpha", "1e300", "--r1", "0.5", "--theta1", "0",
+     "--r2", "0.5", "--theta2", "2", "--ts", "1:0.1:1.2", "--h", "1e-9"],
     # Bessel table and phase block fit; the modes x times block does not
     ["kernel", "--alpha", "2e4", "--r1", "1e-3", "--theta1", "0",
      "--r2", "1e-3", "--theta2", "2", "--ts", "0.1:1e-5:0.6"],
@@ -217,7 +222,9 @@ def test_kernel_cheeger_is_one_sweep(tmp_path, monkeypatch):
         "chain-without-c", "omega-negative", "r1-negative", "h-negative",
         "ts-negative", "trace-a-negative", "trace-a-nan", "surface-without-b",
         "moving-coincident-angles", "fourier-n-huge", "trace-lambda-max-huge",
-        "ts-huge", "cheeger-h-tiny", "cheeger-modes-by-times-huge"])
+        "ts-huge", "cheeger-h-tiny", "cheeger-h-overflows",
+        "cheeger-t-overflows", "cheeger-alpha-overflows",
+        "cheeger-modes-by-times-huge"])
 def test_bad_input_exits_two(argv, capsys, tmp_path, monkeypatch):
     """Out-of-domain numbers are input errors (exit 2), not tracebacks."""
     from conewave import cli

@@ -55,6 +55,34 @@ def test_pillowcase_spectrum_head(pillowcase_400):
     assert spec.counting_function(0.0) == 1
 
 
+@pytest.mark.parametrize("a, b, lambda_max", [
+    (1.0, 1.0, 400.0), (0.527, 0.949, 400.0), (0.5, 0.8, 460.0),
+    (1.0, 1.3, 200.0), (1.0, 1.0, 800.0)])
+def test_pillowcase_spectrum_merge_matches_loop(a, b, lambda_max):
+    """The vectorized merge of equal frequencies gives exactly what merging
+    one sorted frequency at a time into the last group gives."""
+    m_max = int(math.floor(a * lambda_max / PI))
+    n_max = int(math.floor(b * lambda_max / PI))
+    m, n = np.meshgrid(np.arange(m_max + 1), np.arange(n_max + 1),
+                       indexing="ij")
+    lam = PI * np.sqrt((m / a) ** 2 + (n / b) ** 2)
+    mult = np.where((m >= 1) & (n >= 1), 2, 1)
+    keep = lam <= lambda_max
+    lam, mult = lam[keep].ravel(), mult[keep].ravel()
+    order = np.argsort(lam)
+    lam, mult = lam[order], mult[order]
+    out_f, out_m = [lam[0]], [int(mult[0])]
+    for f, mm in zip(lam[1:], mult[1:]):
+        if f - out_f[-1] <= 1e-12 * max(f, 1.0):
+            out_m[-1] += int(mm)
+        else:
+            out_f.append(f)
+            out_m.append(int(mm))
+    spec = pillowcase_spectrum(PillowcaseSurface(a, b), lambda_max)
+    assert np.array_equal(spec.frequencies, np.array(out_f))
+    assert np.array_equal(spec.multiplicities, np.array(out_m))
+
+
 def test_pillowcase_lengths():
     square = pillowcase_lengths(PillowcaseSurface(1.0, 1.0), 5.1)
     assert square == pytest.approx([2.0, 2 * math.sqrt(2), 4.0, 2 * math.sqrt(5)])
@@ -133,6 +161,40 @@ def test_mollified_trace_block_within_budget(monkeypatch):
         monkeypatch.setattr(wave_trace, "MAX_ARRAY_ELEMENTS", budget)
         got = mollified_trace(spec, t, Mollifier(0.05))
         assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("t_grid", [
+    np.linspace(0.5, 5.0, 4501), 0.5 + 0.001 * np.arange(4501)],
+    ids=["at7-linspace", "start-plus-step-arange"])
+def test_mollified_trace_against_long_double_sum(pillowcase_400, t_grid):
+    """The factored sum agrees with a direct long-double sum at 60 times."""
+    got = mollified_trace(pillowcase_400, t_grid, Mollifier(0.02))
+    idx = np.linspace(0, t_grid.size - 1, 60).astype(int)
+    lam = pillowcase_400.frequencies.astype(np.longdouble)
+    weights = pillowcase_400.multiplicities * np.exp(
+        -0.5 * (np.longdouble(0.02) * lam) ** 2)
+    phases = np.outer(t_grid[idx].astype(np.longdouble), lam)
+    direct = np.exp(-1j * phases.astype(np.clongdouble)) @ weights
+    err = np.max(np.abs(got[idx] - direct))
+    assert float(err) <= 1e-12 * np.max(np.abs(got))
+
+
+def test_mollified_trace_grid_contract():
+    """A grid off uniform steps is refused; grids of 0 and 1 points work."""
+    spec = pillowcase_spectrum(PillowcaseSurface(1.0, 1.3), 200.0)
+    moll = Mollifier(0.05)
+    t = np.linspace(0.5, 3.0, 251)
+    t[100] += 1e-9
+    with pytest.raises(InvalidInput):
+        mollified_trace(spec, t, moll)
+    with pytest.raises(InvalidInput):
+        mollified_trace(spec, np.array([0.5, 1.0, 2.0]), moll)
+    weights = spec.multiplicities * np.exp(-0.5 * (0.05 * spec.frequencies) ** 2)
+    one = mollified_trace(spec, np.array([1.7]), moll)
+    assert one.shape == (1,)
+    assert one[0] == pytest.approx(
+        np.sum(weights * np.exp(-1.7j * spec.frequencies)), rel=1e-13)
+    assert mollified_trace(spec, np.array([]), moll).shape == (0,)
 
 
 def test_trace_peaks_none_below_half():
