@@ -1,5 +1,9 @@
 """conewave: wave kernels, diffraction coefficients and wave-trace
-singularities on Euclidean cones and surfaces with conical singularities."""
+singularities on Euclidean cones and surfaces with conical singularities.
+
+Importing the package loads numpy only: each scipy submodule is imported
+inside the function that calls it, so a process pays for the scipy it uses.
+"""
 
 from .geometry import (ConeChain, ConePoint, PlanarPoint, angular_separation,
                        cone_distance)

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import InvalidInput, OutOfGrid
 from .geometry import check_cone_angle, reduce_angle
@@ -58,7 +57,7 @@ class FriedlanderGrid:
     z: np.ndarray
     g: np.ndarray
     ag: np.ndarray
-    _spline: RectBivariateSpline
+    _spline: object  # scipy.interpolate.RectBivariateSpline of ag
 
 
 def _g_alpha_low(alpha: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -102,6 +101,8 @@ def build_friedlander(alpha: float, y_min: float = -1.5, y_max: float = 4.5,
     check_cone_angle(alpha)
     if not (y_min < -1.0 < 1.0 < y_max):
         raise InvalidInput("y range must contain [-1, 1]")
+    from scipy.interpolate import RectBivariateSpline
+
     y = np.linspace(y_min, y_max, ny + 1)
     d = (y_max - y_min) / ny
     i1 = int(round((1.0 - y_min) / d))

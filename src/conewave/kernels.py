@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.special
 
 from .errors import InvalidInput, ModeTailTooLarge, OnFront, TangentRoot
 from .geometry import (ConePoint, angular_separation, check_array_size,
@@ -173,6 +171,8 @@ def sine_kernel_closed_mollified(alpha: float, t: float, r1: float, r2: float,
 
 def _masked_bessel(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     """J_nu(x) on the outer grid, skipping the (nu >> x) underflow region."""
+    import scipy.special
+
     thresh = nu[:, None] - 9.0 * np.cbrt(np.maximum(nu[:, None], 1.0)) - 14.0
     mask = x[None, :] >= thresh
     out = np.zeros((nu.size, x.size))
@@ -195,6 +195,8 @@ def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
     if not h > 0:
         raise InvalidInput("the mode sum requires a positive mollifier width")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if ts.size == 0:
+        raise InvalidInput("the sweep needs at least one time")
     lam_max = math.sqrt(2.0 * math.log(1e13)) / h
     rmax = max(r1, r2)
     if mode_cut is None:
@@ -374,6 +376,8 @@ def halfwave_mu_4pi(t: float, q1: ConePoint, q2: ConePoint,
     form damped_moment(r1(s) + r2(s) - t, h, 2); the s integral is adaptive
     with the front roots supplied as break points.
     """
+    import scipy.integrate
+
     h = moll.width_h
     query = KernelQuery(t, q1, q2, h)
     x1, x2 = _moving_point_frame(query, eps=-1)

@@ -11,9 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.optimize
-import scipy.special
 
 from .errors import InvalidInput, NotConvex
 
@@ -57,6 +54,8 @@ def l1_half_derivative(values: np.ndarray, d: float) -> np.ndarray:
     at cell boundaries smear over a single cell.  Data must vanish at the
     left edge.  Accepts 1-D or 2-D arrays (columns treated independently).
     """
+    import scipy.fft
+
     v = np.asarray(values, dtype=float)
     n = v.shape[0]
     dv = np.diff(v, axis=0)
@@ -86,6 +85,8 @@ def damped_moment(u, h: float, s: float):
     if not (s > 0 and h > 0 and math.isfinite(s) and math.isfinite(h)):
         raise InvalidInput(
             f"exponent s and width h must be positive and finite, got {s}, {h}")
+    import scipy.special
+
     u = np.asarray(u, dtype=float)
     a = 0.5 * h * h
     x = -u * u / (4.0 * a)
@@ -124,6 +125,8 @@ def find_roots_convex(g, s_max: float) -> list[float]:
     """
     if not s_max > 0:
         raise InvalidInput(f"s_max must be positive, got {s_max}")
+    import scipy.optimize
+
     tol = 1e-12
     s_nodes = np.linspace(0.0, s_max, 65)
     samples = np.array([g(s) for s in s_nodes])

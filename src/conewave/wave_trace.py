@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .diffraction import (INCOMING_AT_0, OUTGOING_AT_PI,
                           regularized_sine_product, sine_product_limit_numeric)
@@ -182,21 +181,40 @@ def mollified_trace(spec: Spectrum, t_grid: np.ndarray,
 
 
 def detect_trace_peaks(t_grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Times of local maxima of |trace| with prominence above three times the
-    noise floor (the median magnitude over t >= 0.5); none if no t >= 0.5."""
-    # imported here, not at the top: scipy.signal loads scipy.stats, which
-    # would nearly double the import time of the package
-    import scipy.signal
+    """Times of the local maxima of |trace| whose prominence is at least
+    three times the noise floor, the median magnitude over t >= 0.5; samples
+    at t < 0.5 count as zero, and a grid with no t >= 0.5 has no peaks.
 
+    A local maximum is a run of equal samples higher than the run on each
+    side; its index is the run's middle sample, rounded down, and a run that
+    touches either end of the grid is none.  Its prominence is its height
+    minus the higher of two minima: on each side, the minimum over the
+    samples between it and the nearest strictly higher sample, or the end of
+    the grid if there is none.  (These are the rules of
+    scipy.signal.find_peaks with a prominence bound.)
+    """
     t = np.asarray(t_grid, dtype=float)
     mag = np.abs(np.asarray(values))
     mask = t >= 0.5
     if not mask.any():
         return np.empty(0)
     floor = float(np.median(mag[mask]))
-    idx, _ = scipy.signal.find_peaks(np.where(mask, mag, 0.0),
-                                     prominence=3.0 * floor)
-    return t[idx]
+    x = np.where(mask, mag, 0.0)
+    # runs of equal samples: run j covers starts[j]..ends[j] at height level[j]
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:], x.size] - 1
+    level = x[starts]
+    top = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    peaks = (starts[top] + ends[top]) // 2
+    keep = np.zeros(peaks.size, dtype=bool)
+    for i, p in enumerate(peaks):
+        # x[lo:p] and x[p + 1:hi] each hold a lower neighbouring run
+        higher = np.flatnonzero(x > x[p])
+        k = np.searchsorted(higher, p)
+        lo = higher[k - 1] + 1 if k else 0
+        hi = higher[k] if k < higher.size else x.size
+        keep[i] = x[p] - max(x[lo:p].min(), x[p + 1:hi].min()) >= 3.0 * floor
+    return t[peaks[keep]]
 
 
 @dataclass(frozen=True)
@@ -282,6 +300,8 @@ def trace_pipeline_check(L: float, b: float,
     """
     if not 0 < b < L:
         raise BadLeg(f"leg b = {b} outside (0, {L})")
+    import scipy.optimize
+
     span = L - b
     x0 = -span / 3.0          # base point between the unrolled cone points
     r2_leg = -x0              # distance q -> p2

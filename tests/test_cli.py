@@ -30,14 +30,36 @@ def run_cli(args, cwd):
     return run_python(["-m", "conewave.cli", *args], cwd)
 
 
+LEAN_IMPORT_CHILD = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import conewave
+found = {"conewave": scipy_modules()}
+import conewave.cli
+found["conewave.cli"] = scipy_modules()
+found["signal"] = [m for m in ("scipy.signal", "scipy.stats") if m in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    found[argv[0]] = [conewave.cli.main(argv), scipy_modules()]
+print(json.dumps(found))
+"""
+
+
 def test_cli_import_leaves_out_scipy_signal(tmp_path):
-    """Every CLI process pays the import of conewave.cli; scipy.signal, which
-    loads scipy.stats, is imported only by the peak detection that uses it."""
-    res = run_python(["-c", "import sys, conewave.cli; print(sorted("
-                      "m for m in ('scipy.signal', 'scipy.stats') "
-                      "if m in sys.modules))"], tmp_path)
+    """Every CLI process pays the import of conewave.cli, which loads no scipy
+    module; predict, scatter and compose run without one.  A child process,
+    since the test session itself has scipy loaded."""
+    (tmp_path / "chain.json").write_text(json.dumps(CHAIN))
+    runs = [["predict", "--L", "3", "--b", "1", "--out", "p.json"],
+            ["scatter", "--alpha", "7", "--thetas", "0:0.1:3", "--out", "s.csv"],
+            COMPOSE_ARGS + ["--q1=2.98,-0.2", "--omega", "2", "--out", "c.json"]]
+    res = run_python(["-c", LEAN_IMPORT_CHILD, json.dumps(runs)], tmp_path)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    found = json.loads(res.stdout)
+    assert found["signal"] == []
+    assert found["conewave"] == [] and found["conewave.cli"] == []
+    for name in ("predict", "scatter", "compose"):
+        assert found[name] == [0, []], name
 
 
 def test_predict(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conewave.errors import ModeTailTooLarge, OnFront
+from conewave.errors import InvalidInput, ModeTailTooLarge, OnFront
 from conewave.geometry import ConePoint, cone_distance
 from conewave.kernels import (AFTER_DIFFRACTED, BEFORE_DIRECT, BETWEEN_FRONTS,
                               KernelQuery, cheeger_series_sweep,
@@ -101,6 +101,13 @@ def test_cheeger_mode_tail_guard():
     q = KernelQuery(3.0, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2), 0.05)
     with pytest.raises(ModeTailTooLarge):
         sine_kernel_cheeger_series(4 * PI, q, mode_cut=8)
+
+
+@pytest.mark.parametrize("ts", [[], np.empty(0), np.empty((0, 3))])
+def test_cheeger_sweep_refuses_empty_times(ts):
+    """An empty sweep is bad input, not numpy's empty-reduction error."""
+    with pytest.raises(InvalidInput, match="at least one time"):
+        cheeger_series_sweep(4 * PI, ts, 0.5, 0.5, 0.0, 0.05)
 
 
 def test_kernel_difference_is_smooth_at_direct_front():

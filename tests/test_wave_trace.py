@@ -214,6 +214,38 @@ def test_trace_peaks_on_length_set(trace_400):
         assert min(abs(p - ell) for ell in lengths) <= 2 * 0.02
 
 
+def _scipy_trace_peaks(t_grid, values):
+    """The reference peak detection: scipy.signal.find_peaks on the masked
+    magnitude with the same prominence bound."""
+    import scipy.signal
+
+    mag, mask = np.abs(values), t_grid >= 0.5
+    if not mask.any():
+        return np.empty(0)
+    idx, _ = scipy.signal.find_peaks(np.where(mask, mag, 0.0),
+                                     prominence=3.0 * np.median(mag[mask]))
+    return t_grid[idx]
+
+
+def test_trace_peaks_match_scipy_find_peaks(trace_400):
+    rng = np.random.default_rng(20)
+    cases = [np.array(v, dtype=float) for v in (
+        [3, 3, 1, 2, 2, 0], [0, 2, 2, 1, 3, 3], [1, 1, 1], [0, 5, 5, 5, 0],
+        [0, 4, 4, 1, 4, 4, 0], [2, 0, 2, 2, 2, 2, 1, 2], [7], [1, 2])]
+    for k in range(1200):
+        n = int(rng.integers(1, 61))
+        cases.append(rng.integers(0, 4, n).astype(float) if k % 2
+                     else rng.standard_normal(n))
+    for values in cases:
+        # grids that start below 0.5 mask their head to zero
+        t = np.linspace(rng.uniform(0.0, 0.6), 2.0, values.size)
+        assert np.array_equal(detect_trace_peaks(t, values),
+                              _scipy_trace_peaks(t, values)), values
+    t_grid, trace, _ = trace_400
+    assert np.array_equal(detect_trace_peaks(t_grid, trace),
+                          _scipy_trace_peaks(t_grid, trace))
+
+
 def test_poisson_relation_off_lengths(trace_400):
     t_grid, trace, _ = trace_400
     lengths = [2.0 * math.hypot(m, n) for m in range(6) for n in range(6)
