@@ -100,6 +100,9 @@ def _json_dump(obj) -> str:
 def cmd_kernel(args) -> int:
     alpha = args.alpha
     rep = args.representation
+    if rep in ("closed4pi", "moving") and not abs(alpha - 4.0 * math.pi) <= 1e-14:
+        raise InvalidInput(f"the {rep} representation needs alpha = 4 pi, "
+                           f"got {alpha}")
     queries = [kernels.KernelQuery(float(t), ConePoint(args.r1, args.theta1),
                                    ConePoint(args.r2, args.theta2), args.h)
                for t in _parse_range(args.ts)]
@@ -184,17 +187,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    if args.surface is not None:
-        data = _load_json(args.surface)
-        if not isinstance(data, dict) or data.get("type") != "pillowcase":
-            raise InvalidInput("surface JSON must have type 'pillowcase'")
-        try:
-            sides = float(data["a"]), float(data["b"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"surface JSON needs numbers a and b: {exc!r}") from exc
-        surf = wave_trace.PillowcaseSurface(*sides)
-    else:
-        surf = wave_trace.PillowcaseSurface(args.a, args.b)
+    surf = wave_trace.PillowcaseSurface(args.a, args.b)
     moll = Mollifier(args.h)
     spec = wave_trace.pillowcase_spectrum(surf, args.lambda_max)
     ts = _parse_range(args.t_range)
@@ -295,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compose.set_defaults(func=cmd_compose)
 
     p_trace = sub.add_parser("trace", help="pillowcase trace run")
-    p_trace.add_argument("--surface", default=None,
-                         help="JSON {type:'pillowcase', a, b}")
     p_trace.add_argument("--a", type=float, default=1.0)
     p_trace.add_argument("--b", type=float, default=1.0)
     p_trace.add_argument("--h", type=float, default=0.02)

@@ -90,8 +90,12 @@ class ConeChain:
         check_cone_angle(self.alpha1)
         check_cone_angle(self.alpha2)
         for name in ("eps1", "eps2"):
-            if getattr(self, name) not in (+1, -1):
-                raise InvalidInput(f"{name} must be +1 or -1")
+            sign = getattr(self, name)
+            # True == 1, so a bool would pass the membership test
+            if isinstance(sign, bool) or sign not in (+1, -1):
+                raise InvalidInput(f"{name} must be the number 1 or -1, "
+                                   f"got {sign!r}")
+            object.__setattr__(self, name, int(sign))
 
     @property
     def total_length(self) -> float:
@@ -110,7 +114,7 @@ class ConeChain:
         try:
             fields = {key: float(data[key])
                       for key in ("a", "b", "c", "alpha1", "alpha2")}
-            fields.update({key: int(data[key]) for key in ("eps1", "eps2")})
+            fields.update({key: data[key] for key in ("eps1", "eps2")})
         except KeyError as exc:
             raise InvalidInput(f"chain is missing the key {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:

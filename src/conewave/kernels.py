@@ -181,9 +181,15 @@ def _masked_bessel(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mode_cut(alpha: float, x_max: float) -> float:
+    """Mode index, before rounding up, past which every Bessel factor
+    J_nu(x) with x <= x_max is masked as negligible by `_masked_bessel`."""
+    nu_max = x_max + 9.0 * x_max ** (1.0 / 3.0) + 14.0
+    return nu_max * alpha / (2.0 * math.pi)
+
+
 def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
-                         dtheta_signed: float, h: float,
-                         mode_cut: int | None = None) -> np.ndarray:
+                         dtheta_signed: float, h: float) -> np.ndarray:
     """Cheeger mode sum evaluated on a batch of times (shared geometry).
 
     The Bessel products are time independent, so a whole t sweep costs one
@@ -198,12 +204,7 @@ def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
     if ts.size == 0:
         raise InvalidInput("the sweep needs at least one time")
     lam_max = math.sqrt(2.0 * math.log(1e13)) / h
-    rmax = max(r1, r2)
-    if mode_cut is None:
-        x_max = lam_max * rmax
-        nu_max = x_max + 9.0 * x_max ** (1.0 / 3.0) + 14.0
-        mode_cut = nu_max * alpha / (2.0 * math.pi)
-
+    mode_cut = _mode_cut(alpha, lam_max * max(r1, r2))
     max_freq = float(ts.max()) + r1 + r2
     # 12 Gauss nodes per period of sin(lam * max_freq) on [0, lam_max]
     n_lam = lam_max * 12 * max_freq / (2.0 * math.pi)
@@ -243,8 +244,7 @@ def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
     return values
 
 
-def sine_kernel_cheeger_series(alpha: float, q: KernelQuery,
-                               mode_cut: int | None = None) -> KernelValue:
+def sine_kernel_cheeger_series(alpha: float, q: KernelQuery) -> KernelValue:
     """Bessel mode sum for the mollified sine kernel on C_alpha.
 
     E_h = (2/alpha) * sum_k e^{i nu_k (th1 - th2)} * (1/2) *
@@ -257,7 +257,7 @@ def sine_kernel_cheeger_series(alpha: float, q: KernelQuery,
     """
     dth_signed = reduce_angle(alpha, q.q1.theta - q.q2.theta)
     value = float(cheeger_series_sweep(alpha, q.t, q.q1.r, q.q2.r, dth_signed,
-                                       q.h, mode_cut)[0])
+                                       q.h)[0])
     return KernelValue(value, front_region(alpha, q, 10.0 * q.h))
 
 

@@ -13,11 +13,16 @@ vertices with w2 = w1, leaving the composed phase
 
     Psi = [ |q2 - p2(s2)| + |p2(s2) - p1(s1)| + |p1(s1) - q1| - t ] * w
 
-with 3x3 Hessian determinant -C*w (C = 1/A + 1/B) and signature +1.  This
-module carries the phases, the stationary data, the leading amplitude and
-principal symbol on the twice-diffracted front, numerical nondegeneracy
-checks for the four-front phase, and a brute-force oscillatory quadrature
-oracle for the whole composition.
+with 3x3 Hessian determinant -C*w (C = 1/A + 1/B) and signature +1.
+
+Every phase is a broken-line length through shifted vertices, and each of
+the two pieces exists once: `shifted_vertex` builds p_i(s_i) and
+`broken_line_length` measures a chain of points whose coordinates may be
+arrays.  Likewise `leg_amplitude` is the only one-cone amplitude and
+`amplitude_tilde` the only composed one; the stationary-phase value and
+the quadrature oracle are built from them, and the closed-form principal
+symbol is checked against them.  The module also carries numerical
+nondegeneracy checks for the four-front phase.
 """
 
 from __future__ import annotations
@@ -68,11 +73,11 @@ class CompositionPoint:
 
     @property
     def p1_shifted(self) -> PlanarPoint:
-        return PlanarPoint(self.chain.b, -self.chain.eps1 * self.s1)
+        return shifted_vertex(self.chain.p1, self.chain.eps1, self.s1)
 
     @property
     def p2_shifted(self) -> PlanarPoint:
-        return PlanarPoint(0.0, -self.chain.eps2 * self.s2)
+        return shifted_vertex(self.chain.p2, self.chain.eps2, self.s2)
 
 
 @dataclass(frozen=True)
@@ -99,23 +104,43 @@ class PrincipalSymbol:
     half_density: str = "|dr1 dtheta1 dtheta2 domega|^(1/2)"
 
 
-def _dist(u: PlanarPoint, v: PlanarPoint) -> float:
-    d = math.hypot(u.x - v.x, u.y - v.y)
-    if d < 1e-14:
-        raise DegenerateDistance(f"coincident points {u} and {v}")
-    return d
+def shifted_vertex(vertex: PlanarPoint, eps: int, s: float) -> PlanarPoint:
+    """The vertex p(s) = vertex - eps * s * e_y of the boundary parameter s."""
+    return PlanarPoint(vertex.x, vertex.y - eps * s)
 
 
-def phase_phi2(cp: CompositionPoint, q: PlanarPoint) -> float:
+def broken_line_length(*points):
+    """Length of the broken line through `points`.
+
+    The coordinates of each point may be floats or arrays that broadcast
+    together; the result is a float for scalar input.  A leg shorter than
+    1e-14 raises DegenerateDistance.
+    """
+    total = 0.0
+    for u, v in zip(points, points[1:]):
+        dx, dy = u.x - v.x, u.y - v.y
+        if isinstance(dx, np.ndarray) or isinstance(dy, np.ndarray):
+            leg = np.hypot(dx, dy)
+            short = np.any(leg < 1e-14)
+        else:  # 15x cheaper than np.hypot; phase_hessian_fd asks thousands
+            leg = math.hypot(dx, dy)
+            short = leg < 1e-14
+        if short:
+            raise DegenerateDistance("a leg of the broken line is shorter than 1e-14")
+        total = total + leg
+    return total
+
+
+def phase_phi2(cp: CompositionPoint, q: PlanarPoint):
     """Input-factor phase [|q - p2(s2)| + |p2(s2) - q2| - t0] * omega."""
-    p2s = cp.p2_shifted
-    return (_dist(q, p2s) + _dist(p2s, cp.q2) - cp.t0) * cp.omega
+    return (broken_line_length(q, cp.p2_shifted, cp.q2) - cp.t0) * cp.omega
 
 
-def phase_phi1(cp: CompositionPoint, q: PlanarPoint) -> float:
-    """Output-factor phase [|q1 - p1(s1)| + |p1(s1) - q| - (t - t0)] * omega."""
-    p1s = cp.p1_shifted
-    return (_dist(cp.q1, p1s) + _dist(p1s, q) - (cp.t - cp.t0)) * cp.omega
+def phase_phi1(cp: CompositionPoint, q: PlanarPoint):
+    """Output-factor phase [|q1 - p1(s1)| + |p1(s1) - q| - (t - t0)] * omega;
+    q may carry arrays."""
+    return (broken_line_length(cp.q1, cp.p1_shifted, q)
+            - (cp.t - cp.t0)) * cp.omega
 
 
 def stationary_eliminate(cp: CompositionPoint) -> StationaryData:
@@ -126,8 +151,8 @@ def stationary_eliminate(cp: CompositionPoint) -> StationaryData:
     (x, y, w2) Hessian has determinant -C*omega and signature +1.
     """
     p1s, p2s = cp.p1_shifted, cp.p2_shifted
-    ell = _dist(p1s, p2s)
-    a_dist = cp.t0 - _dist(p2s, cp.q2)
+    ell = broken_line_length(p1s, p2s)
+    a_dist = cp.t0 - broken_line_length(p2s, cp.q2)
     b_dist = ell - a_dist
     if not (a_dist > 0 and b_dist > 0):
         raise NoInteriorCriticalPoint(
@@ -167,25 +192,23 @@ def composed_phase_psi(chain: ConeChain, t: float, q1: PlanarPoint,
                        q2: PlanarPoint, s1: float, s2: float,
                        omega: float) -> float:
     """[|q2 - p2(s2)| + |p2(s2) - p1(s1)| + |p1(s1) - q1| - t] * omega."""
-    p1s = PlanarPoint(chain.b, -chain.eps1 * s1)
-    p2s = PlanarPoint(0.0, -chain.eps2 * s2)
-    return (_dist(q2, p2s) + _dist(p2s, p1s) + _dist(p1s, q1) - t) * omega
+    p1s = shifted_vertex(chain.p1, chain.eps1, s1)
+    p2s = shifted_vertex(chain.p2, chain.eps2, s2)
+    return (broken_line_length(q2, p2s, p1s, q1) - t) * omega
 
 
 def leg_amplitude(alpha: float, eps: int, vertex: PlanarPoint,
-                  q_out, q_in, omega):
+                  q_out: PlanarPoint, q_in: PlanarPoint, omega):
     """Leading one-cone amplitude between chart points around `vertex`:
 
         -eps * 2 pi i * S_alpha(th_out - th_in) (sin th_out + sin th_in)
             * (rho_out rho_in)^(-1/2) * omega,
 
-    the regularized product keeping geometric alignments finite.  q_out and
-    q_in may be arrays of shape (..., 2).
+    the regularized product keeping geometric alignments finite.  The
+    coordinates of q_out and q_in may be arrays that broadcast together.
     """
-    q_out = np.asarray(q_out, dtype=float)
-    q_in = np.asarray(q_in, dtype=float)
-    dx_out, dy_out = q_out[..., 0] - vertex.x, q_out[..., 1] - vertex.y
-    dx_in, dy_in = q_in[..., 0] - vertex.x, q_in[..., 1] - vertex.y
+    dx_out, dy_out = q_out.x - vertex.x, q_out.y - vertex.y
+    dx_in, dy_in = q_in.x - vertex.x, q_in.y - vertex.y
     product = regularized_pair_product(alpha, chart_angle(eps, dx_out, dy_out),
                                        chart_angle(eps, dx_in, dy_in))
     rho_out = np.hypot(dx_out, dy_out)
@@ -206,11 +229,8 @@ def amplitude_tilde(chain: ConeChain, t: float, q1: PlanarPoint,
     """
     cp = CompositionPoint(chain, q1, q2, 0.0, 0.0, omega, t)
     sd = stationary_eliminate(cp)
-    q_c = np.array([sd.q_c.x, sd.q_c.y])
-    a1 = leg_amplitude(chain.alpha1, chain.eps1, chain.p1,
-                       np.array([q1.x, q1.y]), q_c, omega)
-    a2 = leg_amplitude(chain.alpha2, chain.eps2, chain.p2,
-                       q_c, np.array([q2.x, q2.y]), omega)
+    a1 = leg_amplitude(chain.alpha1, chain.eps1, chain.p1, q1, sd.q_c, omega)
+    a2 = leg_amplitude(chain.alpha2, chain.eps2, chain.p2, sd.q_c, q2, omega)
     return complex(QUARTER_TURN / math.sqrt(omega * sd.C) * a1 * a2)
 
 
@@ -294,9 +314,9 @@ def nondegeneracy_check(kind: str, chain: ConeChain | None = None,
 
         def phase(v):
             tt, x1, y1, x2, y2, w, s = v
-            px, py = 0.0, -eps * s
-            return (math.hypot(x1 - px, y1 - py)
-                    + math.hypot(x2 - px, y2 - py) - tt) * w
+            vertex = shifted_vertex(PlanarPoint(0.0, 0.0), eps, s)
+            return (broken_line_length(PlanarPoint(x1, y1), vertex,
+                                       PlanarPoint(x2, y2)) - tt) * w
 
         x0 = np.array([t, q1.x, q1.y, q2.x, q2.y, omega, 0.0])
         rows = _phase_differentials(phase, x0, [5, 6], step)
@@ -318,32 +338,19 @@ def nondegeneracy_check(kind: str, chain: ConeChain | None = None,
 
 
 def stationary_phase_value(chain: ConeChain, t: float, q1: PlanarPoint,
-                           q2: PlanarPoint, omega: float,
-                           unit_amplitudes: bool = False) -> complex:
+                           q2: PlanarPoint, omega: float) -> complex:
     """Leading stationary-phase value of the (q, w2) composition integral:
 
-        (2 pi)^{3/2} |omega C|^(-1/2) e^{i pi/4} a1 a2 |_{q_c} e^{i Psi}.
+        (2 pi)^{3/2} atilde e^{i Psi},  atilde = amplitude_tilde(...).
     """
-    cp = CompositionPoint(chain, q1, q2, 0.0, 0.0, omega, t)
-    sd = stationary_eliminate(cp)
     psi = composed_phase_psi(chain, t, q1, q2, 0.0, 0.0, omega)
-    if unit_amplitudes:
-        amp = 1.0
-    else:
-        q_c = np.array([sd.q_c.x, sd.q_c.y])
-        amp = (leg_amplitude(chain.alpha1, chain.eps1, chain.p1,
-                             np.array([q1.x, q1.y]), q_c, omega)
-               * leg_amplitude(chain.alpha2, chain.eps2, chain.p2,
-                               q_c, np.array([q2.x, q2.y]), omega))
-    return complex((2.0 * math.pi) ** 1.5 / math.sqrt(omega * sd.C)
-                   * QUARTER_TURN * amp * np.exp(1j * psi))
+    return complex((2.0 * math.pi) ** 1.5
+                   * amplitude_tilde(chain, t, q1, q2, omega) * np.exp(1j * psi))
 
 
 def oscillatory_oracle(chain: ConeChain, t: float, q1: PlanarPoint,
                        q2: PlanarPoint, omega: float,
-                       unit_amplitudes: bool = False,
                        rel_tol: float = 3e-4,
-                       max_refine: int = 3,
                        t0: float | None = None) -> complex:
     """Brute-force quadrature of the composition integral
 
@@ -355,15 +362,17 @@ def oscillatory_oracle(chain: ConeChain, t: float, q1: PlanarPoint,
     footprint out of the 1/omega and 1/omega^2 terms), and W a Gaussian
     frequency window centered at w (width w/6; needed for absolute
     convergence, exact and flat at the stationary point).  The w2 integral
-    is closed form; (q) is integrated in polar coordinates around p2 on a
-    refining Gauss-Legendre grid.
+    is closed form: a2 is linear in w2, so a2 enters at unit frequency and
+    its factor w2 is integrated with phi2 and W.  (q) is integrated in polar
+    coordinates around p2 on a Gauss-Legendre grid, refined by 1.6 per axis
+    until two successive values agree to rel_tol, at most three times;
+    phi1, a1 and a2 are `phase_phi1` and `leg_amplitude` on that grid.
     """
     if omega < 50:
         raise InvalidInput("oracle is meant for the asymptotic regime omega >= 50")
     cp = CompositionPoint(chain, q1, q2, 0.0, 0.0, omega, t, t0=t0)
     sd = stationary_eliminate(cp)
-    p1, p2 = chain.p1, chain.p2
-    r2_leg = math.hypot(q2.x - p2.x, q2.y - p2.y)
+    p2 = chain.p2
     sigma_q = min(sd.A, sd.B) / 3.2
     sigma_w = omega / 6.0
 
@@ -386,36 +395,23 @@ def oscillatory_oracle(chain: ConeChain, t: float, q1: PlanarPoint,
         rho = 0.5 * (rho_hi - rho_lo) * xr + 0.5 * (rho_hi + rho_lo)
         psi = psi_half * xp + psi_c
         R, P = np.meshgrid(rho, psi, indexing="ij")
-        X = p2.x + R * np.cos(P)
-        Y = p2.y + R * np.sin(P)
+        q = PlanarPoint(p2.x + R * np.cos(P), p2.y + R * np.sin(P))
         u2 = R - sd.A
-        # closed-form w2 integral against the Gaussian window
-        gauss = math.sqrt(2.0 * math.pi) * sigma_w * np.exp(
-            -0.5 * (sigma_w * u2) ** 2) * np.exp(1j * omega * u2)
-        if unit_amplitudes:
-            j_w2 = gauss
-            amp1 = 1.0
-        else:
-            j_w2 = gauss * (omega + 1j * sigma_w**2 * u2)
-            pts = np.stack([X, Y], axis=-1)
-            amp1 = leg_amplitude(chain.alpha1, chain.eps1, p1,
-                                 np.array([q1.x, q1.y]), pts, omega)
-            # a2 carries w2 linearly; the linear factor moved into j_w2
-            prod2 = regularized_pair_product(
-                chain.alpha2, chart_angle(chain.eps2, X - p2.x, Y - p2.y),
-                chart_angle(chain.eps2, q2.x - p2.x, q2.y - p2.y))
-            amp1 = amp1 * (-chain.eps2 * 2.0j * math.pi) * prod2 / np.sqrt(
-                R * r2_leg)
-        d1 = np.hypot(q1.x - p1.x, q1.y - p1.y)
-        phi1 = omega * (d1 + np.hypot(p1.x - X, p1.y - Y) - (t - cp.t0))
-        dist2 = (X - sd.q_c.x) ** 2 + (Y - sd.q_c.y) ** 2
+        # closed-form w2 integral of e^{i phi2} w2 W(w2)
+        j_w2 = (math.sqrt(2.0 * math.pi) * sigma_w
+                * np.exp(-0.5 * (sigma_w * u2) ** 2) * np.exp(1j * omega * u2)
+                * (omega + 1j * sigma_w**2 * u2))
+        amp = (leg_amplitude(chain.alpha1, chain.eps1, chain.p1, q1, q, omega)
+               * leg_amplitude(chain.alpha2, chain.eps2, p2, q, q2, 1.0))
+        phi1 = phase_phi1(cp, q)
+        dist2 = (q.x - sd.q_c.x) ** 2 + (q.y - sd.q_c.y) ** 2
         chi = np.exp(-(dist2 / (2.0 * sigma_q**2)) ** 3)
-        integrand = amp1 * j_w2 * np.exp(1j * phi1) * chi * R
+        integrand = amp * j_w2 * np.exp(1j * phi1) * chi * R
         jac = 0.5 * (rho_hi - rho_lo) * psi_half
         return jac * np.einsum("i,j,ij->", wr, wp, integrand)
 
     prev = evaluate(n_rho, n_psi)
-    for _ in range(max_refine):
+    for _ in range(3):
         n_rho = int(n_rho * 1.6)
         n_psi = int(n_psi * 1.6)
         cur = evaluate(n_rho, n_psi)
@@ -423,4 +419,4 @@ def oscillatory_oracle(chain: ConeChain, t: float, q1: PlanarPoint,
             return complex(cur)
         prev = cur
     raise QuadratureFailure(
-        f"oracle did not converge to {rel_tol:.1e} after {max_refine} refinements")
+        f"oracle did not converge to {rel_tol:.1e} after 3 refinements")

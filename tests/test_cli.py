@@ -222,9 +222,17 @@ def test_kernel_cheeger_is_one_sweep(tmp_path, monkeypatch):
     KERNEL_ARGS + ["--ts=-1:1:2"],
     ["trace", "--a", "-1", "--t-range", "0.5:0.1:1"],
     ["trace", "--a", "nan", "--t-range", "0.5:0.1:1"],
-    ["trace", "--surface", "surface_no_b.json", "--t-range", "0.5:0.1:1"],
     KERNEL_ARGS + ["--representation", "moving", "--theta2", "0",
                    "--ts", "1:0.1:1.2"],
+    # closed4pi and moving exist only on C_4pi
+    ["kernel", "--alpha", "7", "--representation", "moving", "--r1", "1",
+     "--theta1", "0", "--r2", "1", "--theta2", "1.5", "--ts", "1.5:0.5:2.5",
+     "--h", "0"],
+    ["kernel", "--alpha", "7", "--representation", "closed4pi", "--r1", "1",
+     "--theta1", "0", "--r2", "1", "--theta2", "1.5", "--ts", "1.5:0.4:2.3",
+     "--h", "0"],
+    ["compose", "--chain", "chain_eps1_half.json", "--t", "4", "--q1=3,0",
+     "--q2=-1,0", "--omega", "2"],
     # sizes past the array budget are refused before anything is allocated
     ["scatter", "--alpha", "7", "--thetas", "0:0.1:1",
      "--fourier-n", "100000000000"],
@@ -242,8 +250,9 @@ def test_kernel_cheeger_is_one_sweep(tmp_path, monkeypatch):
 ], ids=["alpha-negative", "alpha-inf", "h-zero", "ts-nan", "trace-h-zero",
         "trace-h-inf", "fourier-n-negative", "q1-text", "q1-three-parts",
         "chain-without-c", "omega-negative", "r1-negative", "h-negative",
-        "ts-negative", "trace-a-negative", "trace-a-nan", "surface-without-b",
-        "moving-coincident-angles", "fourier-n-huge", "trace-lambda-max-huge",
+        "ts-negative", "trace-a-negative", "trace-a-nan",
+        "moving-coincident-angles", "moving-alpha-7", "closed4pi-alpha-7",
+        "chain-eps1-fractional", "fourier-n-huge", "trace-lambda-max-huge",
         "ts-huge", "cheeger-h-tiny", "cheeger-h-overflows",
         "cheeger-t-overflows", "cheeger-alpha-overflows",
         "cheeger-modes-by-times-huge"])
@@ -255,7 +264,8 @@ def test_bad_input_exits_two(argv, capsys, tmp_path, monkeypatch):
     (tmp_path / "chain.json").write_text(json.dumps(CHAIN))
     no_c = {k: v for k, v in CHAIN.items() if k != "c"}
     (tmp_path / "chain_no_c.json").write_text(json.dumps(no_c))
-    (tmp_path / "surface_no_b.json").write_text('{"type": "pillowcase", "a": 1}')
+    (tmp_path / "chain_eps1_half.json").write_text(
+        json.dumps({**CHAIN, "eps1": 1.5}))
     assert cli.main(argv) == 2
     assert "error" in capsys.readouterr().err
 

@@ -21,9 +21,6 @@ TEST_ONLY = (
     # the half-wave kernel as an oscillatory integral: the paper's
     # boundary-parameter representation, checked by its frequency content
     "halfwave_mu_4pi",
-    # the composed amplitude of the paper's displayed formula, against which
-    # the principal symbol is checked
-    "amplitude_tilde",
     # the rank conditions that make the composed phase a parametrization
     "nondegeneracy_check",
 )

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conewave.geometry import (ConePoint, angular_separation, chart_angle,
-                               chart_window, cone_distance)
+from conewave.errors import InvalidInput
+from conewave.geometry import (ConeChain, ConePoint, angular_separation,
+                               chart_angle, chart_window, cone_distance)
 
 PI = math.pi
 
@@ -87,3 +88,15 @@ def test_chart_angle_arrays_match_scalars():
         assert np.array_equal(arr, np.array(scal))
         # points on the cut itself land on one end of the window
         assert np.all((arr >= lo) & (arr <= hi))
+
+
+@pytest.mark.parametrize("sign", [1.9, 1.5, True, "1", None])
+def test_chain_signs_are_plus_or_minus_one(sign):
+    """A chain sign is the number 1 or -1: no truncation, no bool, no text."""
+    data = {"a": 1, "b": 1, "c": 1, "alpha1": 7, "alpha2": 7, "eps1": -1,
+            "eps2": 1}
+    assert type(ConeChain.from_dict({**data, "eps1": -1.0}).eps1) is int
+    with pytest.raises(InvalidInput, match="eps2"):
+        ConeChain.from_dict({**data, "eps2": sign})
+    with pytest.raises(InvalidInput, match="eps1"):
+        ConeChain(1.0, 1.0, 1.0, 7.0, 7.0, sign, 1)

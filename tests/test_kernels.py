@@ -97,10 +97,14 @@ def test_cheeger_series_symmetry():
     assert va == pytest.approx(vb, abs=1e-10)
 
 
-def test_cheeger_mode_tail_guard():
+def test_cheeger_mode_tail_guard(monkeypatch):
+    """A sum cut after mode 8 is refused, not returned truncated."""
+    from conewave import kernels
+
+    monkeypatch.setattr(kernels, "_mode_cut", lambda alpha, x_max: 8)
     q = KernelQuery(3.0, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2), 0.05)
     with pytest.raises(ModeTailTooLarge):
-        sine_kernel_cheeger_series(4 * PI, q, mode_cut=8)
+        sine_kernel_cheeger_series(4 * PI, q)
 
 
 @pytest.mark.parametrize("ts", [[], np.empty(0), np.empty((0, 3))])

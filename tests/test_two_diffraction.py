@@ -71,6 +71,25 @@ def test_phase_phi1_examples():
     assert phase_phi1(cpw, q) == pytest.approx(by_hand, abs=1e-14)
 
 
+def test_phase_phi1_on_a_grid():
+    """A grid of points gives the scalar phase at every node, and a grid
+    through the shifted vertex is a degenerate leg."""
+    from conewave.errors import DegenerateDistance
+    chain = default_chain()
+    cp = CompositionPoint(chain, PlanarPoint(2.0, 0.1), PlanarPoint(-1.0, 0.0),
+                          0.3, 0.0, 1.7, 3.0)
+    X, Y = np.meshgrid(np.linspace(-0.5, 0.9, 7), np.linspace(-0.4, 0.6, 5))
+    grid = phase_phi1(cp, PlanarPoint(X, Y))
+    loop = [[phase_phi1(cp, PlanarPoint(x, y)) for x, y in zip(xs, ys)]
+            for xs, ys in zip(X, Y)]
+    assert grid.shape == X.shape
+    np.testing.assert_array_equal(grid, loop)
+    p1s = cp.p1_shifted
+    with pytest.raises(DegenerateDistance):
+        phase_phi1(cp, PlanarPoint(np.array([0.5, p1s.x]),
+                                   np.array([0.0, p1s.y])))
+
+
 def test_stationary_eliminate():
     chain = default_chain(b=2.0)
     cp = CompositionPoint(chain, PlanarPoint(3.0, 0.0), PlanarPoint(-1.0, 0.0),
@@ -166,8 +185,8 @@ def _leg_amplitude_polar(alpha, eps, r_out, th_out, r_in, th_in):
     angles lie in the eps-window."""
     return complex(leg_amplitude(
         alpha, eps, PlanarPoint(0.0, 0.0),
-        [r_out * math.cos(th_out), r_out * math.sin(th_out)],
-        [r_in * math.cos(th_in), r_in * math.sin(th_in)], 1.0))
+        PlanarPoint(r_out * math.cos(th_out), r_out * math.sin(th_out)),
+        PlanarPoint(r_in * math.cos(th_in), r_in * math.sin(th_in)), 1.0))
 
 
 def test_leg_amplitude_4pi_identity():
@@ -261,11 +280,8 @@ def test_amplitude_tilde_t0_independence():
     cp = CompositionPoint(chain, q1, q2, 0.0, 0.0, 1.0, t,
                           t0=chain.a + chain.b / 3.0)
     sd = stationary_eliminate(cp)
-    q_c = np.array([sd.q_c.x, sd.q_c.y])
-    a1 = leg_amplitude(chain.alpha1, chain.eps1, chain.p1,
-                       np.array([q1.x, q1.y]), q_c, 1.0)
-    a2 = leg_amplitude(chain.alpha2, chain.eps2, chain.p2,
-                       q_c, np.array([q2.x, q2.y]), 1.0)
+    a1 = leg_amplitude(chain.alpha1, chain.eps1, chain.p1, q1, sd.q_c, 1.0)
+    a2 = leg_amplitude(chain.alpha2, chain.eps2, chain.p2, sd.q_c, q2, 1.0)
     moved = complex(cmath.exp(1j * PI / 4) / math.sqrt(sd.C) * a1 * a2)
     assert moved == pytest.approx(base, rel=1e-12)
 
@@ -370,39 +386,17 @@ def test_nondegeneracy_checks():
     assert smin < 1e-10
 
 
-def test_oracle_phase_only_sanity():
-    """With unit amplitudes the oracle matches the bare stationary-phase
-    formula (2 pi)^{3/2} |omega C|^{-1/2} e^{i pi/4} e^{i Psi}."""
-    chain = default_chain()
-    q1, q2 = chart_points_from_angles(chain, 1.0, 0.2, 1.0, PI - 0.2)
-    r1 = math.hypot(q1.x - chain.b, q1.y)
-    r2 = math.hypot(q2.x, q2.y)
-    t = r2 + chain.b + r1
-    omega = 200.0
-    oracle = oscillatory_oracle(chain, t, q1, q2, omega, unit_amplitudes=True)
-    cp = CompositionPoint(chain, q1, q2, 0.0, 0.0, omega, t)
-    sd = stationary_eliminate(cp)
-    psi = composed_phase_psi(chain, t, q1, q2, 0.0, 0.0, omega)
-    textbook = ((2 * PI) ** 1.5 * abs(omega * sd.C) ** -0.5
-                * cmath.exp(1j * PI / 4) * cmath.exp(1j * psi))
-    assert oracle == pytest.approx(textbook, rel=2e-2)
-    assert stationary_phase_value(chain, t, q1, q2, omega,
-                                  unit_amplitudes=True) == pytest.approx(
-        textbook, rel=1e-12)
-
-
 def test_oracle_linearity_in_global_constant():
-    """The oracle integrand is linear in a global amplitude constant; the
-    unit-amplitude and full cases scale identically under the window, so
-    doubling the leg amplitudes doubles nothing else."""
+    """The stationary-phase value the oracle is held to is linear in the
+    composed amplitude: (2 pi)^{3/2} atilde e^{i Psi}, phase included."""
     chain = default_chain()
     q1, q2 = chart_points_from_angles(chain, 1.0, 0.2, 1.0, PI - 0.2)
     t = chain.total_length
     sp1 = stationary_phase_value(chain, t, q1, q2, 100.0)
-    # scaling both legs by 2 scales atilde (hence the SP value) by 4
     val = amplitude_tilde(chain, t, q1, q2, 100.0)
-    assert abs(sp1) == pytest.approx(
-        (2 * PI) ** 1.5 * abs(val), rel=1e-12)
+    psi = composed_phase_psi(chain, t, q1, q2, 0.0, 0.0, 100.0)
+    assert sp1 == pytest.approx(
+        (2 * PI) ** 1.5 * val * cmath.exp(1j * psi), rel=1e-12)
 
 
 def test_degenerate_distance_raises():
@@ -419,8 +413,8 @@ def test_oracle_quadrature_failure():
     chain = default_chain()
     q1, q2 = chart_points_from_angles(chain, 1.0, 0.2, 1.0, PI - 0.2)
     with pytest.raises(QuadratureFailure):
-        oscillatory_oracle(chain, chain.total_length, q1, q2, 100.0,
-                           rel_tol=1e-14, max_refine=1)
+        oscillatory_oracle(chain, chain.total_length, q1, q2, 50.0,
+                           rel_tol=0.0)
 
 
 def test_oracle_t0_independence():
