@@ -245,8 +245,8 @@ def test_kernel_cheeger_is_one_sweep(tmp_path, monkeypatch):
     ["kernel", "--alpha", "1e300", "--r1", "0.5", "--theta1", "0",
      "--r2", "0.5", "--theta2", "2", "--ts", "1:0.1:1.2", "--h", "1e-9"],
     # Bessel table and phase block fit; the modes x times block does not
-    ["kernel", "--alpha", "2e4", "--r1", "1e-3", "--theta1", "0",
-     "--r2", "1e-3", "--theta2", "2", "--ts", "0.1:1e-5:0.6"],
+    ["kernel", "--alpha", "1e4", "--r1", "1e-3", "--theta1", "0",
+     "--r2", "1e-3", "--theta2", "2", "--ts", "0.1:1e-4:0.6"],
 ], ids=["alpha-negative", "alpha-inf", "h-zero", "ts-nan", "trace-h-zero",
         "trace-h-inf", "fourier-n-negative", "q1-text", "q1-three-parts",
         "chain-without-c", "omega-negative", "r1-negative", "h-negative",

@@ -107,6 +107,47 @@ def test_cheeger_mode_tail_guard(monkeypatch):
         sine_kernel_cheeger_series(4 * PI, q)
 
 
+def test_masked_bessel_zeroes_only_negligible_factors():
+    """`_masked_bessel` returns jv itself where it evaluates, and zeroes only
+    factors |J_nu(x)| <= 1e-17 (nu <= 400).  J_nu grows with x below
+    x = nu, so the largest zeroed factor of each order sits just below its
+    threshold x = nu - 9 nu^(1/3) - 14 (measured 1.3e-18, at nu = 400)."""
+    import scipy.special
+
+    from conewave.kernels import _masked_bessel
+
+    nu, x = np.arange(0.0, 401.0, 2.0), np.arange(0.0, 421.0, 2.0)
+    got = _masked_bessel(nu, x)
+    full = scipy.special.jv(nu[:, None], x[None, :])
+    kept = got != 0.0
+    assert np.array_equal(got[kept], full[kept])
+    assert np.max(np.abs(full[~kept])) <= 1e-17
+
+    nu = np.linspace(0.0, 400.0, 40001)
+    thresh = nu - 9.0 * np.cbrt(np.maximum(nu, 1.0)) - 14.0
+    below = np.nextafter(thresh[thresh > 0], -np.inf)
+    assert np.max(np.abs(scipy.special.jv(nu[thresh > 0], below))) <= 1e-17
+
+
+def test_modes_past_the_cut_are_negligible():
+    """Every mode the sum leaves out, nu > 2 pi _mode_cut(alpha, x_max) /
+    alpha, has |J_nu(x)| <= 1e-16 for x <= x_max <= 400.  J_nu(x) falls
+    with nu and grows with x below x = nu, so the first mode past the cut
+    at x = x_max bounds them (measured 5.0e-17, at alpha = 20).  Those
+    modes are not all masked by `_masked_bessel`: the cut keeps a smaller
+    margin than the mask."""
+    import scipy.special
+
+    from conewave.kernels import _mode_cut
+
+    x_max = np.linspace(0.01, 400.0, 4000)
+    for alpha in (PI, 2 * PI, 3 * PI, 7.0, 4 * PI, 20.0):
+        first = np.ceil([_mode_cut(alpha, x) for x in x_max]) + 1
+        nu = 2 * PI * first / alpha
+        assert np.all(nu > x_max)
+        assert np.max(np.abs(scipy.special.jv(nu, x_max))) <= 1e-16
+
+
 @pytest.mark.parametrize("ts", [[], np.empty(0), np.empty((0, 3))])
 def test_cheeger_sweep_refuses_empty_times(ts):
     """An empty sweep is bad input, not numpy's empty-reduction error."""
@@ -211,6 +252,19 @@ def test_halfwave_real_part_is_cosine_kernel():
     # the cosine part is sharply supported: Re vanishes before the fronts
     early = halfwave_mu_4pi(0.8, q1, q2, moll)
     assert abs(early.real) < 1e-12
+
+
+def test_halfwave_refuses_an_unmet_error_bound(monkeypatch):
+    """An s integral whose error estimate stays above the bound raises
+    QuadratureFailure instead of returning the estimate."""
+    from conewave import kernels
+    from conewave.errors import QuadratureFailure
+
+    monkeypatch.setattr(kernels, "HALFWAVE_RTOL", 0.0)
+    monkeypatch.setattr(kernels, "HALFWAVE_ATOL", 0.0)
+    q1, q2 = ConePoint(1.0, 0.2), ConePoint(1.0, 0.2 + 0.55 * PI)
+    with pytest.raises(QuadratureFailure, match="error estimate"):
+        halfwave_mu_4pi(1.8, q1, q2, Mollifier(0.05))
 
 
 def test_halfwave_positive_frequency_content():
