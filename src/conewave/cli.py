@@ -97,6 +97,21 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _json_ready(obj):
+    """Copy of a report details value that json can write: complex numbers
+    as [re, im], dict keys as strings, tuples as lists, numpy scalars as
+    Python ones."""
+    if isinstance(obj, dict):
+        return {str(k): _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    return obj
+
+
 def cmd_kernel(args) -> int:
     alpha = args.alpha
     rep = args.representation
@@ -239,6 +254,7 @@ def cmd_verify(args) -> int:
             "at_id": r.at_id, "passed": bool(r.passed),
             "info_only": bool(r.info_only), "summary": r.summary,
             "runtime_s": float(r.runtime_s),
+            "details": _json_ready(r.details),
         } for r in reports]
         _write_text(args.out, _json_dump(payload))
     failed = [r for r in reports if not r.passed]
@@ -265,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel.add_argument("--r2", type=float, required=True)
     p_kernel.add_argument("--theta2", type=float, required=True)
     p_kernel.add_argument("--ts", required=True, help="t sweep start:step:stop")
-    p_kernel.add_argument("--h", type=float, default=0.05)
+    p_kernel.add_argument("--h", type=float, default=0.05,
+                          help="mollifier width of cheeger and friedlander; "
+                               "closed4pi and moving ignore it (unmollified)")
     p_kernel.add_argument("--out", default=None)
     p_kernel.set_defaults(func=cmd_kernel)
 

@@ -9,10 +9,6 @@ class InvalidInput(ConewaveError, ValueError):
     """Argument outside the domain of a formula (also a ValueError)."""
 
 
-class NotConvex(ConewaveError):
-    """Sampled convexity check failed."""
-
-
 class OnFront(ConewaveError):
     """Evaluation time sits on a wave front of a closed-form kernel."""
 

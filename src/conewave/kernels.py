@@ -336,17 +336,14 @@ def _moving_point_frame(q: KernelQuery, eps: int) -> tuple[np.ndarray, np.ndarra
     return p1, p2
 
 
-def _moving_radii(x1: np.ndarray, x2: np.ndarray, shift: np.ndarray, s):
+def _moving_radii(x1: np.ndarray, x2: np.ndarray, shift: np.ndarray,
+                  s: np.ndarray):
     """(r1(s), r2(s), v1, v2): offsets of x1, x2 from the vertex moved to
-    s * shift, and their lengths, for a float s or a 1-D array of them (the
-    offsets then have shape (2, n))."""
-    if np.ndim(s):
-        v1 = x1[:, None] - shift[:, None] * s
-        v2 = x2[:, None] - shift[:, None] * s
-        return np.hypot(*v1), np.hypot(*v2), v1, v2
-    v1 = x1 - s * shift
-    v2 = x2 - s * shift
-    return math.hypot(*v1), math.hypot(*v2), v1, v2
+    s * shift, with shape (2, n) for a 1-D array s of n values, and their
+    lengths."""
+    v1 = x1[:, None] - shift[:, None] * s
+    v2 = x2[:, None] - shift[:, None] * s
+    return np.hypot(*v1), np.hypot(*v2), v1, v2
 
 
 def sine_kernel_moving_point(q: KernelQuery, eps: int = -1) -> KernelValue:
@@ -364,23 +361,17 @@ def sine_kernel_moving_point(q: KernelQuery, eps: int = -1) -> KernelValue:
     x1, x2 = _moving_point_frame(q, eps)
     shift = np.array([0.0, 1.0 if eps == -1 else -1.0])
 
-    def g(s):
-        r1s, r2s, _, _ = _moving_radii(x1, x2, shift, s)
-        return r1s + r2s - q.t
-
-    s_max = q.t + abs(x1[1]) + abs(x2[1]) + 1.0
-    roots = find_roots_convex(g, s_max)
-    total = 0.0
-    for s in roots:
-        r1s, r2s, v1, v2 = _moving_radii(x1, x2, shift, s)
-        dg = -(v1 @ shift) / r1s - (v2 @ shift) / r2s
-        # |g'| ~ sqrt(2 curvature (t - t_front)); below 1e-6 the evaluation
-        # time is within ~1e-13 of the front and the contribution diverges
-        if abs(dg) < 1e-6:
-            raise TangentRoot(f"front tangency at s = {s}")
-        cos_dth = float(v1 @ v2) / (r1s * r2s)
-        half_cos = math.sqrt(max(0.5 * (1.0 + cos_dth), 0.0))
-        total += 1.0 / (8.0 * math.pi * math.sqrt(r1s * r2s) * half_cos)
+    roots = np.array(find_roots_convex(x1, x2, shift, q.t))
+    r1s, r2s, v1, v2 = _moving_radii(x1, x2, shift, roots)
+    dg = -(shift @ v1) / r1s - (shift @ v2) / r2s
+    # |g'| ~ sqrt(2 curvature (t - t_front)); below 1e-6 the evaluation
+    # time is within ~1e-13 of the front and the contribution diverges
+    tangent = np.abs(dg) < 1e-6
+    if tangent.any():
+        raise TangentRoot(f"front tangency at s = {roots[tangent][0]}")
+    cos_dth = np.sum(v1 * v2, axis=0) / (r1s * r2s)
+    half_cos = np.sqrt(np.maximum(0.5 * (1.0 + cos_dth), 0.0))
+    total = float(np.sum(1.0 / (8.0 * math.pi * np.sqrt(r1s * r2s) * half_cos)))
 
     return KernelValue(total, front_region(4.0 * math.pi, q, FRONT_TOL))
 
@@ -451,12 +442,8 @@ def halfwave_mu_4pi(t: float, q1: ConePoint, q2: ConePoint,
             r1s + r2s - t, h, 2.0)
         return np.stack([value.real, value.imag], axis=1)
 
-    def g(s):  # a sum of two distances, hence convex
-        r1s, r2s, _, _ = _moving_radii(x1, x2, shift, s)
-        return r1s + r2s - t
-
     s_max = t + abs(x1[1]) + abs(x2[1]) + 1.0
-    breaks = [np.array([b]) for b in find_roots_convex(g, s_max)
+    breaks = [np.array([b]) for b in find_roots_convex(x1, x2, shift, t)
               if 0.0 < b < s_max]
     res = scipy.integrate.cubature(
         integrand, [0.0], [s_max], rule="gk21", rtol=HALFWAVE_RTOL,

@@ -1,8 +1,8 @@
 """Shared numerical kernels: Gaussian mollifiers, the half-derivative of
 uniformly sampled data by the L1 scheme (order-1.5 accurate on smooth data),
 the smoothed model singularities (t - L - i0)^order of any negative order
-(one closed form in Kummer's function 1F1), and bracketed root finding for
-convex front equations.
+(one closed form in Kummer's function 1F1), and the exact roots of the
+moving-vertex front equation r1(s) + r2(s) = t.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NotConvex
+from .errors import InvalidInput
 
 GAMMA_HALF = math.sqrt(math.pi)  # Gamma(1/2)
 
@@ -115,42 +115,36 @@ def mollified_inverse_power(moll: Mollifier, t, L: float, order):
     return 1j ** s / math.gamma(s) * moment
 
 
-def find_roots_convex(g, s_max: float) -> list[float]:
-    """All roots of a convex scalar function on [0, s_max] (0, 1 or 2 of them).
+def find_roots_convex(x1, x2, shift, t: float) -> list[float]:
+    """Sorted roots s >= 0 of |x1 - s e| + |x2 - s e| = t, e = shift, for
+    plane points x1, x2 (0, 1 or 2 roots).
 
-    Convexity is checked on second differences at 65 samples; the minimum
-    is bracketed first, then at most one root is extracted on each side by
-    Brent's method.  A minimum within 1e-12 of zero (relative to the sampled
-    magnitude) is a double root.
+    The level set r1 + r2 = t is an ellipse with foci x1 and x2, and s e runs
+    along a line, so the roots are those of a quadratic.  With p_i = x_i.e
+    and n_i = |x_i|^2, D(s) = r1^2 - r2^2 = 2 (p2 - p1) s + n1 - n2 is linear
+    in s, and r1 + r2 = t is equivalent to 4 t^2 r1(s)^2 = (t^2 + D(s))^2,
+    a quadratic a s^2 + b s + c = 0, together with |D(s)| <= t^2.  When
+    a >= 0, i.e. (p2 - p1)^2 >= t^2 |e|^2, there is no root, since then
+    r1 + r2 >= |x1 - x2| >= |p2 - p1| / |e| >= t.  A discriminant negative
+    only by rounding (down to -1e-12 b^2) is a double root.
     """
-    if not s_max > 0:
-        raise InvalidInput(f"s_max must be positive, got {s_max}")
-    import scipy.optimize
-
-    tol = 1e-12
-    s_nodes = np.linspace(0.0, s_max, 65)
-    samples = np.array([g(s) for s in s_nodes])
-    scale = float(np.max(np.abs(samples))) or 1.0
-    second = samples[:-2] - 2.0 * samples[1:-1] + samples[2:]
-    if np.any(second < -1e-8 * scale):
-        raise NotConvex("sampled second differences are negative")
-
-    res = scipy.optimize.minimize_scalar(
-        g, bounds=(0.0, s_max), method="bounded",
-        options={"xatol": 1e-13})
-    s_min, g_min = float(res.x), float(res.fun)
-    g0, g_end = float(g(0.0)), float(g(s_max))
-
-    if g_min > tol * scale:
+    p1 = float(x1 @ shift)
+    d = float(x2 @ shift) - p1
+    n1, n2 = float(x1 @ x1), float(x2 @ x2)
+    tt = t * t
+    a = 4.0 * (d * d - tt * float(shift @ shift))
+    if not (t > 0 and a < 0):
         return []
-    if g_min > -tol * scale:
-        return [s_min]
-
-    roots = []
-    if g0 > 0.0 and s_min > 0.0:
-        roots.append(scipy.optimize.brentq(g, 0.0, s_min, xtol=1e-14, rtol=8.9e-16))
-    elif abs(g0) <= tol * scale:
-        roots.append(0.0)
-    if g_end > 0.0:
-        roots.append(scipy.optimize.brentq(g, s_min, s_max, xtol=1e-14, rtol=8.9e-16))
-    return roots
+    c0 = tt + n1 - n2
+    b = 4.0 * d * c0 + 8.0 * tt * p1
+    c = c0 * c0 - 4.0 * tt * n1
+    disc = b * b - 4.0 * a * c
+    if disc < -1e-12 * b * b:
+        return []
+    if disc <= 0.0:
+        candidates = [-b / (2.0 * a)]
+    else:
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        candidates = [q / a, c / q]
+    return sorted(s for s in candidates
+                  if s >= 0.0 and abs(2.0 * d * s + n1 - n2) <= tt)

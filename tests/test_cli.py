@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conewave
@@ -39,27 +40,38 @@ found = {"conewave": scipy_modules()}
 import conewave.cli
 found["conewave.cli"] = scipy_modules()
 found["signal"] = [m for m in ("scipy.signal", "scipy.stats") if m in sys.modules]
-for argv in json.loads(sys.argv[1]):
-    found[argv[0]] = [conewave.cli.main(argv), scipy_modules()]
+for key, argv in json.loads(sys.argv[1]).items():
+    found[key] = [conewave.cli.main(argv), scipy_modules()]
 print(json.dumps(found))
 """
 
 
 def test_cli_import_leaves_out_scipy_signal(tmp_path):
     """Every CLI process pays the import of conewave.cli, which loads no scipy
-    module; predict, scatter and compose run without one.  A child process,
-    since the test session itself has scipy loaded."""
+    module; predict, scatter, compose and the closed4pi and moving kernels run
+    without one.  A child process, since the test session itself has scipy
+    loaded."""
     (tmp_path / "chain.json").write_text(json.dumps(CHAIN))
-    runs = [["predict", "--L", "3", "--b", "1", "--out", "p.json"],
-            ["scatter", "--alpha", "7", "--thetas", "0:0.1:3", "--out", "s.csv"],
-            COMPOSE_ARGS + ["--q1=2.98,-0.2", "--omega", "2", "--out", "c.json"]]
+    kernel = ["kernel", "--alpha", str(4 * PI), "--r1", "1", "--theta1", "0",
+              "--r2", "1", "--theta2", "1.5", "--ts", "0.5:0.35:3.0"]
+    runs = {
+        "predict": ["predict", "--L", "3", "--b", "1", "--out", "p.json"],
+        "scatter": ["scatter", "--alpha", "7", "--thetas", "0:0.1:3",
+                    "--out", "s.csv"],
+        "compose": COMPOSE_ARGS + ["--q1=2.98,-0.2", "--omega", "2",
+                                   "--out", "c.json"],
+        "kernel closed4pi": kernel + ["--representation", "closed4pi",
+                                      "--out", "k1.csv"],
+        "kernel moving": kernel + ["--representation", "moving",
+                                   "--out", "k2.csv"],
+    }
     res = run_python(["-c", LEAN_IMPORT_CHILD, json.dumps(runs)], tmp_path)
     assert res.returncode == 0, res.stderr
     found = json.loads(res.stdout)
     assert found["signal"] == []
     assert found["conewave"] == [] and found["conewave.cli"] == []
-    for name in ("predict", "scatter", "compose"):
-        assert found[name] == [0, []], name
+    for key in runs:
+        assert found[key] == [0, []], key
 
 
 def test_predict(tmp_path):
@@ -165,6 +177,28 @@ def test_verify_exit_one_on_failure(monkeypatch, capsys):
     assert cli.main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "1 criteria FAILED" in out
+
+
+def test_verify_out_writes_details(monkeypatch, tmp_path):
+    """verify --out writes each report's details as JSON: complex numbers as
+    [re, im], dict keys as strings, tuples as lists, numpy scalars as
+    numbers."""
+    from conewave import cli, verification
+
+    def fake_run_all(seed=0):
+        return [verification.ATReport(
+            "AT-0", "synthetic", True, "ok", 0.0, details={
+                "prediction": -0.025j, "errors": {200.0: 1e-3},
+                "ratios": (0.4, 0.5), "peaks": [np.float64(2.0)],
+                "valid": np.bool_(True)})]
+
+    monkeypatch.setattr(verification, "run_all", fake_run_all)
+    path = tmp_path / "verify.json"
+    assert cli.main(["verify", "--out", str(path)]) == 0
+    [report] = json.loads(path.read_text())
+    assert report["details"] == {
+        "prediction": [0.0, -0.025], "errors": {"200.0": 1e-3},
+        "ratios": [0.4, 0.5], "peaks": [2.0], "valid": True}
 
 
 def test_unwritable_output_is_input_error(tmp_path):

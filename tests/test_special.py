@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 import scipy.special
 
-from conewave.errors import InvalidInput, NotConvex
+from conewave.errors import InvalidInput
+from conewave.geometry import ConePoint, cone_distance
+from conewave.kernels import KernelQuery, _moving_point_frame
 from conewave.special import (GAMMA_HALF, Mollifier, damped_moment,
                               find_roots_convex, l1_half_derivative,
                               mollified_delta, mollified_inverse_power)
@@ -225,13 +228,48 @@ def test_damped_moment_first_moment_against_dawson():
         assert np.max(np.abs(got - oracle)) < 1e-14 * abs(oracle[120])
 
 
-def test_find_roots_convex():
-    assert find_roots_convex(lambda s: s * s - 1, 10.0) == pytest.approx([1.0])
-    roots = find_roots_convex(lambda s: (s - 1) * (s - 3), 10.0)
-    assert roots == pytest.approx([1.0, 3.0], abs=1e-12)
-    assert find_roots_convex(lambda s: s * s + 1, 10.0) == []
-    with pytest.raises(NotConvex):
-        find_roots_convex(lambda s: math.sin(3 * s), 10.0)
-    with pytest.raises(InvalidInput):
-        find_roots_convex(lambda s: s * s - 1, 0.0)
+def sampled_front_roots(g, s_hi):
+    """Reference roots of g on [0, s_hi]: each sign change on a dense grid,
+    refined by Brent's method.  g takes floats and arrays."""
+    grid = np.linspace(0.0, s_hi, 4001)
+    vals = g(grid)
+    return [scipy.optimize.brentq(g, a, b, xtol=1e-15)
+            for a, b, ga, gb in zip(grid, grid[1:], vals, vals[1:])
+            if ga * gb < 0.0]
 
+
+def test_find_roots_convex():
+    """Exact roots of r1(s) + r2(s) = t in both moving-vertex frames against
+    sampling, before (no root), between (two) and after (one) the fronts."""
+    rng = np.random.default_rng(3)
+    counts = set()
+    for i in range(90):
+        r1, r2 = rng.uniform(0.4, 2.0, 2)
+        q1 = ConePoint(r1, 0.0)
+        q2 = ConePoint(r2, rng.uniform(0.05, 2 * PI - 0.05))
+        dist = cone_distance(4 * PI, q1, q2)
+        if i % 3 == 0:
+            t = rng.uniform(0.3, 0.95) * dist
+        elif i % 3 == 2:
+            t = rng.uniform(1.05, 2.0) * (r1 + r2)
+        elif r1 + r2 - dist >= 0.05:
+            t = rng.uniform(dist + 0.02, r1 + r2 - 0.02)
+        else:
+            continue
+        for eps in (-1, +1):
+            x1, x2 = _moving_point_frame(KernelQuery(t, q1, q2), eps)
+            shift = np.array([0.0, -float(eps)])
+
+            def g(s):  # float or array s
+                return (np.hypot(x1[0], x1[1] - s * shift[1])
+                        + np.hypot(x2[0], x2[1] - s * shift[1]) - t)
+
+            roots = find_roots_convex(x1, x2, shift, t)
+            # a root s satisfies s <= r1(s) + |x1| = t - r2(s) + |x1|
+            reference = sampled_front_roots(g, t + math.hypot(*x1))
+            assert len(roots) == len(reference), (i, eps)
+            assert roots == pytest.approx(reference, rel=0, abs=1e-12)
+            assert all(abs(g(s)) <= 1e-13 * t for s in roots)
+            assert find_roots_convex(x1, x2, shift, -t) == []
+            counts.add(len(roots))
+    assert counts == {0, 1, 2}
