@@ -9,7 +9,7 @@ from .geometry import (ConeChain, ConePoint, PlanarPoint, angular_separation,
                        cone_distance)
 from .special import (Mollifier, find_roots_convex, mollified_delta,
                       mollified_inverse_power)
-from .diffraction import (regularized_sine_product, scattering_matrix,
+from .diffraction import (SINE_PRODUCT_LIMITS, scattering_matrix,
                           scattering_matrix_fourier)
 from .kernels import (KernelQuery, KernelValue, cheeger_series_sweep,
                       halfwave_mu_4pi, sine_kernel_4pi_closed,

@@ -149,14 +149,13 @@ def cmd_kernel(args) -> int:
 
 def cmd_scatter(args) -> int:
     thetas = _parse_range(args.thetas)
+    closed = diffraction.scattering_matrix(args.alpha, thetas)
     rows = []
-    for theta in thetas:
-        ev = diffraction.scattering_matrix(args.alpha, float(theta))
+    for theta, value in zip(thetas.tolist(), closed.tolist()):
         four = diffraction.scattering_matrix_fourier(
-            args.alpha, float(theta), args.fourier_n)
-        rows.append([args.alpha, float(theta),
-                     ev.value if not ev.is_pole else math.nan,
-                     four.real, four.imag, ev.is_pole])
+            args.alpha, theta, args.fourier_n)
+        rows.append([args.alpha, theta, value, four.real, four.imag,
+                     math.isnan(value)])
     _write_text(args.out, _csv(
         ["alpha", "theta", "S_closed", "S_fourier_re", "S_fourier_im",
          "is_pole"], rows))
@@ -282,8 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel.add_argument("--theta2", type=float, required=True)
     p_kernel.add_argument("--ts", required=True, help="t sweep start:step:stop")
     p_kernel.add_argument("--h", type=float, default=0.05,
-                          help="mollifier width of cheeger and friedlander; "
-                               "closed4pi and moving ignore it (unmollified)")
+                          help="mollifier width of cheeger; friedlander, "
+                               "closed4pi and moving write the unmollified "
+                               "kernel (friedlander widens its near_front "
+                               "label to 10 h)")
     p_kernel.add_argument("--out", default=None)
     p_kernel.set_defaults(func=cmd_kernel)
 

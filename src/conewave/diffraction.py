@@ -16,7 +16,6 @@ regularized products used near those directions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,39 +31,27 @@ REGULARIZE_WINDOW = 0.25
 INCOMING_AT_0 = "incoming_at_0"
 OUTGOING_AT_PI = "outgoing_at_pi"
 
+# The two limit identities behind the trace pipeline, both independent of
+# alpha:
+#   incoming_at_0:  lim_{t->0}  sin(t) * S_alpha(-pi - t)  =  1/(2 pi)
+#   outgoing_at_pi: lim_{t->pi} sin(t) * S_alpha(t)        = -1/(2 pi)
+SINE_PRODUCT_LIMITS = {INCOMING_AT_0: 1.0 / (2.0 * math.pi),
+                       OUTGOING_AT_PI: -1.0 / (2.0 * math.pi)}
 
-@dataclass(frozen=True)
-class ScatteringEvaluation:
-    alpha: float
-    theta: float
-    value: float
-    is_pole: bool
 
-
-def _sine_factors(alpha: float, theta) -> tuple[np.ndarray, np.ndarray]:
+def scattering_matrix(alpha: float, theta):
+    """Closed-form S_alpha(theta) for scalars or arrays (a float for scalar
+    input); NaN at the poles, where a sine factor is below POLE_TOL."""
+    check_cone_angle(alpha)
     k = math.pi / alpha
     th = np.asarray(theta, dtype=float)
-    return np.sin(k * (math.pi - th)), np.sin(k * (math.pi + th))
-
-
-def scattering_matrix(alpha: float, theta: float) -> ScatteringEvaluation:
-    """Closed-form S_alpha(theta); poles reported via flag, not error."""
-    check_cone_angle(alpha)
-    d1, d2 = _sine_factors(alpha, theta)
-    if abs(d1) < POLE_TOL or abs(d2) < POLE_TOL:
-        return ScatteringEvaluation(alpha, theta, math.nan, True)
-    # group (d1 * d2) so evenness in theta holds to the last bit
-    value = -math.sin(2.0 * math.pi**2 / alpha) / (2.0 * alpha * (d1 * d2))
-    return ScatteringEvaluation(alpha, theta, float(value), False)
-
-
-def scattering_matrix_value(alpha: float, theta: float) -> float:
-    """S_alpha(theta) as a float, raising at geometric directions."""
-    ev = scattering_matrix(alpha, theta)
-    if ev.is_pole:
-        raise GeometricDirection(
-            f"S_{alpha}({theta}) evaluated at a geometric direction")
-    return ev.value
+    d1, d2 = np.sin(k * (math.pi - th)), np.sin(k * (math.pi + th))
+    pole = (np.abs(d1) < POLE_TOL) | (np.abs(d2) < POLE_TOL)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # group (d1 * d2) so evenness in theta holds to the last bit
+        out = np.where(pole, math.nan, -math.sin(2.0 * math.pi**2 / alpha)
+                       / (2.0 * alpha * (d1 * d2)))
+    return float(out) if out.ndim == 0 else out
 
 
 def scattering_matrix_fourier(alpha: float, theta: float, N: int) -> complex:
@@ -114,16 +101,15 @@ def s_times_cos_half(alpha: float, dtheta):
                    * (2.0 * math.pi + np.where(near_m, -w_m, w_p)))
     if np.any(near & (np.abs(other) < POLE_TOL)):
         raise GeometricDirection("double pole in regularized product")
-    d1, d2 = _sine_factors(alpha, d)
-    pole = ~near & ((np.abs(d1) < POLE_TOL) | (np.abs(d2) < POLE_TOL))
+    far = scattering_matrix(alpha, d) * np.cos(0.5 * d)
+    pole = ~near & np.isnan(far)
     if np.any(pole):
         raise GeometricDirection(
             f"S_{alpha}({d[pole][0]}) evaluated at a geometric direction")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (alpha / (2.0 * math.pi)) * _sinc(0.5 * w) / _sinc(
             math.pi * w / alpha)
-        out = np.where(near, num / (2.0 * alpha) * ratio / other,
-                       num / (2.0 * alpha * (d1 * d2)) * np.cos(0.5 * d))
+        out = np.where(near, num / (2.0 * alpha) * ratio / other, far)
     return float(out) if out.ndim == 0 else out
 
 
@@ -140,22 +126,6 @@ def regularized_pair_product(alpha: float, theta_a, theta_b):
     out = 2.0 * np.sin(0.5 * (theta_a + theta_b)) * s_times_cos_half(
         alpha, theta_a - theta_b)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def regularized_sine_product(alpha: float, which: str) -> float:
-    """The two limit identities behind the trace pipeline.
-
-    incoming_at_0:  lim_{t->0}  sin(t) * S_alpha(-pi - t)  =  1/(2 pi)
-    outgoing_at_pi: lim_{t->pi} sin(t) * S_alpha(t)        = -1/(2 pi)
-
-    Both limits are independent of alpha.
-    """
-    check_cone_angle(alpha)
-    if which == INCOMING_AT_0:
-        return 1.0 / (2.0 * math.pi)
-    if which == OUTGOING_AT_PI:
-        return -1.0 / (2.0 * math.pi)
-    raise InvalidInput(f"unknown limit {which!r}")
 
 
 def sine_product_limit_numeric(alpha: float, which: str) -> float:

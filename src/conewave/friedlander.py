@@ -38,10 +38,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, OutOfGrid
+from .errors import OutOfGrid
 from .geometry import check_cone_angle, reduce_angle
 from .kernels import FRONT_TOL, KernelQuery, KernelValue, front_region
 from .special import GAMMA_HALF, l1_half_derivative
+
+
+# The sampled grid: NY intervals in y over [Y_MIN, Y_MAX], which contains
+# [-1, 1], and NZ intervals in z over one period.  The spacing puts a node at
+# y = 1, so the square-root cusp of the second branch starts exactly at a
+# node.
+Y_MIN, Y_MAX, NY, NZ = -1.5, 4.5, 2400, 768
 
 
 @dataclass(frozen=True)
@@ -91,24 +98,16 @@ def _g_alpha_high(alpha: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (phi(math.pi - z) + phi(math.pi + z)) / math.pi
 
 
-def build_friedlander(alpha: float, y_min: float = -1.5, y_max: float = 4.5,
-                      ny: int = 2400, nz: int = 768) -> FriedlanderGrid:
-    """Sample G_alpha on a uniform grid and apply the half-derivative in y.
-
-    The node y = 1 must land on the grid so the square-root cusp of the
-    second branch starts exactly at a node.
-    """
+def build_friedlander(alpha: float) -> FriedlanderGrid:
+    """Sample G_alpha on the uniform grid, [Y_MIN, Y_MAX] in y by one period
+    in z, and apply the half-derivative in y."""
     check_cone_angle(alpha)
-    if not (y_min < -1.0 < 1.0 < y_max):
-        raise InvalidInput("y range must contain [-1, 1]")
     from scipy.interpolate import RectBivariateSpline
 
-    y = np.linspace(y_min, y_max, ny + 1)
-    d = (y_max - y_min) / ny
-    i1 = int(round((1.0 - y_min) / d))
-    if abs(y[i1] - 1.0) > 1e-12:
-        raise InvalidInput("grid spacing must place a node at y = 1")
-    z = np.linspace(-0.5 * alpha, 0.5 * alpha, nz + 1)
+    y = np.linspace(Y_MIN, Y_MAX, NY + 1)
+    d = (Y_MAX - Y_MIN) / NY
+    i1 = int(round((1.0 - Y_MIN) / d))
+    z = np.linspace(-0.5 * alpha, 0.5 * alpha, NZ + 1)
 
     g = np.zeros((y.size, z.size))
     low = y < 1.0
@@ -145,7 +144,9 @@ def sine_kernel_friedlander(fg: FriedlanderGrid, q: KernelQuery) -> KernelValue:
 
     Pullback through A2, bicubic interpolation of the half-derivated table,
     then the A3 factor.  Points with y < -1 are outside every front and
-    return 0 exactly; y above the sampled range raises OutOfGrid.
+    return 0 exactly; y above the sampled range raises OutOfGrid.  The value
+    is the unmollified kernel: q.h only widens the near_front region label
+    to 10 h.
     """
     r1, r2 = q.q1.r, q.q2.r
     y, z = friedlander_pullback(fg.alpha, q.t, r1, r2, q.q1.theta, q.q2.theta)

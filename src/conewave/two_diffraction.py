@@ -32,9 +32,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffraction import regularized_pair_product, scattering_matrix_value
-from .errors import (DegenerateDistance, InvalidInput, NoInteriorCriticalPoint,
-                     QuadratureFailure)
+from .diffraction import regularized_pair_product, scattering_matrix
+from .errors import (DegenerateDistance, GeometricDirection, InvalidInput,
+                     NoInteriorCriticalPoint, QuadratureFailure)
 from .geometry import ConeChain, PlanarPoint, chart_angle
 
 QUARTER_TURN = np.exp(1j * math.pi / 4.0)
@@ -246,8 +246,12 @@ def principal_symbol_lambda0(chain: ConeChain, theta1: float, theta2: float,
     """
     if not omega > 0:
         raise InvalidInput("frequency must be positive")
-    s1_val = scattering_matrix_value(chain.alpha1, -math.pi - theta1)
-    s2_val = scattering_matrix_value(chain.alpha2, theta2)
+    s1_val = scattering_matrix(chain.alpha1, -math.pi - theta1)
+    s2_val = scattering_matrix(chain.alpha2, theta2)
+    if math.isnan(s1_val) or math.isnan(s2_val):
+        raise GeometricDirection(
+            f"principal symbol at a geometric direction (theta1 = {theta1}, "
+            f"theta2 = {theta2})")
     value = (2.0 * math.pi * QUARTER_TURN * s2_val * s1_val
              / math.sqrt(omega * chain.b))
     return PrincipalSymbol(complex(value))

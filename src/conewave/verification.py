@@ -151,25 +151,20 @@ def at3_scattering(seed: int = 0) -> ATReport:
             theta = rng.uniform(-0.5 * alpha, 0.5 * alpha)
             if pole_distance(alpha, theta) < 0.4:
                 continue
-            ev = diffraction.scattering_matrix(alpha, theta)
-            if ev.is_pole:
+            value = diffraction.scattering_matrix(alpha, theta)
+            if math.isnan(value):
                 continue
             four = diffraction.scattering_matrix_fourier(alpha, theta, 8000)
-            worst_fourier = max(worst_fourier, abs(four - ev.value))
+            worst_fourier = max(worst_fourier, abs(four - value))
             count += 1
-    worst_4pi = 0.0
-    for theta in np.linspace(-2.8, 2.8, 101):
-        got = diffraction.scattering_matrix(4.0 * PI, theta).value
-        expect = -1.0 / (4.0 * PI * math.cos(0.5 * theta))
-        worst_4pi = max(worst_4pi, abs(got - expect))
-    worst_limit = 0.0
-    for alpha in angles:
-        p_in = diffraction.sine_product_limit_numeric(
-            alpha, diffraction.INCOMING_AT_0)
-        p_out = diffraction.sine_product_limit_numeric(
-            alpha, diffraction.OUTGOING_AT_PI)
-        worst_limit = max(worst_limit, abs(p_in - 1.0 / (2.0 * PI)),
-                          abs(p_out + 1.0 / (2.0 * PI)))
+    thetas = np.linspace(-2.8, 2.8, 101)
+    expect = -1.0 / (4.0 * PI * np.cos(0.5 * thetas))
+    worst_4pi = float(np.max(np.abs(
+        diffraction.scattering_matrix(4.0 * PI, thetas) - expect)))
+    worst_limit = max(
+        abs(diffraction.sine_product_limit_numeric(alpha, which) - limit)
+        for alpha in angles
+        for which, limit in diffraction.SINE_PRODUCT_LIMITS.items())
     passed = worst_fourier < 1e-3 and worst_4pi < 1e-12 and worst_limit < 1e-10
     return ATReport(
         "AT-3", "scattering matrix: Fourier oracle, 4pi identity, limits",
@@ -305,7 +300,15 @@ def at6_trace_pipeline(seed: int = 0) -> ATReport:
 
 @_timed
 def at7_pillowcase() -> ATReport:
-    """Pillowcase spectral run: Weyl count, peak locations, INFO coefficient."""
+    """Pillowcase spectral run: Weyl count, peak locations, INFO coefficient.
+
+    Part (iii) fits the t = 2 peak at order -1, the order of an isolated
+    two-diffraction orbit, and only reports it.  On the pillowcase that peak
+    is the order -3/2 singularity of the cylinders of smooth closed
+    geodesics, with no order -1 term since S_pi vanishes off its poles: an
+    order -3/2 fit leaves a residual of 0.010, the order -1 fit 0.347, which
+    is the order mismatch.
+    """
     lambda_max, h = 400.0, 0.02
     surf = wave_trace.PillowcaseSurface(1.0, 1.0)
     spec = wave_trace.pillowcase_spectrum(surf, lambda_max)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffraction import (INCOMING_AT_0, OUTGOING_AT_PI,
-                          regularized_sine_product, sine_product_limit_numeric)
+from .diffraction import (INCOMING_AT_0, OUTGOING_AT_PI, SINE_PRODUCT_LIMITS,
+                          sine_product_limit_numeric)
 from .errors import (BadLeg, IncompleteSpectrum, InvalidInput,
                      WindowContaminated)
 from .geometry import (MAX_ARRAY_ELEMENTS, ConeChain, PlanarPoint,
@@ -59,12 +59,13 @@ class PillowcaseSurface:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted eigenfrequencies with multiplicities, complete to lambda_max."""
+    """Sorted eigenfrequencies with multiplicities, complete to lambda_max,
+    of a surface of the given area."""
 
     frequencies: np.ndarray
     multiplicities: np.ndarray
     lambda_max: float
-    area: float | None = None
+    area: float
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
@@ -82,11 +83,9 @@ class Spectrum:
     def counting_function(self, lam: float) -> int:
         return int(self.multiplicities[self.frequencies <= lam].sum())
 
-    def weyl_relative_error(self, lam: float | None = None) -> float:
-        """Relative deviation of N(lambda) from Area * lambda^2 / (4 pi)."""
-        if self.area is None:
-            raise InvalidInput("spectrum has no recorded area")
-        lam = self.lambda_max if lam is None else lam
+    def weyl_relative_error(self) -> float:
+        """Relative deviation of N(lambda_max) from Area lambda_max^2 / (4 pi)."""
+        lam = self.lambda_max
         weyl = self.area * lam * lam / (4.0 * math.pi)
         return abs(self.counting_function(lam) - weyl) / weyl
 
@@ -331,8 +330,8 @@ def trace_pipeline_check(L: float, b: float,
     hess_y = omega * span / (r1_leg * r2_leg)
     hess_y_err = abs(hess_y_fd - hess_y) / hess_y
 
-    p_in = regularized_sine_product(math.pi, INCOMING_AT_0)
-    p_out = regularized_sine_product(math.pi, OUTGOING_AT_PI)
+    p_in = SINE_PRODUCT_LIMITS[INCOMING_AT_0]
+    p_out = SINE_PRODUCT_LIMITS[OUTGOING_AT_PI]
     p_in_err = abs(sine_product_limit_numeric(3.0 * math.pi, INCOMING_AT_0)
                    - p_in) / abs(p_in)
     p_out_err = abs(sine_product_limit_numeric(3.0 * math.pi, OUTGOING_AT_PI)

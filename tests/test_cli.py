@@ -95,6 +95,45 @@ def test_scatter_plane_is_zero(tmp_path):
         assert abs(s_closed) < 1e-6
 
 
+def _csv_columns(path):
+    header, *rows = path.read_text().strip().split("\n")
+    return dict(zip(header.split(","), zip(*(r.split(",") for r in rows))))
+
+
+def test_scatter_is_pole_marks_the_nan_rows(tmp_path):
+    """Across theta = +-pi the closed form is nan on exactly the rows
+    flagged is_pole, for cone angles on both sides of 2 pi."""
+    from conewave import cli
+
+    for alpha in (PI, 7.0, 3 * PI, 4 * PI):
+        out = tmp_path / "s.csv"
+        assert cli.main(["scatter", "--alpha", str(alpha),
+                         f"--thetas={-PI}:{PI / 10}:{PI}", "--fourier-n", "4",
+                         "--out", str(out)]) == 0
+        cols = _csv_columns(out)
+        closed_nan = [v == "nan" for v in cols["S_closed"]]
+        assert [v == "True" for v in cols["is_pole"]] == closed_nan
+        assert closed_nan[0] and closed_nan[-1] and sum(closed_nan) >= 2
+
+
+def test_friedlander_kernel_does_not_mollify(tmp_path):
+    """--h leaves the friedlander values unchanged; it only widens the
+    near_front region label."""
+    from conewave import cli
+
+    cols = {}
+    for h in ("0.01", "0.3"):
+        out = tmp_path / f"f{h}.csv"
+        assert cli.main(["kernel", "--alpha", "7", "--representation",
+                         "friedlander", "--r1", "1", "--theta1", "0",
+                         "--r2", "1", "--theta2", "1.5", "--ts", "0.5:0.25:3.0",
+                         "--h", h, "--out", str(out)]) == 0
+        cols[h] = _csv_columns(out)
+    for key in ("value_re", "value_im"):
+        assert cols["0.01"][key] == cols["0.3"][key]
+    assert cols["0.01"]["region"] != cols["0.3"]["region"]
+
+
 def test_kernel_csv_header_and_determinism(tmp_path):
     args = ["kernel", "--alpha", str(4 * PI), "--representation", "closed4pi",
             "--r1", "1", "--theta1", "0", "--r2", "1",

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from conewave.diffraction import (INCOMING_AT_0, OUTGOING_AT_PI,
-                                  regularized_pair_product,
-                                  regularized_sine_product, s_times_cos_half,
+                                  SINE_PRODUCT_LIMITS,
+                                  regularized_pair_product, s_times_cos_half,
                                   scattering_matrix, scattering_matrix_fourier,
-                                  scattering_matrix_value,
                                   sine_product_limit_numeric)
 from conewave.errors import GeometricDirection
 from conewave.verification import pole_distance
@@ -16,20 +15,37 @@ PI = math.pi
 
 
 def test_scattering_matrix_examples():
-    assert scattering_matrix(4 * PI, 0.0).value == pytest.approx(
+    assert scattering_matrix(4 * PI, 0.0) == pytest.approx(
         -1 / (4 * PI), abs=1e-15)
     # the plane does not diffract
     for theta in np.linspace(0.3, 2.8, 7):
-        assert abs(scattering_matrix(2 * PI, theta).value) < 1e-12
-    got = scattering_matrix(3 * PI, PI / 2).value
+        assert abs(scattering_matrix(2 * PI, theta)) < 1e-12
+    got = scattering_matrix(3 * PI, PI / 2)
     assert got == pytest.approx(-math.sqrt(3) / (6 * PI), abs=1e-14)
 
 
 def test_scattering_matrix_4pi_identity():
-    for theta in np.linspace(-2.9, 2.9, 101):
-        got = scattering_matrix(4 * PI, theta).value
-        assert got == pytest.approx(-1 / (4 * PI * math.cos(theta / 2)),
-                                    abs=1e-14)
+    theta = np.linspace(-2.9, 2.9, 101)
+    got = scattering_matrix(4 * PI, theta)
+    assert np.allclose(got, -1 / (4 * PI * np.cos(theta / 2)), rtol=0,
+                       atol=1e-14)
+
+
+def test_scattering_matrix_arrays_match_scalars():
+    """An array of angles gives the per-element scalar values bit for bit,
+    NaN exactly at the poles +-pi."""
+    theta = np.array([-PI - 0.3, -PI, -PI + 1e-9, -1.0, 0.0, 0.3, 2.0,
+                      PI - 1e-9, PI, PI + 0.3])
+    poles = np.abs(theta) == PI
+    for alpha in (3 * PI, 4 * PI, 7.0):
+        arr = scattering_matrix(alpha, theta)
+        assert isinstance(arr, np.ndarray) and arr.shape == theta.shape
+        scal = [scattering_matrix(alpha, float(v)) for v in theta]
+        assert all(isinstance(v, float) for v in scal)
+        assert np.array_equal(arr, np.array(scal), equal_nan=True)
+        assert np.array_equal(np.isnan(arr), poles)
+        grid = scattering_matrix(alpha, theta.reshape(2, 5))
+        assert np.array_equal(grid.ravel(), arr, equal_nan=True)
 
 
 def test_scattering_evenness_and_periodicity():
@@ -39,22 +55,22 @@ def test_scattering_evenness_and_periodicity():
             theta = rng.uniform(-alpha, alpha)
             if pole_distance(alpha, theta) < 1e-3:
                 continue
-            ev = scattering_matrix(alpha, theta)
-            assert ev.value == scattering_matrix(alpha, -theta).value
-            assert ev.value == pytest.approx(
-                scattering_matrix(alpha, theta + alpha).value, rel=1e-9)
+            value = scattering_matrix(alpha, theta)
+            assert value == scattering_matrix(alpha, -theta)
+            assert value == pytest.approx(
+                scattering_matrix(alpha, theta + alpha), rel=1e-9)
 
 
 def test_pole_locations():
     for alpha in (3 * PI, 4 * PI, 7.0):
         for sign in (+1, -1):
-            assert scattering_matrix(alpha, sign * PI).is_pole
+            assert math.isnan(scattering_matrix(alpha, sign * PI))
             # denominator changes sign across the pole
-            lo = scattering_matrix(alpha, sign * PI - 1e-4).value
-            hi = scattering_matrix(alpha, sign * PI + 1e-4).value
+            lo = scattering_matrix(alpha, sign * PI - 1e-4)
+            hi = scattering_matrix(alpha, sign * PI + 1e-4)
             assert lo * hi < 0
         # no pole well inside the regular range
-        assert not scattering_matrix(alpha, 0.3).is_pole
+        assert not math.isnan(scattering_matrix(alpha, 0.3))
 
 
 def test_fourier_oracle():
@@ -73,7 +89,7 @@ def test_fourier_oracle():
 def test_fourier_envelope_near_poles():
     """Fejer error at distance d from a pole follows ~ C/(N d^2)."""
     alpha, theta = 7.0, PI - 0.1
-    exact = scattering_matrix(alpha, theta).value
+    exact = scattering_matrix(alpha, theta)
     products = []
     for n in (500, 2000, 8000):
         err = abs(scattering_matrix_fourier(alpha, theta, n) - exact)
@@ -82,9 +98,8 @@ def test_fourier_envelope_near_poles():
 
 
 def test_regularized_sine_product_limits():
-    for alpha in (3 * PI, 4 * PI, 7.0):
-        assert regularized_sine_product(alpha, INCOMING_AT_0) == 1 / (2 * PI)
-        assert regularized_sine_product(alpha, OUTGOING_AT_PI) == -1 / (2 * PI)
+    assert SINE_PRODUCT_LIMITS == {INCOMING_AT_0: 1 / (2 * PI),
+                                   OUTGOING_AT_PI: -1 / (2 * PI)}
     # numerical limits, theta offset 1e-6 with Richardson extrapolation,
     # identical across diffracting cone angles
     for alpha in (3 * PI, 4 * PI, 7.0, 5.0):
@@ -104,7 +119,7 @@ def test_s_times_cos_half_regularization():
     for alpha in (3 * PI, 7.0):
         for d in (0.249, 0.251):
             a = s_times_cos_half(alpha, PI - d)
-            b = scattering_matrix_value(alpha, PI - d) * math.cos((PI - d) / 2)
+            b = scattering_matrix(alpha, PI - d) * math.cos((PI - d) / 2)
             assert a == pytest.approx(b, rel=1e-11)
     # arrays: the same angles, both windows and both sides of each switch,
     # match the per-element values

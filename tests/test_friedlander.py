@@ -46,7 +46,7 @@ def test_g_branch_point_values(grid_4pi):
     assert fg.g[yj, zi] == pytest.approx(oracle, abs=1e-7)
     # the single-branch value (1/pi) 2 arctan(pi/arccosh y) dominates when the
     # period is huge and the translates are negligible
-    lone = build_friedlander(2000.0, ny=120, nz=16, y_min=-1.5, y_max=4.5)
+    lone = build_friedlander(2000.0)
     yl = np.argmin(np.abs(lone.y - 1.5))
     zl = np.argmin(np.abs(lone.z))
     assert lone.g[yl, zl] == pytest.approx((2 / PI) * math.atan(PI / c),
@@ -54,6 +54,17 @@ def test_g_branch_point_values(grid_4pi):
     # decay at large y
     yk = np.argmin(np.abs(fg.y - 4.4))
     assert abs(fg.g[yk, zi]) < abs(fg.g[yj, zi])
+
+
+def test_grid_has_a_node_at_y_one(grid_4pi):
+    """The y range contains [-1, 1] and the second branch's cusp at y = 1
+    starts exactly at a node, which holds the continuous value of G."""
+    y = grid_4pi.y
+    assert y[0] < -1.0 and y[-1] > 1.0
+    i1 = np.argmin(np.abs(y - 1.0))
+    assert abs(y[i1] - 1.0) <= 1e-12
+    zi = np.argmin(np.abs(grid_4pi.z))
+    assert grid_4pi.g[i1, zi] == 1.0
 
 
 def _brute_g_high(alpha, y, z):

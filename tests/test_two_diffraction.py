@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conewave.diffraction import scattering_matrix_value
-from conewave.errors import NoInteriorCriticalPoint
+from conewave.diffraction import scattering_matrix
+from conewave.errors import GeometricDirection, NoInteriorCriticalPoint
 from conewave.geometry import ConeChain, PlanarPoint
 from conewave.two_diffraction import (CompositionPoint, amplitude_tilde,
                                       chart_points_from_angles,
@@ -208,7 +208,7 @@ def test_leg_amplitude_zero_and_composition():
     # the eps = +1 window (-3 pi/2, pi/2), pi + 0.1 does not
     th1, th2 = 0.3, -PI - 0.1
     got = _leg_amplitude_polar(3 * PI, +1, 1.2, th1, 0.9, th2)
-    expect = (-2j * PI * scattering_matrix_value(3 * PI, th1 - th2)
+    expect = (-2j * PI * scattering_matrix(3 * PI, th1 - th2)
               * (math.sin(th1) + math.sin(th2)) / math.sqrt(1.2 * 0.9))
     assert got == pytest.approx(expect, rel=1e-12)
 
@@ -237,8 +237,8 @@ def test_amplitude_tilde_matches_displayed_formula():
         omega = 1.7
         got = amplitude_tilde(chain, chain.total_length, q1, q2, omega)
         expect = (cmath.exp(1j * PI / 4) * (2 * PI) ** 2
-                  * scattering_matrix_value(chain.alpha1, -PI - th1)
-                  * scattering_matrix_value(chain.alpha2, th2)
+                  * scattering_matrix(chain.alpha1, -PI - th1)
+                  * scattering_matrix(chain.alpha2, th2)
                   * math.sin(th1) * math.sin(th2)
                   * omega**1.5 / math.sqrt(r1 * r2 * b))
         assert got == pytest.approx(expect, rel=1e-12)
@@ -295,6 +295,15 @@ def test_principal_symbol():
     wide = principal_symbol_lambda0(default_chain(b=4.0), th1, th2, 1.0)
     assert abs(wide.value) == pytest.approx(abs(sym1.value) / 2.0, rel=1e-12)
     assert "dr1" in sym1.half_density
+
+
+def test_principal_symbol_raises_at_a_pole():
+    """theta1 = 0 puts S_{a1} at -pi and theta2 = pi puts S_{a2} at pi, the
+    geometric directions where the symbol is not defined."""
+    chain = default_chain()
+    for th1, th2 in ((0.0, PI - 0.2), (0.2, PI), (0.0, PI)):
+        with pytest.raises(GeometricDirection):
+            principal_symbol_lambda0(chain, th1, th2, 1.0)
 
 
 def test_principal_symbol_consistent_with_amplitude():

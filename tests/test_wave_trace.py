@@ -135,15 +135,15 @@ def test_weyl_count(pillowcase_400):
 
 def test_mollified_trace_basics():
     moll = Mollifier(0.05)
-    empty = Spectrum(np.array([]), np.array([], dtype=int), 500.0)
+    empty = Spectrum(np.array([]), np.array([], dtype=int), 500.0, 1.0)
     assert np.all(mollified_trace(empty, np.array([0.5, 1.0]), moll) == 0.0)
-    single = Spectrum(np.array([3.0]), np.array([1]), 500.0)
+    single = Spectrum(np.array([3.0]), np.array([1]), 500.0, 1.0)
     t = np.array([0.7, 1.3])
     got = mollified_trace(single, t, moll)
     expect = np.exp(-1j * t * 3.0) * math.exp(-0.5 * (0.05 * 3.0) ** 2)
     assert np.allclose(got, expect, atol=1e-15)
     with pytest.raises(IncompleteSpectrum):
-        mollified_trace(Spectrum(np.array([1.0]), np.array([1]), 10.0),
+        mollified_trace(Spectrum(np.array([1.0]), np.array([1]), 10.0, 1.0),
                         t, Mollifier(0.02))
 
 
