@@ -29,12 +29,23 @@ x-derivative, the periodized Poisson kernel
 Since kappa > 1 the atan2 denominator is positive, so Phi is continuous
 across the poles of tan theta.  Hence G_alpha = (Phi(pi - z) + Phi(pi + z)) / pi
 for y > 1, with no truncation.
+
+The sampled G_alpha is turned into kernel values one z column at a time.
+A build fits the not-a-knot cubic spline of G_alpha along z, all y rows at
+once, over one period padded by three periodic columns each side.  A query
+evaluates that spline at its z to get one y column of G_alpha, applies
+Gamma(1/2) times the L1 half-derivative to that column, fits a not-a-knot
+cubic spline in y and evaluates it at its y.  This equals the bicubic
+(s = 0) spline of the whole half-derived grid: the half-derivative acts on
+each column linearly and on its own, so it commutes with interpolation in
+z, and the bicubic interpolating spline is the tensor product of the 1-D
+not-a-knot splines, so it can be applied along z first and along y second.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,22 +60,24 @@ from .special import GAMMA_HALF, l1_half_derivative
 # y = 1, so the square-root cusp of the second branch starts exactly at a
 # node.
 Y_MIN, Y_MAX, NY, NZ = -1.5, 4.5, 2400, 768
+DY = (Y_MAX - Y_MIN) / NY
 
 
 @dataclass(frozen=True)
 class FriedlanderGrid:
-    """Sampled G_alpha and its half-derivative on a (y, z) grid.
+    """Sampled G_alpha on a (y, z) grid and its cubic spline along z.
 
-    `z` covers one full period [-alpha/2, alpha/2]; `ag` holds
-    Gamma(1/2) * [d/dy]^{1/2} G_alpha, ready for pullback.
+    `z` covers one full period [-alpha/2, alpha/2].  `_g_of_z` maps an angle
+    z to the y column of G_alpha there; `_column` holds the y spline of
+    Gamma(1/2) * [d/dy]^{1/2} G_alpha at the last queried z, keyed by z.
     """
 
     alpha: float
     y: np.ndarray
     z: np.ndarray
     g: np.ndarray
-    ag: np.ndarray
-    _spline: object  # scipy.interpolate.RectBivariateSpline of ag
+    _g_of_z: object  # scipy.interpolate.BSpline of g along z (axis 1)
+    _column: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _g_alpha_low(alpha: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -100,13 +113,12 @@ def _g_alpha_high(alpha: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def build_friedlander(alpha: float) -> FriedlanderGrid:
     """Sample G_alpha on the uniform grid, [Y_MIN, Y_MAX] in y by one period
-    in z, and apply the half-derivative in y."""
+    in z, and fit its cubic spline along z."""
     check_cone_angle(alpha)
-    from scipy.interpolate import RectBivariateSpline
+    from scipy.interpolate import make_interp_spline
 
     y = np.linspace(Y_MIN, Y_MAX, NY + 1)
-    d = (Y_MAX - Y_MIN) / NY
-    i1 = int(round((1.0 - Y_MIN) / d))
+    i1 = int(round((1.0 - Y_MIN) / DY))
     z = np.linspace(-0.5 * alpha, 0.5 * alpha, NZ + 1)
 
     g = np.zeros((y.size, z.size))
@@ -118,15 +130,26 @@ def build_friedlander(alpha: float) -> FriedlanderGrid:
     # count); fill the node from the y < 1 branch
     g[i1] = _g_alpha_low(alpha, np.array([1.0]), z)[0]
 
-    ag = GAMMA_HALF * l1_half_derivative(g, d)
-
-    # periodic padding in z for clean bicubic interpolation near the seam
+    # periodic padding in z for clean cubic interpolation near the seam
     pad = 3
     z_ext = np.concatenate([z[-1 - pad:-1] - alpha, z, z[1:1 + pad] + alpha])
-    ag_ext = np.concatenate(
-        [ag[:, -1 - pad:-1], ag, ag[:, 1:1 + pad]], axis=1)
-    spline = RectBivariateSpline(y, z_ext, ag_ext, kx=3, ky=3, s=0)
-    return FriedlanderGrid(alpha, y, z, g, ag, spline)
+    g_ext = np.concatenate([g[:, -1 - pad:-1], g, g[:, 1:1 + pad]], axis=1)
+    return FriedlanderGrid(alpha, y, z, g,
+                           make_interp_spline(z_ext, g_ext, k=3, axis=1))
+
+
+def _column_spline(fg: FriedlanderGrid, z: float):
+    """Cubic spline in y of Gamma(1/2) [d/dy]^{1/2} G_alpha at angle z,
+    kept until a query asks for another z."""
+    spline = fg._column.get(z)
+    if spline is None:
+        from scipy.interpolate import make_interp_spline
+
+        column = GAMMA_HALF * l1_half_derivative(fg._g_of_z(z), DY)
+        spline = make_interp_spline(fg.y, column, k=3)
+        fg._column.clear()
+        fg._column[z] = spline
+    return spline
 
 
 def friedlander_pullback(alpha: float, t: float, r1: float, r2: float,
@@ -142,7 +165,9 @@ def friedlander_pullback(alpha: float, t: float, r1: float, r2: float,
 def sine_kernel_friedlander(fg: FriedlanderGrid, q: KernelQuery) -> KernelValue:
     """Evaluate the Friedlander representation at a kernel query.
 
-    Pullback through A2, bicubic interpolation of the half-derivated table,
+    Pullback through A2; the z spline gives the y column of G_alpha at the
+    query's z, which is half-derived and interpolated by a cubic spline in y
+    (the bicubic spline of the half-derived grid, see the module docstring);
     then the A3 factor.  Points with y < -1 are outside every front and
     return 0 exactly; y above the sampled range raises OutOfGrid.  The value
     is the unmollified kernel: q.h only widens the near_front region label
@@ -155,5 +180,5 @@ def sine_kernel_friedlander(fg: FriedlanderGrid, q: KernelQuery) -> KernelValue:
         return KernelValue(0.0, region)
     if y > fg.y[-1]:
         raise OutOfGrid(f"pullback y = {y:.3f} above grid maximum {fg.y[-1]}")
-    raw = float(fg._spline.ev(y, z))
+    raw = float(_column_spline(fg, z)(y))
     return KernelValue(raw / (2.0 * math.pi * math.sqrt(2.0 * r1 * r2)), region)

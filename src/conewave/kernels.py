@@ -376,10 +376,17 @@ def sine_kernel_moving_point(q: KernelQuery, eps: int = -1) -> KernelValue:
     return KernelValue(total, front_region(4.0 * math.pi, q, FRONT_TOL))
 
 
+@functools.cache
+def _hermgauss(n: int):
+    """Gauss-Hermite nodes and weights of order n, computed once per order:
+    about 1 ms at 48 nodes, paid on every mollified value otherwise."""
+    return np.polynomial.hermite.hermgauss(n)
+
+
 def gauss_hermite_mollify(f, t: float, h: float, n: int = 48) -> float:
     """Gaussian time mollification of a pointwise kernel t -> f(t) by
     Gauss-Hermite quadrature (suitable away from fronts)."""
-    nodes, weights = np.polynomial.hermite.hermgauss(n)
+    nodes, weights = _hermgauss(n)
     taus = t + math.sqrt(2.0) * h * nodes
     vals = np.array([f(tau) for tau in taus])
     return float(np.sum(weights * vals) / math.sqrt(math.pi))

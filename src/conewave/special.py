@@ -47,26 +47,26 @@ def _k32(w: np.ndarray) -> np.ndarray:
 
 
 def l1_half_derivative(values: np.ndarray, d: float) -> np.ndarray:
-    """Half-derivative of uniformly sampled data by the L1 scheme (axis 0).
+    """Half-derivative of uniformly sampled 1-D data by the L1 scheme.
 
     The piecewise-linear interpolant is differentiated exactly against the
     causal kernel (y - y')^(-1/2) / Gamma(1/2); jump discontinuities sampled
     at cell boundaries smear over a single cell.  Data must vanish at the
-    left edge.  Accepts 1-D or 2-D arrays (columns treated independently).
+    left edge.
     """
     import scipy.fft
 
     v = np.asarray(values, dtype=float)
-    n = v.shape[0]
-    dv = np.diff(v, axis=0)
+    if v.ndim != 1:
+        raise InvalidInput(f"expected 1-D samples, got shape {v.shape}")
+    n = v.size
+    dv = np.diff(v)
     m = np.arange(1, n, dtype=float) * d
     w = (_k32(m) - _k32(m - d)) / d
-    if v.ndim == 2:
-        w = w[:, None]
     # linear convolution dv * w by real FFTs padded past its 2n - 3 samples
     nfft = scipy.fft.next_fast_len(2 * n - 3, True)
-    full = scipy.fft.irfft(scipy.fft.rfft(dv, nfft, axis=0)
-                           * scipy.fft.rfft(w, nfft, axis=0), nfft, axis=0)
+    full = scipy.fft.irfft(scipy.fft.rfft(dv, nfft) * scipy.fft.rfft(w, nfft),
+                           nfft)
     out = np.zeros_like(v)
     out[1:] = full[: n - 1]
     return out

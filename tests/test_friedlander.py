@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conewave.errors import OutOfGrid
-from conewave.friedlander import (build_friedlander, friedlander_pullback,
+from conewave.friedlander import (DY, _column_spline, build_friedlander,
+                                  friedlander_pullback,
                                   sine_kernel_friedlander)
 from conewave.geometry import ConePoint, cone_distance
 from conewave.kernels import (KernelQuery, gauss_hermite_mollify,
                               plane_kernel_closed, sine_kernel_4pi_closed,
                               sine_kernel_cheeger_series)
+from conewave.special import GAMMA_HALF, l1_half_derivative
 
 PI = math.pi
 
@@ -139,6 +141,52 @@ def test_matches_plane_kernel(grid_2pi):
         else:
             assert fv == pytest.approx(cv, rel=1e-2)
         count += 1
+
+
+def _bicubic_of_half_derived_grid(fg):
+    """Reference: half-derive every z column of G_alpha, pad three periodic
+    columns each side and fit scipy's interpolating bicubic spline."""
+    from scipy.interpolate import RectBivariateSpline
+
+    ag = np.column_stack([GAMMA_HALF * l1_half_derivative(col, DY)
+                          for col in fg.g.T])
+    pad = 3
+    z_ext = np.concatenate([fg.z[-1 - pad:-1] - fg.alpha, fg.z,
+                            fg.z[1:1 + pad] + fg.alpha])
+    ag_ext = np.concatenate([ag[:, -1 - pad:-1], ag, ag[:, 1:1 + pad]], axis=1)
+    return RectBivariateSpline(fg.y, z_ext, ag_ext, kx=3, ky=3, s=0)
+
+
+@pytest.mark.parametrize("alpha", [PI, 2 * PI, 3 * PI, 7.0, 4 * PI, 20.0])
+def test_column_spline_equals_bicubic_of_half_derived_grid(alpha):
+    """Half-deriving and splining one y column at the query's z gives the
+    bicubic spline of the whole half-derived grid, seams included."""
+    fg = build_friedlander(alpha)
+    ref = _bicubic_of_half_derived_grid(fg)
+    half = 0.5 * alpha
+    zs = [-half, -(half - 1e-3), 0.0, half - 1e-3, half,
+          *np.random.default_rng(7).uniform(-half, half, 10)]
+    ys = np.linspace(-1.0, 4.5, 2001)
+    for z in zs:
+        got = _column_spline(fg, z)(ys)
+        want = ref.ev(ys, np.full_like(ys, z))
+        assert np.max(np.abs(got - want)) <= 1e-12, z
+
+
+def test_column_cache_serves_only_its_angle():
+    """Alternating two angles on one grid gives bit-identical values to a
+    fresh grid for each angle."""
+    alpha, t = 7.0, 1.7
+    pair = ((ConePoint(1.1, 0.4), ConePoint(0.8, 0.0)),
+            (ConePoint(0.9, 2.9), ConePoint(1.2, 0.0)))
+
+    def value(fg, points):
+        return sine_kernel_friedlander(fg, KernelQuery(t, *points)).value
+
+    fresh = [value(build_friedlander(alpha), points) for points in pair]
+    shared = build_friedlander(alpha)
+    for _ in range(3):
+        assert [value(shared, points) for points in pair] == fresh
 
 
 def test_support_before_fronts(grid_4pi):

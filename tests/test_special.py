@@ -84,6 +84,8 @@ def test_half_derivative_linearity():
     out_parts = a * l1_half_derivative(f, d) + b * l1_half_derivative(g, d)
     assert np.allclose(out_sum, out_parts, atol=1e-12)
     assert np.all(l1_half_derivative(np.zeros_like(grid), d) == 0.0)
+    with pytest.raises(InvalidInput):  # one column at a time, no 2-D tables
+        l1_half_derivative(np.stack([f, g], axis=1), d)
 
 
 def test_half_derivative_against_exact_gaussian():
