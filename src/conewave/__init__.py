@@ -15,8 +15,7 @@ from .kernels import (KernelQuery, KernelValue, cheeger_series_sweep,
                       halfwave_mu_4pi, sine_kernel_4pi_closed,
                       sine_kernel_cheeger_series, sine_kernel_moving_point,
                       spherical_wave_l, upsilon0)
-from .friedlander import (FriedlanderGrid, build_friedlander,
-                          sine_kernel_friedlander)
+from .friedlander import build_friedlander, sine_kernel_friedlander
 from .two_diffraction import (CompositionPoint, StationaryData,
                               amplitude_tilde, composed_phase_psi,
                               nondegeneracy_check, oscillatory_oracle,

@@ -134,8 +134,7 @@ def cmd_kernel(args) -> int:
     elif rep == "moving":
         values = [kernels.sine_kernel_moving_point(q) for q in queries]
     else:
-        fg = friedlander.build_friedlander(alpha)
-        values = [friedlander.sine_kernel_friedlander(fg, q) for q in queries]
+        values = [friedlander.sine_kernel_friedlander(alpha, q) for q in queries]
     rows = []
     for q, value in zip(queries, values):
         val = complex(value.value)

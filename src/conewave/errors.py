@@ -18,7 +18,8 @@ class ModeTailTooLarge(ConewaveError):
 
 
 class OutOfGrid(ConewaveError):
-    """Pullback point falls outside a sampled grid."""
+    """Pullback point falls outside a sampled grid.  Nothing raises it now;
+    it stays only because bench/ imports it, until ROADMAP item 4."""
 
 
 class TangentRoot(ConewaveError):

@@ -47,7 +47,9 @@ def _k32(w: np.ndarray) -> np.ndarray:
 
 
 def l1_half_derivative(values: np.ndarray, d: float) -> np.ndarray:
-    """Half-derivative of uniformly sampled 1-D data by the L1 scheme.
+    """Half-derivative of uniformly sampled 1-D data by the L1 scheme.  The
+    package no longer calls it; it stays only because bench/ times it, until
+    ROADMAP item 4.
 
     The piecewise-linear interpolant is differentiated exactly against the
     causal kernel (y - y')^(-1/2) / Gamma(1/2); jump discontinuities sampled

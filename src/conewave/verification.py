@@ -90,8 +90,9 @@ def at1_moving_point(seed: int = 0) -> ATReport:
 
 @_timed
 def at2_friedlander(seed: int = 0) -> ATReport:
-    """Friedlander pipeline vs closed forms on C_{4 pi} and the plane."""
-    n_points, tol = 20, 1e-2
+    """Friedlander pipeline vs closed forms on C_{4 pi} and the plane.  With
+    t drawn up to 6, about half the points have pullback y > 4.5."""
+    n_points, tol = 20, 1e-10
     rng = np.random.default_rng(seed)
     results = {}
     for alpha, closed_value in (
@@ -99,18 +100,17 @@ def at2_friedlander(seed: int = 0) -> ATReport:
         (2.0 * PI, lambda q: kernels.plane_kernel_closed(
             q.t, cone_distance(2.0 * PI, q.q1, q.q2))),
     ):
-        fg = friedlander.build_friedlander(alpha)
         worst = 0.0
         count = 0
         while count < n_points:
             r1, r2 = rng.uniform(0.5, 1.6, 2)
             dth = rng.uniform(0.1, 2.0 * PI - 0.1)
-            t = rng.uniform(0.4, 3.2)
+            t = rng.uniform(0.4, 6.0)
             y, z = friedlander.friedlander_pullback(alpha, t, r1, r2, dth, 0.0)
-            if abs(y + math.cos(z)) < 0.3 or abs(y - 1.0) < 0.3 or y > 4.2:
+            if abs(y + math.cos(z)) < 0.3 or abs(y - 1.0) < 0.3:
                 continue
             q = KernelQuery(t, ConePoint(r1, dth), ConePoint(r2, 0.0))
-            fv = friedlander.sine_kernel_friedlander(fg, q).value
+            fv = friedlander.sine_kernel_friedlander(alpha, q).value
             cv = closed_value(q)
             err = abs(fv - cv) / abs(cv) if cv != 0 else abs(fv) / 0.01
             worst = max(worst, err)

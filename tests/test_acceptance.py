@@ -26,8 +26,8 @@ def test_at1_moving_point_equals_closed_form():
 def test_at2_friedlander_equals_closed_forms():
     rep = _report(verification.at2_friedlander, 0)
     assert rep.passed, rep.summary
-    assert rep.details["rel_err_4pi"] < 1e-2
-    assert rep.details["rel_err_2pi"] < 1e-2
+    assert rep.details["rel_err_4pi"] <= 1e-10
+    assert rep.details["rel_err_2pi"] <= 1e-10
 
 
 def test_at3_scattering_matrix():

@@ -48,9 +48,9 @@ print(json.dumps(found))
 
 def test_cli_import_leaves_out_scipy_signal(tmp_path):
     """Every CLI process pays the import of conewave.cli, which loads no scipy
-    module; predict, scatter, compose and the closed4pi and moving kernels run
-    without one.  A child process, since the test session itself has scipy
-    loaded."""
+    module; predict, scatter, compose and the closed4pi, moving and
+    friedlander kernels run without one.  A child process, since the pytest
+    process itself has scipy loaded."""
     (tmp_path / "chain.json").write_text(json.dumps(CHAIN))
     kernel = ["kernel", "--alpha", str(4 * PI), "--r1", "1", "--theta1", "0",
               "--r2", "1", "--theta2", "1.5", "--ts", "0.5:0.35:3.0"]
@@ -64,6 +64,8 @@ def test_cli_import_leaves_out_scipy_signal(tmp_path):
                                       "--out", "k1.csv"],
         "kernel moving": kernel + ["--representation", "moving",
                                    "--out", "k2.csv"],
+        "kernel friedlander": kernel + ["--representation", "friedlander",
+                                        "--out", "k3.csv"],
     }
     res = run_python(["-c", LEAN_IMPORT_CHILD, json.dumps(runs)], tmp_path)
     assert res.returncode == 0, res.stderr
@@ -132,6 +134,25 @@ def test_friedlander_kernel_does_not_mollify(tmp_path):
     for key in ("value_re", "value_im"):
         assert cols["0.01"][key] == cols["0.3"][key]
     assert cols["0.01"]["region"] != cols["0.3"]["region"]
+
+
+def test_friedlander_kernel_past_the_old_grid_matches_closed4pi(tmp_path):
+    """At pullback y from 5.5 to 9.6 (t = 3.5 to 4.5, r1 = r2 = 1) the
+    friedlander kernel is the closed form of C_4pi."""
+    from conewave import cli
+
+    cols = {}
+    for rep in ("friedlander", "closed4pi"):
+        out = tmp_path / f"{rep}.csv"
+        assert cli.main(["kernel", "--alpha", str(4 * PI), "--representation",
+                         rep, "--r1", "1", "--theta1", "0", "--r2", "1",
+                         "--theta2", "1.5", "--ts", "3.5:0.5:4.5",
+                         "--out", str(out)]) == 0
+        cols[rep] = _csv_columns(out)
+    got = [float(v) for v in cols["friedlander"]["value_re"]]
+    want = [float(v) for v in cols["closed4pi"]["value_re"]]
+    assert len(got) == 3
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_kernel_csv_header_and_determinism(tmp_path):

@@ -3,84 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from conewave.errors import OutOfGrid
-from conewave.friedlander import (DY, _column_spline, build_friedlander,
-                                  friedlander_pullback,
+from conewave.friedlander import (_dg_dc, friedlander_pullback,
                                   sine_kernel_friedlander)
 from conewave.geometry import ConePoint, cone_distance
-from conewave.kernels import (KernelQuery, gauss_hermite_mollify,
-                              plane_kernel_closed, sine_kernel_4pi_closed,
-                              sine_kernel_cheeger_series)
-from conewave.special import GAMMA_HALF, l1_half_derivative
+from conewave.kernels import (KernelQuery, cheeger_series_sweep,
+                              gauss_hermite_mollify, plane_kernel_closed,
+                              sine_kernel_4pi_closed)
 
 PI = math.pi
 
 
-@pytest.fixture(scope="module")
-def grid_4pi():
-    return build_friedlander(4 * PI)
+def _brute_dg_dc(alpha, c, z):
+    """dG/dc as the translate sum of -x_k / (c^2 + x_k^2) over x_k = pi -+ z
+    + alpha k, |k| <= K, Richardson-extrapolated in K.
 
-
-@pytest.fixture(scope="module")
-def grid_2pi():
-    return build_friedlander(2 * PI)
-
-
-def test_g_branch_point_values(grid_4pi):
-    fg = grid_4pi
-    zi = np.argmin(np.abs(fg.z))
-    # y < 1, z = 0, y + cos 0 > 0 -> 1
-    yi = np.argmin(np.abs(fg.y - 0.5))
-    assert fg.g[yi, zi] == 1.0
-    # before the direct front
-    assert fg.g[np.argmin(np.abs(fg.y + 1.2)), zi] == 0.0
-    # y = 1.5, z = 0 against a brute-force periodization oracle
-    yj = np.argmin(np.abs(fg.y - 1.5))
-    c = math.acosh(1.5)
-    assert abs(c - math.log(1.5 + math.sqrt(1.25))) < 1e-15
-    def brute(K):
-        return sum((1 / PI) * (math.atan((PI - 4 * PI * k) / c)
-                               + math.atan((PI + 4 * PI * k) / c))
-                   for k in range(-K, K + 1))
-
-    # the raw translate sum has an O(1/K) tail; one Richardson step kills it
-    oracle = 2 * brute(4000) - brute(2000)
-    assert fg.g[yj, zi] == pytest.approx(oracle, abs=1e-7)
-    # the single-branch value (1/pi) 2 arctan(pi/arccosh y) dominates when the
-    # period is huge and the translates are negligible
-    lone = build_friedlander(2000.0)
-    yl = np.argmin(np.abs(lone.y - 1.5))
-    zl = np.argmin(np.abs(lone.z))
-    assert lone.g[yl, zl] == pytest.approx((2 / PI) * math.atan(PI / c),
-                                           abs=1e-5)
-    # decay at large y
-    yk = np.argmin(np.abs(fg.y - 4.4))
-    assert abs(fg.g[yk, zi]) < abs(fg.g[yj, zi])
-
-
-def test_grid_has_a_node_at_y_one(grid_4pi):
-    """The y range contains [-1, 1] and the second branch's cusp at y = 1
-    starts exactly at a node, which holds the continuous value of G."""
-    y = grid_4pi.y
-    assert y[0] < -1.0 and y[-1] > 1.0
-    i1 = np.argmin(np.abs(y - 1.0))
-    assert abs(y[i1] - 1.0) <= 1e-12
-    zi = np.argmin(np.abs(grid_4pi.z))
-    assert grid_4pi.g[i1, zi] == 1.0
-
-
-def _brute_g_high(alpha, y, z):
-    """Translate sum of the y > 1 branch, Richardson-extrapolated in K.
-
-    The partial sums have a tail a/K + b/K^2 + ...; the first step on
-    K = 2000/4000 leaves b/K^2 (up to 6e-8 here), the second, with
-    K = 1000, removes it.
+    The symmetric partial sums have a tail a/K + b/K^2 + ...; the first
+    step on K = 2000/4000 leaves b/K^2, the second, with K = 1000, removes
+    it.
     """
-    c = math.acosh(y)
-
     def brute(K):
-        zp = z + alpha * np.arange(-K, K + 1)
-        return np.sum(np.arctan((PI - zp) / c) + np.arctan((PI + zp) / c)) / PI
+        k = alpha * np.arange(-K, K + 1)
+        return sum(np.sum(-(x + k) / (c * c + (x + k) ** 2))
+                   for x in (PI - z, PI + z)) / PI
 
     b1, b2, b4 = brute(1000), brute(2000), brute(4000)
     return (4 * (2 * b4 - b2) - (2 * b2 - b1)) / 3
@@ -88,149 +32,144 @@ def _brute_g_high(alpha, y, z):
 
 @pytest.mark.parametrize("alpha", [PI, 7.0, 4 * PI])
 def test_g_high_matches_translate_sum(alpha):
-    fg = build_friedlander(alpha)
-    for y in (1.0025, 1.5, 2.5, 4.5):
-        yi = np.argmin(np.abs(fg.y - y))
-        for frac in (-0.5, -0.31, 0.0, 0.17, 0.5):
-            zi = np.argmin(np.abs(fg.z - frac * alpha))
-            oracle = _brute_g_high(alpha, fg.y[yi], fg.z[zi])
-            assert fg.g[yi, zi] == pytest.approx(oracle, abs=1e-9)
+    """dG/dc of the periodized y > 1 branch against its translate sum."""
+    cs = np.array([0.003, 0.07, 0.5, 1.3, 3.0])
+    for frac in (-0.5, -0.31, 0.0, 0.17, 0.49):
+        z = frac * alpha
+        got = _dg_dc(alpha, cs, z)
+        want = [_brute_dg_dc(alpha, c, z) for c in cs]
+        # at pi dG/dc is 0; the extrapolated sum leaves about 4e-11
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-10)
 
 
-def test_g_high_telescopes_at_2pi(grid_2pi):
-    """At alpha = 2 pi the periodized y > 1 branch is the constant 1."""
-    high = grid_2pi.g[grid_2pi.y > 1.0]
-    assert np.max(np.abs(high - 1.0)) < 1e-13
+def test_g_high_telescopes_at_2pi():
+    """At alpha = 2 pi the periodized y > 1 branch is the constant 1, so
+    its c-derivative is 0, on the shadow boundary z = -pi as well."""
+    cs = np.geomspace(1e-12, 10.0, 50)
+    for z in (-PI, -PI + 1e-12, -2.0, 0.0, 0.7, PI - 1e-9):
+        assert np.all(_dg_dc(2 * PI, cs, z) == 0.0)
 
 
-def test_matches_4pi_closed_form(grid_4pi):
-    rng = np.random.default_rng(42)
-    count = 0
-    while count < 20:
+def _sample(alpha, seed, closed_value):
+    """Relative errors of the kernel against a closed form at 20 random
+    points off the fronts, t up to 6 (pullback y up to about 70)."""
+    rng = np.random.default_rng(seed)
+    errs = []
+    while len(errs) < 20:
         r1, r2 = rng.uniform(0.5, 1.6, 2)
         dth = rng.uniform(0.1, 2 * PI - 0.1)
-        t = rng.uniform(0.4, 3.0)
-        y, z = friedlander_pullback(4 * PI, t, r1, r2, dth, 0.0)
-        if abs(y + math.cos(z)) < 0.3 or abs(y - 1) < 0.3 or y > 4.2:
+        t = rng.uniform(0.4, 6.0)
+        y, z = friedlander_pullback(alpha, t, r1, r2, dth, 0.0)
+        if abs(y + math.cos(z)) < 0.3 or abs(y - 1) < 0.3:
             continue
         q = KernelQuery(t, ConePoint(r1, dth), ConePoint(r2, 0.0))
-        fv = sine_kernel_friedlander(grid_4pi, q).value
-        cv = sine_kernel_4pi_closed(q).value
-        if cv == 0.0:
-            assert abs(fv) < 1e-4
-        else:
-            assert fv == pytest.approx(cv, rel=1e-2)
-        count += 1
+        fv = sine_kernel_friedlander(alpha, q).value
+        cv = closed_value(q)
+        errs.append(abs(fv - cv) / abs(cv) if cv != 0.0 else abs(fv))
+    return max(errs)
 
 
-def test_matches_plane_kernel(grid_2pi):
-    rng = np.random.default_rng(43)
-    count = 0
-    while count < 20:
-        r1, r2 = rng.uniform(0.5, 1.6, 2)
-        dth = rng.uniform(0.1, 2 * PI - 0.1)
-        t = rng.uniform(0.4, 3.0)
-        y, z = friedlander_pullback(2 * PI, t, r1, r2, dth, 0.0)
-        if abs(y + math.cos(z)) < 0.3 or abs(y - 1) < 0.3 or y > 4.2:
-            continue
+def test_matches_4pi_closed_form():
+    assert _sample(4 * PI, 42,
+                   lambda q: sine_kernel_4pi_closed(q).value) < 1e-12
+
+
+def test_matches_plane_kernel():
+    assert _sample(2 * PI, 43, lambda q: plane_kernel_closed(
+        q.t, cone_distance(2 * PI, q.q1, q.q2))) < 1e-12
+
+
+def test_matches_4pi_closed_form_far_past_the_diffracted_front():
+    """y = 20, far past the diffracted front at y = 1."""
+    r1, r2 = 1.0, 0.8
+    t = math.sqrt(20 * 2 * r1 * r2 + r1 * r1 + r2 * r2)
+    for dth in (0.3, 2.0, PI, 4.5):
         q = KernelQuery(t, ConePoint(r1, dth), ConePoint(r2, 0.0))
-        fv = sine_kernel_friedlander(grid_2pi, q).value
-        cv = plane_kernel_closed(t, cone_distance(2 * PI, q.q1, q.q2))
-        if cv == 0.0:
-            assert abs(fv) < 1e-4
-        else:
-            assert fv == pytest.approx(cv, rel=1e-2)
-        count += 1
+        assert friedlander_pullback(4 * PI, t, r1, r2, dth, 0.0)[0] == \
+            pytest.approx(20.0)
+        assert sine_kernel_friedlander(4 * PI, q).value == pytest.approx(
+            sine_kernel_4pi_closed(q).value, rel=1e-12)
 
 
-def _bicubic_of_half_derived_grid(fg):
-    """Reference: half-derive every z column of G_alpha, pad three periodic
-    columns each side and fit scipy's interpolating bicubic spline."""
-    from scipy.interpolate import RectBivariateSpline
-
-    ag = np.column_stack([GAMMA_HALF * l1_half_derivative(col, DY)
-                          for col in fg.g.T])
-    pad = 3
-    z_ext = np.concatenate([fg.z[-1 - pad:-1] - fg.alpha, fg.z,
-                            fg.z[1:1 + pad] + fg.alpha])
-    ag_ext = np.concatenate([ag[:, -1 - pad:-1], ag, ag[:, 1:1 + pad]], axis=1)
-    return RectBivariateSpline(fg.y, z_ext, ag_ext, kx=3, ky=3, s=0)
+def _shadow_values(alpha, t, r1=1.0, r2=0.8):
+    """Kernel at theta1 - theta2 = pi -+ x on both sides of the shadow
+    boundary, keyed by the signed offset."""
+    out = {}
+    for x in (1e-1, 1e-3, 1e-6, 1e-12, 0.0):
+        for sign in (1, -1):
+            q = KernelQuery(t, ConePoint(r1, PI - sign * x), ConePoint(r2, 0.0))
+            out[sign * x] = (q, sine_kernel_friedlander(alpha, q).value)
+    return out
 
 
-@pytest.mark.parametrize("alpha", [PI, 2 * PI, 3 * PI, 7.0, 4 * PI, 20.0])
-def test_column_spline_equals_bicubic_of_half_derived_grid(alpha):
-    """Half-deriving and splining one y column at the query's z gives the
-    bicubic spline of the whole half-derived grid, seams included."""
-    fg = build_friedlander(alpha)
-    ref = _bicubic_of_half_derived_grid(fg)
-    half = 0.5 * alpha
-    zs = [-half, -(half - 1e-3), 0.0, half - 1e-3, half,
-          *np.random.default_rng(7).uniform(-half, half, 10)]
-    ys = np.linspace(-1.0, 4.5, 2001)
-    for z in zs:
-        got = _column_spline(fg, z)(ys)
-        want = ref.ev(ys, np.full_like(ys, z))
-        assert np.max(np.abs(got - want)) <= 1e-12, z
+@pytest.mark.parametrize("t", [1.2, 2.5])  # before, after the front at 1.8
+def test_shadow_boundary_matches_closed_forms(t):
+    closed = {
+        4 * PI: lambda q: sine_kernel_4pi_closed(q).value,
+        2 * PI: lambda q: plane_kernel_closed(
+            q.t, cone_distance(2 * PI, q.q1, q.q2)),
+    }
+    for alpha, closed_value in closed.items():
+        for q, value in _shadow_values(alpha, t).values():
+            cv = closed_value(q)
+            assert value == pytest.approx(cv, rel=1e-10, abs=0.0)
 
 
-def test_column_cache_serves_only_its_angle():
-    """Alternating two angles on one grid gives bit-identical values to a
-    fresh grid for each angle."""
-    alpha, t = 7.0, 1.7
-    pair = ((ConePoint(1.1, 0.4), ConePoint(0.8, 0.0)),
-            (ConePoint(0.9, 2.9), ConePoint(1.2, 0.0)))
-
-    def value(fg, points):
-        return sine_kernel_friedlander(fg, KernelQuery(t, *points)).value
-
-    fresh = [value(build_friedlander(alpha), points) for points in pair]
-    shared = build_friedlander(alpha)
-    for _ in range(3):
-        assert [value(shared, points) for points in pair] == fresh
+@pytest.mark.parametrize("alpha", [3 * PI, 7.0])
+@pytest.mark.parametrize("t", [1.2, 2.5])
+def test_shadow_boundary_is_continuous(alpha, t):
+    """The image that crosses |z_k| = pi is made up by the c integral: the
+    half weight at x = 0 and the values at x = +-1e-12 agree."""
+    values = {x: v for x, (_, v) in _shadow_values(alpha, t).items()}
+    for x in (1e-12, -1e-12):
+        assert values[x] == pytest.approx(values[0.0], rel=1e-12, abs=0.0)
+    if t > 1.8:
+        assert values[0.0] > 0.0
 
 
-def test_support_before_fronts(grid_4pi):
+def test_support_before_fronts():
     q = KernelQuery(0.4, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2))
-    assert abs(sine_kernel_friedlander(grid_4pi, q).value) < 1e-6
+    assert sine_kernel_friedlander(4 * PI, q).value == 0.0
 
 
-def test_out_of_grid(grid_4pi):
-    q = KernelQuery(20.0, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2))
-    with pytest.raises(OutOfGrid):
-        sine_kernel_friedlander(grid_4pi, q)
+def test_unbounded_work_is_invalid_input():
+    """A pullback y that overflows, and a cone angle so small that the
+    image sum would run over billions of images, are refused."""
+    from conewave.errors import InvalidInput
+
+    far = KernelQuery(1e200, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2))
+    near = KernelQuery(1.5, ConePoint(1.0, 0.0), ConePoint(1.0, 1e-10))
+    for alpha, q in ((7.0, far), (1e-9, near)):
+        with pytest.raises(InvalidInput):
+            sine_kernel_friedlander(alpha, q)
 
 
 def test_agrees_with_cheeger_series_general_angle():
-    """Cross-representation agreement for generic cone angles."""
+    """Cross-representation agreement for generic cone angles: the
+    Friedlander kernel mollified by Gauss-Hermite quadrature against one
+    Cheeger mode-sum sweep, at times 0.35 or more in y from every front.
+    With these radii that is 4.5 h or more in t, so the Gaussian tail
+    reaching across a front stays below the tolerance (the worst is 2.4e-7,
+    at 3 pi)."""
     h = 0.05
-    rng = np.random.default_rng(1)
+    r1, r2, dth = 1.4, 1.2, 1.0
+    ts = np.linspace(0.3, 3.2, 50)
+    ys = (ts**2 - r1**2 - r2**2) / (2 * r1 * r2)
     for alpha in (PI, 3 * PI, 7.0):
-        fg = build_friedlander(alpha)
+        images = dth + alpha * np.arange(-3, 4)
+        fronts = [1.0, *(-np.cos(images[np.abs(images) < PI]))]
+        far = np.min(np.abs(ys[:, None] - np.array(fronts)), axis=1) >= 0.35
+        t_far = ts[far]
+        assert t_far.size >= 10
+        ch = cheeger_series_sweep(alpha, t_far, r1, r2, dth, h)
+        q1, q2 = ConePoint(r1, dth), ConePoint(r2, 0.0)
 
-        def friedlander_mollified(t, r1, r2, dth):
-            def f(tau):
-                if tau <= 0:
-                    return 0.0
-                try:
-                    return sine_kernel_friedlander(
-                        fg, KernelQuery(tau, ConePoint(r1, dth),
-                                        ConePoint(r2, 0.0))).value
-                except OutOfGrid:
-                    return 0.0
-            return gauss_hermite_mollify(f, t, h)
+        def pointwise(tau):
+            if tau <= 0:
+                return 0.0
+            return sine_kernel_friedlander(alpha, KernelQuery(tau, q1, q2)).value
 
-        count = 0
-        while count < 3:
-            r1, r2 = rng.uniform(0.6, 1.4, 2)
-            dth = rng.uniform(0.1, alpha / 2 - 0.05)
-            t = rng.uniform(0.5, 2.5)
-            y, z = friedlander_pullback(alpha, t, r1, r2, dth, 0.0)
-            if abs(y + math.cos(z)) < 0.35 or abs(y - 1) < 0.35 or y > 3.6:
-                continue
-            q = KernelQuery(t, ConePoint(r1, dth), ConePoint(r2, 0.0), h)
-            ch = sine_kernel_cheeger_series(alpha, q).value
-            if abs(ch) < 1e-4:
-                continue
-            fr = friedlander_mollified(t, r1, r2, dth)
-            assert fr == pytest.approx(ch, rel=2e-2)
-            count += 1
+        fr = [gauss_hermite_mollify(pointwise, t, h) for t in t_far]
+        big = np.abs(ch) >= 1e-4
+        assert np.sum(big) >= 8
+        assert np.asarray(fr)[big] == pytest.approx(ch[big], rel=1e-6)
