@@ -9,8 +9,9 @@ directions with angular kernel
 the kernel of -i exp(-i pi sqrt(Delta_{S^1_alpha})) on the circle of
 circumference alpha.  S_alpha has poles at the geometric directions
 theta = +-pi (mod alpha); physical amplitudes stay finite there because a
-sin factor vanishes simultaneously, and this module provides the stable
-regularized products used near those directions.
+sin factor vanishes simultaneously, and this module provides the
+regularized products, one exact identity, used at and near those
+directions.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from .geometry import check_array_size, check_cone_angle
 
 # |sin factor| below this counts as a pole of the closed form.
 POLE_TOL = 1e-12
-
-# Switch to the series-regularized branch when |theta -+ pi| is below this.
-REGULARIZE_WINDOW = 0.25
 
 INCOMING_AT_0 = "incoming_at_0"
 OUTGOING_AT_PI = "outgoing_at_pi"
@@ -78,38 +76,32 @@ def _sinc(x):
 
 
 def s_times_cos_half(alpha: float, dtheta):
-    """S_alpha(dtheta) * cos(dtheta/2), stable across dtheta = +-pi, for
+    """S_alpha(dtheta) * cos(dtheta/2), finite across dtheta = +-pi, for
     scalars or arrays (a float for scalar input).
 
-    Near +-pi both factors degenerate (pole against zero); the ratio
-    sin(w/2)/sin(pi w/alpha) is evaluated through sinc to keep full
-    precision.  Genuine poles on other sheets raise GeometricDirection.
+    Both factors are even in dtheta.  With u = pi - |dtheta| and
+    k = pi/alpha, cos(dtheta/2) = sin(u/2) and the denominator of S_alpha is
+    sin(k u) sin(k (2 pi - u)), so exactly
+
+        S_alpha cos(dtheta/2) = -sin(2 pi^2/alpha)/(4 pi)
+                                * sinc(u/2) / (sinc(k u) sin(k (2 pi - u))),
+
+    which is -1/(4 pi) at the geometric directions u = 0.  The genuine
+    poles, where sin(k u) vanishes away from u = 0 (the next zeros are at
+    |k u| = pi) or sin(k (2 pi - u)) vanishes, raise GeometricDirection.
     """
     check_cone_angle(alpha)
     d = np.asarray(dtheta, dtype=float)
-    num = -math.sin(2.0 * math.pi**2 / alpha)
-    window = min(REGULARIZE_WINDOW, 0.25 * alpha)
-    w_m = d + math.pi  # distance from the pole at -pi
-    w_p = d - math.pi  # distance from the pole at +pi
-    near_m = np.abs(w_m) < window
-    near = near_m | (np.abs(w_p) < window)
-    # w: distance from the nearby pole.  At -pi, cos(dtheta/2) = sin(w/2) and
-    # sin((pi/a)(pi+dtheta)) = sin(pi w/a); at +pi both change sign.
-    w = np.where(near_m, w_m, w_p)
-    # the other sine factor of S_alpha; it vanishes only on another sheet
-    other = np.sin((math.pi / alpha)
-                   * (2.0 * math.pi + np.where(near_m, -w_m, w_p)))
-    if np.any(near & (np.abs(other) < POLE_TOL)):
-        raise GeometricDirection("double pole in regularized product")
-    far = scattering_matrix(alpha, d) * np.cos(0.5 * d)
-    pole = ~near & np.isnan(far)
+    k = math.pi / alpha
+    u = math.pi - np.abs(d)
+    other = np.sin(k * (2.0 * math.pi - u))
+    pole = ((np.abs(np.sin(k * u)) < POLE_TOL) & (np.abs(k * u) > 1.0)
+            | (np.abs(other) < POLE_TOL))
     if np.any(pole):
         raise GeometricDirection(
             f"S_{alpha}({d[pole][0]}) evaluated at a geometric direction")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (alpha / (2.0 * math.pi)) * _sinc(0.5 * w) / _sinc(
-            math.pi * w / alpha)
-        out = np.where(near, num / (2.0 * alpha) * ratio / other, far)
+    out = (-math.sin(2.0 * math.pi**2 / alpha) / (4.0 * math.pi)
+           * _sinc(0.5 * u) / (_sinc(k * u) * other))
     return float(out) if out.ndim == 0 else out
 
 

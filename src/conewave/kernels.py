@@ -27,7 +27,7 @@ from .errors import (InvalidInput, ModeTailTooLarge, OnFront,
 from .geometry import (ConePoint, angular_separation, check_array_size,
                        check_cone_angle, chart_angle, cone_distance,
                        reduce_angle)
-from .special import (Mollifier, damped_moment, find_roots_convex,
+from .special import (Mollifier, damped_moment, find_roots_convex, leggauss,
                       mollified_delta)
 
 BEFORE_DIRECT = "before_direct"
@@ -178,7 +178,7 @@ def sine_kernel_closed_mollified(alpha: float, t: float, r1: float, r2: float,
         return rho if tderiv == 0 else -u / (h * h) * rho
 
     total = 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(120)
+    nodes, weights = leggauss(120)
     for coeff, tau_a, tau_b in pieces:
         lo = max(tau_a, t - half_width, d_f + 1e-300)
         hi = min(tau_b, t + half_width)
@@ -218,13 +218,6 @@ def _mode_cut(alpha: float, x_max: float) -> float:
     return nu_max * alpha / (2.0 * math.pi)
 
 
-@functools.cache
-def _leggauss(n: int):
-    """Gauss-Legendre nodes and weights of order n, computed once per order:
-    the eigenvalue solve behind them takes about 10 ms at 256 nodes."""
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _lambda_rule(lam_max: float, n_panels: int):
     """Nodes and weights on [0, lam_max]: n_panels equal Gauss-Legendre
     panels of LAM_PANEL nodes, the first graded toward 0."""
@@ -233,7 +226,7 @@ def _lambda_rule(lam_max: float, n_panels: int):
     uniform = width * np.array((LAM_GRADED_EDGES[-1], *range(1, n_panels + 1)))
     lam, wq = [], []
     for edges, n in ((graded, LAM_GRADED_NODES), (uniform, LAM_PANEL)):
-        nodes, weights = _leggauss(n)
+        nodes, weights = leggauss(n)
         half = 0.5 * np.diff(edges)[:, None]
         lam.append((edges[:-1, None] + half * (nodes + 1.0)).ravel())
         wq.append((half * weights).ravel())

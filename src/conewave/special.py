@@ -1,18 +1,21 @@
 """Shared numerical kernels: Gaussian mollifiers, the half-derivative of
 uniformly sampled data by the L1 scheme (order-1.5 accurate on smooth data),
 the smoothed model singularities (t - L - i0)^order of any negative order
-(one closed form in Kummer's function 1F1), and the exact roots of the
-moving-vertex front equation r1(s) + r2(s) = t.
+(one closed form in Kummer's function 1F1), the exact roots of the
+moving-vertex front equation r1(s) + r2(s) = t, the package's one
+Gauss-Legendre rule and its one finite-difference Hessian.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
+from .geometry import check_array_size
 
 GAMMA_HALF = math.sqrt(math.pi)  # Gamma(1/2)
 
@@ -150,3 +153,42 @@ def find_roots_convex(x1, x2, shift, t: float) -> list[float]:
         candidates = [q / a, c / q]
     return sorted(s for s in candidates
                   if s >= 0.0 and abs(2.0 * d * s + n1 - n2) <= tt)
+
+
+@functools.lru_cache(maxsize=64)
+def leggauss(n: int):
+    """Gauss-Legendre nodes and weights of order n, read-only and cached:
+    the eigenvalue solve behind them takes about 10 ms at 256 nodes.  The
+    cache is bounded because the oracle's orders grow with omega.  numpy
+    builds a dense n x n companion matrix, so n^2 is checked against the
+    array budget first."""
+    check_array_size(n * n, f"the {n}-node Gauss-Legendre rule")
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def fd_hessian(f, x0, step: float) -> np.ndarray:
+    """Finite-difference Hessian of the scalar function f(x) at the point x0
+    (a 1-D array), Richardson-extrapolated from the steps `step` and
+    `step / 2`: the central 3-point second difference on the diagonal and
+    the 4-point mixed difference off it, each accurate to O(step^4)."""
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    f0 = f(x0)
+    unit = np.eye(n)
+
+    def second(h):
+        out = np.empty((n, n))
+        for i in range(n):
+            e_i = h * unit[i]
+            out[i, i] = (f(x0 + e_i) - 2.0 * f0 + f(x0 - e_i)) / (h * h)
+            for j in range(i):
+                e_j = h * unit[j]
+                out[i, j] = out[j, i] = (
+                    f(x0 + e_i + e_j) - f(x0 + e_i - e_j)
+                    - f(x0 - e_i + e_j) + f(x0 - e_i - e_j)) / (4.0 * h * h)
+        return out
+
+    return (4.0 * second(0.5 * step) - second(step)) / 3.0

@@ -28,16 +28,22 @@ nondegeneracy checks for the four-front phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diffraction import regularized_pair_product, scattering_matrix
 from .errors import (DegenerateDistance, GeometricDirection, InvalidInput,
                      NoInteriorCriticalPoint, QuadratureFailure)
-from .geometry import ConeChain, PlanarPoint, chart_angle
+from .geometry import ConeChain, PlanarPoint, chart_angle, check_array_size
+from .special import fd_hessian, leggauss
 
 QUARTER_TURN = np.exp(1j * math.pi / 4.0)
+
+# Step of every finite-difference Hessian of a phase here: its O(step^4)
+# truncation and its roundoff, about eps |phase| / step^2, both stay near
+# 1e-10 for phases of size one.
+FD_STEP = 3e-3
 
 
 @dataclass(frozen=True)
@@ -165,27 +171,17 @@ def stationary_eliminate(cp: CompositionPoint) -> StationaryData:
 
 
 def phase_hessian_fd(cp: CompositionPoint) -> np.ndarray:
-    """Finite-difference Hessian (step 1e-5) of Phi = phi1 + phi2 in
-    (x, y, w2) at the stationary point (w2 treated as the second factor's
-    frequency)."""
+    """Finite-difference Hessian (`fd_hessian`, step FD_STEP) of
+    Phi = phi1 + phi2 in (x, y, w2) at the stationary point, w2 being the
+    second factor's frequency; phi2 is linear in it, so it enters as
+    phase_phi2(cp, q) * w2 / omega."""
     sd = stationary_eliminate(cp)
-    step = 1e-5
 
-    def phi(x, y, w2):
-        q = PlanarPoint(x, y)
-        return phase_phi1(cp, q) + phase_phi2(replace(cp, omega=w2), q)
+    def phi(v):
+        q = PlanarPoint(v[0], v[1])
+        return phase_phi1(cp, q) + phase_phi2(cp, q) * (v[2] / cp.omega)
 
-    x0 = np.array([sd.q_c.x, sd.q_c.y, cp.omega])
-    hess = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            e_i = np.eye(3)[i] * step
-            e_j = np.eye(3)[j] * step
-            hess[i, j] = (
-                phi(*(x0 + e_i + e_j)) - phi(*(x0 + e_i - e_j))
-                - phi(*(x0 - e_i + e_j)) + phi(*(x0 - e_i - e_j))
-            ) / (4.0 * step * step)
-    return hess
+    return fd_hessian(phi, [sd.q_c.x, sd.q_c.y, cp.omega], FD_STEP)
 
 
 def composed_phase_psi(chain: ConeChain, t: float, q1: PlanarPoint,
@@ -268,37 +264,6 @@ def chart_points_from_angles(chain: ConeChain, r1: float, theta1: float,
     return q1, q2
 
 
-def _rich_step(f, x0: np.ndarray, i: int, step: float) -> float:
-    """Richardson-extrapolated central first derivative along coordinate i."""
-    e = np.zeros_like(x0)
-    e[i] = 1.0
-
-    def diff(h):
-        return (f(x0 + h * e) - f(x0 - h * e)) / (2.0 * h)
-
-    d1, d2 = diff(step), diff(0.5 * step)
-    return (4.0 * d2 - d1) / 3.0
-
-
-def _phase_differentials(phase, x0: np.ndarray, param_indices: list[int],
-                         step: float) -> np.ndarray:
-    """Rows d_{x,theta}(dphase/dparam_i) for each boundary/fiber parameter.
-
-    `phase` takes the full coordinate vector; `param_indices` select which
-    coordinates are the differentiated parameters (s's and the fiber); the
-    differential is taken in all coordinates *except* the s-parameters.
-    """
-    base_indices = [i for i in range(x0.size) if i not in param_indices]
-    rows = []
-    for pi in param_indices:
-        def dphase(x, pi=pi):
-            return _rich_step(phase, x, pi, step)
-
-        row = [_rich_step(dphase, x0, bi, step * 10) for bi in base_indices]
-        rows.append(row)
-    return np.asarray(rows)
-
-
 def nondegeneracy_check(kind: str, chain: ConeChain | None = None,
                         t: float | None = None, q1: PlanarPoint | None = None,
                         q2: PlanarPoint | None = None, omega: float = 1.0,
@@ -306,12 +271,12 @@ def nondegeneracy_check(kind: str, chain: ConeChain | None = None,
     """Numerical rank check of the parametrization nondegeneracy conditions.
 
     kind="pair": the one-cone phase [|q1-p(s)| + |q2-p(s)| - t] w; the rows
-    are the differentials of dphi/dw and dphi/ds in (t, q1, q2, w) at s = 0.
+    are the differentials of dphi/dw and dphi/ds in (t, q1, q2) at s = 0.
     kind="system": the composed phase Psi; rows for dPsi/dw, dPsi/ds1,
-    dPsi/ds2 at s1 = s2 = 0, by Richardson differences with step 1e-6.  PASS
+    dPsi/ds2 in (t, q1, q2) at s1 = s2 = 0.  The rows are the
+    (parameter x base) block of the phase's `fd_hessian` (step FD_STEP).  PASS
     iff the smallest singular value of the stacked rows exceeds 1e-6.
     """
-    step = 1e-6
     if kind == "pair":
         if q1 is None or q2 is None or t is None:
             raise InvalidInput("pair check needs t, q1, q2")
@@ -322,8 +287,7 @@ def nondegeneracy_check(kind: str, chain: ConeChain | None = None,
             return (broken_line_length(PlanarPoint(x1, y1), vertex,
                                        PlanarPoint(x2, y2)) - tt) * w
 
-        x0 = np.array([t, q1.x, q1.y, q2.x, q2.y, omega, 0.0])
-        rows = _phase_differentials(phase, x0, [5, 6], step)
+        params = [omega, 0.0]
     elif kind == "system":
         if chain is None or t is None or q1 is None or q2 is None:
             raise InvalidInput("system check needs chain, t, q1, q2")
@@ -333,10 +297,11 @@ def nondegeneracy_check(kind: str, chain: ConeChain | None = None,
             return composed_phase_psi(chain, tt, PlanarPoint(x1, y1),
                                       PlanarPoint(x2, y2), s1, s2, w)
 
-        x0 = np.array([t, q1.x, q1.y, q2.x, q2.y, omega, 0.0, 0.0])
-        rows = _phase_differentials(phase, x0, [5, 6, 7], step)
+        params = [omega, 0.0, 0.0]
     else:
         raise InvalidInput(f"unknown phase kind {kind!r}")
+    hess = fd_hessian(phase, [t, q1.x, q1.y, q2.x, q2.y, *params], FD_STEP)
+    rows = hess[5:, :5]  # (w, s...) down, (t, x1, y1, x2, y2) across
     smin = float(np.linalg.svd(rows, compute_uv=False)[-1])
     return NondegeneracyReport(kind, smin, smin > 1e-6, rows)
 
@@ -370,7 +335,9 @@ def oscillatory_oracle(chain: ConeChain, t: float, q1: PlanarPoint,
     its factor w2 is integrated with phi2 and W.  (q) is integrated in polar
     coordinates around p2 on a Gauss-Legendre grid, refined by 1.6 per axis
     until two successive values agree to rel_tol, at most three times;
-    phi1, a1 and a2 are `phase_phi1` and `leg_amplitude` on that grid.
+    phi1, a1 and a2 are `phase_phi1` and `leg_amplitude` on that grid.  Each
+    grid and its two rules are checked against the array budget before they
+    are built, so a large omega raises InvalidInput.
     """
     if omega < 50:
         raise InvalidInput("oracle is meant for the asymptotic regime omega >= 50")
@@ -390,12 +357,15 @@ def oscillatory_oracle(chain: ConeChain, t: float, q1: PlanarPoint,
     # phase excursions set the baseline resolution
     exc_rho = omega * 2.0 * (rho_hi - rho_lo)
     exc_psi = omega * sd.C * (sd.A * psi_half) ** 2 + 20.0
+    if not math.isfinite(exc_rho + exc_psi):  # int() refuses inf and nan
+        raise InvalidInput(f"omega = {omega}: oracle grid sizes overflow")
     n_rho = max(40, int(0.8 * exc_rho))
     n_psi = max(90, int(1.2 * exc_psi))
 
     def evaluate(n_r, n_p):
-        xr, wr = np.polynomial.legendre.leggauss(n_r)
-        xp, wp = np.polynomial.legendre.leggauss(n_p)
+        check_array_size(n_r * n_p, "the oracle grid")
+        xr, wr = leggauss(n_r)
+        xp, wp = leggauss(n_p)
         rho = 0.5 * (rho_hi - rho_lo) * xr + 0.5 * (rho_hi + rho_lo)
         psi = psi_half * xp + psi_c
         R, P = np.meshgrid(rho, psi, indexing="ij")

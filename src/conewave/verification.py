@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffraction, friedlander, kernels, two_diffraction, wave_trace
-from .errors import WindowContaminated
+from .errors import InvalidInput, WindowContaminated
 from .geometry import ConeChain, ConePoint, cone_distance
 from .kernels import KernelQuery
 from .special import Mollifier
@@ -350,6 +350,8 @@ def at7_pillowcase() -> ATReport:
 
 
 def run_all(seed: int = 0) -> list[ATReport]:
+    if seed < 0:  # numpy's generators take seeds >= 0 only
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     return [
         at1_moving_point(seed),
         at2_friedlander(seed),

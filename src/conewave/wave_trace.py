@@ -25,7 +25,7 @@ from .errors import (BadLeg, IncompleteSpectrum, InvalidInput,
                      WindowContaminated)
 from .geometry import (MAX_ARRAY_ELEMENTS, ConeChain, PlanarPoint,
                        check_array_size)
-from .special import Mollifier, mollified_inverse_power
+from .special import Mollifier, fd_hessian, mollified_inverse_power
 from .two_diffraction import composed_phase_psi
 
 
@@ -271,15 +271,6 @@ class PipelineReport:
     passed: bool
 
 
-def _second_derivative(f, x0: float, step: float) -> float:
-    """Richardson-extrapolated central second difference."""
-    def d2(h):
-        return (f(x0 + h) - 2.0 * f(x0) + f(x0 - h)) / (h * h)
-
-    c1, c2 = d2(step), d2(0.5 * step)
-    return (4.0 * c2 - c1) / 3.0
-
-
 def trace_pipeline_check(L: float, b: float,
                          omega: float = 1.0) -> PipelineReport:
     """Re-derive the two-diffraction trace coefficient step by step.
@@ -320,13 +311,15 @@ def trace_pipeline_check(L: float, b: float,
             method="bounded", options={"xatol": 1e-12})
         return float(res.fun)
 
-    kappa_fd = _second_derivative(psi_tilde, 0.0, 1e-3)
+    kappa_fd = float(fd_hessian(lambda v: psi_tilde(float(v[0])), [0.0],
+                                1e-3)[0, 0])
     kappa = omega * L / (b * span)
     kappa_err = abs(kappa_fd - kappa) / kappa
 
     # step as for kappa: at 1e-4 the roundoff of the second difference,
     # about 16 eps |phi| / step^2 after extrapolation, reaches the 1e-6 gate
-    hess_y_fd = _second_derivative(lambda y: chain_phase(0.0, y), 0.0, 1e-3)
+    hess_y_fd = float(fd_hessian(lambda v: chain_phase(0.0, float(v[0])),
+                                 [0.0], 1e-3)[0, 0])
     hess_y = omega * span / (r1_leg * r2_leg)
     hess_y_err = abs(hess_y_fd - hess_y) / hess_y
 

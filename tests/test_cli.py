@@ -220,6 +220,27 @@ def test_trace_outputs(tmp_path):
     assert peak2["nearest_length"] == 2.0
 
 
+@pytest.mark.parametrize("omega", ["1e5", "1e308"])
+def test_compose_oracle_past_the_budget_exits_two(omega, tmp_path):
+    """The README compose call at a large omega: 1e5 asks the oracle for a
+    92k-node Gauss rule (a 68 GB companion matrix), 1e308 for grid sizes
+    that overflow; both are input errors, refused before any allocation."""
+    argv = next(a for a in _readme_cli_commands() if a[0] == "compose")
+    argv[argv.index("--omega") + 1] = omega
+    (tmp_path / "chain.json").write_text(json.dumps(
+        {"a": 1.0, "b": 1.0, "c": 1.0, "alpha1": 3 * PI, "alpha2": 3 * PI,
+         "eps1": -1, "eps2": 1}))
+    res = run_cli(argv, tmp_path)
+    assert res.returncode == 2
+    assert "error:" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_verify_negative_seed_exits_two(tmp_path):
+    res = run_cli(["verify", "--seed", "-1"], tmp_path)
+    assert res.returncode == 2
+    assert "seed" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_verify_exit_codes_exposed():
     from conewave.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAILED
     assert (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_INPUT_ERROR) == (0, 1, 2)

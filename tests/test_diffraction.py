@@ -110,37 +110,45 @@ def test_regularized_sine_product_limits():
 
 
 def test_s_times_cos_half_regularization():
-    # value at the geometric direction itself
-    for alpha in (3 * PI, 4 * PI, 7.0):
+    # value at the geometric direction itself, where the identity's sinc
+    # factors are 1 and sin(k (2 pi - u)) = sin(2 pi^2 / alpha)
+    for alpha in (3 * PI, 4 * PI, 7.0, 5.0, 20.0):
         for sign in (+1, -1):
             assert s_times_cos_half(alpha, sign * PI) == pytest.approx(
                 -1 / (4 * PI), rel=1e-12)
-    # continuity across the switch to the series branch
-    for alpha in (3 * PI, 7.0):
-        for d in (0.249, 0.251):
-            a = s_times_cos_half(alpha, PI - d)
-            b = scattering_matrix(alpha, PI - d) * math.cos((PI - d) / 2)
-            assert a == pytest.approx(b, rel=1e-11)
-    # arrays: the same angles, both windows and both sides of each switch,
-    # match the per-element values
+    # one identity on both sides of +-pi: it is the bare product wherever
+    # that is well conditioned, u = pi - |dtheta| at least 1e-3 from 0
+    u = np.concatenate([-np.geomspace(1e-3, 2.0, 40),
+                        np.geomspace(1e-3, 0.99 * PI, 40)])
+    for alpha in (3 * PI, 4 * PI, 5.0, 7.0, 20.0):
+        for sign in (+1, -1):
+            d = sign * (PI - u)
+            bare = scattering_matrix(alpha, d) * np.cos(0.5 * d)
+            np.testing.assert_allclose(s_times_cos_half(alpha, d), bare,
+                                       rtol=1e-12, atol=0)
+    # bit-exactly even, and arrays match the per-element values
     for alpha in (3 * PI, 4 * PI, 7.0):
         d = np.array([-PI - 0.251, -PI - 0.249, -PI, -PI + 1e-9, -1.0, 0.3,
-                      PI - 0.249, PI - 0.251, PI, PI + 1e-7])
+                      PI - 0.249, PI - 0.251, PI, PI + 1e-7, PI - 1e-13])
         arr = s_times_cos_half(alpha, d)
         assert isinstance(arr, np.ndarray) and arr.shape == d.shape
+        assert np.array_equal(s_times_cos_half(alpha, -d), arr)
         scal = [s_times_cos_half(alpha, float(v)) for v in d]
         assert all(isinstance(v, float) for v in scal)
         assert np.array_equal(arr, np.array(scal))
-        pair = regularized_pair_product(alpha, d.reshape(2, 5), 0.1)
+        pair = regularized_pair_product(alpha, d[:10].reshape(2, 5), 0.1)
         assert pair.shape == (2, 5)
         assert np.array_equal(pair.ravel(), [
-            regularized_pair_product(alpha, float(v), 0.1) for v in d])
-    # a genuine pole inside an array raises, as it does for a scalar:
-    # S_{4pi} has a pole at 3pi, outside both windows
-    with pytest.raises(GeometricDirection):
-        s_times_cos_half(4 * PI, 3 * PI)
-    with pytest.raises(GeometricDirection):
-        s_times_cos_half(4 * PI, np.array([0.0, 1.0, 3 * PI, 2.0]))
+            regularized_pair_product(alpha, float(v), 0.1) for v in d[:10]])
+    # genuine poles raise, for scalars and inside arrays: S_{4pi} has poles
+    # at +-3pi (sin(k (2 pi - u)) = 0), S_7 at +-(pi + 7) (sin(k u) = 0,
+    # u = -7)
+    for alpha, d in ((4 * PI, 3 * PI), (4 * PI, -3 * PI), (7.0, PI + 7.0),
+                     (7.0, -PI - 7.0)):
+        with pytest.raises(GeometricDirection):
+            s_times_cos_half(alpha, d)
+        with pytest.raises(GeometricDirection):
+            s_times_cos_half(alpha, np.array([0.0, 1.0, d, 2.0]))
 
 
 def test_regularized_pair_product_smooth_across_alignment():

@@ -10,8 +10,9 @@ from conewave.errors import InvalidInput
 from conewave.geometry import ConePoint, cone_distance
 from conewave.kernels import KernelQuery, _moving_point_frame
 from conewave.special import (GAMMA_HALF, Mollifier, damped_moment,
-                              find_roots_convex, l1_half_derivative,
-                              mollified_delta, mollified_inverse_power)
+                              fd_hessian, find_roots_convex,
+                              l1_half_derivative, leggauss, mollified_delta,
+                              mollified_inverse_power)
 
 PI = math.pi
 
@@ -275,3 +276,66 @@ def test_find_roots_convex():
             assert find_roots_convex(x1, x2, shift, -t) == []
             counts.add(len(roots))
     assert counts == {0, 1, 2}
+
+
+def test_fd_hessian_exact_on_a_quadratic():
+    """Both stencils are exact on quadratics, so only roundoff, about
+    eps |f| / step^2, remains; large steps keep it small."""
+    a = np.array([[2.0, -1.0, 0.5], [-1.0, 3.0, 0.25], [0.5, 0.25, -4.0]])
+    b = np.array([1.0, -2.0, 0.5])
+
+    def f(x):
+        return 0.5 * x @ a @ x + b @ x + 7.0
+
+    for step in (0.25, 1.0, 4.0):
+        hess = fd_hessian(f, [0.3, -1.2, 2.0], step)
+        assert hess.shape == (3, 3)
+        assert np.array_equal(hess, hess.T)
+        np.testing.assert_allclose(hess, a, rtol=0, atol=1e-12)
+
+
+def test_fd_hessian_is_fourth_order():
+    """On exp(x) sin(y) + x y cos(z) the error against the exact Hessian
+    falls by 2^4 per halving of the step, in every entry's worst case."""
+    def f(v):
+        x, y, z = v
+        return math.exp(x) * math.sin(y) + x * y * math.cos(z)
+
+    x, y, z = 0.4, 0.7, -0.3
+    ex, sy, cy, cz, sz = (math.exp(x), math.sin(y), math.cos(y), math.cos(z),
+                          math.sin(z))
+    exact = np.array([[ex * sy, ex * cy + cz, -y * sz],
+                      [ex * cy + cz, -ex * sy, -x * sz],
+                      [-y * sz, -x * sz, -x * y * cz]])
+    errs = [np.max(np.abs(fd_hessian(f, [x, y, z], h) - exact))
+            for h in (0.2, 0.1, 0.05)]
+    assert errs[-1] < 1e-6
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 12.0 < coarse / fine < 20.0
+
+
+def test_fd_hessian_one_variable_is_the_extrapolated_second_difference():
+    """The 1 x 1 case is (4 D(h/2) - D(h)) / 3 with the central second
+    difference D, to the last bit."""
+    def f(v):
+        return math.cos(3.0 * v[0]) + v[0] ** 5
+
+    step, x0 = 1e-3, 0.25
+
+    def d2(h):
+        return (f([x0 + h]) - 2.0 * f([x0]) + f([x0 - h])) / (h * h)
+
+    assert fd_hessian(f, [x0], step)[0, 0] == (
+        4.0 * d2(0.5 * step) - d2(step)) / 3.0
+
+
+def test_leggauss_is_cached_read_only_and_budgeted():
+    nodes, weights = leggauss(7)
+    assert leggauss(7)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    # exact for polynomials of degree 2 n - 1 = 13
+    assert float(np.sum(weights * nodes**12)) == pytest.approx(2.0 / 13.0,
+                                                               rel=1e-14)
+    # the dense n x n companion matrix numpy builds must fit the budget
+    with pytest.raises(InvalidInput):
+        leggauss(5000)

@@ -6,7 +6,8 @@ import pytest
 import scipy.optimize
 
 from conewave.diffraction import scattering_matrix
-from conewave.errors import GeometricDirection, NoInteriorCriticalPoint
+from conewave.errors import (GeometricDirection, InvalidInput,
+                             NoInteriorCriticalPoint)
 from conewave.geometry import ConeChain, PlanarPoint
 from conewave.two_diffraction import (CompositionPoint, amplitude_tilde,
                                       chart_points_from_angles,
@@ -117,7 +118,7 @@ def test_hessian_eigenvalue_signs():
     cp = CompositionPoint(chain, q1, q2, 0.05, 0.1, 1.3, chain.total_length)
     sd = stationary_eliminate(cp)
     hess = phase_hessian_fd(cp)
-    assert np.linalg.det(hess) == pytest.approx(sd.hessian_det, rel=1e-6)
+    assert np.linalg.det(hess) == pytest.approx(sd.hessian_det, rel=1e-8)
 
 
 def test_stationary_point_is_critical_and_collinear():
@@ -386,9 +387,19 @@ def test_nondegeneracy_checks():
     assert abs(base.rows[0][0]) > 0.5           # dt component of d(dPsi/dw)
     assert abs(base.rows[1][2]) > 1e3 * abs(base.rows[1][1])  # dy1 dominates
     assert abs(base.rows[2][4]) > 1e3 * abs(base.rows[2][3])  # dy2 dominates
+    # dPsi/ds1 does not involve q2 nor t, dPsi/ds2 not q1 nor t: those
+    # entries of the Hessian block are 0 up to the stencil's roundoff
+    for rows in (rep.rows, base.rows):
+        zeros = [rows[1][0], rows[1][3], rows[1][4],
+                 rows[2][0], rows[2][1], rows[2][2]]
+        assert max(abs(z) for z in zeros) < 1e-8
+    # pair rows (-1, 1, 0, -1, 0) and (0, 0, 1, 0, 1): orthogonal, so the
+    # smallest singular value is the shorter norm sqrt(2)
     pair = nondegeneracy_check("pair", t=2.0, q1=PlanarPoint(1.0, 0.0),
                                q2=PlanarPoint(-1.0, 0.0), omega=1.0, eps=+1)
     assert pair.passed
+    assert pair.smallest_singular_value == pytest.approx(math.sqrt(2.0),
+                                                         abs=1e-9)
     # a deliberately degenerate system (duplicated boundary parameter) fails
     dup = np.vstack([rep.rows, rep.rows[-1]])
     smin = float(np.linalg.svd(dup, compute_uv=False)[-1])
@@ -424,6 +435,17 @@ def test_oracle_quadrature_failure():
     with pytest.raises(QuadratureFailure):
         oscillatory_oracle(chain, chain.total_length, q1, q2, 50.0,
                            rel_tol=0.0)
+
+
+def test_oracle_refuses_grids_past_the_budget():
+    """The Gauss rules and the grid are checked before they are built: a
+    large omega asks for a rule whose companion matrix exceeds the budget,
+    and a huge one for sizes that overflow."""
+    chain = default_chain()
+    q1, q2 = chart_points_from_angles(chain, 1.0, 0.2, 1.0, PI - 0.2)
+    for omega in (1e5, 1e308):
+        with pytest.raises(InvalidInput):
+            oscillatory_oracle(chain, chain.total_length, q1, q2, omega)
 
 
 def test_oracle_t0_independence():
