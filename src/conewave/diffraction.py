@@ -43,7 +43,10 @@ def scattering_matrix(alpha: float, theta):
     check_cone_angle(alpha)
     k = math.pi / alpha
     th = np.asarray(theta, dtype=float)
-    d1, d2 = np.sin(k * (math.pi - th)), np.sin(k * (math.pi + th))
+    with np.errstate(over="ignore", invalid="ignore"):  # sin(inf) is nan
+        d1, d2 = np.sin(k * (math.pi - th)), np.sin(k * (math.pi + th))
+    if np.isnan(d1 * d2).any():
+        raise InvalidInput(f"pi theta / alpha overflows at alpha = {alpha}")
     pole = (np.abs(d1) < POLE_TOL) | (np.abs(d2) < POLE_TOL)
     with np.errstate(divide="ignore", invalid="ignore"):
         # group (d1 * d2) so evenness in theta holds to the last bit

@@ -66,7 +66,10 @@ def build_friedlander(alpha: float) -> float:
 def friedlander_pullback(alpha: float, t: float, r1: float, r2: float,
                          theta1: float, theta2: float) -> tuple[float, float]:
     """(y, z) coordinates of a kernel query, z reduced to [-alpha/2, alpha/2)."""
-    y = (t * t - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
+    denom = 2.0 * r1 * r2  # 0 when it underflows
+    y = (t * t - r1 * r1 - r2 * r2) / denom if denom > 0.0 else math.inf
+    if not math.isfinite(y):
+        raise InvalidInput(f"pullback y = {y} is not finite")
     z = reduce_angle(alpha, theta1 - theta2)
     if z >= 0.5 * alpha:
         z -= alpha
@@ -92,10 +95,16 @@ def _dg_dc(alpha: float, c: np.ndarray, z: float) -> np.ndarray:
     s2 = math.sin(math.pi * x2 / alpha)
     n = round(2.0 * math.pi / alpha)  # sin(2 pi^2/alpha), exactly 0 at 2 pi
     sin_sum = (-1.0) ** n * math.sin(math.pi * (2.0 * math.pi / alpha - n))
-    big_s = np.sinh((math.pi / alpha) * c) ** 2
+    # capped where |dG/dc| ~ 4 e^{-2 pi c/alpha}/alpha < 1e-130/alpha, so
+    # that the squares below stay finite
+    big_s = np.sinh(np.minimum((math.pi / alpha) * c, 150.0)) ** 2
+    denominator = (big_s + s1 * s1) * (big_s + s2 * s2)
+    # ~ (pi^2/alpha)^4 at small c: subnormal past alpha ~ 1e77, then 0 / 0
+    if not denominator.min() >= np.finfo(float).tiny:
+        raise InvalidInput(f"alpha = {alpha}: dG/dc underflows at z = {z}")
     return (-sin_sum / alpha
             * (big_s * math.cos(2.0 * math.pi * z / alpha) + sign * s1 * s2)
-            / ((big_s + s1 * s1) * (big_s + s2 * s2)))
+            / denominator)
 
 
 def _image_sum(alpha: float, y: float, z: float) -> float:
@@ -145,8 +154,10 @@ def _diffracted_integral(alpha: float, y: float, z: float) -> float:
         n_graded, edge = n_graded + 1, edge / PANEL_RATIO
     c_frac, weights, one_minus_v_sq = _v_rule(n_graded)
     c = big_c * c_frac
-    root = np.sqrt(np.sinh(0.5 * (big_c + c))
-                   * np.sinh((0.5 * big_c) * one_minus_v_sq))
+    left = np.sinh(0.5 * (big_c + c))
+    right = np.sinh((0.5 * big_c) * one_minus_v_sq)
+    # left * right overflows past C = 473 (y ~ 1e205)
+    root = np.sqrt(left * right) if big_c < 400.0 else np.sqrt(left) * np.sqrt(right)
     return (math.sqrt(2.0) * big_c
             * float(np.sum(weights * _dg_dc(alpha, c, z) / root)))
 
@@ -162,8 +173,6 @@ def sine_kernel_friedlander(alpha: float, q: KernelQuery) -> KernelValue:
     check_cone_angle(alpha)
     r1, r2 = q.q1.r, q.q2.r
     y, z = friedlander_pullback(alpha, q.t, r1, r2, q.q1.theta, q.q2.theta)
-    if not math.isfinite(y):
-        raise InvalidInput(f"pullback y = {y} is not finite")
     region = front_region(alpha, q, 10.0 * q.h if q.h > 0 else FRONT_TOL)
     raw = _image_sum(alpha, y, z)
     if y > 1.0:

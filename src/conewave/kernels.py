@@ -11,7 +11,9 @@ with dth the reduced angle difference.  The same kernel is reproduced here by
 a general-angle Bessel mode sum (Cheeger functional calculus), by a
 moving-vertex delta integral, and (see friedlander.py) by the periodized
 multivalued plane-wave construction; their mutual agreement is the central
-verification of the package.
+verification of the package.  The half-wave kernel, of e^{-i t sqrt(Delta)},
+is the same mode sum weighted by lambda e^{-i lambda t}: its real part is
+the time derivative of the sine kernel.
 """
 
 from __future__ import annotations
@@ -22,13 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidInput, ModeTailTooLarge, OnFront,
-                     QuadratureFailure, TangentRoot)
+from .errors import InvalidInput, ModeTailTooLarge, OnFront, TangentRoot
 from .geometry import (ConePoint, angular_separation, check_array_size,
-                       check_cone_angle, chart_angle, cone_distance,
-                       reduce_angle)
-from .special import (Mollifier, damped_moment, find_roots_convex, leggauss,
-                      mollified_delta)
+                       check_cone_angle, cone_distance, reduce_angle)
+from .special import Mollifier, find_roots_convex, leggauss, mollified_delta
 
 BEFORE_DIRECT = "before_direct"
 BETWEEN_FRONTS = "between_fronts"
@@ -41,12 +40,6 @@ FRONT_TOL = 1e-12
 # The Cheeger mode sum is converged when its last two modes contribute at
 # most this fraction of the value.
 MODE_TAIL_TOL = 1e-8
-
-# Error bound of the s integral of halfwave_mu_4pi, per real and imaginary
-# part: HALFWAVE_ATOL + HALFWAVE_RTOL * |part|.  The real part vanishes
-# before the fronts, where the absolute term governs it.
-HALFWAVE_RTOL = 1e-10
-HALFWAVE_ATOL = 1e-14
 
 # Lambda quadrature of the mode sum: Gauss-Legendre panels of LAM_PANEL
 # nodes on [0, lam_max], sized at LAM_NODES_PER_PERIOD nodes per period of
@@ -107,6 +100,9 @@ def classify_region(t: float, direct: float, diffracted: float,
 
 def _fronts(alpha: float, q: KernelQuery) -> tuple[float, float, float]:
     """(direct front, diffracted front, reduced angle difference)."""
+    # the closed form and the moving-vertex sum square lengths up to t
+    if not math.isfinite(2.0 * q.t * q.t):
+        raise InvalidInput(f"t = {q.t}: its square overflows")
     direct = cone_distance(alpha, q.q1, q.q2)
     diffracted = q.q1.r + q.q2.r
     dth = angular_separation(alpha, q.q1.theta, q.q2.theta)
@@ -165,7 +161,8 @@ def sine_kernel_closed_mollified(alpha: float, t: float, r1: float, r2: float,
     alpha must be 2*pi or 4*pi; dth is the reduced angle difference.  The
     convolution integral is desingularized with tau = d_f cosh(v) so plain
     120-node Gauss-Legendre converges fast.  tderiv in {0, 1} selects the
-    kernel or its time derivative (mollifier differentiated).
+    kernel or its time derivative (mollifier differentiated), the real part
+    of the half-wave kernel.
     """
     if tderiv not in (0, 1):
         raise InvalidInput("tderiv must be 0 or 1")
@@ -233,21 +230,14 @@ def _lambda_rule(lam_max: float, n_panels: int):
     return np.concatenate(lam), np.concatenate(wq)
 
 
-def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
-                         dtheta_signed: float, h: float) -> np.ndarray:
-    """Cheeger mode sum evaluated on a batch of times (shared geometry).
-
-    The Bessel products are time independent, so a whole t sweep costs one
-    matrix-vector product per time on top of a single Bessel table.  The
-    table, the phase block and the mode-by-time block are checked against
-    the array budget before any of them is allocated.
-
-    The lambda integral takes 3 Gauss-Legendre nodes per period of
-    sin(lambda (t_max + r1 + r2)) on 256-node panels, the first panel
-    graded toward lambda = 0 (see LAM_NODES_PER_PERIOD); measured against
-    a much finer rule, it is within 1.5e-13 of the peak value.  The budget
-    checks count every node allocated, graded ones included.
-    """
+def _mode_table(alpha: float, ts, r1: float, r2: float, dtheta_signed: float,
+                h: float):
+    """(ts, lam, damped, bessel, weights) of a mode sum: the times as an
+    array, the lambda nodes, their quadrature weights times e^{-h^2
+    lam^2/2}, the products J_nu(lam r1) J_nu(lam r2) (modes by nodes) and
+    the mode weights (c_k/alpha) cos(nu_k dtheta), c_0 = 1 and c_k = 2.
+    Every array, graded nodes included, is checked against the budget
+    before it is allocated."""
     check_cone_angle(alpha)
     if not h > 0:
         raise InvalidInput("the mode sum requires a positive mollifier width")
@@ -272,13 +262,17 @@ def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
     j1 = _masked_bessel(nu, lam * r1)
     j2 = j1 if r2 == r1 else _masked_bessel(nu, lam * r2)
     damped = np.exp(-0.5 * (h * lam) ** 2) * wq
-    # integrals[k, i] = int sin(lam t_i) e^{-h^2 lam^2/2} J J d lam
-    integrals = (j1 * j2) @ (np.sin(np.outer(lam, ts)) * damped[:, None])
-
     coeffs = np.full(mode_cut + 1, 2.0)
     coeffs[0] = 1.0
-    mode_weights = (coeffs / alpha) * np.cos(nu * dtheta_signed)
-    terms = mode_weights[:, None] * integrals
+    weights = (coeffs / alpha) * np.cos(nu * dtheta_signed)
+    return ts, lam, damped, j1 * j2, weights
+
+
+def _mode_sum(weights: np.ndarray, integrals: np.ndarray,
+              ts: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] integrals[k, i] at each time t_i, refused unless the
+    last two modes are within MODE_TAIL_TOL of the value everywhere."""
+    terms = weights[:, None] * integrals
     values = terms.sum(axis=0)
     tail = np.abs(terms[-1]) + np.abs(terms[-2])
     if np.any(tail > MODE_TAIL_TOL * np.maximum(np.abs(values), 1e-30)):
@@ -287,6 +281,39 @@ def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
             f"last modes contribute {tail[worst]:.2e} relative to "
             f"{values[worst]:.2e} at t = {ts[worst]}")
     return values
+
+
+def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
+                         dtheta_signed: float, h: float) -> np.ndarray:
+    """Cheeger mode sum of the mollified sine kernel on a batch of times.
+
+    The Bessel products are time independent, so a whole t sweep costs one
+    matrix-vector product per time on top of a single Bessel table.  The
+    lambda rule (see LAM_NODES_PER_PERIOD) is within 1.5e-13 of the peak.
+    """
+    ts, lam, damped, bessel, weights = _mode_table(alpha, ts, r1, r2,
+                                                   dtheta_signed, h)
+    # integrals[k, i] = int sin(lam t_i) e^{-h^2 lam^2/2} J J d lam
+    return _mode_sum(weights, bessel @ (np.sin(np.outer(lam, ts))
+                                        * damped[:, None]), ts)
+
+
+def halfwave_series_sweep(alpha: float, ts, r1: float, r2: float,
+                          dtheta_signed: float, h: float) -> np.ndarray:
+    """Cheeger mode sum of the mollified half-wave kernel, the kernel of
+    e^{-i t sqrt(Delta)}, on a batch of times:
+
+        U_h = (1/alpha) sum_k c_k cos(nu_k dtheta)
+              int_0^inf e^{-i lam t} e^{-h^2 lam^2/2} J J lam d lam,
+
+    the table of cheeger_series_sweep weighted by lam e^{-i lam t} instead
+    of sin(lam t).  Re U_h is the time derivative of the sine kernel and
+    Im U_h its Hilbert transform in t.
+    """
+    ts, lam, damped, bessel, weights = _mode_table(alpha, ts, r1, r2,
+                                                   dtheta_signed, h)
+    return _mode_sum(weights, bessel @ (np.exp(-1j * np.outer(lam, ts))
+                                        * (lam * damped)[:, None]), ts)
 
 
 def sine_kernel_cheeger_series(alpha: float, q: KernelQuery) -> KernelValue:
@@ -329,16 +356,6 @@ def _moving_point_frame(q: KernelQuery, eps: int) -> tuple[np.ndarray, np.ndarra
     return p1, p2
 
 
-def _moving_radii(x1: np.ndarray, x2: np.ndarray, shift: np.ndarray,
-                  s: np.ndarray):
-    """(r1(s), r2(s), v1, v2): offsets of x1, x2 from the vertex moved to
-    s * shift, with shape (2, n) for a 1-D array s of n values, and their
-    lengths."""
-    v1 = x1[:, None] - shift[:, None] * s
-    v2 = x2[:, None] - shift[:, None] * s
-    return np.hypot(*v1), np.hypot(*v2), v1, v2
-
-
 def sine_kernel_moving_point(q: KernelQuery, eps: int = -1) -> KernelValue:
     """Moving-vertex representation of the C_{4pi} sine kernel (h = 0).
 
@@ -351,11 +368,15 @@ def sine_kernel_moving_point(q: KernelQuery, eps: int = -1) -> KernelValue:
     """
     if eps not in (+1, -1):
         raise InvalidInput("eps must be +1 or -1")
+    region = front_region(4.0 * math.pi, q, FRONT_TOL)
     x1, x2 = _moving_point_frame(q, eps)
     shift = np.array([0.0, 1.0 if eps == -1 else -1.0])
 
     roots = np.array(find_roots_convex(x1, x2, shift, q.t))
-    r1s, r2s, v1, v2 = _moving_radii(x1, x2, shift, roots)
+    # offsets of q1, q2 from the vertex moved to each root, shape (2, n)
+    v1 = x1[:, None] - shift[:, None] * roots
+    v2 = x2[:, None] - shift[:, None] * roots
+    r1s, r2s = np.hypot(*v1), np.hypot(*v2)
     dg = -(shift @ v1) / r1s - (shift @ v2) / r2s
     # |g'| ~ sqrt(2 curvature (t - t_front)); below 1e-6 the evaluation
     # time is within ~1e-13 of the front and the contribution diverges
@@ -366,7 +387,7 @@ def sine_kernel_moving_point(q: KernelQuery, eps: int = -1) -> KernelValue:
     half_cos = np.sqrt(np.maximum(0.5 * (1.0 + cos_dth), 0.0))
     total = float(np.sum(1.0 / (8.0 * math.pi * np.sqrt(r1s * r2s) * half_cos)))
 
-    return KernelValue(total, front_region(4.0 * math.pi, q, FRONT_TOL))
+    return KernelValue(total, region)
 
 
 @functools.cache
@@ -409,48 +430,3 @@ def upsilon0(t: float, q1: ConePoint, q2: ConePoint, dir_theta: float,
     amp = mollified_delta(moll, t - q1.r - q2.r) / (
         4.0 * math.pi * math.sqrt(q1.r * q2.r))
     return amp * math.cos(0.5 * (q1.theta + q2.theta) - dir_theta)
-
-
-def halfwave_mu_4pi(t: float, q1: ConePoint, q2: ConePoint,
-                    moll: Mollifier) -> complex:
-    """Half-wave kernel on C_{4 pi} as the boundary-parameter oscillatory
-    integral
-
-        (-i/4 pi^2) int_{s>=0} int_{w>0} e^{i (r1(s)+r2(s)-t) w}
-            sin((th1(s)+th2(s))/2) (r1(s) r2(s))^(-1/2) w dw ds,
-
-    frequency-mollified by e^{-h^2 w^2 / 2}.  The w integral is the closed
-    form damped_moment(r1(s) + r2(s) - t, h, 2); the s integral is adaptive
-    21-node Gauss-Kronrod on arrays of s, one complex evaluation per node,
-    with the front roots as break points.  Raises QuadratureFailure unless
-    the error estimate of the real and of the imaginary part is within
-    HALFWAVE_ATOL + HALFWAVE_RTOL * |part|.
-    """
-    import scipy.integrate
-
-    h = moll.width_h
-    query = KernelQuery(t, q1, q2, h)
-    x1, x2 = _moving_point_frame(query, eps=-1)
-    shift = np.array([0.0, 1.0])
-
-    def integrand(s):  # s has shape (n, 1); returns (n, 2): real, imaginary
-        r1s, r2s, v1, v2 = _moving_radii(x1, x2, shift, s[:, 0])
-        th1 = chart_angle(-1, *v1)
-        th2 = chart_angle(-1, *v2)
-        amp = np.sin(0.5 * (th1 + th2)) / np.sqrt(r1s * r2s)
-        value = (-1j / (4.0 * math.pi**2)) * amp * damped_moment(
-            r1s + r2s - t, h, 2.0)
-        return np.stack([value.real, value.imag], axis=1)
-
-    s_max = t + abs(x1[1]) + abs(x2[1]) + 1.0
-    breaks = [np.array([b]) for b in find_roots_convex(x1, x2, shift, t)
-              if 0.0 < b < s_max]
-    res = scipy.integrate.cubature(
-        integrand, [0.0], [s_max], rule="gk21", rtol=HALFWAVE_RTOL,
-        atol=HALFWAVE_ATOL, max_subdivisions=300, points=breaks or None)
-    if res.status != "converged":
-        raise QuadratureFailure(
-            f"half-wave s integral at t = {t}: error estimate "
-            f"{np.max(res.error):.2e} above the bound after "
-            f"{res.subdivisions} subdivisions")
-    return complex(*res.estimate)

@@ -132,7 +132,15 @@ def find_roots_convex(x1, x2, shift, t: float) -> list[float]:
     a >= 0, i.e. (p2 - p1)^2 >= t^2 |e|^2, there is no root, since then
     r1 + r2 >= |x1 - x2| >= |p2 - p1| / |e| >= t.  A discriminant negative
     only by rounding (down to -1e-12 b^2) is a double root.
+
+    The coefficients are sextic in the lengths, so lengths past 1e40 or all
+    below 1e-40 are first divided by a power of two near the largest: an
+    exact scaling that keeps them in the range of a double.
     """
+    scale, size = 1.0, max(map(abs, [t, *x1.tolist(), *x2.tolist()]))
+    if not 1e-40 < size < 1e40:
+        scale = math.ldexp(1.0, math.frexp(size)[1])
+        x1, x2, t = x1 / scale, x2 / scale, t / scale
     p1 = float(x1 @ shift)
     d = float(x2 @ shift) - p1
     n1, n2 = float(x1 @ x1), float(x2 @ x2)
@@ -151,7 +159,7 @@ def find_roots_convex(x1, x2, shift, t: float) -> list[float]:
     else:
         q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
         candidates = [q / a, c / q]
-    return sorted(s for s in candidates
+    return sorted(scale * s for s in candidates
                   if s >= 0.0 and abs(2.0 * d * s + n1 - n2) <= tt)
 
 

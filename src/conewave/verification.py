@@ -216,14 +216,14 @@ def at4_two_diffraction(seed: int = 0) -> ATReport:
         eig = np.linalg.eigvalsh(hess)
         signatures_ok &= (np.sum(eig > 0) == 2 and np.sum(eig < 0) == 1
                           and sd.signature == +1)
-    passed = errs[200.0] <= 0.05 and halving_ok and worst_det < 1e-5 \
+    passed = errs[200.0] <= 0.05 and halving_ok and worst_det < 1e-8 \
         and signatures_ok
     return ATReport(
         "AT-4", "two-diffraction stationary phase vs oscillatory oracle",
         passed,
         f"oracle dev at 200 = {errs[200.0]:.4f} (<=0.05), halving ratios "
         f"{ratio_1:.2f}/{ratio_2:.2f} (in [0.3,0.7]), Hessian det err "
-        f"{worst_det:.2e}, signatures {'ok' if signatures_ok else 'BAD'}",
+        f"{worst_det:.2e} (<1e-8), signatures {'ok' if signatures_ok else 'BAD'}",
         0.0, details={"errors": errs, "ratios": (ratio_1, ratio_2),
                       "hessian_det_err": worst_det})
 

@@ -95,7 +95,10 @@ def predict_two_diffraction_singularity(L: float, b: float) -> TracePrediction:
     with coefficient sqrt(b (L - b)) / (4 i pi^2)."""
     if not 0 < b < L:
         raise BadLeg(f"leg b = {b} outside (0, {L})")
-    coeff = math.sqrt(b * (L - b)) / (4j * math.pi**2)
+    root = math.sqrt(b * (L - b))
+    if math.isinf(root):  # the product overflows; its factors do not
+        root = math.sqrt(b) * math.sqrt(L - b)
+    coeff = root / (4j * math.pi**2)
     return TracePrediction(L, b, -1, coeff)
 
 
@@ -110,10 +113,11 @@ def pillowcase_spectrum(surface: PillowcaseSurface, lambda_max: float) -> Spectr
     if not (lambda_max > 0 and math.isfinite(lambda_max)):
         raise InvalidInput(f"lambda_max must be positive and finite, got {lambda_max}")
     a, b = surface.a_rect, surface.b_rect
-    m_max = int(math.floor(a * lambda_max / math.pi))
-    n_max = int(math.floor(b * lambda_max / math.pi))
+    # floats until checked, since int() refuses inf
+    m_max, n_max = (float(np.floor(s * lambda_max / math.pi)) for s in (a, b))
     check_array_size((m_max + 1) * (n_max + 1), "the pillowcase index grid")
-    m, n = np.meshgrid(np.arange(m_max + 1), np.arange(n_max + 1), indexing="ij")
+    m, n = np.meshgrid(np.arange(int(m_max) + 1), np.arange(int(n_max) + 1),
+                       indexing="ij")
     lam = math.pi * np.sqrt((m / a) ** 2 + (n / b) ** 2)
     mult = np.where((m >= 1) & (n >= 1), 2, 1)
     keep = lam <= lambda_max
@@ -134,11 +138,11 @@ def pillowcase_lengths(surface: PillowcaseSurface,
     if not (t_max >= 0 and math.isfinite(t_max)):
         raise InvalidInput(f"t_max must be finite and >= 0, got {t_max}")
     a, b = surface.a_rect, surface.b_rect
-    m_max, n_max = int(0.5 * t_max / a), int(0.5 * t_max / b)
+    m_max, n_max = (float(np.floor(0.5 * t_max / s)) for s in (a, b))
     check_array_size((m_max + 1) * (n_max + 1),
                      "the closed-geodesic index grid")
     lengths = {2.0 * math.hypot(m * a, n * b)
-               for m in range(m_max + 1) for n in range(n_max + 1)}
+               for m in range(int(m_max) + 1) for n in range(int(n_max) + 1)}
     return sorted(ell for ell in lengths if 0.0 < ell <= t_max)
 
 
@@ -156,10 +160,13 @@ def mollified_trace(spec: Spectrum, t_grid: np.ndarray,
     (at least 1), so every temporary stays within the array budget.
     """
     h = moll.width_h
-    if math.exp(-0.5 * (h * spec.lambda_max) ** 2) >= 1e-10:
+    try:
+        damping = math.exp(-0.5 * (h * spec.lambda_max) ** 2)
+    except OverflowError as exc:
+        raise InvalidInput(f"(h lambda_max)^2 overflows, h = {h}") from exc
+    if damping >= 1e-10:
         raise IncompleteSpectrum(
-            f"damping at lambda_max = {spec.lambda_max} is only "
-            f"{math.exp(-0.5 * (h * spec.lambda_max) ** 2):.2e}")
+            f"damping at lambda_max = {spec.lambda_max} is only {damping:.2e}")
     t = np.asarray(t_grid, dtype=float).ravel()
     n = t.size
     dt = (t[-1] - t[0]) / (n - 1) if n > 1 else 0.0

@@ -44,6 +44,7 @@ def test_at4_two_diffraction_stationary_phase():
     assert rep.details["errors"][200.0] <= 0.05
     for ratio in rep.details["ratios"]:
         assert 0.3 <= ratio <= 0.7
+    assert rep.details["hessian_det_err"] < 1e-8
 
 
 def test_at5_differentiated_propagator():

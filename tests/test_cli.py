@@ -385,6 +385,36 @@ def test_bad_input_exits_two(argv, capsys, tmp_path, monkeypatch):
     assert "error" in capsys.readouterr().err
 
 
+HUGE_RADII = ["--r1", "1e200", "--r2", "1e200", "--theta1", "0",
+              "--theta2", "1", "--ts", "1:1:2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--alpha", str(4 * PI), "--representation", "closed4pi"]
+    + HUGE_RADII,
+    ["kernel", "--alpha", str(4 * PI), "--representation", "moving"]
+    + HUGE_RADII,
+    ["kernel", "--alpha", "7", "--representation", "friedlander", "--r1",
+     "1e-200", "--r2", "1e-200", "--theta1", "0", "--theta2", "1", "--ts",
+     "1:1:2"],
+    ["trace", "--h", "1e300"],
+    ["trace", "--b", "1e300", "--lambda-max", "1e10"],
+    ["kernel", "--alpha", "1e300", "--representation", "friedlander", "--r1",
+     "1", "--r2", "1", "--theta1", "0", "--theta2", "1", "--ts", "1:1:3"],
+], ids=["closed4pi-squared-distance-overflows",
+        "moving-squared-distance-overflows", "friedlander-2r1r2-underflows",
+        "trace-damping-exponent-overflows", "trace-index-grid-overflows",
+        "friedlander-dg-dc-underflows"])
+def test_overflow_is_input_error(argv, tmp_path):
+    """Numbers whose intermediate values overflow or underflow exit 2 with
+    one error line: no traceback, and no NaN written."""
+    res = run_cli(argv, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "nan" not in res.stdout
+
+
 @pytest.mark.parametrize("argv", [
     ["kernel", "--alpha", "1"],
     ["predict", "--L", "3", "--b", "1", "--config", "x.json"],

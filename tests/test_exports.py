@@ -18,9 +18,10 @@ BENCH = PACKAGE.parents[1] / "bench"
 
 # Science checks that only the tests call; each has a reason to stay.
 TEST_ONLY = (
-    # the half-wave kernel as an oscillatory integral: the paper's
-    # boundary-parameter representation, checked by its frequency content
-    "halfwave_mu_4pi",
+    # the half-wave kernel e^{-i t sqrt(Delta)}, the paper's propagator, at
+    # every cone angle: checked against the closed cosine kernel, its
+    # Hilbert transform and its frequency content
+    "halfwave_series_sweep",
     # the rank conditions that make the composed phase a parametrization
     "nondegeneracy_check",
 )

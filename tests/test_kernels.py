@@ -7,7 +7,7 @@ from conewave.errors import InvalidInput, ModeTailTooLarge, OnFront
 from conewave.geometry import ConePoint, cone_distance
 from conewave.kernels import (AFTER_DIFFRACTED, BEFORE_DIRECT, BETWEEN_FRONTS,
                               KernelQuery, cheeger_series_sweep,
-                              halfwave_mu_4pi, sine_kernel_4pi_closed,
+                              halfwave_series_sweep, sine_kernel_4pi_closed,
                               sine_kernel_cheeger_series,
                               sine_kernel_closed_mollified,
                               sine_kernel_moving_point, spherical_wave_l,
@@ -65,6 +65,18 @@ def test_moving_point_root_count_branches():
     qa = KernelQuery(3.0, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2))
     assert sine_kernel_moving_point(qa).value == pytest.approx(
         1 / (4 * PI * math.sqrt(7.0)), rel=1e-12)
+
+
+def test_moving_point_is_scale_free():
+    """The kernel is homogeneous of degree -1 in (t, r1, r2); the
+    moving-vertex sum keeps that from lengths of 1e-100 to 1e140."""
+    q1, q2 = ConePoint(1.0, 0.0), ConePoint(0.8, 1.5)
+    for t in (1.6, 3.0):
+        closed = sine_kernel_4pi_closed(KernelQuery(t, q1, q2)).value
+        for s in (1e-100, 1e-30, 1e60, 1e140):
+            q = KernelQuery(s * t, ConePoint(s, 0.0), ConePoint(0.8 * s, 1.5))
+            assert s * sine_kernel_moving_point(q).value == pytest.approx(
+                closed, rel=1e-14)
 
 
 def test_cheeger_series_against_mollified_closed_forms():
@@ -240,31 +252,66 @@ def test_upsilon0_matches_commutator_finite_difference():
         assert fd == pytest.approx(ups, rel=5e-2)
 
 
+# half-wave test geometry: r1 = r2 = 1, theta2 - theta1 = 0.55 pi, h = 0.05
+HW_H = 0.05
+HW_DTH = 0.55 * PI
+
+
 def test_halfwave_real_part_is_cosine_kernel():
-    h = 0.05
-    moll = Mollifier(h)
-    q1, q2 = ConePoint(1.0, 0.2), ConePoint(1.0, 0.2 + 0.55 * PI)
-    for t in (1.75, 1.85):
-        u = halfwave_mu_4pi(t, q1, q2, moll)
-        ref = sine_kernel_closed_mollified(4 * PI, t, 1.0, 1.0, 0.55 * PI, h,
-                                           tderiv=1)
-        assert u.real == pytest.approx(ref, rel=2e-2)
-    # the cosine part is sharply supported: Re vanishes before the fronts
-    early = halfwave_mu_4pi(0.8, q1, q2, moll)
-    assert abs(early.real) < 1e-12
+    """Re U_h is the time derivative of the sine kernel: the closed form
+    with tderiv=1 at 4 pi, and a fourth-order central difference of the
+    Cheeger sine sweep at alpha = 7.  It is sharply supported, so it
+    vanishes before the direct front."""
+    ts = np.linspace(0.3, 3.5, 17)
+    u = halfwave_series_sweep(4 * PI, ts, 1.0, 1.0, -HW_DTH, HW_H)
+    ref = [sine_kernel_closed_mollified(4 * PI, t, 1.0, 1.0, HW_DTH, HW_H,
+                                        tderiv=1) for t in ts]
+    assert np.max(np.abs(u.real - ref)) < 1e-10
+    early = ts < cone_distance(4 * PI, ConePoint(1.0, 0.0),
+                               ConePoint(1.0, HW_DTH)) - 10 * HW_H
+    assert early.sum() >= 2 and np.max(np.abs(u.real[early])) < 1e-12
+
+    step = 2e-4
+    u7 = halfwave_series_sweep(7.0, ts, 1.0, 1.0, 0.9, HW_H)
+    m2, m1, p1, p2 = cheeger_series_sweep(
+        7.0, np.concatenate([ts + k * step for k in (-2, -1, 1, 2)]),
+        1.0, 1.0, 0.9, HW_H).reshape(4, ts.size)
+    fd = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * step)
+    assert np.max(np.abs(u7.real - fd)) < 1e-9
 
 
-def test_halfwave_refuses_an_unmet_error_bound(monkeypatch):
-    """An s integral whose error estimate stays above the bound raises
-    QuadratureFailure instead of returning the estimate."""
+def _hilbert_of_cosine_kernel(ts, dth: float, cut: float = 40.0,
+                              ds: float = 1e-3) -> np.ndarray:
+    """-(1/pi) PV int_0^inf R(s) 2t/(t^2 - s^2) ds for R the tderiv=1
+    closed form at 4 pi (r1 = r2 = 1, h = HW_H), the Hilbert transform in t
+    of the cosine kernel extended evenly: the midpoint rule on [0, cut]
+    (each t on a grid edge, so the principal value cancels in pairs) plus
+    the tail past cut, where R(s) ~ -1/(4 pi s^2) gives
+    int_cut^inf = 2t/(12 pi cut^3)."""
+    s = (np.arange(round(cut / ds)) + 0.5) * ds
+    r = np.array([sine_kernel_closed_mollified(4 * PI, x, 1.0, 1.0, dth,
+                                               HW_H, tderiv=1) for x in s])
+    ts = np.asarray(ts)[:, None]
+    integral = np.sum(r * 2.0 * ts / (ts * ts - s * s), axis=1) * ds
+    return -(integral + 2.0 * ts[:, 0] / (12.0 * PI * cut**3)) / PI
+
+
+def test_halfwave_imaginary_part_is_the_hilbert_transform():
+    """Im U_h is the Hilbert transform of Re U_h, computed here from the
+    closed cosine kernel alone: at theta2 - theta1 = 1.5 they agree to
+    2.2e-9 (t = 2.5) and 5.0e-10 (t = 1.2)."""
+    ts = np.array([1.2, 2.5])
+    u = halfwave_series_sweep(4 * PI, ts, 1.0, 1.0, -1.5, HW_H)
+    assert np.max(np.abs(u.imag - _hilbert_of_cosine_kernel(ts, 1.5))) < 1e-8
+
+
+def test_halfwave_refuses_an_unconverged_mode_sum(monkeypatch):
+    """The half-wave sum shares the sine sweep's mode-tail check."""
     from conewave import kernels
-    from conewave.errors import QuadratureFailure
 
-    monkeypatch.setattr(kernels, "HALFWAVE_RTOL", 0.0)
-    monkeypatch.setattr(kernels, "HALFWAVE_ATOL", 0.0)
-    q1, q2 = ConePoint(1.0, 0.2), ConePoint(1.0, 0.2 + 0.55 * PI)
-    with pytest.raises(QuadratureFailure, match="error estimate"):
-        halfwave_mu_4pi(1.8, q1, q2, Mollifier(0.05))
+    monkeypatch.setattr(kernels, "MODE_TAIL_TOL", 0.0)
+    with pytest.raises(ModeTailTooLarge, match="last modes"):
+        halfwave_series_sweep(4 * PI, [1.8], 1.0, 1.0, -HW_DTH, HW_H)
 
 
 def test_halfwave_positive_frequency_content():
@@ -272,10 +319,8 @@ def test_halfwave_positive_frequency_content():
     only.  Measured by a Blackman-windowed DFT with the ambiguous band
     |omega| < 2 excluded (the profile's frequency density vanishes at 0, but
     finite-window lobes straddle the origin)."""
-    moll = Mollifier(0.05)
-    q1, q2 = ConePoint(1.0, 0.2), ConePoint(1.0, 0.2 + 0.55 * PI)
     ts = np.linspace(0.3, 16.0, 384)
-    us = np.array([halfwave_mu_4pi(t, q1, q2, moll) for t in ts])
+    us = halfwave_series_sweep(4 * PI, ts, 1.0, 1.0, -HW_DTH, HW_H)
     spec = np.fft.fft(us * np.blackman(ts.size))
     freqs = 2 * PI * np.fft.fftfreq(ts.size, ts[1] - ts[0])
     right = np.abs(spec[freqs < -2.0]).sum()

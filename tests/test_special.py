@@ -278,6 +278,21 @@ def test_find_roots_convex():
     assert counts == {0, 1, 2}
 
 
+def test_find_roots_convex_is_scale_free():
+    """Scaling every length by a power of two scales the roots by it,
+    bit for bit, from 2^-900 to 2^900: the quadratic's coefficients, sextic
+    in the lengths, would otherwise underflow or overflow past about 2^170."""
+    x1, x2 = np.array([0.6, 0.8]), np.array([-0.3, 0.5])
+    shift = np.array([0.0, 1.0])
+    for t, count in ((1.2, 2), (2.5, 1)):
+        roots = find_roots_convex(x1, x2, shift, t)
+        assert len(roots) == count
+        for k in (-900, -200, 200, 900):
+            s = 2.0**k
+            assert find_roots_convex(s * x1, s * x2, shift, s * t) == [
+                s * root for root in roots]
+
+
 def test_fd_hessian_exact_on_a_quadratic():
     """Both stencils are exact on quadratics, so only roundoff, about
     eps |f| / step^2, remains; large steps keep it small."""
