@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInput
-from .geometry import check_array_size, check_cone_angle, reduce_angle
+from .geometry import check_array_size, check_cone_angle
 from .kernels import FRONT_TOL, KernelQuery, KernelValue, front_region
 from .special import leggauss
 
@@ -65,15 +65,13 @@ def build_friedlander(alpha: float) -> float:
 
 def friedlander_pullback(alpha: float, t: float, r1: float, r2: float,
                          theta1: float, theta2: float) -> tuple[float, float]:
-    """(y, z) coordinates of a kernel query, z reduced to [-alpha/2, alpha/2)."""
+    """(y, z) coordinates of a kernel query, z reduced to [-alpha/2, alpha/2]
+    by the IEEE remainder, which is exact."""
     denom = 2.0 * r1 * r2  # 0 when it underflows
     y = (t * t - r1 * r1 - r2 * r2) / denom if denom > 0.0 else math.inf
     if not math.isfinite(y):
         raise InvalidInput(f"pullback y = {y} is not finite")
-    z = reduce_angle(alpha, theta1 - theta2)
-    if z >= 0.5 * alpha:
-        z -= alpha
-    return y, z
+    return y, math.remainder(theta1 - theta2, check_cone_angle(alpha))
 
 
 def _shadow_distances(alpha: float, z: float) -> tuple[float, float, float]:
@@ -170,10 +168,10 @@ def sine_kernel_friedlander(alpha: float, q: KernelQuery) -> KernelValue:
     is the unmollified kernel: q.h only widens the near_front region label
     to 10 h.
     """
-    check_cone_angle(alpha)
     r1, r2 = q.q1.r, q.q2.r
     y, z = friedlander_pullback(alpha, q.t, r1, r2, q.q1.theta, q.q2.theta)
-    region = front_region(alpha, q, 10.0 * q.h if q.h > 0 else FRONT_TOL)
+    region = front_region(alpha, q,
+                          10.0 * q.h if q.h > 0 else FRONT_TOL * (r1 + r2))
     raw = _image_sum(alpha, y, z)
     if y > 1.0:
         raw += _diffracted_integral(alpha, y, z)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,6 +78,8 @@ class KernelQuery:
             raise InvalidInput(f"mollifier width must be finite and >= 0, got {self.h}")
         if self.q1.is_vertex or self.q2.is_vertex:
             raise InvalidInput("pointwise kernel evaluation requires r1, r2 > 0")
+        if not math.isfinite(self.q1.theta - self.q2.theta):
+            raise InvalidInput("the angle difference overflows")
 
 
 @dataclass(frozen=True)
@@ -116,17 +118,23 @@ def front_region(alpha: float, q: KernelQuery, tol: float) -> str:
 
 
 def sine_kernel_4pi_closed(q: KernelQuery) -> KernelValue:
-    """Three-region closed form of the sine kernel on C_{4 pi} (h = 0)."""
+    """Three-region closed form of the sine kernel on C_{4 pi} (h = 0),
+    homogeneous of degree -1 in (t, r1, r2): evaluated at the lengths over a
+    power of two near r1 + r2, an exact scaling that makes FRONT_TOL
+    relative to r1 + r2 and keeps the squares in range."""
+    scale = math.ldexp(1.0, math.frexp(q.q1.r + q.q2.r)[1])
+    q = replace(q, t=q.t / scale, q1=replace(q.q1, r=q.q1.r / scale),
+                q2=replace(q.q2, r=q.q2.r / scale))
     direct, diffracted, dth = _fronts(4.0 * math.pi, q)
     if abs(q.t - direct) < FRONT_TOL or abs(q.t - diffracted) < FRONT_TOL:
-        raise OnFront(f"t = {q.t} sits on a front of the closed form")
+        raise OnFront(f"t = {q.t * scale} sits on a front of the closed form")
     region = classify_region(q.t, direct, diffracted, FRONT_TOL)
     if region == BEFORE_DIRECT:
         return KernelValue(0.0, region)
     bracket = q.t**2 - (q.q1.r**2 + q.q2.r**2
                         - 2.0 * q.q1.r * q.q2.r * math.cos(dth))
     coeff = 1.0 / (2.0 * math.pi) if region == BETWEEN_FRONTS else 1.0 / (4.0 * math.pi)
-    return KernelValue(coeff / math.sqrt(bracket), region)
+    return KernelValue(coeff / math.sqrt(bracket) / scale, region)
 
 
 def plane_kernel_closed(t: float, dist: float) -> float:
@@ -368,7 +376,7 @@ def sine_kernel_moving_point(q: KernelQuery, eps: int = -1) -> KernelValue:
     """
     if eps not in (+1, -1):
         raise InvalidInput("eps must be +1 or -1")
-    region = front_region(4.0 * math.pi, q, FRONT_TOL)
+    region = front_region(4.0 * math.pi, q, FRONT_TOL * (q.q1.r + q.q2.r))
     x1, x2 = _moving_point_frame(q, eps)
     shift = np.array([0.0, 1.0 if eps == -1 else -1.0])
 

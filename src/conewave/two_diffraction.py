@@ -356,7 +356,8 @@ def oscillatory_oracle(chain: ConeChain, t: float, q1: PlanarPoint,
 
     # phase excursions set the baseline resolution
     exc_rho = omega * 2.0 * (rho_hi - rho_lo)
-    exc_psi = omega * sd.C * (sd.A * psi_half) ** 2 + 20.0
+    arc = sd.A * psi_half  # arc * arc gives inf where arc ** 2 raises
+    exc_psi = omega * sd.C * (arc * arc) + 20.0
     if not math.isfinite(exc_rho + exc_psi):  # int() refuses inf and nan
         raise InvalidInput(f"omega = {omega}: oracle grid sizes overflow")
     n_rho = max(40, int(0.8 * exc_rho))

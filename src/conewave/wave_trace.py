@@ -282,9 +282,11 @@ def trace_pipeline_check(L: float, b: float,
                          omega: float = 1.0) -> PipelineReport:
     """Re-derive the two-diffraction trace coefficient step by step.
 
-    Builds the reduced phase psi~ by numerically minimizing the full chain
-    phase over the transverse coordinate, verifies by finite differences the
-    two Hessian identities
+    The chain phase psi(u, y) is even under (u, y) -> (-u, -y), so (0, 0)
+    is a critical point, and one finite-difference Hessian H there gives
+    both curvatures.  By the implicit function theorem the reduced phase
+    psi~(u) = psi(u, y*(u)) has the second derivative of the Schur complement
+    H_uu - H_uy^2 / H_yy.  The check verifies the two Hessian identities
 
         d2_u psi~(0, w)  = w L / (b (L - b)),
         |d2_y psi (x)|   = w (L - b) / (r1 r2),
@@ -297,8 +299,6 @@ def trace_pipeline_check(L: float, b: float,
     """
     if not 0 < b < L:
         raise BadLeg(f"leg b = {b} outside (0, {L})")
-    import scipy.optimize
-
     span = L - b
     x0 = -span / 3.0          # base point between the unrolled cone points
     r2_leg = -x0              # distance q -> p2
@@ -308,25 +308,17 @@ def trace_pipeline_check(L: float, b: float,
     # eps1 = -1, eps2 = +1: p1(s1) = (b, s1), p2(s2) = (0, -s2)
     chain = ConeChain(r2_leg, b, r1_leg, math.pi, math.pi, -1, +1)
 
-    def chain_phase(u: float, y: float) -> float:
+    def chain_phase(v: np.ndarray) -> float:
+        u, y = float(v[0]), float(v[1])
         return composed_phase_psi(chain, t_orbit, PlanarPoint(x0 + L, y),
                                   PlanarPoint(x0, y), 0.5 * u, 0.5 * u, omega)
 
-    def psi_tilde(u: float) -> float:
-        res = scipy.optimize.minimize_scalar(
-            lambda y: chain_phase(u, y), bounds=(-0.4 * span, 0.4 * span),
-            method="bounded", options={"xatol": 1e-12})
-        return float(res.fun)
-
-    kappa_fd = float(fd_hessian(lambda v: psi_tilde(float(v[0])), [0.0],
-                                1e-3)[0, 0])
+    hess = fd_hessian(chain_phase, [0.0, 0.0], 1e-3)
+    kappa_fd = float(hess[0, 0] - hess[0, 1] ** 2 / hess[1, 1])
     kappa = omega * L / (b * span)
     kappa_err = abs(kappa_fd - kappa) / kappa
 
-    # step as for kappa: at 1e-4 the roundoff of the second difference,
-    # about 16 eps |phi| / step^2 after extrapolation, reaches the 1e-6 gate
-    hess_y_fd = float(fd_hessian(lambda v: chain_phase(0.0, float(v[0])),
-                                 [0.0], 1e-3)[0, 0])
+    hess_y_fd = float(hess[1, 1])
     hess_y = omega * span / (r1_leg * r2_leg)
     hess_y_err = abs(hess_y_fd - hess_y) / hess_y
 

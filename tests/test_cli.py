@@ -76,6 +76,24 @@ def test_cli_import_leaves_out_scipy_signal(tmp_path):
         assert found[key] == [0, []], key
 
 
+AT6_CHILD = """
+import json, sys
+from conewave import verification
+rep = verification.at6_trace_pipeline(0)
+print(json.dumps([bool(rep.passed), [m for m in sys.modules
+                               if m.startswith("scipy.optimize")]]))
+"""
+
+
+def test_at6_loads_no_optimizer(tmp_path):
+    """AT-6 takes the reduced phase's curvature from one finite-difference
+    Hessian, so it runs without scipy.optimize.  A child process, since the
+    pytest process itself may have it loaded."""
+    res = run_python(["-c", AT6_CHILD], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [True, []]
+
+
 def test_predict(tmp_path):
     res = run_cli(["predict", "--L", "3", "--b", "1"], tmp_path)
     assert res.returncode == 0
@@ -153,6 +171,44 @@ def test_friedlander_kernel_past_the_old_grid_matches_closed4pi(tmp_path):
     want = [float(v) for v in cols["closed4pi"]["value_re"]]
     assert len(got) == 3
     assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_friedlander_kernel_is_symmetric_at_a_huge_cone_angle(tmp_path):
+    """At alpha = 1e70 swapping the two points leaves the value unchanged,
+    and an angle difference of 1e-30 is not rounded onto one of 1."""
+    from conewave import cli
+
+    values = {}
+    for theta1, theta2 in (("0", "1"), ("1", "0"), ("0", "1e-30")):
+        out = tmp_path / f"f{theta1}_{theta2}.csv"
+        assert cli.main(["kernel", "--alpha", "1e70", "--representation",
+                         "friedlander", "--r1", "1", "--r2", "1", "--theta1",
+                         theta1, "--theta2", theta2, "--ts", "3:1:3",
+                         "--out", str(out)]) == 0
+        values[theta1, theta2] = _csv_columns(out)["value_re"]
+    assert values["0", "1"] == values["1", "0"]
+    assert values["0", "1"] != values["0", "1e-30"]
+
+
+def test_closed4pi_kernel_is_scale_free(tmp_path):
+    """At radii 1e-13 the closed form is 1e13 times its unit-scale values;
+    front tolerance and squares act relative to r1 + r2."""
+    from conewave import cli
+
+    cols = {}
+    for scale in (1.0, 1e-13):
+        out = tmp_path / f"c{scale}.csv"
+        assert cli.main(["kernel", "--alpha", str(4 * PI), "--representation",
+                         "closed4pi", "--r1", str(scale), "--r2", str(scale),
+                         "--theta1", "0", "--theta2", "1",
+                         f"--ts={scale}:{0.3 * scale}:{3 * scale}",
+                         "--out", str(out)]) == 0
+        cols[scale] = _csv_columns(out)
+    assert cols[1e-13]["region"] == cols[1.0]["region"]
+    assert len(set(cols[1.0]["region"])) == 2
+    got = [1e-13 * float(v) for v in cols[1e-13]["value_re"]]
+    want = [float(v) for v in cols[1.0]["value_re"]]
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_kernel_csv_header_and_determinism(tmp_path):
@@ -233,6 +289,20 @@ def test_compose_oracle_past_the_budget_exits_two(omega, tmp_path):
     res = run_cli(argv, tmp_path)
     assert res.returncode == 2
     assert "error:" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_compose_oracle_size_overflow_exits_two(tmp_path):
+    """A leg of 1e200 makes the oracle's angular phase excursion overflow;
+    that is an input error with one error line, not an OverflowError."""
+    (tmp_path / "chain.json").write_text(json.dumps(
+        {"a": 1, "b": 1e200, "c": 1, "alpha1": 3 * PI, "alpha2": 3 * PI,
+         "eps1": -1, "eps2": 1}))
+    res = run_cli(["compose", "--chain", "chain.json", "--t", "3",
+                   "--q1=2,-0.2", "--q2=-0.98,-0.2", "--omega", "100"],
+                  tmp_path)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
 
 def test_verify_negative_seed_exits_two(tmp_path):
@@ -390,8 +460,9 @@ HUGE_RADII = ["--r1", "1e200", "--r2", "1e200", "--theta1", "0",
 
 
 @pytest.mark.parametrize("argv", [
-    ["kernel", "--alpha", str(4 * PI), "--representation", "closed4pi"]
-    + HUGE_RADII,
+    ["kernel", "--alpha", str(4 * PI), "--representation", "closed4pi",
+     "--r1", "1e308", "--r2", "1e308", "--theta1", "0", "--theta2", "1",
+     "--ts", "1:1:2"],
     ["kernel", "--alpha", str(4 * PI), "--representation", "moving"]
     + HUGE_RADII,
     ["kernel", "--alpha", "7", "--representation", "friedlander", "--r1",
@@ -401,10 +472,13 @@ HUGE_RADII = ["--r1", "1e200", "--r2", "1e200", "--theta1", "0",
     ["trace", "--b", "1e300", "--lambda-max", "1e10"],
     ["kernel", "--alpha", "1e300", "--representation", "friedlander", "--r1",
      "1", "--r2", "1", "--theta1", "0", "--theta2", "1", "--ts", "1:1:3"],
-], ids=["closed4pi-squared-distance-overflows",
+    ["kernel", "--alpha", "7", "--representation", "friedlander", "--r1",
+     "1", "--r2", "1", "--theta1", "1e308", "--theta2=-1e308", "--ts",
+     "1:1:2"],
+], ids=["closed4pi-radii-sum-overflows",
         "moving-squared-distance-overflows", "friedlander-2r1r2-underflows",
         "trace-damping-exponent-overflows", "trace-index-grid-overflows",
-        "friedlander-dg-dc-underflows"])
+        "friedlander-dg-dc-underflows", "angle-difference-overflows"])
 def test_overflow_is_input_error(argv, tmp_path):
     """Numbers whose intermediate values overflow or underflow exit 2 with
     one error line: no traceback, and no NaN written."""

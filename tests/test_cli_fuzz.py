@@ -1,6 +1,7 @@
 """Property test of the CLI's exit-code contract: every numeric input to
-`kernel`, `scatter`, `predict` and `trace` exits 0 or 2, never with a
-traceback, and a `kernel` or `predict` run that exits 0 writes no NaN.
+`kernel`, `scatter`, `predict`, `trace` and `compose` (and every chain JSON
+given to `compose`) exits 0 or 2, never with a traceback, and a `kernel` or
+`predict` run that exits 0 writes no NaN.
 
 Numbers are drawn log-uniformly from 1e-300 to 1e300 or from a few plain
 values, among them 0 and -1.  Angles take either sign, and half the kernel
@@ -8,12 +9,17 @@ cone angles are 4 pi, where every representation exists.  Sweeps have one
 to four points.  The array budget is lowered to 2^17 elements while the
 examples run, so no example allocates more than about 1e5 elements: a size
 above it takes the same refusal path (exit 2) as a size above the real
-budget, and sizes that overflow fail before any budget check.
+budget, and sizes that overflow fail before any budget check.  `compose`
+runs its oracle only at omega >= 50, so omega is drawn from [50, 120] in
+one branch of four and below 50 in the others.
 """
 
 import contextlib
 import io
+import json
 import math
+import os
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
@@ -102,3 +108,26 @@ def test_trace_exit_codes(a, b, h, lambda_max, t_range):
     check_contract(["trace", opt("a", a), opt("b", b), opt("h", h),
                     opt("lambda-max", lambda_max), f"--t-range={t_range}",
                     "--report", "-"])
+
+
+CHAIN_KEYS = ("a", "b", "c", "alpha1", "alpha2", "eps1", "eps2")
+sign = st.sampled_from((1, -1, 1.0, True, 0, "1", None, 2))
+point = st.tuples(angle, angle).map(lambda p: f"{p[0]!r},{p[1]!r}")
+omega = st.one_of(st.sampled_from(PLAIN), magnitude.filter(lambda w: w < 50),
+                  magnitude.map(lambda x: -x), st.floats(50.0, 120.0))
+
+
+@FUZZ
+@given(legs=st.tuples(number, number, number),
+       alphas=st.tuples(number, number), signs=st.tuples(sign, sign),
+       dropped=st.one_of(st.none(), st.sampled_from(CHAIN_KEYS)),
+       t=number, q1=point, q2=point, omega=omega)
+def test_compose_exit_codes(legs, alphas, signs, dropped, t, q1, q2, omega):
+    chain = dict(zip(CHAIN_KEYS, (*legs, *alphas, *signs)))
+    chain.pop(dropped, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chain.json")
+        with open(path, "w") as handle:
+            json.dump(chain, handle)
+        check_contract(["compose", f"--chain={path}", opt("t", t),
+                        f"--q1={q1}", f"--q2={q2}", opt("omega", omega)])

@@ -50,6 +50,14 @@ def test_g_high_telescopes_at_2pi():
         assert np.all(_dg_dc(2 * PI, cs, z) == 0.0)
 
 
+def test_pullback_angle_is_exact_at_huge_cone_angles():
+    """z = theta1 - theta2 reduced by the IEEE remainder, which is exact: at
+    alpha = 1e70 an angle difference of -1 stays -1, where a shift by alpha
+    and back rounds it to 0."""
+    assert friedlander_pullback(1e70, 3.0, 1.0, 1.0, 0.0, 1.0)[1] == -1.0
+    assert friedlander_pullback(1e70, 3.0, 1.0, 1.0, 0.0, 1e-30)[1] == -1e-30
+
+
 def _sample(alpha, seed, closed_value):
     """Relative errors of the kernel against a closed form at 20 random
     points off the fronts, t up to 6 (pullback y up to about 70)."""

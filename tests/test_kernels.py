@@ -69,14 +69,18 @@ def test_moving_point_root_count_branches():
 
 def test_moving_point_is_scale_free():
     """The kernel is homogeneous of degree -1 in (t, r1, r2); the
-    moving-vertex sum keeps that from lengths of 1e-100 to 1e140."""
+    moving-vertex sum and the closed form keep that from lengths of 1e-100
+    to 1e140, each compared with the closed form at the same scale."""
     q1, q2 = ConePoint(1.0, 0.0), ConePoint(0.8, 1.5)
     for t in (1.6, 3.0):
-        closed = sine_kernel_4pi_closed(KernelQuery(t, q1, q2)).value
+        unit = sine_kernel_4pi_closed(KernelQuery(t, q1, q2))
         for s in (1e-100, 1e-30, 1e60, 1e140):
             q = KernelQuery(s * t, ConePoint(s, 0.0), ConePoint(0.8 * s, 1.5))
-            assert s * sine_kernel_moving_point(q).value == pytest.approx(
-                closed, rel=1e-14)
+            closed = sine_kernel_4pi_closed(q)
+            assert closed.region == unit.region
+            assert s * closed.value == pytest.approx(unit.value, rel=1e-14)
+            assert sine_kernel_moving_point(q).value == pytest.approx(
+                closed.value, rel=1e-14)
 
 
 def test_cheeger_series_against_mollified_closed_forms():
