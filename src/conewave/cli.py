@@ -18,8 +18,7 @@ import numpy as np
 from . import diffraction, friedlander, kernels, verification, wave_trace
 from .errors import (ConewaveError, GeometricDirection, InvalidInput,
                      WindowContaminated)
-from .geometry import (ConeChain, ConePoint, PlanarPoint, check_array_size,
-                       reduce_angle)
+from .geometry import ConeChain, ConePoint, PlanarPoint, check_array_size
 from .special import Mollifier
 from .two_diffraction import (CompositionPoint, oscillatory_oracle,
                               principal_symbol_lambda0,
@@ -125,7 +124,7 @@ def cmd_kernel(args) -> int:
         # one Bessel table serves the whole sweep
         swept = kernels.cheeger_series_sweep(
             alpha, [q.t for q in queries], args.r1, args.r2,
-            reduce_angle(alpha, args.theta1 - args.theta2), args.h)
+            args.theta1 - args.theta2, args.h)
         values = [kernels.KernelValue(
             float(v), kernels.front_region(alpha, q, 10.0 * q.h))
             for v, q in zip(swept, queries)]
@@ -149,12 +148,11 @@ def cmd_kernel(args) -> int:
 def cmd_scatter(args) -> int:
     thetas = _parse_range(args.thetas)
     closed = diffraction.scattering_matrix(args.alpha, thetas)
-    rows = []
-    for theta, value in zip(thetas.tolist(), closed.tolist()):
-        four = diffraction.scattering_matrix_fourier(
-            args.alpha, theta, args.fourier_n)
-        rows.append([args.alpha, theta, value, four.real, four.imag,
-                     math.isnan(value)])
+    fourier = diffraction.scattering_matrix_fourier(args.alpha, thetas,
+                                                    args.fourier_n)
+    rows = [[args.alpha, theta, value, four.real, four.imag, math.isnan(value)]
+            for theta, value, four in zip(thetas.tolist(), closed.tolist(),
+                                          fourier.tolist())]
     _write_text(args.out, _csv(
         ["alpha", "theta", "S_closed", "S_fourier_re", "S_fourier_im",
          "is_pole"], rows))
@@ -191,7 +189,8 @@ def cmd_compose(args) -> int:
         sp = stationary_phase_value(chain, args.t, q1, q2, args.omega)
         report["oracle"] = [oracle.real, oracle.imag]
         report["stationary_phase"] = [sp.real, sp.imag]
-        report["rel_err"] = abs(oracle - sp) / abs(sp)
+        # the leading amplitude vanishes when q2 lies on the segment p2 p1
+        report["rel_err"] = abs(oracle - sp) / abs(sp) if sp else None
     else:
         report["oracle"] = None
         report["rel_err"] = None

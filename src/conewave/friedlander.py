@@ -46,7 +46,7 @@ import numpy as np
 from .errors import InvalidInput
 from .geometry import check_array_size, check_cone_angle
 from .kernels import FRONT_TOL, KernelQuery, KernelValue, front_region
-from .special import leggauss
+from .special import gauss_legendre
 
 # The c integral runs on Gauss-Legendre panels of PANEL_NODES nodes, with
 # edges C, C/2, C/8, ... graded by PANEL_RATIO down to the first one at or
@@ -129,11 +129,9 @@ def _v_rule(n_graded: int):
     through n_graded, so each count is built once."""
     frac = np.array([0.0, *(0.5 / PANEL_RATIO ** np.arange(n_graded, -1, -1)),
                      1.0])
-    v_edges = frac / (1.0 + np.sqrt(1.0 - frac))
-    nodes, weights = leggauss(PANEL_NODES)
-    half = 0.5 * np.diff(v_edges)[:, None]
-    v = (v_edges[:-1, None] + half * (nodes + 1.0)).ravel()
-    return v * (2.0 - v), (half * weights).ravel() * (1.0 - v), (1.0 - v) ** 2
+    v, weights = gauss_legendre(frac / (1.0 + np.sqrt(1.0 - frac)),
+                                PANEL_NODES)
+    return v * (2.0 - v), weights * (1.0 - v), (1.0 - v) ** 2
 
 
 def _diffracted_integral(alpha: float, y: float, z: float) -> float:

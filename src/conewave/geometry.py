@@ -2,7 +2,8 @@
 
 The cone of total angle alpha > 0 is (0, inf)_r x (R / alpha Z)_theta with the
 metric dr^2 + r^2 dtheta^2.  This module provides the distance function,
-angular reduction, the chart angle of a point around a vertex, the array-size
+the package's angle reduction (the IEEE remainder mod alpha, which is
+exact), the chart angle of a point around a vertex, the array-size
 budget for input-driven sizes, and the two-cone chain in whose frame all the
 two-diffraction computations take place.
 
@@ -122,17 +123,6 @@ class ConeChain:
         return cls(**fields)
 
 
-def reduce_angle(alpha: float, theta: float) -> float:
-    """Reduce an angle to the fundamental domain [0, alpha)."""
-    check_cone_angle(alpha)
-    reduced = math.fmod(theta, alpha)
-    if reduced < 0:
-        reduced += alpha
-    if reduced >= alpha:  # fmod rounding at the boundary
-        reduced -= alpha
-    return reduced
-
-
 def angular_separation(alpha: float, theta1: float, theta2: float) -> float:
     """min over integers k of |theta1 - theta2 + k*alpha|, in [0, alpha/2].
 
@@ -140,6 +130,9 @@ def angular_separation(alpha: float, theta1: float, theta2: float) -> float:
     symmetric in (theta1, theta2) to the last bit.
     """
     check_cone_angle(alpha)
+    if not math.isfinite(theta1 - theta2):  # math.remainder raises ValueError
+        raise InvalidInput(
+            f"the angle difference {theta1} - {theta2} is not finite")
     return abs(math.remainder(theta1 - theta2, alpha))
 
 

@@ -26,8 +26,9 @@ import numpy as np
 
 from .errors import InvalidInput, ModeTailTooLarge, OnFront, TangentRoot
 from .geometry import (ConePoint, angular_separation, check_array_size,
-                       check_cone_angle, cone_distance, reduce_angle)
-from .special import Mollifier, find_roots_convex, leggauss, mollified_delta
+                       cone_distance)
+from .special import (Mollifier, find_roots_convex, gauss_legendre,
+                      mollified_delta)
 
 BEFORE_DIRECT = "before_direct"
 BETWEEN_FRONTS = "between_fronts"
@@ -166,15 +167,16 @@ def sine_kernel_closed_mollified(alpha: float, t: float, r1: float, r2: float,
                                  tderiv: int = 0) -> float:
     """Gaussian-in-time mollification of the closed-form kernels.
 
-    alpha must be 2*pi or 4*pi; dth is the reduced angle difference.  The
-    convolution integral is desingularized with tau = d_f cosh(v) so plain
-    120-node Gauss-Legendre converges fast.  tderiv in {0, 1} selects the
-    kernel or its time derivative (mollifier differentiated), the real part
-    of the half-wave kernel.
+    alpha must be 2*pi or 4*pi; dth is any representative of the angle
+    difference theta1 - theta2.  The convolution integral is desingularized
+    with tau = d_f cosh(v) so plain 120-node Gauss-Legendre converges fast.
+    tderiv in {0, 1} selects the kernel or its time derivative (mollifier
+    differentiated), the real part of the half-wave kernel.
     """
     if tderiv not in (0, 1):
         raise InvalidInput("tderiv must be 0 or 1")
-    d_f, pieces = _region_pieces(alpha, r1, r2, dth)
+    d_f, pieces = _region_pieces(alpha, r1, r2,
+                                 angular_separation(alpha, dth, 0.0))
     moll = Mollifier(h)
     half_width = 9.0 * h
 
@@ -183,22 +185,19 @@ def sine_kernel_closed_mollified(alpha: float, t: float, r1: float, r2: float,
         return rho if tderiv == 0 else -u / (h * h) * rho
 
     total = 0.0
-    nodes, weights = leggauss(120)
     for coeff, tau_a, tau_b in pieces:
         lo = max(tau_a, t - half_width, d_f + 1e-300)
         hi = min(tau_b, t + half_width)
         if hi <= lo:
             continue
-        v_lo = math.acosh(max(lo / d_f, 1.0)) if d_f > 0 else 0.0
         if d_f > 0:
-            v_hi = math.acosh(hi / d_f)
-            v = 0.5 * (v_hi - v_lo) * nodes + 0.5 * (v_hi + v_lo)
+            v, weights = gauss_legendre(
+                [math.acosh(max(lo / d_f, 1.0)), math.acosh(hi / d_f)], 120)
             tau = d_f * np.cosh(v)
-            jac = 0.5 * (v_hi - v_lo)
         else:  # coincident points: bracket is just t^2
-            tau = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-            jac = 0.5 * (hi - lo) / tau  # d tau / tau for (tau^2)^(-1/2)
-        total += coeff * jac * float(np.sum(weights * weight(t - tau)))
+            tau, weights = gauss_legendre([lo, hi], 120)
+            weights = weights / tau  # d tau / tau for (tau^2)^(-1/2)
+        total += coeff * float(np.sum(weights * weight(t - tau)))
     return total
 
 
@@ -227,15 +226,12 @@ def _lambda_rule(lam_max: float, n_panels: int):
     """Nodes and weights on [0, lam_max]: n_panels equal Gauss-Legendre
     panels of LAM_PANEL nodes, the first graded toward 0."""
     width = lam_max / n_panels
-    graded = width * np.array((0.0, *LAM_GRADED_EDGES))
-    uniform = width * np.array((LAM_GRADED_EDGES[-1], *range(1, n_panels + 1)))
-    lam, wq = [], []
-    for edges, n in ((graded, LAM_GRADED_NODES), (uniform, LAM_PANEL)):
-        nodes, weights = leggauss(n)
-        half = 0.5 * np.diff(edges)[:, None]
-        lam.append((edges[:-1, None] + half * (nodes + 1.0)).ravel())
-        wq.append((half * weights).ravel())
-    return np.concatenate(lam), np.concatenate(wq)
+    graded = gauss_legendre(width * np.array((0.0, *LAM_GRADED_EDGES)),
+                            LAM_GRADED_NODES)
+    uniform = gauss_legendre(
+        width * np.array((LAM_GRADED_EDGES[-1], *range(1, n_panels + 1))),
+        LAM_PANEL)
+    return tuple(map(np.concatenate, zip(graded, uniform)))
 
 
 def _mode_table(alpha: float, ts, r1: float, r2: float, dtheta_signed: float,
@@ -246,7 +242,7 @@ def _mode_table(alpha: float, ts, r1: float, r2: float, dtheta_signed: float,
     the mode weights (c_k/alpha) cos(nu_k dtheta), c_0 = 1 and c_k = 2.
     Every array, graded nodes included, is checked against the budget
     before it is allocated."""
-    check_cone_angle(alpha)
+    dtheta = angular_separation(alpha, dtheta_signed, 0.0)  # cos is even
     if not h > 0:
         raise InvalidInput("the mode sum requires a positive mollifier width")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -272,7 +268,7 @@ def _mode_table(alpha: float, ts, r1: float, r2: float, dtheta_signed: float,
     damped = np.exp(-0.5 * (h * lam) ** 2) * wq
     coeffs = np.full(mode_cut + 1, 2.0)
     coeffs[0] = 1.0
-    weights = (coeffs / alpha) * np.cos(nu * dtheta_signed)
+    weights = (coeffs / alpha) * np.cos(nu * dtheta)
     return ts, lam, damped, j1 * j2, weights
 
 
@@ -295,7 +291,8 @@ def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
                          dtheta_signed: float, h: float) -> np.ndarray:
     """Cheeger mode sum of the mollified sine kernel on a batch of times.
 
-    The Bessel products are time independent, so a whole t sweep costs one
+    Any representative of theta1 - theta2 will do for dtheta_signed.  The
+    Bessel products are time independent, so a whole t sweep costs one
     matrix-vector product per time on top of a single Bessel table.  The
     lambda rule (see LAM_NODES_PER_PERIOD) is within 1.5e-13 of the peak.
     """
@@ -335,9 +332,8 @@ def sine_kernel_cheeger_series(alpha: float, q: KernelQuery) -> KernelValue:
     sum with prefactor 1/(4 pi).  The lambda integrals only converge thanks
     to the mollifier, so h > 0 is required.
     """
-    dth_signed = reduce_angle(alpha, q.q1.theta - q.q2.theta)
-    value = float(cheeger_series_sweep(alpha, q.t, q.q1.r, q.q2.r, dth_signed,
-                                       q.h)[0])
+    value = float(cheeger_series_sweep(alpha, q.t, q.q1.r, q.q2.r,
+                                       q.q1.theta - q.q2.theta, q.h)[0])
     return KernelValue(value, front_region(alpha, q, 10.0 * q.h))
 
 

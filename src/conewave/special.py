@@ -3,7 +3,8 @@ uniformly sampled data by the L1 scheme (order-1.5 accurate on smooth data),
 the smoothed model singularities (t - L - i0)^order of any negative order
 (one closed form in Kummer's function 1F1), the exact roots of the
 moving-vertex front equation r1(s) + r2(s) = t, the package's one
-Gauss-Legendre rule and its one finite-difference Hessian.
+Gauss-Legendre rule (cached per order, and composite on panels) and its one
+finite-difference Hessian.
 """
 
 from __future__ import annotations
@@ -175,6 +176,16 @@ def leggauss(n: int):
     for a in rule:
         a.flags.writeable = False
     return rule
+
+
+def gauss_legendre(edges, n: int):
+    """Nodes and weights of the composite rule that puts the cached n-node
+    Gauss-Legendre rule on each panel between consecutive `edges`."""
+    edges = np.asarray(edges, dtype=float)
+    nodes, weights = leggauss(n)
+    half = 0.5 * np.diff(edges)[:, None]
+    return ((edges[:-1, None] + half * (nodes + 1.0)).ravel(),
+            (half * weights).ravel())
 
 
 def fd_hessian(f, x0, step: float) -> np.ndarray:

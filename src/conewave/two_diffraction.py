@@ -36,7 +36,7 @@ from .diffraction import regularized_pair_product, scattering_matrix
 from .errors import (DegenerateDistance, GeometricDirection, InvalidInput,
                      NoInteriorCriticalPoint, QuadratureFailure)
 from .geometry import ConeChain, PlanarPoint, chart_angle, check_array_size
-from .special import fd_hessian, leggauss
+from .special import fd_hessian, gauss_legendre
 
 QUARTER_TURN = np.exp(1j * math.pi / 4.0)
 
@@ -343,6 +343,7 @@ def oscillatory_oracle(chain: ConeChain, t: float, q1: PlanarPoint,
         raise InvalidInput("oracle is meant for the asymptotic regime omega >= 50")
     cp = CompositionPoint(chain, q1, q2, 0.0, 0.0, omega, t, t0=t0)
     sd = stationary_eliminate(cp)
+    broken_line_length(q1, chain.p1)  # q1 = p1 raises, not 1/0 in a1
     p2 = chain.p2
     sigma_q = min(sd.A, sd.B) / 3.2
     sigma_w = omega / 6.0
@@ -365,10 +366,8 @@ def oscillatory_oracle(chain: ConeChain, t: float, q1: PlanarPoint,
 
     def evaluate(n_r, n_p):
         check_array_size(n_r * n_p, "the oracle grid")
-        xr, wr = leggauss(n_r)
-        xp, wp = leggauss(n_p)
-        rho = 0.5 * (rho_hi - rho_lo) * xr + 0.5 * (rho_hi + rho_lo)
-        psi = psi_half * xp + psi_c
+        rho, wr = gauss_legendre([rho_lo, rho_hi], n_r)
+        psi, wp = gauss_legendre([psi_c - psi_half, psi_c + psi_half], n_p)
         R, P = np.meshgrid(rho, psi, indexing="ij")
         q = PlanarPoint(p2.x + R * np.cos(P), p2.y + R * np.sin(P))
         u2 = R - sd.A
@@ -382,8 +381,7 @@ def oscillatory_oracle(chain: ConeChain, t: float, q1: PlanarPoint,
         dist2 = (q.x - sd.q_c.x) ** 2 + (q.y - sd.q_c.y) ** 2
         chi = np.exp(-(dist2 / (2.0 * sigma_q**2)) ** 3)
         integrand = amp * j_w2 * np.exp(1j * phi1) * chi * R
-        jac = 0.5 * (rho_hi - rho_lo) * psi_half
-        return jac * np.einsum("i,j,ij->", wr, wp, integrand)
+        return np.einsum("i,j,ij->", wr, wp, integrand)
 
     prev = evaluate(n_rho, n_psi)
     for _ in range(3):

@@ -10,8 +10,9 @@ to four points.  The array budget is lowered to 2^17 elements while the
 examples run, so no example allocates more than about 1e5 elements: a size
 above it takes the same refusal path (exit 2) as a size above the real
 budget, and sizes that overflow fail before any budget check.  `compose`
-runs its oracle only at omega >= 50, so omega is drawn from [50, 120] in
-one branch of four and below 50 in the others.
+runs its oracle only at omega >= 50 and near a two-diffraction orbit, so
+its calls start from a valid chain, points near the orbit and omega in
+[50, 120], and one in four has one field replaced by such a number.
 """
 
 import contextlib
@@ -115,19 +116,55 @@ sign = st.sampled_from((1, -1, 1.0, True, 0, "1", None, 2))
 point = st.tuples(angle, angle).map(lambda p: f"{p[0]!r},{p[1]!r}")
 omega = st.one_of(st.sampled_from(PLAIN), magnitude.filter(lambda w: w < 50),
                   magnitude.map(lambda x: -x), st.floats(50.0, 120.0))
+# the arbitrary draw that may replace each field of a `compose` call
+CORRUPT = {**dict.fromkeys(("a", "b", "c", "alpha1", "alpha2", "t"), number),
+           "eps1": sign, "eps2": sign, "q1": point, "q2": point,
+           "omega": omega}
+
+
+def chart_point(x0: float, r: float, theta: float) -> str:
+    """'x,y' of the point at radius r and reflected-orientation angle theta
+    around the vertex (x0, 0), as `chart_points_from_angles` places it."""
+    return f"{x0 + r * math.cos(theta)!r},{-r * math.sin(theta)!r}"
+
+
+@st.composite
+def compose_call(draw):
+    """(chain, call): the chain JSON and the t, q1, q2 and omega of a
+    `compose` call near a two-diffraction orbit.  Legs lie in [0.5, 2],
+    cone angles in [2.5, 14], q1 and q2 within 0.3 rad and 20% of q1* and
+    q2*, t within 0.05 of the broken-line length and omega in [50, 120],
+    where the oracle runs.  One call in four has one field replaced by an
+    arbitrary draw, or a chain key dropped."""
+    legs = [draw(st.floats(0.5, 2.0)) for _ in range(3)]
+    chain = dict(zip(CHAIN_KEYS, (*legs, draw(st.floats(2.5, 14.0)),
+                                  draw(st.floats(2.5, 14.0)),
+                                  draw(st.sampled_from((1, -1))),
+                                  draw(st.sampled_from((1, -1))))))
+    a, b, c = legs
+    r1, r2 = c * draw(st.floats(0.8, 1.2)), a * draw(st.floats(0.8, 1.2))
+    call = {"t": r1 + b + r2 + draw(st.floats(-0.05, 0.05)),
+            "q1": chart_point(b, r1, draw(st.floats(-0.3, 0.3))),
+            "q2": chart_point(0.0, r2, PI + draw(st.floats(-0.3, 0.3))),
+            "omega": draw(st.floats(50.0, 120.0))}
+    if draw(st.integers(0, 3)) == 0:
+        field = draw(st.sampled_from(sorted(CORRUPT)))
+        holder = chain if field in CHAIN_KEYS else call
+        if field in CHAIN_KEYS and draw(st.booleans()):
+            del holder[field]
+        else:
+            holder[field] = draw(CORRUPT[field])
+    return chain, call
 
 
 @FUZZ
-@given(legs=st.tuples(number, number, number),
-       alphas=st.tuples(number, number), signs=st.tuples(sign, sign),
-       dropped=st.one_of(st.none(), st.sampled_from(CHAIN_KEYS)),
-       t=number, q1=point, q2=point, omega=omega)
-def test_compose_exit_codes(legs, alphas, signs, dropped, t, q1, q2, omega):
-    chain = dict(zip(CHAIN_KEYS, (*legs, *alphas, *signs)))
-    chain.pop(dropped, None)
+@given(case=compose_call())
+def test_compose_exit_codes(case):
+    chain, call = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "chain.json")
         with open(path, "w") as handle:
             json.dump(chain, handle)
-        check_contract(["compose", f"--chain={path}", opt("t", t),
-                        f"--q1={q1}", f"--q2={q2}", opt("omega", omega)])
+        check_contract(["compose", f"--chain={path}", opt("t", call["t"]),
+                        f"--q1={call['q1']}", f"--q2={call['q2']}",
+                        opt("omega", call["omega"])])

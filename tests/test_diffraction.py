@@ -8,8 +8,8 @@ from conewave.diffraction import (INCOMING_AT_0, OUTGOING_AT_PI,
                                   regularized_pair_product, s_times_cos_half,
                                   scattering_matrix, scattering_matrix_fourier,
                                   sine_product_limit_numeric)
-from conewave.errors import GeometricDirection
-from conewave.verification import pole_distance
+from conewave.errors import GeometricDirection, InvalidInput
+from conewave.geometry import angular_separation
 
 PI = math.pi
 
@@ -53,7 +53,8 @@ def test_scattering_evenness_and_periodicity():
     for alpha in (3 * PI, 4 * PI, 7.0):
         for _ in range(50):
             theta = rng.uniform(-alpha, alpha)
-            if pole_distance(alpha, theta) < 1e-3:
+            if min(angular_separation(alpha, theta, PI),
+                   angular_separation(alpha, theta, -PI)) < 1e-3:
                 continue
             value = scattering_matrix(alpha, theta)
             assert value == scattering_matrix(alpha, -theta)
@@ -84,6 +85,44 @@ def test_fourier_oracle():
             for n in (200, 400, 800)]
     assert errs[2] < errs[1] < errs[0]
     assert abs(scattering_matrix_fourier(4 * PI, 0.0, 800) + 1 / (4 * PI)) < 2e-4
+
+
+def test_huge_angles_are_reduced_exactly():
+    """S_alpha and its oracle at theta = 1e12 + 1 agree with their values at
+    the exactly reduced angle; scaling theta by pi/alpha first lost 1e-4."""
+    alpha, theta = 3 * PI, 1e12 + 1
+    reduced = math.remainder(theta, alpha)
+    assert scattering_matrix(alpha, theta) == pytest.approx(
+        scattering_matrix(alpha, reduced), rel=1e-13, abs=0)
+    assert scattering_matrix_fourier(alpha, theta, 8000) == pytest.approx(
+        scattering_matrix_fourier(alpha, reduced, 8000), rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_scattering_matrix_refuses_non_finite_angles(theta):
+    with pytest.raises(InvalidInput, match="finite"):
+        scattering_matrix(7.0, [0.3, theta])
+
+
+def test_scattering_matrix_refuses_an_overflowing_numerator():
+    """pi/alpha is finite at alpha = 1.05e-307 but 2 pi^2/alpha is not."""
+    with pytest.raises(InvalidInput, match="overflow"):
+        scattering_matrix(1.05e-307, 0.1)
+
+
+def test_fourier_oracle_arrays_match_scalars(monkeypatch):
+    """Rows summed in blocks give the scalar calls bit for bit, and the
+    shape of theta is kept."""
+    from conewave import diffraction
+
+    monkeypatch.setattr(diffraction, "FOURIER_BLOCK", 1000)  # 2 rows a block
+    theta = np.linspace(-2.0, 2.0, 7)
+    for n in (0, 1, 500):
+        arr = scattering_matrix_fourier(7.0, theta.reshape(7, 1), n)
+        assert arr.shape == (7, 1)
+        scal = [scattering_matrix_fourier(7.0, float(v), n) for v in theta]
+        assert all(isinstance(v, complex) for v in scal)
+        assert np.array_equal(arr.ravel(), np.array(scal))
 
 
 def test_fourier_envelope_near_poles():

@@ -32,6 +32,14 @@ def test_angular_separation_matches_brute_force():
         assert 0.0 <= got <= alpha / 2 + 1e-12
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_angular_separation_refuses_non_finite_differences(theta):
+    with pytest.raises(InvalidInput, match="not finite"):
+        angular_separation(7.0, theta, 0.0)
+    with pytest.raises(InvalidInput, match="not finite"):
+        angular_separation(7.0, 1e308, -1e308)  # the difference overflows
+
+
 def test_cone_distance_examples():
     assert cone_distance(7.0, ConePoint(1.3, 0.4), ConePoint(0.0, 0.0)) == 1.3
     q = ConePoint(0.7, 1.1)

@@ -113,6 +113,28 @@ def test_cheeger_series_symmetry():
     assert va == pytest.approx(vb, abs=1e-10)
 
 
+def test_cheeger_sweep_reduces_the_angle():
+    """Every representative of theta1 - theta2 gives the same sweep: the
+    IEEE remainder is exact, and the mode weights are even.  A non-finite
+    angle is bad input."""
+    base = cheeger_series_sweep(7.0, [2.0], 1.0, 1.2, 1.25, 0.1)
+    for dth in (-1.25, 1.25 + 7.0, 1.25 - 3e3 * 7.0):  # all exact doubles
+        assert np.array_equal(
+            cheeger_series_sweep(7.0, [2.0], 1.0, 1.2, dth, 0.1), base)
+    for dth in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidInput, match="not finite"):
+            cheeger_series_sweep(7.0, [1.0], 1.0, 1.0, dth, 0.05)
+
+
+def test_closed_mollified_reduces_the_angle():
+    for alpha in (2 * PI, 4 * PI):
+        base = sine_kernel_closed_mollified(alpha, 1.8, 0.9, 1.1, 1.3, 0.05)
+        for dth in (-1.3, 1.3 + alpha, -1.3 - 5 * alpha):
+            assert sine_kernel_closed_mollified(
+                alpha, 1.8, 0.9, 1.1, dth, 0.05) == pytest.approx(base,
+                                                                  rel=1e-12)
+
+
 def test_cheeger_mode_tail_guard(monkeypatch):
     """A sum cut after mode 8 is refused, not returned truncated."""
     from conewave import kernels

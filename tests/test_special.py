@@ -10,7 +10,7 @@ from conewave.errors import InvalidInput
 from conewave.geometry import ConePoint, cone_distance
 from conewave.kernels import KernelQuery, _moving_point_frame
 from conewave.special import (GAMMA_HALF, Mollifier, damped_moment,
-                              fd_hessian, find_roots_convex,
+                              fd_hessian, find_roots_convex, gauss_legendre,
                               l1_half_derivative, leggauss, mollified_delta,
                               mollified_inverse_power)
 
@@ -342,6 +342,20 @@ def test_fd_hessian_one_variable_is_the_extrapolated_second_difference():
 
     assert fd_hessian(f, [x0], step)[0, 0] == (
         4.0 * d2(0.5 * step) - d2(step)) / 3.0
+
+
+def test_gauss_legendre_is_the_rule_on_each_panel():
+    nodes, weights = gauss_legendre([0.0, 0.25, 1.0, 3.0], 5)
+    assert nodes.shape == weights.shape == (15,)
+    assert np.all(np.diff(nodes) > 0)
+    # exact for degree 9 on each panel, so on their union
+    assert float(np.sum(weights * nodes**9)) == pytest.approx(3.0**10 / 10,
+                                                              rel=1e-14)
+    # one panel [-1, 1] is leggauss itself
+    ref_nodes, ref_weights = leggauss(5)
+    one = gauss_legendre([-1.0, 1.0], 5)
+    np.testing.assert_allclose(one[0], ref_nodes, rtol=0, atol=4e-16)
+    np.testing.assert_array_equal(one[1], ref_weights)
 
 
 def test_leggauss_is_cached_read_only_and_budgeted():
