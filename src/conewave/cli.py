@@ -117,8 +117,10 @@ def cmd_kernel(args) -> int:
     if rep in ("closed4pi", "moving") and not abs(alpha - 4.0 * math.pi) <= 1e-14:
         raise InvalidInput(f"the {rep} representation needs alpha = 4 pi, "
                            f"got {alpha}")
+    if not (args.h >= 0 and math.isfinite(args.h)):
+        raise InvalidInput(f"mollifier width must be finite and >= 0, got {args.h}")
     queries = [kernels.KernelQuery(float(t), ConePoint(args.r1, args.theta1),
-                                   ConePoint(args.r2, args.theta2), args.h)
+                                   ConePoint(args.r2, args.theta2))
                for t in _parse_range(args.ts)]
     if rep == "cheeger":
         # one Bessel table serves the whole sweep
@@ -126,7 +128,7 @@ def cmd_kernel(args) -> int:
             alpha, [q.t for q in queries], args.r1, args.r2,
             args.theta1 - args.theta2, args.h)
         values = [kernels.KernelValue(
-            float(v), kernels.front_region(alpha, q, 10.0 * q.h))
+            float(v), kernels.front_region(alpha, q, 10.0 * args.h))
             for v, q in zip(swept, queries)]
     elif rep == "closed4pi":
         values = [kernels.sine_kernel_4pi_closed(q) for q in queries]
@@ -279,10 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel.add_argument("--theta2", type=float, required=True)
     p_kernel.add_argument("--ts", required=True, help="t sweep start:step:stop")
     p_kernel.add_argument("--h", type=float, default=0.05,
-                          help="mollifier width of cheeger; friedlander, "
-                               "closed4pi and moving write the unmollified "
-                               "kernel (friedlander widens its near_front "
-                               "label to 10 h)")
+                          help="mollifier width of cheeger; the exact "
+                               "representations friedlander, closed4pi and "
+                               "moving ignore it")
     p_kernel.add_argument("--out", default=None)
     p_kernel.set_defaults(func=cmd_kernel)
 

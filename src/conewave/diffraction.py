@@ -41,21 +41,27 @@ SINE_PRODUCT_LIMITS = {INCOMING_AT_0: 1.0 / (2.0 * math.pi),
                        OUTGOING_AT_PI: -1.0 / (2.0 * math.pi)}
 
 
+def _numerator(alpha: float) -> float:
+    """sin(2 pi^2/alpha), refused where 2 pi^2/alpha overflows."""
+    check_cone_angle(alpha)
+    if not math.isfinite(2.0 * math.pi**2 / alpha):
+        raise InvalidInput(f"2 pi^2 / alpha overflows at alpha = {alpha}")
+    return math.sin(2.0 * math.pi**2 / alpha)
+
+
 def scattering_matrix(alpha: float, theta):
     """Closed-form S_alpha(theta) for scalars or arrays (a float for scalar
     input); NaN at the poles, where a sine factor is below POLE_TOL."""
-    check_cone_angle(alpha)
+    numerator = _numerator(alpha)
     th = np.asarray(theta, dtype=float)
-    if not (math.isfinite(2.0 * math.pi**2 / alpha) and np.isfinite(th).all()):
-        raise InvalidInput(f"theta must be finite and 2 pi^2 / alpha must not "
-                           f"overflow, at alpha = {alpha}")
+    if not np.isfinite(th).all():
+        raise InvalidInput(f"theta must be finite, at alpha = {alpha}")
     th = np.fmod(np.abs(th), alpha)  # exact; S_alpha is even, alpha-periodic
     k = math.pi / alpha
     d1, d2 = np.sin(k * (math.pi - th)), np.sin(k * (math.pi + th))
     pole = (np.abs(d1) < POLE_TOL) | (np.abs(d2) < POLE_TOL)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(pole, math.nan, -math.sin(2.0 * math.pi**2 / alpha)
-                       / (2.0 * alpha * (d1 * d2)))
+        out = np.where(pole, math.nan, -numerator / (2.0 * alpha * (d1 * d2)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -103,7 +109,7 @@ def s_times_cos_half(alpha: float, dtheta):
     poles, where sin(k u) vanishes away from u = 0 (the next zeros are at
     |k u| = pi) or sin(k (2 pi - u)) vanishes, raise GeometricDirection.
     """
-    check_cone_angle(alpha)
+    numerator = _numerator(alpha)
     d = np.asarray(dtheta, dtype=float)
     k = math.pi / alpha
     u = math.pi - np.abs(d)
@@ -113,8 +119,7 @@ def s_times_cos_half(alpha: float, dtheta):
     if np.any(pole):
         raise GeometricDirection(
             f"S_{alpha}({d[pole][0]}) evaluated at a geometric direction")
-    out = (-math.sin(2.0 * math.pi**2 / alpha) / (4.0 * math.pi)
-           * _sinc(0.5 * u) / (_sinc(k * u) * other))
+    out = -numerator / (4.0 * math.pi) * _sinc(0.5 * u) / (_sinc(k * u) * other)
     return float(out) if out.ndim == 0 else out
 
 
@@ -142,20 +147,14 @@ def sine_product_limit_numeric(alpha: float, which: str) -> float:
     -pi - t and re-adding pi inside the closed form would lose the digits
     the extrapolation needs.
     """
-    check_cone_angle(alpha)
-    num = math.sin(2.0 * math.pi**2 / alpha) / (2.0 * alpha)
-    if which == INCOMING_AT_0:
-        # sin(t) * S_alpha(-pi - t)
-        f = lambda t: math.sin(t) * num / (
-            math.sin((math.pi / alpha) * (2.0 * math.pi + t))
-            * math.sin(math.pi * t / alpha))
-    elif which == OUTGOING_AT_PI:
-        # sin(pi - t) * S_alpha(pi - t)
-        f = lambda t: -math.sin(t) * num / (
-            math.sin(math.pi * t / alpha)
-            * math.sin((math.pi / alpha) * (2.0 * math.pi - t)))
-    else:
+    num = _numerator(alpha) / (2.0 * alpha)
+    # sin(t) * S_alpha(-pi - t) at sign 1, sin(pi - t) * S_alpha(pi - t) at -1
+    sign = {INCOMING_AT_0: 1.0, OUTGOING_AT_PI: -1.0}.get(which)
+    if sign is None:
         raise InvalidInput(f"unknown limit {which!r}")
+    f = lambda t: sign * math.sin(t) * num / (
+        math.sin((math.pi / alpha) * (2.0 * math.pi + sign * t))
+        * math.sin(math.pi * t / alpha))
     levels = 5
     ts = np.array([1e-6 / 2.0**j for j in range(levels)])
     vals = np.array([f(t) for t in ts])

@@ -162,14 +162,13 @@ def sine_kernel_friedlander(alpha: float, q: KernelQuery) -> KernelValue:
     """Evaluate the Friedlander representation at a kernel query, exactly.
 
     Pullback through A2, the image sum and, for y > 1, the c integral of
-    A1 G_alpha (see the module docstring), then the A3 factor.  The value
-    is the unmollified kernel: q.h only widens the near_front region label
-    to 10 h.
+    A1 G_alpha (see the module docstring), then the A3 factor.  The region
+    label widens each front by FRONT_TOL (r1 + r2), as the moving-vertex
+    kernel's does.
     """
     r1, r2 = q.q1.r, q.q2.r
     y, z = friedlander_pullback(alpha, q.t, r1, r2, q.q1.theta, q.q2.theta)
-    region = front_region(alpha, q,
-                          10.0 * q.h if q.h > 0 else FRONT_TOL * (r1 + r2))
+    region = front_region(alpha, q, FRONT_TOL * (r1 + r2))
     raw = _image_sum(alpha, y, z)
     if y > 1.0:
         raw += _diffracted_integral(alpha, y, z)

@@ -65,18 +65,15 @@ LAM_GRADED_NODES = 32
 
 @dataclass(frozen=True)
 class KernelQuery:
-    """Spacetime evaluation request; h = 0 means the unmollified closed form."""
+    """Spacetime point (t, q1, q2); a mollifier width h is passed on its own."""
 
     t: float
     q1: ConePoint
     q2: ConePoint
-    h: float = 0.0
 
     def __post_init__(self):
         if not (self.t > 0 and math.isfinite(self.t)):
             raise InvalidInput(f"time must be positive and finite, got {self.t}")
-        if not (self.h >= 0 and math.isfinite(self.h)):
-            raise InvalidInput(f"mollifier width must be finite and >= 0, got {self.h}")
         if self.q1.is_vertex or self.q2.is_vertex:
             raise InvalidInput("pointwise kernel evaluation requires r1, r2 > 0")
         if not math.isfinite(self.q1.theta - self.q2.theta):
@@ -119,23 +116,22 @@ def front_region(alpha: float, q: KernelQuery, tol: float) -> str:
 
 
 def sine_kernel_4pi_closed(q: KernelQuery) -> KernelValue:
-    """Three-region closed form of the sine kernel on C_{4 pi} (h = 0),
-    homogeneous of degree -1 in (t, r1, r2): evaluated at the lengths over a
-    power of two near r1 + r2, an exact scaling that makes FRONT_TOL
-    relative to r1 + r2 and keeps the squares in range."""
+    """Three-region closed form of the sine kernel on C_{4 pi} (h = 0), read
+    from `_region_pieces`, homogeneous of degree -1 in (t, r1, r2): taken at
+    the lengths over a power of two near r1 + r2, an exact scaling that makes
+    FRONT_TOL relative to r1 + r2 and keeps the squares in range."""
     scale = math.ldexp(1.0, math.frexp(q.q1.r + q.q2.r)[1])
     q = replace(q, t=q.t / scale, q1=replace(q.q1, r=q.q1.r / scale),
                 q2=replace(q.q2, r=q.q2.r / scale))
     direct, diffracted, dth = _fronts(4.0 * math.pi, q)
-    if abs(q.t - direct) < FRONT_TOL or abs(q.t - diffracted) < FRONT_TOL:
-        raise OnFront(f"t = {q.t * scale} sits on a front of the closed form")
     region = classify_region(q.t, direct, diffracted, FRONT_TOL)
+    if region == NEAR_FRONT:
+        raise OnFront(f"t = {q.t * scale} sits on a front of the closed form")
     if region == BEFORE_DIRECT:
         return KernelValue(0.0, region)
-    bracket = q.t**2 - (q.q1.r**2 + q.q2.r**2
-                        - 2.0 * q.q1.r * q.q2.r * math.cos(dth))
-    coeff = 1.0 / (2.0 * math.pi) if region == BETWEEN_FRONTS else 1.0 / (4.0 * math.pi)
-    return KernelValue(coeff / math.sqrt(bracket) / scale, region)
+    d2, pieces = _region_pieces(4.0 * math.pi, q.q1.r, q.q2.r, dth)
+    coeff = next(c for c, lo, hi in pieces if lo < q.t < hi)
+    return KernelValue(coeff / math.sqrt(q.t**2 - d2) / scale, region)
 
 
 def plane_kernel_closed(t: float, dist: float) -> float:
@@ -146,20 +142,21 @@ def plane_kernel_closed(t: float, dist: float) -> float:
 
 
 def _region_pieces(alpha: float, r1: float, r2: float, dth: float):
-    """[(coeff, tau_start)] pieces of the closed-form kernel, sharing the
-    law-of-cosines pseudo-distance d_f in the bracket."""
-    d_f = math.sqrt(max(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(dth), 0.0))
+    """(d2, [(coeff, tau_start, tau_end)]): the closed-form kernel is coeff
+    (tau^2 - d2)^(-1/2) on each piece, d2 the squared law-of-cosines distance."""
+    d2 = max(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(dth), 0.0)
+    d_f = math.sqrt(d2)
     if abs(alpha - 2.0 * math.pi) < 1e-14:
-        return d_f, [(1.0 / (2.0 * math.pi), d_f, math.inf)]
+        return d2, [(1.0 / (2.0 * math.pi), d_f, math.inf)]
     if abs(alpha - 4.0 * math.pi) > 1e-14:
         raise InvalidInput("closed forms exist only for alpha = 2 pi or 4 pi")
     diffracted = r1 + r2
     if dth <= math.pi:
-        return d_f, [
+        return d2, [
             (1.0 / (2.0 * math.pi), d_f, diffracted),
             (1.0 / (4.0 * math.pi), diffracted, math.inf),
         ]
-    return d_f, [(1.0 / (4.0 * math.pi), diffracted, math.inf)]
+    return d2, [(1.0 / (4.0 * math.pi), diffracted, math.inf)]
 
 
 def sine_kernel_closed_mollified(alpha: float, t: float, r1: float, r2: float,
@@ -175,8 +172,9 @@ def sine_kernel_closed_mollified(alpha: float, t: float, r1: float, r2: float,
     """
     if tderiv not in (0, 1):
         raise InvalidInput("tderiv must be 0 or 1")
-    d_f, pieces = _region_pieces(alpha, r1, r2,
-                                 angular_separation(alpha, dth, 0.0))
+    d2, pieces = _region_pieces(alpha, r1, r2,
+                                angular_separation(alpha, dth, 0.0))
+    d_f = math.sqrt(d2)
     moll = Mollifier(h)
     half_width = 9.0 * h
 
@@ -243,8 +241,9 @@ def _mode_table(alpha: float, ts, r1: float, r2: float, dtheta_signed: float,
     Every array, graded nodes included, is checked against the budget
     before it is allocated."""
     dtheta = angular_separation(alpha, dtheta_signed, 0.0)  # cos is even
-    if not h > 0:
-        raise InvalidInput("the mode sum requires a positive mollifier width")
+    if not all(0.0 < x < math.inf for x in (h, r1, r2)):
+        raise InvalidInput(f"the mode sum needs finite h, r1, r2 > 0, "
+                           f"got {h, r1, r2}")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.size == 0:
         raise InvalidInput("the sweep needs at least one time")
@@ -321,7 +320,8 @@ def halfwave_series_sweep(alpha: float, ts, r1: float, r2: float,
                                         * (lam * damped)[:, None]), ts)
 
 
-def sine_kernel_cheeger_series(alpha: float, q: KernelQuery) -> KernelValue:
+def sine_kernel_cheeger_series(alpha: float, q: KernelQuery,
+                               h: float) -> KernelValue:
     """Bessel mode sum for the mollified sine kernel on C_alpha.
 
     E_h = (2/alpha) * sum_k e^{i nu_k (th1 - th2)} * (1/2) *
@@ -330,11 +330,11 @@ def sine_kernel_cheeger_series(alpha: float, q: KernelQuery) -> KernelValue:
 
     nu_k = 2 pi k / alpha, which at alpha = 4 pi is the half-integer-order
     sum with prefactor 1/(4 pi).  The lambda integrals only converge thanks
-    to the mollifier, so h > 0 is required.
+    to the mollifier, so h > 0 is required; the region label widens by 10 h.
     """
     value = float(cheeger_series_sweep(alpha, q.t, q.q1.r, q.q2.r,
-                                       q.q1.theta - q.q2.theta, q.h)[0])
-    return KernelValue(value, front_region(alpha, q, 10.0 * q.h))
+                                       q.q1.theta - q.q2.theta, h)[0])
+    return KernelValue(value, front_region(alpha, q, 10.0 * h))
 
 
 def _moving_point_frame(q: KernelQuery, eps: int) -> tuple[np.ndarray, np.ndarray]:

@@ -137,21 +137,20 @@ def test_scatter_is_pole_marks_the_nan_rows(tmp_path):
 
 
 def test_friedlander_kernel_does_not_mollify(tmp_path):
-    """--h leaves the friedlander values unchanged; it only widens the
-    near_front region label."""
+    """--h leaves the friedlander CSV unchanged, values and region labels:
+    the exact kernel ignores the width."""
     from conewave import cli
 
-    cols = {}
+    csv = {}
     for h in ("0.01", "0.3"):
         out = tmp_path / f"f{h}.csv"
         assert cli.main(["kernel", "--alpha", "7", "--representation",
                          "friedlander", "--r1", "1", "--theta1", "0",
                          "--r2", "1", "--theta2", "1.5", "--ts", "0.5:0.25:3.0",
                          "--h", h, "--out", str(out)]) == 0
-        cols[h] = _csv_columns(out)
-    for key in ("value_re", "value_im"):
-        assert cols["0.01"][key] == cols["0.3"][key]
-    assert cols["0.01"]["region"] != cols["0.3"]["region"]
+        csv[h] = out.read_text()
+    assert csv["0.01"] == csv["0.3"]
+    assert "between_fronts" in csv["0.3"] and "after_diffracted" in csv["0.3"]
 
 
 def test_friedlander_kernel_past_the_old_grid_matches_closed4pi(tmp_path):
@@ -384,7 +383,7 @@ def test_kernel_cheeger_is_one_sweep(tmp_path, monkeypatch):
     assert [float(row[7]) for row in rows] == list(want)
     q1, q2 = conewave.ConePoint(0.5, 0.0), conewave.ConePoint(0.5, 2.0)
     regions = [sine_kernel_cheeger_series(
-        4 * PI, KernelQuery(t, q1, q2, 0.05)).region for t in ts]
+        4 * PI, KernelQuery(t, q1, q2), 0.05).region for t in ts]
     assert [row[9] for row in rows] == regions
     assert {"before_direct", "near_front", "after_diffracted"} <= set(regions)
 
@@ -404,6 +403,10 @@ def test_kernel_cheeger_is_one_sweep(tmp_path, monkeypatch):
     COMPOSE_ARGS + ["--q1=3,0", "--omega=-5"],
     KERNEL_ARGS + ["--r1", "-1", "--ts", "1:0.1:1.2"],
     KERNEL_ARGS + ["--ts", "1:0.1:1.2", "--h", "-1"],
+    KERNEL_ARGS + ["--representation", "friedlander", "--ts", "1:0.1:1.2",
+                   "--h", "-1"],
+    KERNEL_ARGS + ["--representation", "moving", "--ts", "1:0.1:1.2",
+                   "--h", "-1"],
     KERNEL_ARGS + ["--ts=-1:1:2"],
     ["trace", "--a", "-1", "--t-range", "0.5:0.1:1"],
     ["trace", "--a", "nan", "--t-range", "0.5:0.1:1"],
@@ -435,6 +438,7 @@ def test_kernel_cheeger_is_one_sweep(tmp_path, monkeypatch):
 ], ids=["alpha-negative", "alpha-inf", "h-zero", "ts-nan", "trace-h-zero",
         "trace-h-inf", "fourier-n-negative", "q1-text", "q1-three-parts",
         "chain-without-c", "omega-negative", "r1-negative", "h-negative",
+        "friedlander-h-negative", "moving-h-negative",
         "ts-negative", "trace-a-negative", "trace-a-nan",
         "moving-coincident-angles", "moving-alpha-7", "closed4pi-alpha-7",
         "chain-eps1-fractional", "fourier-n-huge", "trace-lambda-max-huge",

@@ -110,6 +110,19 @@ def test_scattering_matrix_refuses_an_overflowing_numerator():
         scattering_matrix(1.05e-307, 0.1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda alpha: s_times_cos_half(alpha, 0.3),
+    lambda alpha: regularized_pair_product(alpha, 0.3, 0.1),
+    lambda alpha: sine_product_limit_numeric(alpha, INCOMING_AT_0),
+], ids=["s_times_cos_half", "regularized_pair_product",
+        "sine_product_limit_numeric"])
+def test_products_refuse_an_overflowing_numerator(call):
+    """The regularized products refuse that alpha as scattering_matrix does,
+    where math.sin(inf) raised a bare ValueError."""
+    with pytest.raises(InvalidInput, match="overflow"):
+        call(1.05e-307)
+
+
 def test_fourier_oracle_arrays_match_scalars(monkeypatch):
     """Rows summed in blocks give the scalar calls bit for bit, and the
     shape of theta is kept."""

@@ -85,31 +85,31 @@ def test_moving_point_is_scale_free():
 
 def test_cheeger_series_against_mollified_closed_forms():
     h = 0.05
-    q = KernelQuery(3.0, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2), h)
-    got4 = sine_kernel_cheeger_series(4 * PI, q).value
+    q = KernelQuery(3.0, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2))
+    got4 = sine_kernel_cheeger_series(4 * PI, q, h).value
     ref4 = sine_kernel_closed_mollified(4 * PI, 3.0, 1.0, 1.0, PI / 2, h)
     assert got4 == pytest.approx(ref4, rel=1e-3)
-    got2 = sine_kernel_cheeger_series(2 * PI, q).value
+    got2 = sine_kernel_cheeger_series(2 * PI, q, h).value
     ref2 = sine_kernel_closed_mollified(2 * PI, 3.0, 1.0, 1.0, PI / 2, h)
     assert got2 == pytest.approx(ref2, rel=1e-3)
-    qb = KernelQuery(1.6, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2), h)
-    gotb = sine_kernel_cheeger_series(4 * PI, qb).value
+    qb = KernelQuery(1.6, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2))
+    gotb = sine_kernel_cheeger_series(4 * PI, qb, h).value
     refb = sine_kernel_closed_mollified(4 * PI, 1.6, 1.0, 1.0, PI / 2, h)
     assert gotb == pytest.approx(refb, rel=1e-3)
 
 
 def test_cheeger_series_small_time_vanishes():
-    q = KernelQuery(0.05, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2), 0.05)
-    assert abs(sine_kernel_cheeger_series(4 * PI, q).value) < 1e-8
-    assert sine_kernel_cheeger_series(4 * PI, q).region == BEFORE_DIRECT
+    q = KernelQuery(0.05, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2))
+    assert abs(sine_kernel_cheeger_series(4 * PI, q, 0.05).value) < 1e-8
+    assert sine_kernel_cheeger_series(4 * PI, q, 0.05).region == BEFORE_DIRECT
 
 
 def test_cheeger_series_symmetry():
     h = 0.05
-    qa = KernelQuery(1.7, ConePoint(0.8, 0.3), ConePoint(1.3, 2.1), h)
-    qb = KernelQuery(1.7, ConePoint(1.3, 2.1), ConePoint(0.8, 0.3), h)
-    va = sine_kernel_cheeger_series(4 * PI, qa).value
-    vb = sine_kernel_cheeger_series(4 * PI, qb).value
+    qa = KernelQuery(1.7, ConePoint(0.8, 0.3), ConePoint(1.3, 2.1))
+    qb = KernelQuery(1.7, ConePoint(1.3, 2.1), ConePoint(0.8, 0.3))
+    va = sine_kernel_cheeger_series(4 * PI, qa, h).value
+    vb = sine_kernel_cheeger_series(4 * PI, qb, h).value
     assert va == pytest.approx(vb, abs=1e-10)
 
 
@@ -140,9 +140,9 @@ def test_cheeger_mode_tail_guard(monkeypatch):
     from conewave import kernels
 
     monkeypatch.setattr(kernels, "_mode_cut", lambda alpha, x_max: 8)
-    q = KernelQuery(3.0, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2), 0.05)
+    q = KernelQuery(3.0, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2))
     with pytest.raises(ModeTailTooLarge):
-        sine_kernel_cheeger_series(4 * PI, q)
+        sine_kernel_cheeger_series(4 * PI, q, 0.05)
 
 
 def test_masked_bessel_zeroes_only_negligible_factors():
@@ -191,6 +191,17 @@ def test_cheeger_sweep_refuses_empty_times(ts):
     """An empty sweep is bad input, not numpy's empty-reduction error."""
     with pytest.raises(InvalidInput, match="at least one time"):
         cheeger_series_sweep(4 * PI, ts, 0.5, 0.5, 0.0, 0.05)
+
+
+@pytest.mark.parametrize("sweep", [cheeger_series_sweep, halfwave_series_sweep])
+@pytest.mark.parametrize("h, r1, r2", [(math.inf, 1.0, 0.5), (math.nan, 1.0, 0.5),
+                                       (0.3, -1.0, 0.5), (0.3, 1.0, math.inf)])
+def test_mode_sums_refuse_a_bad_width_or_radius(sweep, h, r1, r2):
+    """The mode sums take h, r1 and r2 themselves and refuse them unless
+    positive and finite, where h = inf gave NaN with a RuntimeWarning and
+    r1 = -1 a silent NaN."""
+    with pytest.raises(InvalidInput, match="positive|finite"):
+        sweep(7.0, [1.0], r1, r2, 0.3, h)
 
 
 def test_kernel_difference_is_smooth_at_direct_front():
@@ -361,8 +372,8 @@ def test_representation_agreement_4pi_summary():
     t = 3.0
     closed = sine_kernel_4pi_closed(KernelQuery(t, q1, q2)).value
     moving = sine_kernel_moving_point(KernelQuery(t, q1, q2)).value
-    cheeger = sine_kernel_cheeger_series(
-        4 * PI, KernelQuery(t, q1, q2, h)).value
+    cheeger = sine_kernel_cheeger_series(4 * PI, KernelQuery(t, q1, q2),
+                                         h).value
     mollified_closed = sine_kernel_closed_mollified(4 * PI, t, 1.0, 1.0,
                                                     PI / 2, h)
     assert moving == pytest.approx(closed, rel=1e-12)
