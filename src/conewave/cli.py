@@ -122,16 +122,16 @@ def cmd_kernel(args) -> int:
     queries = [kernels.KernelQuery(float(t), ConePoint(args.r1, args.theta1),
                                    ConePoint(args.r2, args.theta2))
                for t in _parse_range(args.ts)]
-    if rep == "cheeger":
-        # one Bessel table serves the whole sweep
-        swept = kernels.cheeger_series_sweep(
-            alpha, [q.t for q in queries], args.r1, args.r2,
-            args.theta1 - args.theta2, args.h)
-        values = [kernels.KernelValue(
-            float(v), kernels.front_region(alpha, q, 10.0 * args.h))
-            for v, q in zip(swept, queries)]
-    elif rep == "closed4pi":
-        values = [kernels.sine_kernel_4pi_closed(q) for q in queries]
+    if rep in ("cheeger", "closed4pi"):
+        # one call serves the whole sweep; only cheeger mollifies
+        h = args.h if rep == "cheeger" else 0.0
+        sweep = (alpha, [q.t for q in queries], args.r1, args.r2,
+                 args.theta1 - args.theta2)
+        swept = (kernels.cheeger_series_sweep(*sweep, h) if rep == "cheeger"
+                 else kernels.sine_kernel_closed(*sweep))
+        values = [kernels.KernelValue(float(v),
+                                      kernels.front_region(alpha, q, h))
+                  for v, q in zip(swept, queries)]
     elif rep == "moving":
         values = [kernels.sine_kernel_moving_point(q) for q in queries]
     else:
@@ -274,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel.add_argument("--alpha", type=float, required=True)
     p_kernel.add_argument("--representation", default="cheeger",
                           choices=["closed4pi", "cheeger", "friedlander",
-                                   "moving"])
+                                   "moving"],
+                          help="closed4pi has no finite value on a front: "
+                               "a sweep with a t there exits 2 and names it")
     p_kernel.add_argument("--r1", type=float, required=True)
     p_kernel.add_argument("--theta1", type=float, required=True)
     p_kernel.add_argument("--r2", type=float, required=True)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .geometry import check_array_size, check_cone_angle
-from .kernels import FRONT_TOL, KernelQuery, KernelValue, front_region
+from .kernels import KernelQuery, KernelValue, front_region
 from .special import gauss_legendre
 
 # The c integral runs on Gauss-Legendre panels of PANEL_NODES nodes, with
@@ -69,9 +69,10 @@ def friedlander_pullback(alpha: float, t: float, r1: float, r2: float,
     by the IEEE remainder, which is exact."""
     denom = 2.0 * r1 * r2  # 0 when it underflows
     y = (t * t - r1 * r1 - r2 * r2) / denom if denom > 0.0 else math.inf
-    if not math.isfinite(y):
-        raise InvalidInput(f"pullback y = {y} is not finite")
-    return y, math.remainder(theta1 - theta2, check_cone_angle(alpha))
+    z = theta1 - theta2
+    if not (math.isfinite(y) and math.isfinite(z)):  # remainder(inf) raises
+        raise InvalidInput(f"pullback (y, z) = {y, z} is not finite")
+    return y, math.remainder(z, check_cone_angle(alpha))
 
 
 def _shadow_distances(alpha: float, z: float) -> tuple[float, float, float]:
@@ -163,12 +164,11 @@ def sine_kernel_friedlander(alpha: float, q: KernelQuery) -> KernelValue:
 
     Pullback through A2, the image sum and, for y > 1, the c integral of
     A1 G_alpha (see the module docstring), then the A3 factor.  The region
-    label widens each front by FRONT_TOL (r1 + r2), as the moving-vertex
-    kernel's does.
+    label is the exact one of `front_region`.
     """
     r1, r2 = q.q1.r, q.q2.r
     y, z = friedlander_pullback(alpha, q.t, r1, r2, q.q1.theta, q.q2.theta)
-    region = front_region(alpha, q, FRONT_TOL * (r1 + r2))
+    region = front_region(alpha, q)
     raw = _image_sum(alpha, y, z)
     if y > 1.0:
         raw += _diffracted_integral(alpha, y, z)

@@ -152,10 +152,8 @@ def cone_distance(alpha: float, q1: ConePoint, q2: ConePoint) -> float:
     dtheta = angular_separation(alpha, q1.theta, q2.theta)
     if dtheta > math.pi:
         return q1.r + q2.r
-    try:  # ** raises on overflow; + and * give inf or nan instead
-        d2 = q1.r**2 + q2.r**2 - 2.0 * q1.r * q2.r * math.cos(dtheta)
-    except OverflowError:
-        d2 = math.nan
+    # the squares of `kernels._region_pieces`, so that the fronts agree
+    d2 = q1.r * q1.r + q2.r * q2.r - 2.0 * q1.r * q2.r * math.cos(dtheta)
     if not math.isfinite(d2):
         raise InvalidInput(f"radii {q1.r}, {q2.r}: the squared distance overflows")
     return math.sqrt(max(d2, 0.0))

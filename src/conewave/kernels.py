@@ -7,20 +7,21 @@ On the cone of angle 4*pi the sine kernel E(t, q1, q2) has the closed form
     (1/2pi) [t^2 - (r1^2 + r2^2 - 2 r1 r2 cos dth)]^(-1/2)   dist < t < r1+r2
     (1/4pi) [  same bracket  ]^(-1/2)                        t > r1 + r2
 
-with dth the reduced angle difference.  The same kernel is reproduced here by
-a general-angle Bessel mode sum (Cheeger functional calculus), by a
-moving-vertex delta integral, and (see friedlander.py) by the periodized
-multivalued plane-wave construction; their mutual agreement is the central
-verification of the package.  The half-wave kernel, of e^{-i t sqrt(Delta)},
-is the same mode sum weighted by lambda e^{-i lambda t}: its real part is
-the time derivative of the sine kernel.
+with dth the reduced angle difference; on the plane (2*pi) the 1/2pi piece
+runs on past r1 + r2.  The same kernel is reproduced here by a general-angle
+Bessel mode sum (Cheeger functional calculus), by a moving-vertex delta
+integral, and (see friedlander.py) by the periodized multivalued plane-wave
+construction; their mutual agreement is the central verification.  The
+half-wave kernel, of e^{-i t sqrt(Delta)}, is the same mode sum weighted by
+lambda e^{-i lambda t}: its real part is the time derivative of the sine
+kernel.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +36,8 @@ BETWEEN_FRONTS = "between_fronts"
 AFTER_DIFFRACTED = "after_diffracted"
 NEAR_FRONT = "near_front"
 
-# Exact-formula front exclusion; mollified evaluations use 10*h instead.
+# Half-width of a front of an exact kernel, relative to r1 + r2; a kernel
+# mollified at width h widens each front by 10 h instead.
 FRONT_TOL = 1e-12
 
 # The Cheeger mode sum is converged when its last two modes contribute at
@@ -76,8 +78,6 @@ class KernelQuery:
             raise InvalidInput(f"time must be positive and finite, got {self.t}")
         if self.q1.is_vertex or self.q2.is_vertex:
             raise InvalidInput("pointwise kernel evaluation requires r1, r2 > 0")
-        if not math.isfinite(self.q1.theta - self.q2.theta):
-            raise InvalidInput("the angle difference overflows")
 
 
 @dataclass(frozen=True)
@@ -86,59 +86,65 @@ class KernelValue:
     region: str
 
 
-def classify_region(t: float, direct: float, diffracted: float,
-                    tol: float) -> str:
-    """Front region of time t given the two front times."""
-    if t < direct - tol and t < diffracted - tol:
-        return BEFORE_DIRECT
-    if direct + tol < t < diffracted - tol:
-        return BETWEEN_FRONTS
-    if t > diffracted + tol and t > direct + tol:
-        return AFTER_DIFFRACTED
-    return NEAR_FRONT
-
-
-def _fronts(alpha: float, q: KernelQuery) -> tuple[float, float, float]:
-    """(direct front, diffracted front, reduced angle difference)."""
-    # the closed form and the moving-vertex sum square lengths up to t
+def front_region(alpha: float, q: KernelQuery, h: float = 0.0) -> str:
+    """Front region of a query on C_alpha.  Each front widens by 10 h for a
+    kernel mollified at width h > 0, and by FRONT_TOL (r1 + r2) for an
+    exact one (h = 0): the band where `sine_kernel_closed` raises OnFront."""
+    # the moving-vertex sum squares lengths up to t
     if not math.isfinite(2.0 * q.t * q.t):
         raise InvalidInput(f"t = {q.t}: its square overflows")
     direct = cone_distance(alpha, q.q1, q.q2)
     diffracted = q.q1.r + q.q2.r
-    dth = angular_separation(alpha, q.q1.theta, q.q2.theta)
-    return direct, diffracted, dth
+    tol = 10.0 * h if h > 0 else FRONT_TOL * diffracted
+    if any(front - tol <= q.t <= front + tol for front in (direct, diffracted)):
+        return NEAR_FRONT
+    if q.t < direct:
+        return BEFORE_DIRECT
+    return BETWEEN_FRONTS if q.t < diffracted else AFTER_DIFFRACTED
 
 
-def front_region(alpha: float, q: KernelQuery, tol: float) -> str:
-    """Front region of a query on C_alpha, each front widened by tol."""
-    direct, diffracted, _ = _fronts(alpha, q)
-    return classify_region(q.t, direct, diffracted, tol)
+def _sweep_times(ts, *lengths: float) -> np.ndarray:
+    """The times of a sweep as an array, refused unless there is at least
+    one and all are finite, or unless the lengths (r1, r2 and a width h)
+    are positive with a finite sum."""
+    if not all(0.0 < x < math.inf for x in (*lengths, sum(lengths))):
+        raise InvalidInput(f"the sweep needs r1, r2 (and h) > 0 with a "
+                           f"finite sum, got {lengths}")
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if not (ts.size and np.isfinite(ts).all()):
+        raise InvalidInput("the sweep needs at least one time, all finite")
+    return ts
 
 
-def sine_kernel_4pi_closed(q: KernelQuery) -> KernelValue:
-    """Three-region closed form of the sine kernel on C_{4 pi} (h = 0), read
-    from `_region_pieces`, homogeneous of degree -1 in (t, r1, r2): taken at
-    the lengths over a power of two near r1 + r2, an exact scaling that makes
-    FRONT_TOL relative to r1 + r2 and keeps the squares in range."""
-    scale = math.ldexp(1.0, math.frexp(q.q1.r + q.q2.r)[1])
-    q = replace(q, t=q.t / scale, q1=replace(q.q1, r=q.q1.r / scale),
-                q2=replace(q.q2, r=q.q2.r / scale))
-    direct, diffracted, dth = _fronts(4.0 * math.pi, q)
-    region = classify_region(q.t, direct, diffracted, FRONT_TOL)
-    if region == NEAR_FRONT:
-        raise OnFront(f"t = {q.t * scale} sits on a front of the closed form")
-    if region == BEFORE_DIRECT:
-        return KernelValue(0.0, region)
-    d2, pieces = _region_pieces(4.0 * math.pi, q.q1.r, q.q2.r, dth)
-    coeff = next(c for c, lo, hi in pieces if lo < q.t < hi)
-    return KernelValue(coeff / math.sqrt(q.t**2 - d2) / scale, region)
-
-
-def plane_kernel_closed(t: float, dist: float) -> float:
-    """Sine kernel of the plane: (1/2pi)(t^2 - d^2)^(-1/2) for t > d."""
-    if t <= dist:
-        return 0.0
-    return 1.0 / (2.0 * math.pi * math.sqrt(t * t - dist * dist))
+def sine_kernel_closed(alpha: float, ts, r1: float, r2: float,
+                       dtheta: float):
+    """Closed form of the sine kernel on C_{2pi} or C_{4pi} (h = 0) at each
+    time of ts, a float for a scalar t: coeff (t^2 - d2)^(-1/2) on each
+    piece of `_region_pieces`, 0 before the first; dtheta is any
+    representative of theta1 - theta2.  A t within FRONT_TOL (r1 + r2) of a
+    piece start raises OnFront, naming the first such t: at 4 pi where
+    `front_region` says NEAR_FRONT, at 2 pi only at the direct front.  It
+    is taken at the lengths over a power of two near r1 + r2, an exact
+    scaling (the kernel is homogeneous of degree -1) that keeps the squares
+    in range."""
+    times = _sweep_times(ts, r1, r2)
+    scale = math.ldexp(1.0, math.frexp(r1 + r2)[1])
+    t_max = float(np.abs(times).max()) / scale  # inf, not a warning
+    if not math.isfinite(2.0 * t_max * t_max):
+        raise InvalidInput(f"t / (r1 + r2) = {t_max}: its square overflows")
+    tau = times / scale
+    d2, pieces = _region_pieces(alpha, r1 / scale, r2 / scale,
+                                angular_separation(alpha, dtheta, 0.0))
+    tol = FRONT_TOL * (r1 + r2) / scale
+    near = np.zeros(tau.shape, dtype=bool)
+    values = np.zeros_like(tau)
+    for coeff, start, end in pieces:
+        near |= (start - tol <= tau) & (tau <= start + tol)
+        inside = (start < tau) & (tau < end)
+        values[inside] = coeff / np.sqrt(tau[inside] ** 2 - d2) / scale
+    if near.any():
+        raise OnFront(f"t = {times[near][0]} sits on a front of the closed form")
+    return values if np.ndim(ts) else float(values[0])
 
 
 def _region_pieces(alpha: float, r1: float, r2: float, dth: float):
@@ -159,44 +165,51 @@ def _region_pieces(alpha: float, r1: float, r2: float, dth: float):
     return d2, [(1.0 / (4.0 * math.pi), diffracted, math.inf)]
 
 
-def sine_kernel_closed_mollified(alpha: float, t: float, r1: float, r2: float,
-                                 dth: float, h: float,
-                                 tderiv: int = 0) -> float:
-    """Gaussian-in-time mollification of the closed-form kernels.
+def sine_kernel_closed_mollified(alpha: float, ts, r1: float, r2: float,
+                                 dtheta: float, h: float, tderiv: int = 0):
+    """Gaussian-in-time mollification of `sine_kernel_closed` at each time
+    of ts, a float for a scalar t.
 
-    alpha must be 2*pi or 4*pi; dth is any representative of the angle
+    alpha must be 2*pi or 4*pi; dtheta is any representative of the angle
     difference theta1 - theta2.  The convolution integral is desingularized
-    with tau = d_f cosh(v) so plain 120-node Gauss-Legendre converges fast.
-    tderiv in {0, 1} selects the kernel or its time derivative (mollifier
-    differentiated), the real part of the half-wave kernel.
+    with tau = d_f cosh(v) so plain 120-node Gauss-Legendre converges fast,
+    one rule per time and piece.  tderiv in {0, 1} selects the kernel or its
+    time derivative (mollifier differentiated), the real part of the
+    half-wave kernel.
     """
     if tderiv not in (0, 1):
         raise InvalidInput("tderiv must be 0 or 1")
+    times = _sweep_times(ts, r1, r2, h)
+    check_array_size(times.size * 120, "the quadrature block")
     d2, pieces = _region_pieces(alpha, r1, r2,
-                                angular_separation(alpha, dth, 0.0))
+                                angular_separation(alpha, dtheta, 0.0))
     d_f = math.sqrt(d2)
     moll = Mollifier(h)
     half_width = 9.0 * h
 
-    def weight(u):
-        rho = mollified_delta(moll, u)
-        return rho if tderiv == 0 else -u / (h * h) * rho
-
-    total = 0.0
+    total = np.zeros_like(times)
     for coeff, tau_a, tau_b in pieces:
-        lo = max(tau_a, t - half_width, d_f + 1e-300)
-        hi = min(tau_b, t + half_width)
-        if hi <= lo:
+        lo = np.maximum(np.maximum(tau_a, times - half_width), d_f + 1e-300)
+        hi = np.minimum(tau_b, times + half_width)
+        some = hi > lo
+        if not some.any():
             continue
         if d_f > 0:
+            # libm's acosh: numpy's SIMD arccosh is an ulp off it in about one
+            # case in six, and these edges set AT-5's figure to the last digit
             v, weights = gauss_legendre(
-                [math.acosh(max(lo / d_f, 1.0)), math.acosh(hi / d_f)], 120)
+                [[math.acosh(max(a / d_f, 1.0)), math.acosh(b / d_f)]
+                 for a, b in zip(lo[some].tolist(), hi[some].tolist())], 120)
             tau = d_f * np.cosh(v)
         else:  # coincident points: bracket is just t^2
-            tau, weights = gauss_legendre([lo, hi], 120)
+            tau, weights = gauss_legendre(
+                np.stack([lo[some], hi[some]], axis=-1), 120)
             weights = weights / tau  # d tau / tau for (tau^2)^(-1/2)
-        total += coeff * float(np.sum(weights * weight(t - tau)))
-    return total
+        u = times[some, None] - tau
+        rho = mollified_delta(moll, u)
+        total[some] += coeff * np.sum(
+            weights * (rho if tderiv == 0 else -u / (h * h) * rho), axis=-1)
+    return total if np.ndim(ts) else float(total[0])
 
 
 def _masked_bessel(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -241,12 +254,7 @@ def _mode_table(alpha: float, ts, r1: float, r2: float, dtheta_signed: float,
     Every array, graded nodes included, is checked against the budget
     before it is allocated."""
     dtheta = angular_separation(alpha, dtheta_signed, 0.0)  # cos is even
-    if not all(0.0 < x < math.inf for x in (h, r1, r2)):
-        raise InvalidInput(f"the mode sum needs finite h, r1, r2 > 0, "
-                           f"got {h, r1, r2}")
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if ts.size == 0:
-        raise InvalidInput("the sweep needs at least one time")
+    ts = _sweep_times(ts, r1, r2, h)
     lam_max = math.sqrt(2.0 * math.log(1e13)) / h
     mode_cut = _mode_cut(alpha, lam_max * max(r1, r2))
     max_freq = float(ts.max()) + r1 + r2
@@ -334,7 +342,7 @@ def sine_kernel_cheeger_series(alpha: float, q: KernelQuery,
     """
     value = float(cheeger_series_sweep(alpha, q.t, q.q1.r, q.q2.r,
                                        q.q1.theta - q.q2.theta, h)[0])
-    return KernelValue(value, front_region(alpha, q, 10.0 * h))
+    return KernelValue(value, front_region(alpha, q, h))
 
 
 def _moving_point_frame(q: KernelQuery, eps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -372,7 +380,7 @@ def sine_kernel_moving_point(q: KernelQuery, eps: int = -1) -> KernelValue:
     """
     if eps not in (+1, -1):
         raise InvalidInput("eps must be +1 or -1")
-    region = front_region(4.0 * math.pi, q, FRONT_TOL * (q.q1.r + q.q2.r))
+    region = front_region(4.0 * math.pi, q)
     x1, x2 = _moving_point_frame(q, eps)
     shift = np.array([0.0, 1.0 if eps == -1 else -1.0])
 

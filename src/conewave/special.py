@@ -180,12 +180,13 @@ def leggauss(n: int):
 
 def gauss_legendre(edges, n: int):
     """Nodes and weights of the composite rule that puts the cached n-node
-    Gauss-Legendre rule on each panel between consecutive `edges`."""
+    Gauss-Legendre rule on each panel between consecutive `edges`, per row."""
     edges = np.asarray(edges, dtype=float)
     nodes, weights = leggauss(n)
-    half = 0.5 * np.diff(edges)[:, None]
-    return ((edges[:-1, None] + half * (nodes + 1.0)).ravel(),
-            (half * weights).ravel())
+    half = 0.5 * np.diff(edges)[..., None]
+    shape = (*edges.shape[:-1], -1)
+    return ((edges[..., :-1, None] + half * (nodes + 1.0)).reshape(shape),
+            (half * weights).reshape(shape))
 
 
 def fd_hessian(f, x0, step: float) -> np.ndarray:

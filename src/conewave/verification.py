@@ -77,7 +77,8 @@ def at1_moving_point(seed: int = 0) -> ATReport:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i, q in enumerate(_random_offfront_queries(rng, n_points)):
-        closed = kernels.sine_kernel_4pi_closed(q).value
+        closed = kernels.sine_kernel_closed(4.0 * PI, q.t, q.q1.r, q.q2.r,
+                                            q.q1.theta - q.q2.theta)
         eps = -1 if i % 2 == 0 else +1
         moving = kernels.sine_kernel_moving_point(q, eps=eps).value
         err = (abs(moving - closed) / abs(closed)) if closed != 0 else abs(moving)
@@ -95,11 +96,7 @@ def at2_friedlander(seed: int = 0) -> ATReport:
     n_points, tol = 20, 1e-10
     rng = np.random.default_rng(seed)
     results = {}
-    for alpha, closed_value in (
-        (4.0 * PI, lambda q: kernels.sine_kernel_4pi_closed(q).value),
-        (2.0 * PI, lambda q: kernels.plane_kernel_closed(
-            q.t, cone_distance(2.0 * PI, q.q1, q.q2))),
-    ):
+    for alpha in (4.0 * PI, 2.0 * PI):
         worst = 0.0
         count = 0
         while count < n_points:
@@ -111,7 +108,7 @@ def at2_friedlander(seed: int = 0) -> ATReport:
                 continue
             q = KernelQuery(t, ConePoint(r1, dth), ConePoint(r2, 0.0))
             fv = friedlander.sine_kernel_friedlander(alpha, q).value
-            cv = closed_value(q)
+            cv = kernels.sine_kernel_closed(alpha, t, r1, r2, dth)
             err = abs(fv - cv) / abs(cv) if cv != 0 else abs(fv) / 0.01
             worst = max(worst, err)
             count += 1

@@ -479,10 +479,17 @@ HUGE_RADII = ["--r1", "1e200", "--r2", "1e200", "--theta1", "0",
     ["kernel", "--alpha", "7", "--representation", "friedlander", "--r1",
      "1", "--r2", "1", "--theta1", "1e308", "--theta2=-1e308", "--ts",
      "1:1:2"],
+    *(["kernel", "--alpha", alpha, "--representation", rep, "--r1", "1",
+       "--r2", "1", "--theta1", "1e308", "--theta2=-1e308", "--ts", "1:1:2"]
+      for alpha, rep in ((str(4 * PI), "closed4pi"), (str(4 * PI), "moving"),
+                         ("7", "cheeger"))),
 ], ids=["closed4pi-radii-sum-overflows",
         "moving-squared-distance-overflows", "friedlander-2r1r2-underflows",
         "trace-damping-exponent-overflows", "trace-index-grid-overflows",
-        "friedlander-dg-dc-underflows", "angle-difference-overflows"])
+        "friedlander-dg-dc-underflows", "angle-difference-overflows",
+        "closed4pi-angle-difference-overflows",
+        "moving-angle-difference-overflows",
+        "cheeger-angle-difference-overflows"])
 def test_overflow_is_input_error(argv, tmp_path):
     """Numbers whose intermediate values overflow or underflow exit 2 with
     one error line: no traceback, and no NaN written."""

@@ -5,10 +5,9 @@ import pytest
 
 from conewave.friedlander import (_dg_dc, friedlander_pullback,
                                   sine_kernel_friedlander)
-from conewave.geometry import ConePoint, cone_distance
+from conewave.geometry import ConePoint
 from conewave.kernels import (KernelQuery, cheeger_series_sweep,
-                              gauss_hermite_mollify, plane_kernel_closed,
-                              sine_kernel_4pi_closed)
+                              gauss_hermite_mollify, sine_kernel_closed)
 
 PI = math.pi
 
@@ -58,8 +57,8 @@ def test_pullback_angle_is_exact_at_huge_cone_angles():
     assert friedlander_pullback(1e70, 3.0, 1.0, 1.0, 0.0, 1e-30)[1] == -1e-30
 
 
-def _sample(alpha, seed, closed_value):
-    """Relative errors of the kernel against a closed form at 20 random
+def _sample(alpha, seed):
+    """Relative errors of the kernel against the closed form at 20 random
     points off the fronts, t up to 6 (pullback y up to about 70)."""
     rng = np.random.default_rng(seed)
     errs = []
@@ -72,19 +71,17 @@ def _sample(alpha, seed, closed_value):
             continue
         q = KernelQuery(t, ConePoint(r1, dth), ConePoint(r2, 0.0))
         fv = sine_kernel_friedlander(alpha, q).value
-        cv = closed_value(q)
+        cv = sine_kernel_closed(alpha, t, r1, r2, dth)
         errs.append(abs(fv - cv) / abs(cv) if cv != 0.0 else abs(fv))
     return max(errs)
 
 
 def test_matches_4pi_closed_form():
-    assert _sample(4 * PI, 42,
-                   lambda q: sine_kernel_4pi_closed(q).value) < 1e-12
+    assert _sample(4 * PI, 42) < 1e-12
 
 
 def test_matches_plane_kernel():
-    assert _sample(2 * PI, 43, lambda q: plane_kernel_closed(
-        q.t, cone_distance(2 * PI, q.q1, q.q2))) < 1e-12
+    assert _sample(2 * PI, 43) < 1e-12
 
 
 def test_matches_4pi_closed_form_far_past_the_diffracted_front():
@@ -96,7 +93,7 @@ def test_matches_4pi_closed_form_far_past_the_diffracted_front():
         assert friedlander_pullback(4 * PI, t, r1, r2, dth, 0.0)[0] == \
             pytest.approx(20.0)
         assert sine_kernel_friedlander(4 * PI, q).value == pytest.approx(
-            sine_kernel_4pi_closed(q).value, rel=1e-12)
+            sine_kernel_closed(4 * PI, t, r1, r2, dth), rel=1e-12)
 
 
 def _shadow_values(alpha, t, r1=1.0, r2=0.8):
@@ -112,14 +109,10 @@ def _shadow_values(alpha, t, r1=1.0, r2=0.8):
 
 @pytest.mark.parametrize("t", [1.2, 2.5])  # before, after the front at 1.8
 def test_shadow_boundary_matches_closed_forms(t):
-    closed = {
-        4 * PI: lambda q: sine_kernel_4pi_closed(q).value,
-        2 * PI: lambda q: plane_kernel_closed(
-            q.t, cone_distance(2 * PI, q.q1, q.q2)),
-    }
-    for alpha, closed_value in closed.items():
+    for alpha in (4 * PI, 2 * PI):
         for q, value in _shadow_values(alpha, t).values():
-            cv = closed_value(q)
+            cv = sine_kernel_closed(alpha, t, q.q1.r, q.q2.r,
+                                    q.q1.theta - q.q2.theta)
             assert value == pytest.approx(cv, rel=1e-10, abs=0.0)
 
 
@@ -142,14 +135,18 @@ def test_support_before_fronts():
 
 def test_unbounded_work_is_invalid_input():
     """A pullback y that overflows, and a cone angle so small that the
-    image sum would run over billions of images, are refused."""
+    image sum would run over billions of images, are refused; so is an
+    angle difference that overflows, which the pullback alone checks."""
     from conewave.errors import InvalidInput
 
     far = KernelQuery(1e200, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2))
     near = KernelQuery(1.5, ConePoint(1.0, 0.0), ConePoint(1.0, 1e-10))
-    for alpha, q in ((7.0, far), (1e-9, near)):
+    wide = KernelQuery(1.0, ConePoint(1.0, 1e308), ConePoint(1.0, -1e308))
+    for alpha, q in ((7.0, far), (1e-9, near), (7.0, wide)):
         with pytest.raises(InvalidInput):
             sine_kernel_friedlander(alpha, q)
+    with pytest.raises(InvalidInput, match="not finite"):
+        friedlander_pullback(7.0, 1.0, 1.0, 1.0, 1e308, -1e308)
 
 
 def test_agrees_with_cheeger_series_general_angle():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from conewave.errors import InvalidInput, ModeTailTooLarge, OnFront
 from conewave.geometry import ConePoint, cone_distance
 from conewave.kernels import (AFTER_DIFFRACTED, BEFORE_DIRECT, BETWEEN_FRONTS,
-                              KernelQuery, cheeger_series_sweep,
-                              halfwave_series_sweep, sine_kernel_4pi_closed,
-                              sine_kernel_cheeger_series,
+                              FRONT_TOL, NEAR_FRONT, KernelQuery,
+                              cheeger_series_sweep, front_region,
+                              halfwave_series_sweep,
+                              sine_kernel_cheeger_series, sine_kernel_closed,
                               sine_kernel_closed_mollified,
                               sine_kernel_moving_point, spherical_wave_l,
                               upsilon0)
@@ -19,16 +21,65 @@ PI = math.pi
 
 def test_closed_form_regions():
     q1, q2 = ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2)
-    assert sine_kernel_4pi_closed(KernelQuery(0.9, q1, q2)).value == 0.0
-    between = sine_kernel_4pi_closed(KernelQuery(1.6, q1, q2))
-    assert between.value == pytest.approx(1 / (2 * PI * math.sqrt(0.56)),
-                                          abs=1e-14)
-    assert between.region == BETWEEN_FRONTS
-    after = sine_kernel_4pi_closed(KernelQuery(3.0, q1, q2))
-    assert after.value == pytest.approx(1 / (4 * PI * math.sqrt(7.0)), abs=1e-14)
-    assert after.region == AFTER_DIFFRACTED
+    assert sine_kernel_closed(4 * PI, 0.9, 1.0, 1.0, -PI / 2) == 0.0
+    assert front_region(4 * PI, KernelQuery(0.9, q1, q2)) == BEFORE_DIRECT
+    between = sine_kernel_closed(4 * PI, 1.6, 1.0, 1.0, -PI / 2)
+    assert between == pytest.approx(1 / (2 * PI * math.sqrt(0.56)), abs=1e-14)
+    assert front_region(4 * PI, KernelQuery(1.6, q1, q2)) == BETWEEN_FRONTS
+    after = sine_kernel_closed(4 * PI, 3.0, 1.0, 1.0, -PI / 2)
+    assert after == pytest.approx(1 / (4 * PI * math.sqrt(7.0)), abs=1e-14)
+    assert front_region(4 * PI, KernelQuery(3.0, q1, q2)) == AFTER_DIFFRACTED
     with pytest.raises(OnFront):
-        sine_kernel_4pi_closed(KernelQuery(2.0, q1, q2))
+        sine_kernel_closed(4 * PI, 2.0, 1.0, 1.0, -PI / 2)
+
+
+GEOMETRIES = [(0.9, 1.3, 0.4), (0.9, 1.3, 2.0), (0.9, 1.3, PI),
+              (0.9, 1.3, 4.0), (1.1, 1.1, 0.0)]
+
+
+@pytest.mark.parametrize("r1, r2, dtheta", GEOMETRIES)
+@pytest.mark.parametrize("alpha", [2 * PI, 4 * PI])
+def test_closed_forms_take_arrays(alpha, r1, r2, dtheta):
+    """A sweep of either closed form equals its scalar calls: the exact one
+    bit for bit, the mollified one (kernel and time derivative) within
+    1e-15 of the peak."""
+    ts = np.linspace(0.05, 4.0, 61)
+    exact = sine_kernel_closed(alpha, ts, r1, r2, dtheta)
+    assert np.array_equal(
+        exact, [sine_kernel_closed(alpha, t, r1, r2, dtheta) for t in ts])
+    assert isinstance(sine_kernel_closed(alpha, 3.0, r1, r2, dtheta), float)
+    for tderiv in (0, 1):
+        swept = sine_kernel_closed_mollified(alpha, ts, r1, r2, dtheta, 0.05,
+                                             tderiv)
+        single = [sine_kernel_closed_mollified(alpha, t, r1, r2, dtheta, 0.05,
+                                               tderiv) for t in ts]
+        assert np.max(np.abs(swept - single)) <= 1e-15 * np.max(np.abs(swept))
+
+
+@pytest.mark.parametrize("r1, r2, dtheta", GEOMETRIES[:4])
+def test_closed_form_is_on_front_where_front_region_says(r1, r2, dtheta):
+    """At 4 pi the closed form raises OnFront, naming the first such t,
+    exactly where `front_region` says near_front: within FRONT_TOL (r1 +
+    r2) of the direct or the diffracted front.  At 2 pi only the direct
+    front is one, so t = r1 + r2 has a value (off theta1 - theta2 = pi,
+    where the two fronts meet)."""
+    q1, q2 = ConePoint(r1, dtheta), ConePoint(r2, 0.0)
+    tol = FRONT_TOL * (r1 + r2)
+    for front in (cone_distance(4 * PI, q1, q2), r1 + r2):
+        for k in (-2.0, -0.5, 0.5, 2.0):
+            t = front + k * tol
+            near = front_region(4 * PI, KernelQuery(t, q1, q2)) == NEAR_FRONT
+            assert near == (abs(k) < 1.0)
+            if near:
+                with pytest.raises(OnFront, match=re.escape(f"t = {t} ")):
+                    sine_kernel_closed(4 * PI, [0.01, t, front], r1, r2,
+                                       dtheta)
+            else:
+                assert math.isfinite(sine_kernel_closed(4 * PI, t, r1, r2,
+                                                        dtheta))
+    if dtheta != PI:
+        plane = sine_kernel_closed(2 * PI, r1 + r2, r1, r2, dtheta)
+        assert 0.0 < plane < math.inf
 
 
 def test_moving_point_equals_closed_form():
@@ -43,14 +94,15 @@ def test_moving_point_equals_closed_form():
         if min(abs(t - dist), abs(t - r1 - r2)) < 1e-4 or t <= 0.05:
             continue
         q = KernelQuery(t, q1, q2)
-        closed = sine_kernel_4pi_closed(q)
+        closed = sine_kernel_closed(4 * PI, t, r1, r2, -dth)
         moving = sine_kernel_moving_point(q, eps=int(rng.choice([-1, 1])))
-        if closed.value == 0.0:
+        assert moving.region == front_region(4 * PI, q)
+        if closed == 0.0:
             assert abs(moving.value) < 1e-14
         else:
-            assert moving.value == pytest.approx(closed.value, rel=1e-10)
-        if closed.region in checked:
-            checked[closed.region] += 1
+            assert moving.value == pytest.approx(closed, rel=1e-10)
+        if moving.region in checked:
+            checked[moving.region] += 1
 
 
 def test_moving_point_root_count_branches():
@@ -73,14 +125,15 @@ def test_moving_point_is_scale_free():
     to 1e140, each compared with the closed form at the same scale."""
     q1, q2 = ConePoint(1.0, 0.0), ConePoint(0.8, 1.5)
     for t in (1.6, 3.0):
-        unit = sine_kernel_4pi_closed(KernelQuery(t, q1, q2))
+        unit = sine_kernel_closed(4 * PI, t, 1.0, 0.8, -1.5)
+        region = front_region(4 * PI, KernelQuery(t, q1, q2))
         for s in (1e-100, 1e-30, 1e60, 1e140):
             q = KernelQuery(s * t, ConePoint(s, 0.0), ConePoint(0.8 * s, 1.5))
-            closed = sine_kernel_4pi_closed(q)
-            assert closed.region == unit.region
-            assert s * closed.value == pytest.approx(unit.value, rel=1e-14)
-            assert sine_kernel_moving_point(q).value == pytest.approx(
-                closed.value, rel=1e-14)
+            closed = sine_kernel_closed(4 * PI, s * t, s, 0.8 * s, -1.5)
+            moving = sine_kernel_moving_point(q)
+            assert moving.region == region
+            assert s * closed == pytest.approx(unit, rel=1e-14)
+            assert moving.value == pytest.approx(closed, rel=1e-14)
 
 
 def test_cheeger_series_against_mollified_closed_forms():
@@ -193,15 +246,45 @@ def test_cheeger_sweep_refuses_empty_times(ts):
         cheeger_series_sweep(4 * PI, ts, 0.5, 0.5, 0.0, 0.05)
 
 
-@pytest.mark.parametrize("sweep", [cheeger_series_sweep, halfwave_series_sweep])
+MOLLIFIED = [cheeger_series_sweep, halfwave_series_sweep,
+             sine_kernel_closed_mollified]
+
+
+def _sweep_call(sweep, ts, r1, r2, h=0.05):
+    """One call of a sweep at a cone angle where it exists."""
+    if sweep is sine_kernel_closed:
+        return sweep(4 * PI, ts, r1, r2, 0.3)
+    alpha = 4 * PI if sweep is sine_kernel_closed_mollified else 7.0
+    return sweep(alpha, ts, r1, r2, 0.3, h)
+
+
+@pytest.mark.parametrize("sweep", MOLLIFIED)
 @pytest.mark.parametrize("h, r1, r2", [(math.inf, 1.0, 0.5), (math.nan, 1.0, 0.5),
                                        (0.3, -1.0, 0.5), (0.3, 1.0, math.inf)])
 def test_mode_sums_refuse_a_bad_width_or_radius(sweep, h, r1, r2):
-    """The mode sums take h, r1 and r2 themselves and refuse them unless
-    positive and finite, where h = inf gave NaN with a RuntimeWarning and
-    r1 = -1 a silent NaN."""
+    """The mode sums and the mollified closed form take h, r1 and r2
+    themselves and refuse them unless positive and finite, where h = inf
+    gave the mode sums NaN with a RuntimeWarning, and r1 = -1 a silent NaN
+    (0.0 from the closed form), and r2 = inf the closed form NaN."""
     with pytest.raises(InvalidInput, match="positive|finite"):
-        sweep(7.0, [1.0], r1, r2, 0.3, h)
+        _sweep_call(sweep, [1.0], r1, r2, h)
+
+
+BAD_TIME_OR_SUM = [(math.inf, 1.0, 0.5), (-math.inf, 1.0, 0.5),
+                   (math.nan, 1.0, 0.5), (1.0, 1e308, 1e308)]
+
+
+@pytest.mark.parametrize("sweep, t, r1, r2", [
+    *((sweep, *case) for sweep in MOLLIFIED + [sine_kernel_closed]
+      for case in BAD_TIME_OR_SUM),
+    (sine_kernel_closed, 1.0, -1.0, 0.5), (sine_kernel_closed, 1.0, 1.0, math.inf)])
+def test_sweeps_refuse_a_bad_time_or_radius(sweep, t, r1, r2):
+    """All four sweeps share one check on their times and radii: a time
+    that is not finite (the mollified closed form gave 0.0 at t = inf), or
+    radii that are not positive with a finite sum (the exact closed form,
+    which takes no width, is checked on both radii here)."""
+    with pytest.raises(InvalidInput, match="finite"):
+        _sweep_call(sweep, [0.5, t], r1, r2)
 
 
 def test_kernel_difference_is_smooth_at_direct_front():
@@ -301,8 +384,8 @@ def test_halfwave_real_part_is_cosine_kernel():
     vanishes before the direct front."""
     ts = np.linspace(0.3, 3.5, 17)
     u = halfwave_series_sweep(4 * PI, ts, 1.0, 1.0, -HW_DTH, HW_H)
-    ref = [sine_kernel_closed_mollified(4 * PI, t, 1.0, 1.0, HW_DTH, HW_H,
-                                        tderiv=1) for t in ts]
+    ref = sine_kernel_closed_mollified(4 * PI, ts, 1.0, 1.0, HW_DTH, HW_H,
+                                       tderiv=1)
     assert np.max(np.abs(u.real - ref)) < 1e-10
     early = ts < cone_distance(4 * PI, ConePoint(1.0, 0.0),
                                ConePoint(1.0, HW_DTH)) - 10 * HW_H
@@ -326,8 +409,7 @@ def _hilbert_of_cosine_kernel(ts, dth: float, cut: float = 40.0,
     the tail past cut, where R(s) ~ -1/(4 pi s^2) gives
     int_cut^inf = 2t/(12 pi cut^3)."""
     s = (np.arange(round(cut / ds)) + 0.5) * ds
-    r = np.array([sine_kernel_closed_mollified(4 * PI, x, 1.0, 1.0, dth,
-                                               HW_H, tderiv=1) for x in s])
+    r = sine_kernel_closed_mollified(4 * PI, s, 1.0, 1.0, dth, HW_H, tderiv=1)
     ts = np.asarray(ts)[:, None]
     integral = np.sum(r * 2.0 * ts / (ts * ts - s * s), axis=1) * ds
     return -(integral + 2.0 * ts[:, 0] / (12.0 * PI * cut**3)) / PI
@@ -370,7 +452,7 @@ def test_representation_agreement_4pi_summary():
     h = 0.05
     q1, q2 = ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2)
     t = 3.0
-    closed = sine_kernel_4pi_closed(KernelQuery(t, q1, q2)).value
+    closed = sine_kernel_closed(4 * PI, t, 1.0, 1.0, -PI / 2)
     moving = sine_kernel_moving_point(KernelQuery(t, q1, q2)).value
     cheeger = sine_kernel_cheeger_series(4 * PI, KernelQuery(t, q1, q2),
                                          h).value
