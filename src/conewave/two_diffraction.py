@@ -100,7 +100,6 @@ class StationaryData:
 class NondegeneracyReport:
     kind: str
     smallest_singular_value: float
-    passed: bool
     rows: np.ndarray = field(repr=False)
 
 
@@ -274,8 +273,8 @@ def nondegeneracy_check(kind: str, chain: ConeChain | None = None,
     are the differentials of dphi/dw and dphi/ds in (t, q1, q2) at s = 0.
     kind="system": the composed phase Psi; rows for dPsi/dw, dPsi/ds1,
     dPsi/ds2 in (t, q1, q2) at s1 = s2 = 0.  The rows are the
-    (parameter x base) block of the phase's `fd_hessian` (step FD_STEP).  PASS
-    iff the smallest singular value of the stacked rows exceeds 1e-6.
+    (parameter x base) block of the phase's `fd_hessian` (step FD_STEP); the
+    conditions hold iff the stacked rows have full rank.
     """
     if kind == "pair":
         if q1 is None or q2 is None or t is None:
@@ -303,7 +302,7 @@ def nondegeneracy_check(kind: str, chain: ConeChain | None = None,
     hess = fd_hessian(phase, [t, q1.x, q1.y, q2.x, q2.y, *params], FD_STEP)
     rows = hess[5:, :5]  # (w, s...) down, (t, x1, y1, x2, y2) across
     smin = float(np.linalg.svd(rows, compute_uv=False)[-1])
-    return NondegeneracyReport(kind, smin, smin > 1e-6, rows)
+    return NondegeneracyReport(kind, smin, rows)
 
 
 def stationary_phase_value(chain: ConeChain, t: float, q1: PlanarPoint,

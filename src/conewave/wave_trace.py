@@ -275,7 +275,6 @@ class PipelineReport:
     coefficient_pipeline: complex
     coefficient_formula: complex
     rel_err: float
-    passed: bool
 
 
 def trace_pipeline_check(L: float, b: float,
@@ -293,9 +292,8 @@ def trace_pipeline_check(L: float, b: float,
 
     then assembles the coefficient from the verified factors, the two
     regularized scattering limits (+-1/(2 pi)) and the x-integral
-    normalization, and compares with the closed formula.  It passes when
-    the Hessian identities hold to 1e-6 and the limits and the coefficient
-    to 1e-10.
+    normalization, and compares with the closed formula.  It reports the
+    relative error of each step; AT-6 gates them.
     """
     if not 0 < b < L:
         raise BadLeg(f"leg b = {b} outside (0, {L})")
@@ -342,8 +340,6 @@ def trace_pipeline_check(L: float, b: float,
 
     formula = predict_two_diffraction_singularity(L, b).coefficient
     rel = abs(coefficient - formula) / abs(formula)
-    passed = (kappa_err < 1e-6 and hess_y_err < 1e-6
-              and p_in_err < 1e-10 and p_out_err < 1e-10 and rel < 1e-10)
     return PipelineReport(L, b, kappa_fd, kappa, kappa_err, hess_y_err,
                           p_in, p_out, p_in_err, p_out_err,
-                          complex(coefficient), formula, rel, passed)
+                          complex(coefficient), formula, rel)

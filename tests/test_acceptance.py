@@ -3,6 +3,8 @@
 Each test prints a PASS/FAIL line with the measured numbers; AT-7 part (iii)
 is informational output (the pillowcase t = 2 peak mixes orbit families and
 the fitted coefficient is reported next to the prediction, not asserted).
+The gates are written here as literals, apart from `verification.GATES`, so
+that loosening a gate in the table fails a test.
 """
 
 import pytest
@@ -42,15 +44,20 @@ def test_at4_two_diffraction_stationary_phase():
     rep = _report(verification.at4_two_diffraction, 0)
     assert rep.passed, rep.summary
     assert rep.details["errors"][200.0] <= 0.05
+    assert rep.details["dev_omega200"] == rep.details["errors"][200.0]
     for ratio in rep.details["ratios"]:
         assert 0.3 <= ratio <= 0.7
+    assert rep.details["ratio_dev"] <= 0.2
     assert rep.details["hessian_det_err"] < 1e-8
+    assert rep.details["bad_signatures"] == 0
 
 
 def test_at5_differentiated_propagator():
     rep = _report(verification.at5_differentiated_propagator, 0)
     assert rep.passed, rep.summary
-    assert rep.details["upsilon_err"] < 5e-2
+    assert rep.details["upsilon_err"] <= 5e-5
+    assert rep.details["conj_err"] == 0.0
+    assert rep.details["support_ratio"] <= 1e-10
 
 
 @pytest.mark.parametrize("seed", [0, 4])
@@ -59,6 +66,7 @@ def test_at6_trace_pipeline(seed):
     assert rep.passed, rep.summary
     assert rep.details["final"] < 1e-10
     assert rep.details["fd"] < 1e-6
+    assert rep.details["limits"] <= 1e-10
 
 
 def test_at7_pillowcase_spectral_run():
@@ -67,7 +75,21 @@ def test_at7_pillowcase_spectral_run():
     assert rep.passed, rep.summary
     assert rep.info_only
     assert rep.details["weyl"] < 0.05
+    assert rep.details["peak_dev"] <= 0.04
     assert "INFO" in rep.summary
+
+
+def test_gate_table_decides_and_names_the_figure(monkeypatch):
+    """A figure above its gate fails its AT and is named in the summary; a
+    runner that omits a gated figure raises instead of passing."""
+    monkeypatch.setitem(verification.GATES, "AT-2",
+                        {"rel_err_4pi": 1e-10, "rel_err_2pi": 0.0})
+    rep = verification.at2_friedlander(0)
+    assert not rep.passed
+    assert "rel_err_2pi" in rep.summary and "(<= 0)" in rep.summary
+    monkeypatch.setitem(verification.GATES, "AT-2", {"missing_figure": 1.0})
+    with pytest.raises(KeyError, match="missing_figure"):
+        verification.at2_friedlander(0)
 
 
 @pytest.fixture(scope="session", autouse=True)

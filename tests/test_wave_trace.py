@@ -309,7 +309,10 @@ def test_extract_contamination_calibration(pillowcase_400, trace_400):
 def test_pipeline_check_examples():
     rep = trace_pipeline_check(3.0, 1.0)
     assert rep.hessian_u_fd == pytest.approx(1.5, rel=1e-6)
-    assert rep.passed and rep.rel_err < 1e-10
+    assert rep.rel_err < 1e-10
+    assert rep.hessian_u_rel_err < 1e-6 and rep.hessian_y_rel_err < 1e-6
+    assert rep.limit_in_numeric_err < 1e-10
+    assert rep.limit_out_numeric_err < 1e-10
     # b <-> L-b symmetry of the coefficient
     ca = trace_pipeline_check(3.0, 1.0).coefficient_pipeline
     cb = trace_pipeline_check(3.0, 2.0).coefficient_pipeline
