@@ -11,7 +11,8 @@ circumference alpha.  S_alpha has poles at the geometric directions
 theta = +-pi (mod alpha); physical amplitudes stay finite there because a
 sin factor vanishes simultaneously, and this module provides the
 regularized products, one exact identity, used at and near those
-directions.
+directions.  `scattering_matrix` also continues S_alpha off the real axis,
+to theta - i c, where Friedlander's construction reads its weight.
 """
 
 from __future__ import annotations
@@ -42,27 +43,52 @@ SINE_PRODUCT_LIMITS = {INCOMING_AT_0: 1.0 / (2.0 * math.pi),
 
 
 def _numerator(alpha: float) -> float:
-    """sin(2 pi^2/alpha), refused where 2 pi^2/alpha overflows."""
+    """sin(2 pi^2/alpha) as (-1)^n sin(pi (2 pi/alpha - n)), n the integer
+    nearest 2 pi/alpha, so exactly 0 where 2 pi/alpha is an integer (the
+    cones that do not diffract); refused where 2 pi^2/alpha overflows."""
     check_cone_angle(alpha)
     if not math.isfinite(2.0 * math.pi**2 / alpha):
         raise InvalidInput(f"2 pi^2 / alpha overflows at alpha = {alpha}")
-    return math.sin(2.0 * math.pi**2 / alpha)
+    n = round(2.0 * math.pi / alpha)
+    return (-1.0) ** n * math.sin(math.pi * (2.0 * math.pi / alpha - n))
 
 
-def scattering_matrix(alpha: float, theta):
-    """Closed-form S_alpha(theta) for scalars or arrays (a float for scalar
-    input); NaN at the poles, where a sine factor is below POLE_TOL."""
+def scattering_matrix(alpha: float, theta, c=0.0):
+    """Re S_alpha(theta - i c) for scalars or arrays theta and c, broadcast
+    (a float for scalar input); c = 0 is the real axis.  With x1, x2 =
+    pi -+ theta reduced to the nearest image, s_i = sin(pi x_i/alpha) and
+    S = sinh^2(pi c/alpha), it is
+
+        -(sin(2 pi^2/alpha)/(2 alpha)) (S cos(2 pi theta/alpha) + s1 s2)
+        / ((S + s1^2) (S + s2^2)),
+
+    NaN at the real poles (S = 0 and a sine factor below POLE_TOL) and where
+    the denominator underflows (small c past alpha ~ 1e77).
+    """
     numerator = _numerator(alpha)
     th = np.asarray(theta, dtype=float)
-    if not np.isfinite(th).all():
+    if not np.isfinite(th).all():  # np.fmod warns on inf
         raise InvalidInput(f"theta must be finite, at alpha = {alpha}")
     th = np.fmod(np.abs(th), alpha)  # exact; S_alpha is even, alpha-periodic
-    k = math.pi / alpha
-    d1, d2 = np.sin(k * (math.pi - th)), np.sin(k * (math.pi + th))
-    pole = (np.abs(d1) < POLE_TOL) | (np.abs(d2) < POLE_TOL)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(pole, math.nan, -numerator / (2.0 * alpha * (d1 * d2)))
-    return float(out) if out.ndim == 0 else out
+    k1 = np.rint((math.pi - th) / alpha)
+    k2 = np.rint((-math.pi - th) / alpha)
+    s1 = np.sin(math.pi * (math.pi - (th + alpha * k1)) / alpha)
+    s2 = np.sin(math.pi * (math.pi + (th + alpha * k2)) / alpha)
+    s1s2 = s1 * s2 * (1.0 - 2.0 * ((k1 + k2) % 2))  # (-1)^(k1 + k2) s1 s2
+    pole = (np.abs(s1) < POLE_TOL) | (np.abs(s2) < POLE_TOL)
+    # capped where |Re S| ~ 2 e^{-2 pi c/alpha}/alpha < 1e-130/alpha, so
+    # that the squares below stay finite
+    big_s = np.sinh(np.minimum((math.pi / alpha) * np.asarray(c, float),
+                               150.0)) ** 2
+    # the factor 2 of 2 alpha here, not in the top, keeps 2 Re S exact where
+    # the top is subnormal (alpha past ~ 1e77)
+    denominator = 2.0 * (big_s + s1 * s1) * (big_s + s2 * s2)
+    top = -numerator / alpha * (big_s * np.cos(2.0 * math.pi * th / alpha)
+                                + s1s2)
+    denominator = np.where((denominator < 2.0 * np.finfo(float).tiny)
+                           | (pole & (big_s == 0.0)), math.nan, denominator)
+    out = top / denominator
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def scattering_matrix_fourier(alpha: float, theta, N: int):

@@ -21,17 +21,18 @@ from 1/2.  The rest of G_alpha vanishes at y = 1 and half-derives into
 
     int_0^C dG/dc (cosh C - cosh c)^(-1/2) dc,      C = arccosh y,
 
-where the arctan translates sum in closed form (symmetric summation; the
-periodized Poisson kernel of each x = pi -+ z):
+where the arctan translates sum in closed form (symmetric summation of
+the periodized Poisson kernel of each x = pi -+ z, then cot a + cot b =
+sin(a + b) / (sin a sin b)):
 
     dG/dc = -(1/pi) sum_x sum_k x_k / (c^2 + x_k^2),     x_k = x + alpha k,
-          = -(1/alpha) sin(2 pi^2/alpha) [S cos(2 pi z/alpha) + s1 s2]
-            / ((S + s1^2) (S + s2^2)),
+          = 2 Re S_alpha(z - i c),
 
-S = sinh^2(pi c/alpha), s_i = sin(pi x_i/alpha).  It vanishes when
-2 pi/alpha is an integer (the method of images; alpha = 2 pi is the plane).
-Its poles c = i (+-x_i + alpha m) lie on the imaginary axis, the nearest at
-the shadow-boundary distance |x| = min_k |pi -+ z + alpha k|.  As x -> 0 its
+the cone's diffraction coefficient continued off the real axis
+(`diffraction.scattering_matrix`).  It vanishes when 2 pi/alpha is an
+integer (the method of images; alpha = 2 pi is the plane).  Its poles
+c = i (+-x + alpha m) lie on the imaginary axis, the nearest at the
+shadow-boundary distance |x| = min_k |pi -+ z + alpha k|.  As x -> 0 its
 integral over [0, eps] tends to -sign(x)/2, which makes up for the image
 that crosses |z_k| = pi, so the kernel is continuous there.
 """
@@ -43,8 +44,9 @@ import math
 
 import numpy as np
 
+from .diffraction import scattering_matrix
 from .errors import InvalidInput
-from .geometry import check_array_size, check_cone_angle
+from .geometry import angular_separation, check_array_size, check_cone_angle
 from .kernels import KernelQuery, KernelValue, front_region
 from .special import gauss_legendre
 
@@ -73,37 +75,6 @@ def friedlander_pullback(alpha: float, t: float, r1: float, r2: float,
     if not (math.isfinite(y) and math.isfinite(z)):  # remainder(inf) raises
         raise InvalidInput(f"pullback (y, z) = {y, z} is not finite")
     return y, math.remainder(z, check_cone_angle(alpha))
-
-
-def _shadow_distances(alpha: float, z: float) -> tuple[float, float, float]:
-    """(x1, x2, sign): pi - z and pi + z reduced to [-alpha/2, alpha/2] as
-    pi -+ z_k for the image z_k nearest to +-pi, and the sign (-1)^(k1 + k2)
-    by which the reduction flips sin(pi x1/alpha) sin(pi x2/alpha)."""
-    k1 = round((math.pi - z) / alpha)
-    k2 = round((-math.pi - z) / alpha)
-    return (math.pi - (z + alpha * k1), math.pi + (z + alpha * k2),
-            1.0 if (k1 + k2) % 2 == 0 else -1.0)
-
-
-def _dg_dc(alpha: float, c: np.ndarray, z: float) -> np.ndarray:
-    """c-derivative of the periodized y > 1 branch of G_alpha at angle z,
-    for an array of c = arccosh y > 0: the summed Poisson form of the
-    module docstring."""
-    x1, x2, sign = _shadow_distances(alpha, z)
-    s1 = math.sin(math.pi * x1 / alpha)
-    s2 = math.sin(math.pi * x2 / alpha)
-    n = round(2.0 * math.pi / alpha)  # sin(2 pi^2/alpha), exactly 0 at 2 pi
-    sin_sum = (-1.0) ** n * math.sin(math.pi * (2.0 * math.pi / alpha - n))
-    # capped where |dG/dc| ~ 4 e^{-2 pi c/alpha}/alpha < 1e-130/alpha, so
-    # that the squares below stay finite
-    big_s = np.sinh(np.minimum((math.pi / alpha) * c, 150.0)) ** 2
-    denominator = (big_s + s1 * s1) * (big_s + s2 * s2)
-    # ~ (pi^2/alpha)^4 at small c: subnormal past alpha ~ 1e77, then 0 / 0
-    if not denominator.min() >= np.finfo(float).tiny:
-        raise InvalidInput(f"alpha = {alpha}: dG/dc underflows at z = {z}")
-    return (-sin_sum / alpha
-            * (big_s * math.cos(2.0 * math.pi * z / alpha) + sign * s1 * s2)
-            / denominator)
 
 
 def _image_sum(alpha: float, y: float, z: float) -> float:
@@ -143,9 +114,11 @@ def _diffracted_integral(alpha: float, y: float, z: float) -> float:
     using cosh C - cosh c = 2 sinh((C + c)/2) sinh((C - c)/2).
     """
     big_c = math.acosh(y)
-    x1, x2, _ = _shadow_distances(alpha, z)
-    # on the shadow boundary x = 0 the pole of that term cancels
-    scale = min((abs(x) for x in (x1, x2) if x != 0.0), default=math.inf)
+    # the distances to the shadow boundaries, where the weight's poles
+    # c = i x come nearest; on a boundary, x = 0, the pole cancels
+    scale = min((x for x in (angular_separation(alpha, z, math.pi),
+                             angular_separation(alpha, z, -math.pi))
+                 if x != 0.0), default=math.inf)
     n_graded, edge = 0, 0.5 * big_c
     while edge > scale:
         n_graded, edge = n_graded + 1, edge / PANEL_RATIO
@@ -155,8 +128,10 @@ def _diffracted_integral(alpha: float, y: float, z: float) -> float:
     right = np.sinh((0.5 * big_c) * one_minus_v_sq)
     # left * right overflows past C = 473 (y ~ 1e205)
     root = np.sqrt(left * right) if big_c < 400.0 else np.sqrt(left) * np.sqrt(right)
-    return (math.sqrt(2.0) * big_c
-            * float(np.sum(weights * _dg_dc(alpha, c, z) / root)))
+    dg_dc = 2.0 * scattering_matrix(alpha, z, c)
+    if not np.isfinite(dg_dc).all():  # past alpha ~ 1e77
+        raise InvalidInput(f"alpha = {alpha}: dG/dc underflows at z = {z}")
+    return math.sqrt(2.0) * big_c * float(np.sum(weights * dg_dc / root))
 
 
 def sine_kernel_friedlander(alpha: float, q: KernelQuery) -> KernelValue:

@@ -114,7 +114,8 @@ def at1_moving_point(seed: int = 0) -> ATReport:
 @_timed
 def at2_friedlander(seed: int = 0) -> ATReport:
     """Friedlander pipeline vs closed forms on C_{4 pi} and the plane.  With
-    t drawn up to 6, about half the points have pullback y > 4.5."""
+    t drawn up to 6 (pullback y up to about 70), most points lie past the
+    diffracted front y = 1, where the c integral adds to the image sum."""
     rng = np.random.default_rng(seed)
     results = {}
     for alpha in (4.0 * PI, 2.0 * PI):
@@ -274,7 +275,9 @@ def at5_differentiated_propagator(seed: int = 0) -> ATReport:
 
 @_timed
 def at6_trace_pipeline(seed: int = 0) -> ATReport:
-    """Step-by-step Section-6 pipeline vs the closed coefficient formula."""
+    """Step-by-step Section-6 pipeline vs the closed coefficient formula,
+    and, once, the two scattering limits it inserts against their
+    numerical values at alpha = 3 pi."""
     rng = np.random.default_rng(seed)
     reps = []
     for _ in range(20):
@@ -282,12 +285,15 @@ def at6_trace_pipeline(seed: int = 0) -> ATReport:
         b = rng.uniform(0.15, 0.85) * L
         omega = rng.uniform(0.5, 4.0)
         reps.append(wave_trace.trace_pipeline_check(L, b, omega=omega))
+    limits = max(
+        abs(diffraction.sine_product_limit_numeric(3.0 * PI, which) - limit)
+        / abs(limit)
+        for which, limit in diffraction.SINE_PRODUCT_LIMITS.items())
     return _gated(
         "AT-6", "trace pipeline recomputation vs (1/(4 i pi^2)) sqrt(b(L-b))",
         {"final": max(r.rel_err for r in reps),
          "fd": max(max(r.hessian_u_rel_err, r.hessian_y_rel_err) for r in reps),
-         "limits": max(max(r.limit_in_numeric_err, r.limit_out_numeric_err)
-                       for r in reps)})
+         "limits": limits})
 
 
 @_timed

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from conewave.diffraction import (INCOMING_AT_0, OUTGOING_AT_PI,
                                   scattering_matrix, scattering_matrix_fourier,
                                   sine_product_limit_numeric)
 from conewave.errors import GeometricDirection, InvalidInput
+from conewave.friedlander import _diffracted_integral
 from conewave.geometry import angular_separation
 
 PI = math.pi
@@ -19,7 +21,7 @@ def test_scattering_matrix_examples():
         -1 / (4 * PI), abs=1e-15)
     # the plane does not diffract
     for theta in np.linspace(0.3, 2.8, 7):
-        assert abs(scattering_matrix(2 * PI, theta)) < 1e-12
+        assert scattering_matrix(2 * PI, theta) == 0.0
     got = scattering_matrix(3 * PI, PI / 2)
     assert got == pytest.approx(-math.sqrt(3) / (6 * PI), abs=1e-14)
 
@@ -60,6 +62,67 @@ def test_scattering_evenness_and_periodicity():
             assert value == scattering_matrix(alpha, -theta)
             assert value == pytest.approx(
                 scattering_matrix(alpha, theta + alpha), rel=1e-9)
+
+
+def _closed_form_off_axis(alpha, w):
+    """S_alpha(w) at complex w, by cmath from the module's closed form."""
+    k = PI / alpha
+    return (-math.sin(2 * PI**2 / alpha) / (2 * alpha)
+            / (cmath.sin(k * (PI - w)) * cmath.sin(k * (PI + w))))
+
+
+def test_off_axis_values_match_the_closed_form():
+    """Re S_alpha(theta - i c) against the closed form at complex argument,
+    for random cone angles, angles and offsets c; theta = z, c = 0 gives
+    the real-axis value."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        alpha = rng.uniform(0.5, 30.0)
+        c = rng.uniform(0.05, 5.0)
+        z = rng.uniform(-2 * alpha, 2 * alpha)
+        want = _closed_form_off_axis(alpha, z - 1j * c)
+        got = scattering_matrix(alpha, z, c)
+        assert isinstance(got, float)
+        assert got == pytest.approx(want.real, rel=0, abs=1e-12 * abs(want))
+    # theta and c broadcast, and c = 0 is the real-axis value
+    theta, cs = np.array([0.3, 2.0, -5.0]), np.array([[0.0], [0.7]])
+    grid = scattering_matrix(7.0, theta, cs)
+    assert grid.shape == (2, 3)
+    assert np.array_equal(grid[0], scattering_matrix(7.0, theta))
+    assert np.array_equal(grid[1], [scattering_matrix(7.0, v, 0.7)
+                                    for v in theta])
+
+
+def test_off_axis_values_are_finite_across_the_real_poles():
+    """At c > 0 the poles theta = +-pi (mod alpha) are off the path: the
+    values there are finite and continuous (Re S can pass through 0
+    there, so in absolute terms), and tend to the real axis as c -> 0."""
+    for alpha in (3 * PI, 4 * PI, 7.0, 0.5):
+        theta = np.array([PI - 1e-9, PI, PI + 1e-9, -PI, PI + alpha])
+        for c in (1e-6, 1e-3, 0.1, 2.0):
+            vals = scattering_matrix(alpha, theta, c)
+            assert np.all(np.isfinite(vals))
+            if c >= 0.1:
+                assert vals == pytest.approx(vals[1], rel=0, abs=1e-6)
+        assert scattering_matrix(alpha, 0.3, 1e-9) == pytest.approx(
+            scattering_matrix(alpha, 0.3), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_exactly_zero_where_the_cone_does_not_diffract(m):
+    """At alpha = 2 pi/m, sin(2 pi^2/alpha) is computed as exactly 0, so S
+    off its poles, on and off the real axis, the regularized product, both
+    limits and Friedlander's c integral of 2 Re S are 0, not roundoff."""
+    alpha = 2 * PI / m
+    theta = np.linspace(-10.0, 10.0, 401)
+    vals = scattering_matrix(alpha, theta)
+    assert np.all(vals[~np.isnan(vals)] == 0.0)
+    assert np.all(scattering_matrix(alpha, theta, 0.5) == 0.0)
+    assert s_times_cos_half(alpha, 0.1) == 0.0
+    for which in (INCOMING_AT_0, OUTGOING_AT_PI):
+        assert sine_product_limit_numeric(alpha, which) == 0.0
+    for y, z in ((1.5, 0.4), (20.0, -0.1), (3.0, PI / m)):
+        assert _diffracted_integral(alpha, y, z) == 0.0
 
 
 def test_pole_locations():
@@ -153,12 +216,11 @@ def test_regularized_sine_product_limits():
     assert SINE_PRODUCT_LIMITS == {INCOMING_AT_0: 1 / (2 * PI),
                                    OUTGOING_AT_PI: -1 / (2 * PI)}
     # numerical limits, theta offset 1e-6 with Richardson extrapolation,
-    # identical across diffracting cone angles
+    # identical across diffracting cone angles (3 pi is AT-6's)
     for alpha in (3 * PI, 4 * PI, 7.0, 5.0):
-        p_in = sine_product_limit_numeric(alpha, INCOMING_AT_0)
-        p_out = sine_product_limit_numeric(alpha, OUTGOING_AT_PI)
-        assert abs(p_in - 1 / (2 * PI)) < 1e-10
-        assert abs(p_out + 1 / (2 * PI)) < 1e-10
+        for which, limit in SINE_PRODUCT_LIMITS.items():
+            assert sine_product_limit_numeric(alpha, which) == pytest.approx(
+                limit, rel=1e-10, abs=0)
 
 
 def test_s_times_cos_half_regularization():

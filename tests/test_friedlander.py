@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conewave.friedlander import (_dg_dc, friedlander_pullback,
-                                  sine_kernel_friedlander)
+from conewave.diffraction import scattering_matrix
+from conewave.friedlander import friedlander_pullback, sine_kernel_friedlander
 from conewave.geometry import ConePoint
 from conewave.kernels import (KernelQuery, cheeger_series_sweep,
                               gauss_hermite_mollify, sine_kernel_closed)
@@ -31,11 +31,12 @@ def _brute_dg_dc(alpha, c, z):
 
 @pytest.mark.parametrize("alpha", [PI, 7.0, 4 * PI])
 def test_g_high_matches_translate_sum(alpha):
-    """dG/dc of the periodized y > 1 branch against its translate sum."""
+    """dG/dc of the periodized y > 1 branch, the kernel's weight 2 Re
+    S_alpha(z - i c), against its translate sum."""
     cs = np.array([0.003, 0.07, 0.5, 1.3, 3.0])
     for frac in (-0.5, -0.31, 0.0, 0.17, 0.49):
         z = frac * alpha
-        got = _dg_dc(alpha, cs, z)
+        got = 2 * scattering_matrix(alpha, z, cs)
         want = [_brute_dg_dc(alpha, c, z) for c in cs]
         # at pi dG/dc is 0; the extrapolated sum leaves about 4e-11
         assert got == pytest.approx(want, rel=1e-9, abs=1e-10)
@@ -46,8 +47,7 @@ def test_g_high_telescopes_at_2pi():
     its c-derivative is 0, on the shadow boundary z = -pi as well."""
     cs = np.geomspace(1e-12, 10.0, 50)
     for z in (-PI, -PI + 1e-12, -2.0, 0.0, 0.7, PI - 1e-9):
-        assert np.all(_dg_dc(2 * PI, cs, z) == 0.0)
-
+        assert np.all(scattering_matrix(2 * PI, z, cs) == 0.0)
 
 def test_pullback_angle_is_exact_at_huge_cone_angles():
     """z = theta1 - theta2 reduced by the IEEE remainder, which is exact: at
