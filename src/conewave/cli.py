@@ -119,28 +119,26 @@ def cmd_kernel(args) -> int:
                            f"got {alpha}")
     if not (args.h >= 0 and math.isfinite(args.h)):
         raise InvalidInput(f"mollifier width must be finite and >= 0, got {args.h}")
-    queries = [kernels.KernelQuery(float(t), ConePoint(args.r1, args.theta1),
-                                   ConePoint(args.r2, args.theta2))
-               for t in _parse_range(args.ts)]
-    if rep in ("cheeger", "closed4pi"):
-        # one call serves the whole sweep; only cheeger mollifies
-        h = args.h if rep == "cheeger" else 0.0
-        sweep = (alpha, [q.t for q in queries], args.r1, args.r2,
-                 args.theta1 - args.theta2)
-        swept = (kernels.cheeger_series_sweep(*sweep, h) if rep == "cheeger"
-                 else kernels.sine_kernel_closed(*sweep))
-        values = [kernels.KernelValue(float(v),
-                                      kernels.front_region(alpha, q, h))
-                  for v, q in zip(swept, queries)]
-    elif rep == "moving":
-        values = [kernels.sine_kernel_moving_point(q) for q in queries]
+    ts = _parse_range(args.ts)
+    if not ts[0] > 0:
+        raise InvalidInput(f"time must be positive, got {ts[0]}")
+    # only cheeger mollifies, and its fronts widen by 10 h
+    h = args.h if rep == "cheeger" else 0.0
+    sweep = (alpha, ts, args.r1, args.r2, args.theta1 - args.theta2)
+    regions = kernels.front_region(*sweep, h)
+    if rep == "cheeger":
+        values = kernels.cheeger_series_sweep(*sweep, h)
+    elif rep == "closed4pi":
+        values = kernels.sine_kernel_closed(*sweep)
     else:
-        values = [friedlander.sine_kernel_friedlander(alpha, q) for q in queries]
-    rows = []
-    for q, value in zip(queries, values):
-        val = complex(value.value)
-        rows.append([q.t, args.r1, args.theta1, args.r2, args.theta2,
-                     alpha, rep, val.real, val.imag, value.region])
+        q1, q2 = ConePoint(args.r1, args.theta1), ConePoint(args.r2, args.theta2)
+        queries = [kernels.KernelQuery(t, q1, q2) for t in ts.tolist()]
+        values = [(kernels.sine_kernel_moving_point(q) if rep == "moving"
+                   else friedlander.sine_kernel_friedlander(alpha, q)).value
+                  for q in queries]
+    rows = [[t, args.r1, args.theta1, args.r2, args.theta2, alpha, rep,
+             complex(v).real, complex(v).imag, region]
+            for t, v, region in zip(ts.tolist(), values, regions.tolist())]
     _write_text(args.out, _csv(
         ["t", "r1", "theta1", "r2", "theta2", "alpha", "representation",
          "value_re", "value_im", "region"], rows))

@@ -37,8 +37,10 @@ def check_cone_angle(alpha: float) -> float:
 def check_array_size(n: int, what: str) -> None:
     """Validate an input-driven array size against MAX_ARRAY_ELEMENTS."""
     if n > MAX_ARRAY_ELEMENTS:
-        raise InvalidInput(f"{what} needs {n} elements, above the budget of "
-                           f"{MAX_ARRAY_ELEMENTS}")
+        # an int count can pass the float range, where format(n, "g") raises
+        count = n if n < 1e308 else math.inf
+        raise InvalidInput(f"{what} needs {count:.3g} elements, above the "
+                           f"budget of {MAX_ARRAY_ELEMENTS}")
 
 
 @dataclass(frozen=True)

@@ -83,24 +83,26 @@ class KernelQuery:
 @dataclass(frozen=True)
 class KernelValue:
     value: complex
-    region: str
 
 
-def front_region(alpha: float, q: KernelQuery, h: float = 0.0) -> str:
-    """Front region of a query on C_alpha.  Each front widens by 10 h for a
-    kernel mollified at width h > 0, and by FRONT_TOL (r1 + r2) for an
-    exact one (h = 0): the band where `sine_kernel_closed` raises OnFront."""
-    # the moving-vertex sum squares lengths up to t
-    if not math.isfinite(2.0 * q.t * q.t):
-        raise InvalidInput(f"t = {q.t}: its square overflows")
-    direct = cone_distance(alpha, q.q1, q.q2)
-    diffracted = q.q1.r + q.q2.r
+def front_region(alpha: float, ts, r1: float, r2: float, dtheta: float,
+                 h: float = 0.0) -> np.ndarray:
+    """Front region of each time of a sweep on C_alpha, one label per t;
+    dtheta is any representative of theta1 - theta2.  Each front widens by
+    10 h for a kernel mollified at width h > 0, and by FRONT_TOL (r1 + r2)
+    for an exact one (h = 0): the band where `sine_kernel_closed` raises
+    OnFront."""
+    ts = _sweep_times(ts, r1, r2)
+    direct = cone_distance(alpha, ConePoint(r1, dtheta), ConePoint(r2, 0.0))
+    diffracted = r1 + r2
     tol = 10.0 * h if h > 0 else FRONT_TOL * diffracted
-    if any(front - tol <= q.t <= front + tol for front in (direct, diffracted)):
-        return NEAR_FRONT
-    if q.t < direct:
-        return BEFORE_DIRECT
-    return BETWEEN_FRONTS if q.t < diffracted else AFTER_DIFFRACTED
+    # no searchsorted: at dtheta = pi, direct can round an ulp past r1 + r2
+    labels = np.where(ts < direct, BEFORE_DIRECT,
+                      np.where(ts < diffracted, BETWEEN_FRONTS,
+                               AFTER_DIFFRACTED))
+    for front in (direct, diffracted):
+        labels[(front - tol <= ts) & (ts <= front + tol)] = NEAR_FRONT
+    return labels
 
 
 def _sweep_times(ts, *lengths: float) -> np.ndarray:
@@ -338,19 +340,21 @@ def sine_kernel_cheeger_series(alpha: float, q: KernelQuery,
 
     nu_k = 2 pi k / alpha, which at alpha = 4 pi is the half-integer-order
     sum with prefactor 1/(4 pi).  The lambda integrals only converge thanks
-    to the mollifier, so h > 0 is required; the region label widens by 10 h.
+    to the mollifier, so h > 0 is required.
     """
-    value = float(cheeger_series_sweep(alpha, q.t, q.q1.r, q.q2.r,
-                                       q.q1.theta - q.q2.theta, h)[0])
-    return KernelValue(value, front_region(alpha, q, h))
+    return KernelValue(float(cheeger_series_sweep(
+        alpha, q.t, q.q1.r, q.q2.r, q.q1.theta - q.q2.theta, h)[0]))
 
 
-def _moving_point_frame(q: KernelQuery, eps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Plane coordinates of (q1, q2) in the eps moving-vertex chart of C_{4pi}.
+def _moving_point_frame(q: KernelQuery,
+                        scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Plane coordinates of (q1, q2), divided by scale, in the moving-vertex
+    chart of C_{4pi}, whose vertex moves along the cut direction e = (0, 1).
 
     q1 is placed at a chart angle in (-pi/2, pi/2) and q2 at the reduced
-    separation on the far side of the vertex-shift line, mirrored for
-    eps = +1.  Any configuration with a positive reduced separation embeds.
+    separation on the far side of the vertex-shift line.  Any configuration
+    with a positive reduced separation embeds.  (The mirror chart, moving
+    along -e, gives the same kernel bit for bit.)
     """
     alpha = 4.0 * math.pi
     dth = angular_separation(alpha, q.q1.theta, q.q2.theta)
@@ -361,45 +365,42 @@ def _moving_point_frame(q: KernelQuery, eps: int) -> tuple[np.ndarray, np.ndarra
     hi = min(0.5 * math.pi, 1.5 * math.pi - dth) - 1e-9
     phi1 = 0.5 * (lo + hi)
     phi2 = phi1 + dth
-    if eps == +1:
-        phi1, phi2 = -phi1, -phi2
-    p1 = np.array([q.q1.r * math.cos(phi1), q.q1.r * math.sin(phi1)])
-    p2 = np.array([q.q2.r * math.cos(phi2), q.q2.r * math.sin(phi2)])
+    r1, r2 = q.q1.r / scale, q.q2.r / scale
+    p1 = np.array([r1 * math.cos(phi1), r1 * math.sin(phi1)])
+    p2 = np.array([r2 * math.cos(phi2), r2 * math.sin(phi2)])
     return p1, p2
 
 
-def sine_kernel_moving_point(q: KernelQuery, eps: int = -1) -> KernelValue:
+def sine_kernel_moving_point(q: KernelQuery) -> KernelValue:
     """Moving-vertex representation of the C_{4pi} sine kernel (h = 0).
 
-    The vertex is shifted a distance s along the cut direction; the kernel is
-    the integral over s >= 0 of a delta on the shifted diffracted front,
+    The vertex is shifted a distance s along the cut direction e; the kernel
+    is the integral over s >= 0 of a delta on the shifted diffracted front,
     which collapses to a sum over the roots of
     g(s) = r1(s) + r2(s) - t, each contributing
 
         (1/8 pi) (r1(s) r2(s))^(-1/2) |cos(dtheta(s)/2)|^(-1).
-    """
-    if eps not in (+1, -1):
-        raise InvalidInput("eps must be +1 or -1")
-    region = front_region(4.0 * math.pi, q)
-    x1, x2 = _moving_point_frame(q, eps)
-    shift = np.array([0.0, 1.0 if eps == -1 else -1.0])
 
-    roots = np.array(find_roots_convex(x1, x2, shift, q.t))
-    # offsets of q1, q2 from the vertex moved to each root, shape (2, n)
-    v1 = x1[:, None] - shift[:, None] * roots
-    v2 = x2[:, None] - shift[:, None] * roots
+    It is taken at the lengths over a power of two near max(t, r1, r2), an
+    exact scaling (the kernel is homogeneous of degree -1) that keeps the
+    root finder's sextic coefficients and r1(s) r2(s) in range.
+    """
+    scale = math.ldexp(1.0, math.frexp(max(q.t, q.q1.r, q.q2.r))[1])
+    x1, x2 = _moving_point_frame(q, scale)
+    roots = np.array(find_roots_convex(x1, x2, q.t / scale))
+    # offsets of q1, q2 from the vertex moved to each root s e, shape (2, n)
+    v1, v2 = (x[:, None] - np.outer((0.0, 1.0), roots) for x in (x1, x2))
     r1s, r2s = np.hypot(*v1), np.hypot(*v2)
-    dg = -(shift @ v1) / r1s - (shift @ v2) / r2s
+    dg = -v1[1] / r1s - v2[1] / r2s
     # |g'| ~ sqrt(2 curvature (t - t_front)); below 1e-6 the evaluation
     # time is within ~1e-13 of the front and the contribution diverges
     tangent = np.abs(dg) < 1e-6
     if tangent.any():
-        raise TangentRoot(f"front tangency at s = {roots[tangent][0]}")
+        raise TangentRoot(f"front tangency at s = {scale * roots[tangent][0]}")
     cos_dth = np.sum(v1 * v2, axis=0) / (r1s * r2s)
     half_cos = np.sqrt(np.maximum(0.5 * (1.0 + cos_dth), 0.0))
     total = float(np.sum(1.0 / (8.0 * math.pi * np.sqrt(r1s * r2s) * half_cos)))
-
-    return KernelValue(total, region)
+    return KernelValue(total / scale)
 
 
 @functools.cache

@@ -121,32 +121,28 @@ def mollified_inverse_power(moll: Mollifier, t, L: float, order):
     return 1j ** s / math.gamma(s) * moment
 
 
-def find_roots_convex(x1, x2, shift, t: float) -> list[float]:
-    """Sorted roots s >= 0 of |x1 - s e| + |x2 - s e| = t, e = shift, for
-    plane points x1, x2 (0, 1 or 2 roots).
+def find_roots_convex(x1, x2, t: float) -> list[float]:
+    """Sorted roots s >= 0 of |x1 - s e| + |x2 - s e| = t, e = (0, 1) the
+    cut direction of the moving-vertex chart, for plane points x1, x2 (0, 1
+    or 2 roots).
 
     The level set r1 + r2 = t is an ellipse with foci x1 and x2, and s e runs
     along a line, so the roots are those of a quadratic.  With p_i = x_i.e
     and n_i = |x_i|^2, D(s) = r1^2 - r2^2 = 2 (p2 - p1) s + n1 - n2 is linear
     in s, and r1 + r2 = t is equivalent to 4 t^2 r1(s)^2 = (t^2 + D(s))^2,
     a quadratic a s^2 + b s + c = 0, together with |D(s)| <= t^2.  When
-    a >= 0, i.e. (p2 - p1)^2 >= t^2 |e|^2, there is no root, since then
-    r1 + r2 >= |x1 - x2| >= |p2 - p1| / |e| >= t.  A discriminant negative
+    a >= 0, i.e. (p2 - p1)^2 >= t^2, there is no root, since then
+    r1 + r2 >= |x1 - x2| >= |p2 - p1| >= t.  A discriminant negative
     only by rounding (down to -1e-12 b^2) is a double root.
 
-    The coefficients are sextic in the lengths, so lengths past 1e40 or all
-    below 1e-40 are first divided by a power of two near the largest: an
-    exact scaling that keeps them in the range of a double.
+    The coefficients are sextic in the lengths, so these should be of order
+    one: `kernels.sine_kernel_moving_point` scales them.
     """
-    scale, size = 1.0, max(map(abs, [t, *x1.tolist(), *x2.tolist()]))
-    if not 1e-40 < size < 1e40:
-        scale = math.ldexp(1.0, math.frexp(size)[1])
-        x1, x2, t = x1 / scale, x2 / scale, t / scale
-    p1 = float(x1 @ shift)
-    d = float(x2 @ shift) - p1
+    p1 = float(x1[1])
+    d = float(x2[1]) - p1
     n1, n2 = float(x1 @ x1), float(x2 @ x2)
     tt = t * t
-    a = 4.0 * (d * d - tt * float(shift @ shift))
+    a = 4.0 * (d * d - tt)
     if not (t > 0 and a < 0):
         return []
     c0 = tt + n1 - n2
@@ -160,7 +156,7 @@ def find_roots_convex(x1, x2, shift, t: float) -> list[float]:
     else:
         q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
         candidates = [q / a, c / q]
-    return sorted(scale * s for s in candidates
+    return sorted(s for s in candidates
                   if s >= 0.0 and abs(2.0 * d * s + n1 - n2) <= tt)
 
 

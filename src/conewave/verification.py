@@ -100,11 +100,10 @@ def at1_moving_point(seed: int = 0) -> ATReport:
     """Moving-point = Cheeger-Taylor closed form, exact, three regions."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for i, q in enumerate(_random_offfront_queries(rng, 200)):
+    for q in _random_offfront_queries(rng, 200):
         closed = kernels.sine_kernel_closed(4.0 * PI, q.t, q.q1.r, q.q2.r,
                                             q.q1.theta - q.q2.theta)
-        eps = -1 if i % 2 == 0 else +1
-        moving = kernels.sine_kernel_moving_point(q, eps=eps).value
+        moving = kernels.sine_kernel_moving_point(q).value
         err = (abs(moving - closed) / abs(closed)) if closed != 0 else abs(moving)
         worst = max(worst, err)
     return _gated("AT-1", "moving point vs Cheeger-Taylor closed form (C_4pi)",

@@ -91,9 +91,9 @@ class Spectrum:
 
 def predict_two_diffraction_singularity(L: float, b: float) -> TracePrediction:
     """Leading trace singularity of the two-diffraction orbit: order -1
-    with coefficient sqrt(b (L - b)) / (4 i pi^2)."""
-    if not 0 < b < L:
-        raise BadLeg(f"leg b = {b} outside (0, {L})")
+    with coefficient sqrt(b (L - b)) / (4 i pi^2), for 0 < b < L < inf."""
+    if not 0 < b < L < math.inf:
+        raise BadLeg(f"need 0 < b < L < inf, got b = {b}, L = {L}")
     # b (L - b) under- or overflows where its factors do not
     coeff = math.sqrt(b) * math.sqrt(L - b) / (4j * math.pi**2)
     return TracePrediction(L, b, -1, coeff)

@@ -23,7 +23,9 @@ def run_python(args, cwd):
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, *args],
+    # -W error: a warning in the child (an overflow, a NaN from 0/0) is a
+    # traceback there, as it fails the suite in-process
+    return subprocess.run([sys.executable, "-W", "error", *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
 
 
@@ -369,10 +371,10 @@ COMPOSE_ARGS = ["compose", "--chain", "chain.json", "--t", "4", "--q2=-1,0"]
 def test_kernel_cheeger_is_one_sweep(tmp_path, monkeypatch):
     """`kernel --representation cheeger` evaluates the whole --ts sweep with
     one Bessel table: its CSV equals cheeger_series_sweep on the same ts, and
-    its region column is that of the pointwise evaluation."""
+    its region column is one `front_region` sweep with the fronts widened by
+    10 h."""
     from conewave import cli
-    from conewave.kernels import (KernelQuery, cheeger_series_sweep,
-                                  sine_kernel_cheeger_series)
+    from conewave.kernels import cheeger_series_sweep, front_region
 
     monkeypatch.chdir(tmp_path)
     assert cli.main(KERNEL_ARGS + ["--ts", "0.3:0.3:2.4", "--out", "k.csv"]) == 0
@@ -381,11 +383,74 @@ def test_kernel_cheeger_is_one_sweep(tmp_path, monkeypatch):
     ts = [float(row[0]) for row in rows]
     want = cheeger_series_sweep(4 * PI, ts, 0.5, 0.5, 4 * PI - 2.0, 0.05)
     assert [float(row[7]) for row in rows] == list(want)
-    q1, q2 = conewave.ConePoint(0.5, 0.0), conewave.ConePoint(0.5, 2.0)
-    regions = [sine_kernel_cheeger_series(
-        4 * PI, KernelQuery(t, q1, q2), 0.05).region for t in ts]
+    regions = front_region(4 * PI, ts, 0.5, 0.5, -2.0, 0.05).tolist()
     assert [row[9] for row in rows] == regions
     assert {"before_direct", "near_front", "after_diffracted"} <= set(regions)
+
+
+def test_kernel_representations_share_the_region_column(tmp_path, monkeypatch):
+    """One 4 pi sweep, off every front band (cheeger's widens by 10 h =
+    0.5), writes the same region column in all four representations."""
+    from conewave import cli
+
+    monkeypatch.chdir(tmp_path)
+    # direct front 2 sin(1/2) = 0.959, diffracted front 2
+    argv = KERNEL_ARGS[:2] + ["12.566370614359172", "--r1", "1", "--theta1",
+                              "0", "--r2", "1", "--theta2", "1",
+                              "--ts", "0.3:1.18:2.66"]
+    columns = {}
+    for rep in ("closed4pi", "cheeger", "friedlander", "moving"):
+        assert cli.main(argv + ["--representation", rep, "--out", "k.csv"]) == 0
+        columns[rep] = [line.split(",")[9] for line in
+                        (tmp_path / "k.csv").read_text().strip().split("\n")[1:]]
+    assert columns["closed4pi"] == ["before_direct", "between_fronts",
+                                    "after_diffracted"]
+    assert all(column == columns["closed4pi"] for column in columns.values())
+
+
+def test_moving_kernel_at_tiny_lengths(tmp_path):
+    """At lengths of 1e-170, r1(s) r2(s) underflows unless the moving-vertex
+    sum is scaled, and 0/0 writes NaN rows with exit 0.  Every row is
+    finite, within 1e-14 of the closed form off the fronts, and raises no
+    warning (the child runs with -W error)."""
+    from conewave.kernels import sine_kernel_closed
+
+    argv = ["kernel", "--alpha", "12.566370614359172", "--r1", "1e-170",
+            "--theta1", "0", "--r2", "1e-170", "--theta2", "1",
+            "--ts", "1e-170:1e-170:3e-170"]
+    res = run_cli(argv + ["--representation", "moving"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    rows = [line.split(",") for line in res.stdout.strip().split("\n")[1:]]
+    assert [row[9] for row in rows] == ["between_fronts", "near_front",
+                                        "after_diffracted"]
+    assert all(math.isfinite(float(row[7])) for row in rows)
+    for row in rows:
+        if row[9] != "near_front":
+            t = float(row[0])
+            want = sine_kernel_closed(4 * PI, t, 1e-170, 1e-170, -1.0)
+            assert float(row[7]) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_budget_errors_print_short_counts(capsys):
+    """An element count past the budget is printed as %.3g: the exact counts
+    of a Cheeger table at h = 1e-300 and of a Friedlander image sum at
+    alpha = 1e-300 have hundreds of digits."""
+    from conewave import cli
+    from conewave.errors import InvalidInput
+    from conewave.geometry import check_array_size
+
+    for argv in (KERNEL_ARGS + ["--ts", "1:1:3", "--h", "1e-300"],
+                 ["kernel", "--alpha", "1e-300", "--representation",
+                  "friedlander", "--r1", "1", "--theta1", "0", "--r2", "1",
+                  "--theta2", "0.5", "--ts", "1:1:3"]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "elements, above the budget" in err and len(err) < 200, err
+    # an int count past the float range formats as inf, not OverflowError
+    with pytest.raises(InvalidInput, match=r"needs inf elements"):
+        check_array_size(10**400, "the table")
+    with pytest.raises(InvalidInput, match=r"needs 1e\+20 elements"):
+        check_array_size(10**20, "the table")
 
 
 @pytest.mark.parametrize("argv", [
@@ -483,13 +548,14 @@ HUGE_RADII = ["--r1", "1e200", "--r2", "1e200", "--theta1", "0",
        "--r2", "1", "--theta1", "1e308", "--theta2=-1e308", "--ts", "1:1:2"]
       for alpha, rep in ((str(4 * PI), "closed4pi"), (str(4 * PI), "moving"),
                          ("7", "cheeger"))),
+    ["predict", "--L", "inf", "--b", "1"],
 ], ids=["closed4pi-radii-sum-overflows",
         "moving-squared-distance-overflows", "friedlander-2r1r2-underflows",
         "trace-damping-exponent-overflows", "trace-index-grid-overflows",
         "friedlander-dg-dc-underflows", "angle-difference-overflows",
         "closed4pi-angle-difference-overflows",
         "moving-angle-difference-overflows",
-        "cheeger-angle-difference-overflows"])
+        "cheeger-angle-difference-overflows", "predict-L-inf"])
 def test_overflow_is_input_error(argv, tmp_path):
     """Numbers whose intermediate values overflow or underflow exit 2 with
     one error line: no traceback, and no NaN written."""

@@ -20,15 +20,13 @@ PI = math.pi
 
 
 def test_closed_form_regions():
-    q1, q2 = ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2)
     assert sine_kernel_closed(4 * PI, 0.9, 1.0, 1.0, -PI / 2) == 0.0
-    assert front_region(4 * PI, KernelQuery(0.9, q1, q2)) == BEFORE_DIRECT
     between = sine_kernel_closed(4 * PI, 1.6, 1.0, 1.0, -PI / 2)
     assert between == pytest.approx(1 / (2 * PI * math.sqrt(0.56)), abs=1e-14)
-    assert front_region(4 * PI, KernelQuery(1.6, q1, q2)) == BETWEEN_FRONTS
     after = sine_kernel_closed(4 * PI, 3.0, 1.0, 1.0, -PI / 2)
     assert after == pytest.approx(1 / (4 * PI * math.sqrt(7.0)), abs=1e-14)
-    assert front_region(4 * PI, KernelQuery(3.0, q1, q2)) == AFTER_DIFFRACTED
+    assert front_region(4 * PI, [0.9, 1.6, 3.0], 1.0, 1.0, -PI / 2).tolist() \
+        == [BEFORE_DIRECT, BETWEEN_FRONTS, AFTER_DIFFRACTED]
     with pytest.raises(OnFront):
         sine_kernel_closed(4 * PI, 2.0, 1.0, 1.0, -PI / 2)
 
@@ -66,9 +64,10 @@ def test_closed_form_is_on_front_where_front_region_says(r1, r2, dtheta):
     q1, q2 = ConePoint(r1, dtheta), ConePoint(r2, 0.0)
     tol = FRONT_TOL * (r1 + r2)
     for front in (cone_distance(4 * PI, q1, q2), r1 + r2):
-        for k in (-2.0, -0.5, 0.5, 2.0):
-            t = front + k * tol
-            near = front_region(4 * PI, KernelQuery(t, q1, q2)) == NEAR_FRONT
+        ts = [front + k * tol for k in (-2.0, -0.5, 0.5, 2.0)]
+        labels = front_region(4 * PI, ts, r1, r2, dtheta)
+        for k, t, label in zip((-2.0, -0.5, 0.5, 2.0), ts, labels):
+            near = label == NEAR_FRONT
             assert near == (abs(k) < 1.0)
             if near:
                 with pytest.raises(OnFront, match=re.escape(f"t = {t} ")):
@@ -82,7 +81,45 @@ def test_closed_form_is_on_front_where_front_region_says(r1, r2, dtheta):
         assert 0.0 < plane < math.inf
 
 
+def _pointwise_front_rule(alpha, t, r1, r2, dtheta, h):
+    """The label rule of `front_region` applied to one time."""
+    direct = cone_distance(alpha, ConePoint(r1, dtheta), ConePoint(r2, 0.0))
+    diffracted = r1 + r2
+    tol = 10.0 * h if h > 0 else FRONT_TOL * diffracted
+    if any(front - tol <= t <= front + tol for front in (direct, diffracted)):
+        return NEAR_FRONT
+    if t < direct:
+        return BEFORE_DIRECT
+    return BETWEEN_FRONTS if t < diffracted else AFTER_DIFFRACTED
+
+
+def test_front_region_labels_a_sweep_by_the_pointwise_rule():
+    """One call labels each time of a sweep as the pointwise rule does: on
+    random sweeps at six cone angles, exact (h = 0) and mollified, with the
+    times +-0.5 and +-2 tolerances off each front among them, and at
+    dtheta = pi, where the direct front can round an ulp past r1 + r2."""
+    rng = np.random.default_rng(26)
+    seen = set()
+    for i in range(300):
+        alpha = float(rng.choice([PI, 2 * PI, 3 * PI, 7.0, 4 * PI, 20.0]))
+        r1, r2 = (float(r) for r in rng.uniform(0.1, 2.0, 2))
+        dtheta = PI if i % 10 == 0 else float(rng.uniform(-10.0, 10.0))
+        h = 0.0 if i % 2 else float(rng.uniform(0.01, 0.1))
+        direct = cone_distance(alpha, ConePoint(r1, dtheta), ConePoint(r2, 0.0))
+        tol = 10.0 * h if h > 0 else FRONT_TOL * (r1 + r2)
+        ts = [*rng.uniform(0.01, 3.0 * (r1 + r2), 20).tolist(),
+              *(front + k * tol for front in (direct, r1 + r2)
+                for k in (-2.0, -0.5, 0.5, 2.0))]
+        labels = front_region(alpha, ts, r1, r2, dtheta, h).tolist()
+        assert labels == [_pointwise_front_rule(alpha, t, r1, r2, dtheta, h)
+                          for t in ts], i
+        seen.update(labels)
+    assert seen == {BEFORE_DIRECT, BETWEEN_FRONTS, AFTER_DIFFRACTED, NEAR_FRONT}
+
+
 def test_moving_point_equals_closed_form():
+    """The moving-vertex sum equals the closed form, at least 40 times in
+    each of the three regions that `front_region` names off the fronts."""
     rng = np.random.default_rng(0)
     checked = {"before_direct": 0, "between_fronts": 0, "after_diffracted": 0}
     while min(checked.values()) < 40:
@@ -93,16 +130,15 @@ def test_moving_point_equals_closed_form():
         t = rng.uniform(0.3, 2.0) * (r1 + r2)
         if min(abs(t - dist), abs(t - r1 - r2)) < 1e-4 or t <= 0.05:
             continue
-        q = KernelQuery(t, q1, q2)
         closed = sine_kernel_closed(4 * PI, t, r1, r2, -dth)
-        moving = sine_kernel_moving_point(q, eps=int(rng.choice([-1, 1])))
-        assert moving.region == front_region(4 * PI, q)
+        moving = sine_kernel_moving_point(KernelQuery(t, q1, q2)).value
         if closed == 0.0:
-            assert abs(moving.value) < 1e-14
+            assert abs(moving) < 1e-14
         else:
-            assert moving.value == pytest.approx(closed, rel=1e-10)
-        if moving.region in checked:
-            checked[moving.region] += 1
+            assert moving == pytest.approx(closed, rel=1e-10)
+        region = str(front_region(4 * PI, t, r1, r2, -dth)[0])
+        if region in checked:
+            checked[region] += 1
 
 
 def test_moving_point_root_count_branches():
@@ -121,19 +157,22 @@ def test_moving_point_root_count_branches():
 
 def test_moving_point_is_scale_free():
     """The kernel is homogeneous of degree -1 in (t, r1, r2); the
-    moving-vertex sum and the closed form keep that from lengths of 1e-100
-    to 1e140, each compared with the closed form at the same scale."""
-    q1, q2 = ConePoint(1.0, 0.0), ConePoint(0.8, 1.5)
-    for t in (1.6, 3.0):
+    moving-vertex sum and the closed form keep that from lengths of 1e-300
+    to 1e300, each compared with the closed form at the same scale (unscaled,
+    r1(s) r2(s) underflows below about 1e-162, and t^2 overflows past
+    1e154).  The labels keep it from 1e-100 to 1e140; past that
+    `cone_distance` squares the radii out of range."""
+    for t, region in ((1.6, BETWEEN_FRONTS), (3.0, AFTER_DIFFRACTED)):
         unit = sine_kernel_closed(4 * PI, t, 1.0, 0.8, -1.5)
-        region = front_region(4 * PI, KernelQuery(t, q1, q2))
-        for s in (1e-100, 1e-30, 1e60, 1e140):
+        for s in (1e-300, 1e-170, 1e-100, 1e-30, 1e60, 1e140, 1e170, 1e300):
             q = KernelQuery(s * t, ConePoint(s, 0.0), ConePoint(0.8 * s, 1.5))
             closed = sine_kernel_closed(4 * PI, s * t, s, 0.8 * s, -1.5)
-            moving = sine_kernel_moving_point(q)
-            assert moving.region == region
+            moving = sine_kernel_moving_point(q).value
             assert s * closed == pytest.approx(unit, rel=1e-14)
-            assert moving.value == pytest.approx(closed, rel=1e-14)
+            assert moving == pytest.approx(closed, rel=1e-14)
+            if 1e-100 <= s <= 1e140:
+                assert front_region(4 * PI, s * t, s, 0.8 * s,
+                                    -1.5).tolist() == [region]
 
 
 def test_cheeger_series_against_mollified_closed_forms():
@@ -154,7 +193,8 @@ def test_cheeger_series_against_mollified_closed_forms():
 def test_cheeger_series_small_time_vanishes():
     q = KernelQuery(0.05, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2))
     assert abs(sine_kernel_cheeger_series(4 * PI, q, 0.05).value) < 1e-8
-    assert sine_kernel_cheeger_series(4 * PI, q, 0.05).region == BEFORE_DIRECT
+    assert front_region(4 * PI, 0.05, 1.0, 1.0, -PI / 2,
+                        0.05).tolist() == [BEFORE_DIRECT]
 
 
 def test_cheeger_series_symmetry():
@@ -275,14 +315,15 @@ BAD_TIME_OR_SUM = [(math.inf, 1.0, 0.5), (-math.inf, 1.0, 0.5),
 
 
 @pytest.mark.parametrize("sweep, t, r1, r2", [
-    *((sweep, *case) for sweep in MOLLIFIED + [sine_kernel_closed]
+    *((sweep, *case) for sweep in MOLLIFIED + [sine_kernel_closed, front_region]
       for case in BAD_TIME_OR_SUM),
     (sine_kernel_closed, 1.0, -1.0, 0.5), (sine_kernel_closed, 1.0, 1.0, math.inf)])
 def test_sweeps_refuse_a_bad_time_or_radius(sweep, t, r1, r2):
-    """All four sweeps share one check on their times and radii: a time
-    that is not finite (the mollified closed form gave 0.0 at t = inf), or
-    radii that are not positive with a finite sum (the exact closed form,
-    which takes no width, is checked on both radii here)."""
+    """All four sweeps and `front_region` share one check on their times
+    and radii: a time that is not finite (the mollified closed form gave
+    0.0 at t = inf), or radii that are not positive with a finite sum (the
+    exact closed form, which takes no width, is checked on both radii
+    here)."""
     with pytest.raises(InvalidInput, match="finite"):
         _sweep_call(sweep, [0.5, t], r1, r2)
 
@@ -469,7 +510,7 @@ def test_moving_point_tangent_root():
     import scipy.optimize
     from conewave.kernels import _moving_point_frame
     q1, q2 = ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2)
-    x1, x2 = _moving_point_frame(KernelQuery(1.0, q1, q2), -1)
+    x1, x2 = _moving_point_frame(KernelQuery(1.0, q1, q2), 1.0)
 
     def front_sum(s):
         return (math.hypot(x1[0], x1[1] - s)

@@ -46,6 +46,14 @@ def test_prediction_examples():
         predict_two_diffraction_singularity(3.0, 3.5)
 
 
+@pytest.mark.parametrize("L", [math.inf, math.nan])
+def test_prediction_needs_a_finite_orbit(L):
+    """At L = inf the coefficient is NaN, which JSON cannot hold; a NaN L
+    fails 0 < b < L."""
+    with pytest.raises(BadLeg, match="L < inf"):
+        predict_two_diffraction_singularity(L, 1.0)
+
+
 def test_prediction_of_tiny_and_huge_orbits():
     """sqrt(b) sqrt(L - b): b (L - b) underflows at L = 2e-300, where the
     coefficient 1e-300 / (4 pi^2) does not, and overflows at L = 1e300."""
