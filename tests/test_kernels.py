@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -160,9 +161,12 @@ def test_moving_point_is_scale_free():
     moving-vertex sum and the closed form keep that from lengths of 1e-300
     to 1e300, each compared with the closed form at the same scale (unscaled,
     r1(s) r2(s) underflows below about 1e-162, and t^2 overflows past
-    1e154).  The labels keep it from 1e-100 to 1e140; past that
-    `cone_distance` squares the radii out of range."""
-    for t, region in ((1.6, BETWEEN_FRONTS), (3.0, AFTER_DIFFRACTED)):
+    1e154).  So do the labels, taken at the lengths over a power of two
+    near r1 + r2.  Unscaled, the squared distance would underflow below
+    about 1e-162 (a t before the direct front would read between_fronts)
+    and overflow past 1e154."""
+    for t, region in ((0.5, BEFORE_DIRECT), (1.6, BETWEEN_FRONTS),
+                      (3.0, AFTER_DIFFRACTED)):
         unit = sine_kernel_closed(4 * PI, t, 1.0, 0.8, -1.5)
         for s in (1e-300, 1e-170, 1e-100, 1e-30, 1e60, 1e140, 1e170, 1e300):
             q = KernelQuery(s * t, ConePoint(s, 0.0), ConePoint(0.8 * s, 1.5))
@@ -170,9 +174,16 @@ def test_moving_point_is_scale_free():
             moving = sine_kernel_moving_point(q).value
             assert s * closed == pytest.approx(unit, rel=1e-14)
             assert moving == pytest.approx(closed, rel=1e-14)
-            if 1e-100 <= s <= 1e140:
-                assert front_region(4 * PI, s * t, s, 0.8 * s,
-                                    -1.5).tolist() == [region]
+            assert front_region(4 * PI, s * t, s, 0.8 * s,
+                                -1.5).tolist() == [region]
+    # radii at which an unscaled direct front rounds to 0
+    assert front_region(4 * PI, [0.5e-170], 1e-170, 1e-170,
+                        1.0).tolist() == [BEFORE_DIRECT]
+    assert sine_kernel_closed(4 * PI, 0.5e-170, 1e-170, 1e-170, 1.0) == 0.0
+    # a length past 2^1023, whose power of two above it is not a double
+    q = KernelQuery(1.5e308, ConePoint(1.0, 0.0), ConePoint(0.8, 1.5))
+    assert sine_kernel_moving_point(q).value == pytest.approx(
+        1.0 / (4.0 * PI * 1.5e308), rel=1e-14)
 
 
 def test_cheeger_series_against_mollified_closed_forms():
@@ -239,10 +250,12 @@ def test_cheeger_mode_tail_guard(monkeypatch):
 
 
 def test_masked_bessel_zeroes_only_negligible_factors():
-    """`_masked_bessel` returns jv itself where it evaluates, and zeroes only
-    factors |J_nu(x)| <= 1e-17 (nu <= 400).  J_nu grows with x below
-    x = nu, so the largest zeroed factor of each order sits just below its
-    threshold x = nu - 9 nu^(1/3) - 14 (measured 1.3e-18, at nu = 400)."""
+    """`_masked_bessel` agrees with scipy's jv within 3e-14 absolute (jv is
+    itself up to 2.7e-14 off mpmath near nu = x; the table measured
+    1.1e-14 from jv here), and zeroes only factors |J_nu(x)| <= 1e-17
+    (nu <= 400).  J_nu grows with x below x = nu, so the largest zeroed
+    factor of each order sits just below its threshold x = nu - 9 nu^(1/3)
+    - 14 (measured 1.3e-18, at nu = 400)."""
     import scipy.special
 
     from conewave.kernels import _masked_bessel
@@ -251,13 +264,56 @@ def test_masked_bessel_zeroes_only_negligible_factors():
     got = _masked_bessel(nu, x)
     full = scipy.special.jv(nu[:, None], x[None, :])
     kept = got != 0.0
-    assert np.array_equal(got[kept], full[kept])
+    assert np.max(np.abs(got[kept] - full[kept])) <= 3e-14
     assert np.max(np.abs(full[~kept])) <= 1e-17
 
     nu = np.linspace(0.0, 400.0, 40001)
     thresh = nu - 9.0 * np.cbrt(np.maximum(nu, 1.0)) - 14.0
     below = np.nextafter(thresh[thresh > 0], -np.inf)
     assert np.max(np.abs(scipy.special.jv(nu[thresh > 0], below))) <= 1e-17
+
+
+def test_masked_bessel_identities():
+    """Two identities that need no reference implementation, each tighter
+    than jv: the half-integer closed forms of J_{1/2}, J_{3/2} and J_{5/2}
+    in the 4 pi table (measured 1.7e-15), and Neumann's sum J_0^2 + 2 sum_n
+    J_n^2 = 1 over the 2 pi table (measured 2.3e-15).  Each table holds
+    every mode up to `_mode_cut`, as a mode sum's does."""
+    from conewave.kernels import _masked_bessel, _mode_cut
+
+    x = np.linspace(0.5, 400.0, 3001)
+    nu = np.arange(math.ceil(_mode_cut(4 * PI, x[-1])) + 1) / 2.0
+    table = _masked_bessel(nu, x)
+    root = np.sqrt(2.0 / (PI * x))
+    sin, cos = np.sin(x), np.cos(x)
+    closed = [root * sin, root * (sin / x - cos),
+              root * ((3.0 / x**2 - 1.0) * sin - 3.0 * cos / x)]
+    for k, form in enumerate(closed):
+        assert np.max(np.abs(table[2 * k + 1] - form)) <= 3e-15, k
+
+    x = np.linspace(1e-3, 400.0, 3001)
+    nu = np.arange(math.ceil(_mode_cut(2 * PI, x[-1])) + 1.0)
+    table = _masked_bessel(nu, x)
+    neumann = table[0] ** 2 + 2.0 * np.sum(table[1:] ** 2, axis=0)
+    assert np.max(np.abs(neumann - 1.0)) <= 1e-14
+
+
+def test_masked_bessel_at_tiny_arguments():
+    """Below x = 1e-30 the table is the power law (x/2)^nu / Gamma(nu + 1)
+    to double precision, down to subnormal x and x = 0, where J_0 = 1 and
+    every other order vanishes; no warning is raised."""
+    from conewave.kernels import _masked_bessel
+
+    nu = np.array([0.0, 1e-4, 6e-3, 0.2, 0.5, 1.0, 2.5, 7.3, 30.0])
+    x = np.array([0.0, 5e-324, 1e-310, 1e-300, 1e-100, 1e-31, 1e-30])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = _masked_bessel(nu, x)
+    lead = np.empty_like(table)
+    lead[:, 0] = nu == 0.0
+    lead[:, 1:] = np.exp(nu[:, None] * (np.log(x[1:]) - math.log(2.0))
+                         - np.array([math.lgamma(n + 1.0) for n in nu])[:, None])
+    assert np.max(np.abs(table - lead)) <= 3e-15
 
 
 def test_modes_past_the_cut_are_negligible():

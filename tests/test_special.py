@@ -28,7 +28,8 @@ def series_j0(x, terms=60):
 
 
 def test_bessel_closed_forms():
-    """scipy's jv, which the Cheeger mode sum calls, against closed forms."""
+    """scipy's jv, the reference of the Bessel table's tests in
+    test_kernels, against closed forms."""
     jv = scipy.special.jv
     x = PI / 2
     assert jv(0.5, x) == pytest.approx(
