@@ -117,7 +117,8 @@ def scattering_matrix_fourier(alpha: float, theta, N: int):
 
 def _sinc(x):
     """sin(x)/x with the removable singularity filled."""
-    return np.sinc(np.asarray(x) / math.pi)
+    x = np.asarray(x, dtype=float)
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 def s_times_cos_half(alpha: float, dtheta):

@@ -187,24 +187,32 @@ def gauss_legendre(edges, n: int):
 
 def fd_hessian(f, x0, step: float) -> np.ndarray:
     """Finite-difference Hessian of the scalar function f(x) at the point x0
-    (a 1-D array), Richardson-extrapolated from the steps `step` and
-    `step / 2`: the central 3-point second difference on the diagonal and
-    the 4-point mixed difference off it, each accurate to O(step^4)."""
+    (a 1-D array of n coordinates), Richardson-extrapolated from the steps
+    `step` and `step / 2`: the central 3-point second difference on the
+    diagonal and the 4-point mixed difference off it, each accurate to
+    O(step^4).
+
+    f is called once, on all 1 + 4 n^2 stencil points stacked as the columns
+    of an (n, m) array, and returns their m values; so f(x) must accept
+    coordinates x[0], ..., x[n - 1] that are arrays of one shape."""
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    f0 = f(x0)
-    unit = np.eye(n)
-
-    def second(h):
-        out = np.empty((n, n))
-        for i in range(n):
-            e_i = h * unit[i]
-            out[i, i] = (f(x0 + e_i) - 2.0 * f0 + f(x0 - e_i)) / (h * h)
-            for j in range(i):
-                e_j = h * unit[j]
-                out[i, j] = out[j, i] = (
-                    f(x0 + e_i + e_j) - f(x0 + e_i - e_j)
-                    - f(x0 - e_i + e_j) + f(x0 - e_i - e_j)) / (4.0 * h * h)
-        return out
-
-    return (4.0 * second(0.5 * step) - second(step)) / 3.0
+    i, j = np.tril_indices(n, -1)
+    eye = np.eye(n)
+    # one step's offsets: +e_k, -e_k, then e_i + e_j, e_i - e_j, -e_i + e_j
+    # and -e_i - e_j for i > j (adding their zero entries leaves x0 exact)
+    units = np.concatenate([eye, -eye, eye[i] + eye[j], eye[i] - eye[j],
+                            eye[j] - eye[i], -eye[i] - eye[j]])
+    steps = (0.5 * step, step)
+    offsets = np.concatenate([np.zeros((1, n)), steps[0] * units,
+                              steps[1] * units])
+    values = np.asarray(f((x0 + offsets).T), dtype=float)
+    f0 = values[0]
+    second = []
+    for h, block in zip(steps, values[1:].reshape(2, -1)):
+        plus, minus = block[:n], block[n:2 * n]
+        pp, pm, mp, mm = block[2 * n:].reshape(4, -1)
+        out = np.diag((plus - 2.0 * f0 + minus) / (h * h))
+        out[i, j] = out[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
+        second.append(out)
+    return (4.0 * second[0] - second[1]) / 3.0

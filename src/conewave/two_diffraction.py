@@ -127,7 +127,11 @@ def broken_line_length(*points):
         if isinstance(dx, np.ndarray) or isinstance(dy, np.ndarray):
             leg = np.hypot(dx, dy)
             short = np.any(leg < 1e-14)
-        else:  # 15x cheaper than np.hypot; phase_hessian_fd asks thousands
+        else:
+            # a Python float, not np.float64, whose overflow downstream
+            # (at a huge omega or leg) warns where the float gives inf: with
+            # np.hypot here the oracle's budget refusals and the compose
+            # overflow cases of the CLI tests exit 1 in place of 2
             leg = math.hypot(dx, dy)
             short = leg < 1e-14
         if short:
@@ -334,9 +338,13 @@ def oscillatory_oracle(chain: ConeChain, t: float, q1: PlanarPoint,
     its factor w2 is integrated with phi2 and W.  (q) is integrated in polar
     coordinates around p2 on a Gauss-Legendre grid, refined by 1.6 per axis
     until two successive values agree to rel_tol, at most three times;
-    phi1, a1 and a2 are `phase_phi1` and `leg_amplitude` on that grid.  Each
-    grid and its two rules are checked against the array budget before they
-    are built, so a large omega raises InvalidInput.
+    phi1, a1 and a2 are `phase_phi1` and `leg_amplitude`.  Each factor is
+    evaluated on the axis it depends on: the w2 integral (a function of
+    u2 = rho - A) and the Jacobian rho on the rho axis; a2 on the psi axis,
+    at rho = A, since rho enters it only as rho^(-1/2), which joins the rho
+    axis as sqrt(A / rho); only a1, phi1 and chi on the (rho, psi) grid.
+    Each grid and its two rules are checked against the array budget before
+    they are built, so a large omega raises InvalidInput.
     """
     if omega < 50:
         raise InvalidInput("oracle is meant for the asymptotic regime omega >= 50")
@@ -367,20 +375,25 @@ def oscillatory_oracle(chain: ConeChain, t: float, q1: PlanarPoint,
         check_array_size(n_r * n_p, "the oracle grid")
         rho, wr = gauss_legendre([rho_lo, rho_hi], n_r)
         psi, wp = gauss_legendre([psi_c - psi_half, psi_c + psi_half], n_p)
-        R, P = np.meshgrid(rho, psi, indexing="ij")
-        q = PlanarPoint(p2.x + R * np.cos(P), p2.y + R * np.sin(P))
-        u2 = R - sd.A
+        cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+        q = PlanarPoint(p2.x + rho[:, None] * cos_psi,
+                        p2.y + rho[:, None] * sin_psi)
+        u2 = rho - sd.A
         # closed-form w2 integral of e^{i phi2} w2 W(w2)
         j_w2 = (math.sqrt(2.0 * math.pi) * sigma_w
                 * np.exp(-0.5 * (sigma_w * u2) ** 2) * np.exp(1j * omega * u2)
                 * (omega + 1j * sigma_w**2 * u2))
-        amp = (leg_amplitude(chain.alpha1, chain.eps1, chain.p1, q1, q, omega)
-               * leg_amplitude(chain.alpha2, chain.eps2, p2, q, q2, 1.0))
+        # a2 at rho = A: rho enters it only as rho^(-1/2), so sqrt(A / rho)
+        # joins the Jacobian rho on the rho axis
+        a2 = leg_amplitude(chain.alpha2, chain.eps2, p2,
+                           PlanarPoint(p2.x + sd.A * cos_psi,
+                                       p2.y + sd.A * sin_psi), q2, 1.0)
+        a1 = leg_amplitude(chain.alpha1, chain.eps1, chain.p1, q1, q, omega)
         phi1 = phase_phi1(cp, q)
         dist2 = (q.x - sd.q_c.x) ** 2 + (q.y - sd.q_c.y) ** 2
         chi = np.exp(-(dist2 / (2.0 * sigma_q**2)) ** 3)
-        integrand = amp * j_w2 * np.exp(1j * phi1) * chi * R
-        return np.einsum("i,j,ij->", wr, wp, integrand)
+        return np.einsum("i,j,ij->", wr * j_w2 * np.sqrt(sd.A * rho),
+                         wp * a2, a1 * np.exp(1j * phi1) * chi)
 
     prev = evaluate(n_rho, n_psi)
     for _ in range(3):

@@ -300,8 +300,8 @@ def trace_pipeline_check(L: float, b: float,
     # eps1 = -1, eps2 = +1: p1(s1) = (b, s1), p2(s2) = (0, -s2)
     chain = ConeChain(r2_leg, b, r1_leg, math.pi, math.pi, -1, +1)
 
-    def chain_phase(v: np.ndarray) -> float:
-        u, y = float(v[0]), float(v[1])
+    def chain_phase(v: np.ndarray) -> np.ndarray:
+        u, y = v
         return composed_phase_psi(chain, t_orbit, PlanarPoint(x0 + L, y),
                                   PlanarPoint(x0, y), 0.5 * u, 0.5 * u, omega)
 

@@ -283,7 +283,7 @@ def test_fd_hessian_exact_on_a_quadratic():
     b = np.array([1.0, -2.0, 0.5])
 
     def f(x):
-        return 0.5 * x @ a @ x + b @ x + 7.0
+        return 0.5 * np.einsum("im,ij,jm->m", x, a, x) + b @ x + 7.0
 
     for step in (0.25, 1.0, 4.0):
         hess = fd_hessian(f, [0.3, -1.2, 2.0], step)
@@ -297,7 +297,7 @@ def test_fd_hessian_is_fourth_order():
     falls by 2^4 per halving of the step, in every entry's worst case."""
     def f(v):
         x, y, z = v
-        return math.exp(x) * math.sin(y) + x * y * math.cos(z)
+        return np.exp(x) * np.sin(y) + x * y * np.cos(z)
 
     x, y, z = 0.4, 0.7, -0.3
     ex, sy, cy, cz, sz = (math.exp(x), math.sin(y), math.cos(y), math.cos(z),
@@ -316,15 +316,33 @@ def test_fd_hessian_one_variable_is_the_extrapolated_second_difference():
     """The 1 x 1 case is (4 D(h/2) - D(h)) / 3 with the central second
     difference D, to the last bit."""
     def f(v):
-        return math.cos(3.0 * v[0]) + v[0] ** 5
+        return np.cos(3.0 * v[0]) + v[0] ** 5
 
     step, x0 = 1e-3, 0.25
 
     def d2(h):
-        return (f([x0 + h]) - 2.0 * f([x0]) + f([x0 - h])) / (h * h)
+        plus, centre, minus = f(np.array([[x0 + h, x0, x0 - h]]))
+        return (plus - 2.0 * centre + minus) / (h * h)
 
     assert fd_hessian(f, [x0], step)[0, 0] == (
         4.0 * d2(0.5 * step) - d2(step)) / 3.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_fd_hessian_calls_f_once_on_its_stencil_columns(n):
+    """f sees every stencil point at once, as the columns of an
+    (n, 1 + 4 n^2) array whose first column is x0."""
+    shapes = []
+    x0 = np.linspace(-1.0, 1.0, n)
+
+    def f(x):
+        shapes.append(x.shape)
+        np.testing.assert_array_equal(x[:, 0], x0)
+        return np.sum(x * x, axis=0)
+
+    hess = fd_hessian(f, x0, 0.1)
+    assert shapes == [(n, 1 + 4 * n * n)]
+    np.testing.assert_allclose(hess, 2.0 * np.eye(n), rtol=0, atol=1e-12)
 
 
 def test_gauss_legendre_is_the_rule_on_each_panel():

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from conewave import verification
 from conewave.diffraction import scattering_matrix
 from conewave.errors import (GeometricDirection, InvalidInput,
                              NoInteriorCriticalPoint)
-from conewave.geometry import ConeChain, PlanarPoint
+from conewave.geometry import ConeChain, PlanarPoint, chart_window
 from conewave.two_diffraction import (CompositionPoint, amplitude_tilde,
                                       chart_points_from_angles,
                                       composed_phase_psi, leg_amplitude,
@@ -212,6 +213,34 @@ def test_leg_amplitude_zero_and_composition():
     expect = (-2j * PI * scattering_matrix(3 * PI, th1 - th2)
               * (math.sin(th1) + math.sin(th2)) / math.sqrt(1.2 * 0.9))
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [3 * PI, 7.0, 20.0])
+@pytest.mark.parametrize("eps", [+1, -1])
+def test_leg_amplitude_separates_in_polar_coordinates(alpha, eps):
+    """At q = p + rho (cos psi, sin psi), rho enters leg_amplitude only
+    through the factor rho^(-1/2), which is how the oracle puts a2 on its
+    psi axis: a2(rho, psi) = a2(A, psi) sqrt(A / rho).  The grid spans the
+    whole chart window, ends included.  The error is measured against the
+    largest |a2| of each rho row, since a2 vanishes where sin(th_out) +
+    sin(th_in) does, and there an ulp of the chart angle is a large
+    pointwise relative error (2e-13 at 1e-3 from such a zero)."""
+    lo, hi = chart_window(eps)
+    psi = np.concatenate([np.linspace(lo, hi, 401),
+                          [np.nextafter(lo, hi), np.nextafter(hi, lo)]])
+    rho = np.concatenate([[1e-6], np.linspace(0.05, 3.0, 60), [1e3]])
+    big_a = 0.7
+    q2 = PlanarPoint(-math.cos(0.2), -math.sin(0.2))
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    direct = leg_amplitude(alpha, eps, PlanarPoint(0.0, 0.0),
+                           PlanarPoint(rho[:, None] * cos_psi,
+                                       rho[:, None] * sin_psi), q2, 1.0)
+    at_a = leg_amplitude(alpha, eps, PlanarPoint(0.0, 0.0),
+                         PlanarPoint(big_a * cos_psi, big_a * sin_psi), q2, 1.0)
+    separated = at_a * np.sqrt(big_a / rho)[:, None]
+    assert np.all(np.isfinite(direct))
+    scale = np.max(np.abs(direct), axis=1, keepdims=True)
+    assert np.all(np.abs(direct - separated) <= 1e-14 * scale)
 
 
 def test_amplitude_tilde_structure():
@@ -445,6 +474,18 @@ def test_oracle_refuses_grids_past_the_budget():
     for omega in (1e5, 1e308):
         with pytest.raises(InvalidInput):
             oscillatory_oracle(chain, chain.total_length, q1, q2, omega)
+
+
+def test_at4_oracle_errors_are_pinned():
+    """AT-4's oracle-vs-stationary-phase errors at seed 0, pinned to 1e-12
+    relative: a change to the oracle's grid or factors shows here long
+    before it reaches AT-4's gates."""
+    errors = verification.at4_two_diffraction(0).details["errors"]
+    pinned = {100.0: 0.0037687054337134226, 200.0: 0.0013557938132973094,
+              400.0: 0.000618420107319182}
+    assert errors.keys() == pinned.keys()
+    for omega, err in pinned.items():
+        assert errors[omega] == pytest.approx(err, rel=1e-12, abs=0)
 
 
 def test_oracle_t0_independence():
