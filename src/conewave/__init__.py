@@ -1,8 +1,10 @@
 """conewave: wave kernels, diffraction coefficients and wave-trace
 singularities on Euclidean cones and surfaces with conical singularities.
 
-Importing the package loads numpy only: each scipy submodule is imported
-inside the function that calls it, so a process pays for the scipy it uses.
+Importing the package loads numpy only, and no CLI subcommand and no
+acceptance check loads scipy.  The one scipy left is the `scipy.fft` of
+`special.l1_half_derivative`, imported inside it, which only the benchmark
+calls.
 """
 
 from .geometry import (ConeChain, ConePoint, PlanarPoint, angular_separation,

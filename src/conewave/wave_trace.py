@@ -236,21 +236,33 @@ def extract_singularity_coefficient(t_grid: np.ndarray, values: np.ndarray,
     The surrounding ring |t - L| in (4h, 10h] must be free of competing
     peaks (magnitude above half the core peak); otherwise the window is
     contaminated and WindowContaminated is raised.  residual_ratio < 0.2 is
-    required for a valid fit.
+    required for a valid fit.  InvalidInput is raised when no sample lies
+    within 2h of L, when a value within 10h is not finite, or when every
+    value in the window is zero.
     """
     h = moll.width_h
     t = np.asarray(t_grid, dtype=float)
     v = np.asarray(values, dtype=complex)
-    core = np.abs(t - L) <= 6.0 * h
+    dist = np.abs(t - L)
+    core = dist <= 6.0 * h
     if core.sum() < 8:
         raise InvalidInput("need at least 8 samples inside the fit window")
-    ring = (np.abs(t - L) > 4.0 * h) & (np.abs(t - L) <= 10.0 * h)
-    core_peak = float(np.abs(v[np.abs(t - L) <= 2.0 * h]).max())
+    center = dist <= 2.0 * h
+    if not center.any():
+        raise InvalidInput(f"no sample within 2h = {2 * h:.3g} of L = {L}")
+    if not np.isfinite(v[dist <= 10.0 * h]).all():
+        raise InvalidInput(f"a value within 10h = {10 * h:.3g} of L = {L} "
+                           "is not finite")
+    target = v[core]
+    if not target.any():
+        raise InvalidInput(f"every value within 6h = {6 * h:.3g} of L = {L} "
+                           "is zero")
+    ring = (dist > 4.0 * h) & (dist <= 10.0 * h)
+    core_peak = float(np.abs(v[center]).max())
     if ring.any() and float(np.abs(v[ring]).max()) > 0.5 * core_peak:
         raise WindowContaminated(
             f"competing peak within 10h = {10 * h:.3f} of L = {L}")
     model = mollified_inverse_power(moll, t[core], L, order)
-    target = v[core]
     coeff = complex(np.vdot(model, target) / np.vdot(model, model))
     residual = float(np.linalg.norm(target - coeff * model)
                      / np.linalg.norm(target))

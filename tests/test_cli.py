@@ -50,10 +50,10 @@ print(json.dumps(found))
 
 def test_cli_import_leaves_out_scipy_signal(tmp_path):
     """Every CLI process pays the import of conewave.cli, which loads no scipy
-    module; predict, scatter, compose and all four kernels (the Cheeger
-    mode sum takes its Bessel table from Bessel's integral) run without
-    one.  A child process, since the pytest process itself has scipy
-    loaded."""
+    module; predict, scatter, compose, all four kernels (the Cheeger mode
+    sum takes its Bessel table from Bessel's integral), trace and verify
+    (their fits sum Kummer's series with numpy) run without one.  A child
+    process, since the pytest process itself has scipy loaded."""
     (tmp_path / "chain.json").write_text(json.dumps(CHAIN))
     kernel = ["kernel", "--alpha", str(4 * PI), "--r1", "1", "--theta1", "0",
               "--r2", "1", "--theta2", "1.5", "--ts", "0.5:0.35:3.0"]
@@ -71,14 +71,22 @@ def test_cli_import_leaves_out_scipy_signal(tmp_path):
                                         "--out", "k3.csv"],
         "kernel cheeger": kernel + ["--representation", "cheeger",
                                     "--out", "k4.csv"],
+        "trace": ["trace", "--a", "1", "--b", "1", "--h", "0.05",
+                  "--lambda-max", "200", "--t-range", "0.5:0.005:4.5",
+                  "--out", "t.csv", "--report", "peaks.json"],
+        "verify --seed 0": ["verify", "--seed", "0", "--out", "v.json"],
     }
     res = run_python(["-c", LEAN_IMPORT_CHILD, json.dumps(runs)], tmp_path)
     assert res.returncode == 0, res.stderr
-    found = json.loads(res.stdout)
+    # verify prints its table before the child's line
+    found = json.loads(res.stdout.splitlines()[-1])
     assert found["signal"] == []
     assert found["conewave"] == [] and found["conewave.cli"] == []
     for key in runs:
         assert found[key] == [0, []], key
+    # the trace fitted a singularity coefficient, so it ran the moment
+    peaks = json.loads((tmp_path / "peaks.json").read_text())["peaks"]
+    assert any(p["fitted_coefficient_re"] is not None for p in peaks)
 
 
 AT6_CHILD = """

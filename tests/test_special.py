@@ -6,6 +6,7 @@ import scipy.integrate
 import scipy.optimize
 import scipy.special
 
+from conewave import special
 from conewave.errors import InvalidInput
 from conewave.geometry import ConePoint, cone_distance
 from conewave.kernels import KernelQuery, _moving_point_frame
@@ -230,6 +231,43 @@ def test_damped_moment_first_moment_against_dawson():
                   + 1j * math.sqrt(2.0 * PI) * u / (2.0 * h**3) * np.exp(-x * x))
         got = damped_moment(u, h, 2.0)
         assert np.max(np.abs(got - oracle)) < 1e-14 * abs(oracle[120])
+
+
+def test_damped_moment_cosine_half_at_s1_is_a_gaussian():
+    """At s = 1 the cosine half is (1/2) Gamma(1/2) a^(-1/2) M(1/2, 1/2, -x)
+    = sqrt(pi / 2) / h e^{-x}: the series has only its constant term.  Past
+    the crossover the large-x expansion's 1 / Gamma(0) makes it 0, which is
+    below e^{-60} of the peak."""
+    h = 0.05
+    u = np.linspace(-1.0, 1.0, 401)
+    got = damped_moment(u, h, 1.0)
+    peak = math.sqrt(PI / 2) / h
+    np.testing.assert_allclose(got.real, peak * np.exp(-u * u / (2 * h * h)),
+                               rtol=4e-16, atol=1e-26 * peak)
+
+
+def test_damped_moment_chunks_its_table(monkeypatch):
+    """The points-by-terms table is cut into chunks of points that fit the
+    array budget, down to one point per chunk, and the values do not
+    change."""
+    u = np.linspace(-2.0, 2.0, 1001)
+    want = damped_moment(u, 0.05, 1.5)
+    sizes = []
+    cumprod = np.cumprod
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.size)
+        return cumprod(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumprod", spy)
+    monkeypatch.setattr(special, "MAX_ARRAY_ELEMENTS", 1000)
+    assert np.array_equal(damped_moment(u, 0.05, 1.5), want)
+    assert len(sizes) > 2 * u.size // 25 and max(sizes) <= 1000
+    # a budget below one row of terms: one table per point and half
+    monkeypatch.setattr(special, "MAX_ARRAY_ELEMENTS", 1)
+    sizes.clear()
+    assert np.array_equal(damped_moment(u, 0.05, 1.5), want)
+    assert len(sizes) == 2 * u.size
 
 
 def sampled_front_roots(g, s_hi):

@@ -299,6 +299,35 @@ def test_extract_synthetic_recovery():
         assert abs(fit.coefficient - c0) / abs(c0) < 0.10
 
 
+def test_extract_refuses_a_window_with_no_sample_near_L():
+    """Eight samples within 6h but none within 2h of L: there is no core
+    peak to judge the ring against."""
+    moll = Mollifier(0.02)
+    ts = np.concatenate([np.linspace(1.88, 1.95, 10),
+                         np.linspace(2.05, 2.12, 10)])
+    with pytest.raises(InvalidInput, match="no sample within 2h"):
+        extract_singularity_coefficient(ts, np.ones(ts.size), 2.0, moll)
+
+
+def test_extract_refuses_a_window_of_zeros():
+    moll = Mollifier(0.02)
+    ts = np.linspace(1.8, 2.2, 401)
+    with pytest.raises(InvalidInput, match="is zero"):
+        extract_singularity_coefficient(ts, np.zeros(ts.size), 2.0, moll)
+
+
+@pytest.mark.parametrize("where", [2.0, 2.15])
+def test_extract_refuses_values_that_are_not_finite(where):
+    """A NaN in the fit window, or in the ring around it, would come back
+    as a NaN coefficient or be missed by the contamination check."""
+    moll = Mollifier(0.02)
+    ts = np.linspace(1.8, 2.2, 401)
+    values = mollified_inverse_power(moll, ts, 2.0, -1)
+    values[np.argmin(np.abs(ts - where))] = np.nan
+    with pytest.raises(InvalidInput, match="not finite"):
+        extract_singularity_coefficient(ts, values, 2.0, moll)
+
+
 def test_extract_contamination_calibration(pillowcase_400, trace_400):
     # h = 0.12: the 2 sqrt(2) peak sits inside the 10h ring of L = 2
     surf = PillowcaseSurface(1.0, 1.0)
