@@ -1,10 +1,7 @@
 """conewave: wave kernels, diffraction coefficients and wave-trace
 singularities on Euclidean cones and surfaces with conical singularities.
 
-Importing the package loads numpy only, and no CLI subcommand and no
-acceptance check loads scipy.  The one scipy left is the `scipy.fft` of
-`special.l1_half_derivative`, imported inside it, which only the benchmark
-calls.
+The package needs numpy alone.
 """
 
 from .geometry import (ConeChain, ConePoint, PlanarPoint, angular_separation,

@@ -47,7 +47,7 @@ import numpy as np
 from .diffraction import scattering_matrix
 from .errors import InvalidInput
 from .geometry import angular_separation, check_array_size, check_cone_angle
-from .kernels import KernelQuery, KernelValue
+from .kernels import KernelQuery, KernelValue, _length_scale
 from .special import gauss_legendre
 
 # The c integral runs on Gauss-Legendre panels of PANEL_NODES nodes, with
@@ -138,11 +138,15 @@ def sine_kernel_friedlander(alpha: float, q: KernelQuery) -> KernelValue:
     """Evaluate the Friedlander representation at a kernel query, exactly.
 
     Pullback through A2, the image sum and, for y > 1, the c integral of
-    A1 G_alpha (see the module docstring), then the A3 factor.
+    A1 G_alpha (see the module docstring), then the A3 factor.  The pullback
+    and the A3 factor are taken at the lengths over a power of two near
+    max(t, r1, r2), an exact scaling (the kernel is homogeneous of degree
+    -1) that keeps t^2 and 2 r1 r2 in range.
     """
-    r1, r2 = q.q1.r, q.q2.r
-    y, z = friedlander_pullback(alpha, q.t, r1, r2, q.q1.theta, q.q2.theta)
+    scale = _length_scale(max(q.t, q.q1.r, q.q2.r))
+    t, r1, r2 = q.t / scale, q.q1.r / scale, q.q2.r / scale
+    y, z = friedlander_pullback(alpha, t, r1, r2, q.q1.theta, q.q2.theta)
     raw = _image_sum(alpha, y, z)
     if y > 1.0:
         raw += _diffracted_integral(alpha, y, z)
-    return KernelValue(raw / (2.0 * math.pi * math.sqrt(2.0 * r1 * r2)))
+    return KernelValue(raw / (2.0 * math.pi * math.sqrt(2.0 * r1 * r2)) / scale)

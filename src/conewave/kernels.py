@@ -119,6 +119,8 @@ def front_region(alpha: float, ts, r1: float, r2: float, dtheta: float,
     OnFront.  The direct front is taken at the lengths over a power of two
     near r1 + r2, as the closed form takes it, so that the squares of the
     radii neither underflow nor overflow."""
+    if not 0.0 <= h < math.inf:
+        raise InvalidInput(f"the width h must be finite and >= 0, got {h}")
     ts = _sweep_times(ts, r1, r2)
     diffracted = r1 + r2
     scale = _length_scale(diffracted)
@@ -212,13 +214,17 @@ def sine_kernel_closed_mollified(alpha: float, ts, r1: float, r2: float,
     with tau = d_f cosh(v) so plain 120-node Gauss-Legendre converges fast,
     one rule per time and piece.  tderiv in {0, 1} selects the kernel or its
     time derivative (mollifier differentiated), the real part of the
-    half-wave kernel.
+    half-wave kernel.  Like `sine_kernel_closed` it is taken at the lengths
+    (times and h too) over a power of two near r1 + r2: the kernel is
+    homogeneous of degree -1 and its time derivative of degree -2.
     """
     if tderiv not in (0, 1):
         raise InvalidInput("tderiv must be 0 or 1")
     times = _sweep_times(ts, r1, r2, h)
     check_array_size(times.size * 120, "the quadrature block")
-    d2, pieces = _region_pieces(alpha, r1, r2,
+    scale = _length_scale(r1 + r2)
+    times, h = times / scale, h / scale
+    d2, pieces = _region_pieces(alpha, r1 / scale, r2 / scale,
                                 angular_separation(alpha, dtheta, 0.0))
     d_f = math.sqrt(d2)
     moll = Mollifier(h)
@@ -246,6 +252,9 @@ def sine_kernel_closed_mollified(alpha: float, ts, r1: float, r2: float,
         rho = mollified_delta(moll, u)
         total[some] += coeff * np.sum(
             weights * (rho if tderiv == 0 else -u / (h * h) * rho), axis=-1)
+    total /= scale
+    if tderiv:  # once more, since scale**2 can overflow
+        total /= scale
     return total if np.ndim(ts) else float(total[0])
 
 

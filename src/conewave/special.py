@@ -63,22 +63,22 @@ def l1_half_derivative(values: np.ndarray, d: float) -> np.ndarray:
     The piecewise-linear interpolant is differentiated exactly against the
     causal kernel (y - y')^(-1/2) / Gamma(1/2); jump discontinuities sampled
     at cell boundaries smear over a single cell.  Data must vanish at the
-    left edge.
+    left edge, so fewer than two samples give zeros.
     """
-    import scipy.fft
-
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise InvalidInput(f"expected 1-D samples, got shape {v.shape}")
     n = v.size
+    out = np.zeros_like(v)
+    if n < 2:
+        return out
     dv = np.diff(v)
     m = np.arange(1, n, dtype=float) * d
     w = (_k32(m) - _k32(m - d)) / d
-    # linear convolution dv * w by real FFTs padded past its 2n - 3 samples
-    nfft = scipy.fft.next_fast_len(2 * n - 3, True)
-    full = scipy.fft.irfft(scipy.fft.rfft(dv, nfft) * scipy.fft.rfft(w, nfft),
-                           nfft)
-    out = np.zeros_like(v)
+    # linear convolution dv * w by real FFTs padded to the smallest power of
+    # two that holds its 2n - 3 samples
+    nfft = 1 << (2 * n - 4).bit_length()
+    full = np.fft.irfft(np.fft.rfft(dv, nfft) * np.fft.rfft(w, nfft), nfft)
     out[1:] = full[: n - 1]
     return out
 

@@ -33,27 +33,24 @@ def run_cli(args, cwd):
     return run_python(["-m", "conewave.cli", *args], cwd)
 
 
-LEAN_IMPORT_CHILD = """
+NO_SCIPY_CHILD = """
 import json, sys
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-import conewave
-found = {"conewave": scipy_modules()}
+sys.modules["scipy"] = None  # any import of scipy or of a submodule raises
 import conewave.cli
-found["conewave.cli"] = scipy_modules()
-found["signal"] = [m for m in ("scipy.signal", "scipy.stats") if m in sys.modules]
-for key, argv in json.loads(sys.argv[1]).items():
-    found[key] = [conewave.cli.main(argv), scipy_modules()]
+from conewave.special import l1_half_derivative
+found = {key: conewave.cli.main(argv)
+         for key, argv in json.loads(sys.argv[1]).items()}
+found["l1_half_derivative"] = l1_half_derivative([0.0, 1.0, 2.0], 1.0).tolist()
 print(json.dumps(found))
 """
 
 
 def test_cli_import_leaves_out_scipy_signal(tmp_path):
-    """Every CLI process pays the import of conewave.cli, which loads no scipy
-    module; predict, scatter, compose, all four kernels (the Cheeger mode
-    sum takes its Bessel table from Bessel's integral), trace and verify
-    (their fits sum Kummer's series with numpy) run without one.  A child
-    process, since the pytest process itself has scipy loaded."""
+    """conewave needs numpy alone: with every scipy import made to fail,
+    the package and the CLI import, predict, scatter, compose, all four
+    kernels, trace (its fits sum Kummer's series with numpy) and verify exit
+    0, and l1_half_derivative convolves by numpy's FFT.  A child process,
+    since the pytest process itself has scipy loaded."""
     (tmp_path / "chain.json").write_text(json.dumps(CHAIN))
     kernel = ["kernel", "--alpha", str(4 * PI), "--r1", "1", "--theta1", "0",
               "--r2", "1", "--theta2", "1.5", "--ts", "0.5:0.35:3.0"]
@@ -76,14 +73,15 @@ def test_cli_import_leaves_out_scipy_signal(tmp_path):
                   "--out", "t.csv", "--report", "peaks.json"],
         "verify --seed 0": ["verify", "--seed", "0", "--out", "v.json"],
     }
-    res = run_python(["-c", LEAN_IMPORT_CHILD, json.dumps(runs)], tmp_path)
+    res = run_python(["-c", NO_SCIPY_CHILD, json.dumps(runs)], tmp_path)
     assert res.returncode == 0, res.stderr
     # verify prints its table before the child's line
     found = json.loads(res.stdout.splitlines()[-1])
-    assert found["signal"] == []
-    assert found["conewave"] == [] and found["conewave.cli"] == []
-    for key in runs:
-        assert found[key] == [0, []], key
+    assert {key: found.pop(key) for key in runs} == dict.fromkeys(runs, 0)
+    # the ramp y, whose half-derivative 2 sqrt(y / pi) the L1 scheme gives
+    # exactly (its interpolant is the ramp)
+    assert found["l1_half_derivative"] == pytest.approx(
+        [0.0, 2.0 / math.sqrt(PI), 2.0 * math.sqrt(2.0 / PI)], rel=1e-15, abs=0)
     # the trace fitted a singularity coefficient, so it ran the moment
     peaks = json.loads((tmp_path / "peaks.json").read_text())["peaks"]
     assert any(p["fitted_coefficient_re"] is not None for p in peaks)

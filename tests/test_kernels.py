@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conewave.errors import InvalidInput, ModeTailTooLarge, OnFront
+from conewave.friedlander import sine_kernel_friedlander
 from conewave.geometry import ConePoint, cone_distance
 from conewave.kernels import (AFTER_DIFFRACTED, BEFORE_DIRECT, BETWEEN_FRONTS,
                               FRONT_TOL, NEAR_FRONT, KernelQuery,
@@ -158,22 +159,38 @@ def test_moving_point_root_count_branches():
 
 def test_moving_point_is_scale_free():
     """The kernel is homogeneous of degree -1 in (t, r1, r2); the
-    moving-vertex sum and the closed form keep that from lengths of 1e-300
-    to 1e300, each compared with the closed form at the same scale (unscaled,
-    r1(s) r2(s) underflows below about 1e-162, and t^2 overflows past
-    1e154).  So do the labels, taken at the lengths over a power of two
-    near r1 + r2.  Unscaled, the squared distance would underflow below
-    about 1e-162 (a t before the direct front would read between_fronts)
-    and overflow past 1e154."""
+    moving-vertex sum, Friedlander's kernel and the closed form keep that
+    from lengths of 1e-300 to 1e300, each compared with the closed form at
+    the same scale (unscaled, r1(s) r2(s) underflows below about 1e-162, and
+    t^2 overflows past 1e154; Friedlander's pullback read 8e-5 high at
+    1e-160 and was refused past it).  So does the mollified closed form
+    (h scaled too), and its time derivative, of degree -2, where that is a
+    double: unscaled, it read 0 at 1e160 and 2% low at 1e-160.  So do the
+    labels, taken at the lengths over a power of two near r1 + r2.
+    Unscaled, the squared distance would underflow below about 1e-162 (a t
+    before the direct front would read between_fronts) and overflow past
+    1e154."""
     for t, region in ((0.5, BEFORE_DIRECT), (1.6, BETWEEN_FRONTS),
                       (3.0, AFTER_DIFFRACTED)):
         unit = sine_kernel_closed(4 * PI, t, 1.0, 0.8, -1.5)
+        unit_mollified = [sine_kernel_closed_mollified(
+            4 * PI, t, 1.0, 0.8, -1.5, 0.05, tderiv) for tderiv in (0, 1)]
         for s in (1e-300, 1e-170, 1e-100, 1e-30, 1e60, 1e140, 1e170, 1e300):
             q = KernelQuery(s * t, ConePoint(s, 0.0), ConePoint(0.8 * s, 1.5))
             closed = sine_kernel_closed(4 * PI, s * t, s, 0.8 * s, -1.5)
             moving = sine_kernel_moving_point(q).value
+            friedlander = sine_kernel_friedlander(4 * PI, q).value
             assert s * closed == pytest.approx(unit, rel=1e-14)
             assert moving == pytest.approx(closed, rel=1e-14)
+            assert friedlander == pytest.approx(closed, rel=1e-14)
+            mollified = sine_kernel_closed_mollified(
+                4 * PI, s * t, s, 0.8 * s, -1.5, 0.05 * s)
+            assert s * mollified == pytest.approx(unit_mollified[0], rel=1e-14)
+            if 1e-150 < s < 1e150:  # else s^-2 leaves the range of a double
+                deriv = sine_kernel_closed_mollified(
+                    4 * PI, s * t, s, 0.8 * s, -1.5, 0.05 * s, tderiv=1)
+                assert s * (s * deriv) == pytest.approx(unit_mollified[1],
+                                                        rel=1e-14)
             assert front_region(4 * PI, s * t, s, 0.8 * s,
                                 -1.5).tolist() == [region]
     # radii at which an unscaled direct front rounds to 0
@@ -354,14 +371,18 @@ def _sweep_call(sweep, ts, r1, r2, h=0.05):
     return sweep(alpha, ts, r1, r2, 0.3, h)
 
 
-@pytest.mark.parametrize("sweep", MOLLIFIED)
+@pytest.mark.parametrize("sweep", MOLLIFIED + [front_region])
 @pytest.mark.parametrize("h, r1, r2", [(math.inf, 1.0, 0.5), (math.nan, 1.0, 0.5),
-                                       (0.3, -1.0, 0.5), (0.3, 1.0, math.inf)])
+                                       (0.3, -1.0, 0.5), (0.3, 1.0, math.inf),
+                                       (-1.0, 1.0, 0.5)])
 def test_mode_sums_refuse_a_bad_width_or_radius(sweep, h, r1, r2):
     """The mode sums and the mollified closed form take h, r1 and r2
     themselves and refuse them unless positive and finite, where h = inf
     gave the mode sums NaN with a RuntimeWarning, and r1 = -1 a silent NaN
-    (0.0 from the closed form), and r2 = inf the closed form NaN."""
+    (0.0 from the closed form), and r2 = inf the closed form NaN.
+    `front_region` refuses an h that is not finite and >= 0 (h = 0 labels
+    an exact kernel), where h = nan or -1 gave the exact band and h = inf
+    labelled every time near_front."""
     with pytest.raises(InvalidInput, match="positive|finite"):
         _sweep_call(sweep, [1.0], r1, r2, h)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.integrate
 import scipy.optimize
 import scipy.special
@@ -89,6 +90,36 @@ def test_half_derivative_linearity():
     assert np.all(l1_half_derivative(np.zeros_like(grid), d) == 0.0)
     with pytest.raises(InvalidInput):  # one column at a time, no 2-D tables
         l1_half_derivative(np.stack([f, g], axis=1), d)
+
+
+def test_half_derivative_few_samples_give_zeros():
+    """Data vanish at the left edge, so fewer than two samples have no
+    half-derivative but 0 (the scipy.fft form raised ValueError there)."""
+    assert l1_half_derivative(np.empty(0), 0.1).shape == (0,)
+    assert l1_half_derivative([3.0], 0.1).tolist() == [0.0]
+    # the ramp 2 y, whose half-derivative is 4 sqrt(y) / Gamma(1/2)
+    assert l1_half_derivative([0.0, 1.0], 0.5).tolist() == pytest.approx(
+        [0.0, 4.0 * math.sqrt(0.5) / GAMMA_HALF], rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 101, 8001, 64_001, 64_007])
+def test_half_derivative_numpy_fft_matches_scipy_fft(n):
+    """The convolution by numpy's FFT at a power-of-two length is within
+    1e-15 of the peak of the same convolution by scipy.fft at its fast
+    length, the form the package used until it dropped scipy (a reference
+    here only): on a Gaussian, a ramp and noise, at a prime n too."""
+    grid = np.linspace(-4, 4, n)
+    d = grid[1] - grid[0]
+    m = np.arange(1, n) * d
+    w = (special._k32(m) - special._k32(m - d)) / d
+    nfft = scipy.fft.next_fast_len(2 * n - 3, True)
+    for f in (np.exp(-3 * (grid - 0.3) ** 2), np.where(grid > 0, grid, 0.0),
+              np.random.default_rng(n).standard_normal(n)):
+        ref = scipy.fft.irfft(scipy.fft.rfft(np.diff(f), nfft)
+                              * scipy.fft.rfft(w, nfft), nfft)[: n - 1]
+        got = l1_half_derivative(f, d)
+        assert got[0] == 0.0
+        assert np.max(np.abs(got[1:] - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_half_derivative_against_exact_gaussian():
