@@ -16,9 +16,9 @@ from .kernels import (KernelQuery, KernelValue, cheeger_series_sweep,
                       spherical_wave_l, upsilon0)
 from .friedlander import build_friedlander, sine_kernel_friedlander
 from .two_diffraction import (CompositionPoint, StationaryData,
-                              amplitude_tilde, composed_phase_psi,
-                              nondegeneracy_check, oscillatory_oracle,
-                              phase_phi1, phase_phi2,
+                              amplitude_tilde, chain_nondegeneracy,
+                              composed_phase_psi, one_cone_nondegeneracy,
+                              oscillatory_oracle, phase_phi1, phase_phi2,
                               principal_symbol_lambda0, stationary_eliminate)
 from .wave_trace import (PillowcaseSurface, Spectrum, TracePrediction,
                          extract_singularity_coefficient, mollified_trace,

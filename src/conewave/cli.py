@@ -20,8 +20,8 @@ from .errors import (ConewaveError, GeometricDirection, InvalidInput,
                      WindowContaminated)
 from .geometry import ConeChain, ConePoint, PlanarPoint, check_array_size
 from .special import Mollifier
-from .two_diffraction import (CompositionPoint, oscillatory_oracle,
-                              principal_symbol_lambda0,
+from .two_diffraction import (HALF_DENSITY, CompositionPoint,
+                              oscillatory_oracle, principal_symbol_lambda0,
                               stationary_eliminate, stationary_phase_value)
 
 EXIT_OK = 0
@@ -164,9 +164,6 @@ def cmd_compose(args) -> int:
     q1, q2 = _parse_point(args.q1), _parse_point(args.q2)
     cp = CompositionPoint(chain, q1, q2, 0.0, 0.0, args.omega, args.t)
     sd = stationary_eliminate(cp)
-    theta1 = -math.atan2(q1.y, q1.x - chain.b)
-    theta2 = -math.atan2(q2.y, q2.x)
-    theta2 = theta2 if theta2 >= 0 else theta2 + 2.0 * math.pi
     report = {
         "stationary": {
             "q_c": [sd.q_c.x, sd.q_c.y],
@@ -176,9 +173,9 @@ def cmd_compose(args) -> int:
         },
     }
     try:
-        symbol = principal_symbol_lambda0(chain, theta1, theta2, args.omega)
-        report["symbol_lambda0"] = [symbol.value.real, symbol.value.imag]
-        report["half_density"] = symbol.half_density
+        symbol = principal_symbol_lambda0(chain, q1, q2, args.omega)
+        report["symbol_lambda0"] = [symbol.real, symbol.imag]
+        report["half_density"] = HALF_DENSITY
     except GeometricDirection:
         # endpoints exactly on the axis sit at the S_alpha pole; the
         # regularized amplitude is finite but the bare symbol is not

@@ -47,7 +47,7 @@ import numpy as np
 from .diffraction import scattering_matrix
 from .errors import InvalidInput
 from .geometry import angular_separation, check_array_size, check_cone_angle
-from .kernels import KernelQuery, KernelValue, _length_scale
+from .kernels import KernelQuery, KernelValue, _length_scale, _unscale
 from .special import gauss_legendre
 
 # The c integral runs on Gauss-Legendre panels of PANEL_NODES nodes, with
@@ -149,4 +149,5 @@ def sine_kernel_friedlander(alpha: float, q: KernelQuery) -> KernelValue:
     raw = _image_sum(alpha, y, z)
     if y > 1.0:
         raw += _diffracted_integral(alpha, y, z)
-    return KernelValue(raw / (2.0 * math.pi * math.sqrt(2.0 * r1 * r2)) / scale)
+    return KernelValue(_unscale(
+        raw / (2.0 * math.pi * math.sqrt(2.0 * r1 * r2)), scale))

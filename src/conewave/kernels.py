@@ -89,6 +89,9 @@ BESSEL_S_GRADED_EDGES = tuple(2.0**k for k in range(-12, 1))
 BESSEL_S_PANEL = 16
 BESSEL_X_TINY = 1e-30
 
+# nodes of the Gauss-Hermite rule of `gauss_hermite_mollify`
+HERMITE_NODES = 48
+
 
 @dataclass(frozen=True)
 class KernelQuery:
@@ -142,6 +145,20 @@ def _length_scale(length: float) -> float:
     return math.ldexp(0.5, math.frexp(length)[1])
 
 
+def _unscale(values, scale: float, degree: int = 1):
+    """Values of a kernel homogeneous of degree -degree at the lengths over
+    `scale`, taken to the caller's lengths.  InvalidInput if one leaves the
+    double range, checked on the largest as a float before numpy divides."""
+    peak = (abs(values) if type(values) is float
+            else float(np.abs(values).max()))
+    for _ in range(degree):  # one division each: scale**2 can overflow
+        peak /= scale
+        if not math.isfinite(peak):
+            raise InvalidInput("kernel value outside the double range")
+        values = values / scale
+    return values
+
+
 def _sweep_times(ts, *lengths: float) -> np.ndarray:
     """The times of a sweep as an array, refused unless there is at least
     one and all are finite, or unless the lengths (r1, r2 and a width h)
@@ -180,9 +197,10 @@ def sine_kernel_closed(alpha: float, ts, r1: float, r2: float,
     for coeff, start, end in pieces:
         near |= (start - tol <= tau) & (tau <= start + tol)
         inside = (start < tau) & (tau < end)
-        values[inside] = coeff / np.sqrt(tau[inside] ** 2 - d2) / scale
+        values[inside] = coeff / np.sqrt(tau[inside] ** 2 - d2)
     if near.any():
         raise OnFront(f"t = {times[near][0]} sits on a front of the closed form")
+    values = _unscale(values, scale)
     return values if np.ndim(ts) else float(values[0])
 
 
@@ -252,9 +270,7 @@ def sine_kernel_closed_mollified(alpha: float, ts, r1: float, r2: float,
         rho = mollified_delta(moll, u)
         total[some] += coeff * np.sum(
             weights * (rho if tderiv == 0 else -u / (h * h) * rho), axis=-1)
-    total /= scale
-    if tderiv:  # once more, since scale**2 can overflow
-        total /= scale
+    total = _unscale(total, scale, 1 + tderiv)
     return total if np.ndim(ts) else float(total[0])
 
 
@@ -468,7 +484,7 @@ def sine_kernel_moving_point(q: KernelQuery) -> KernelValue:
     cos_dth = np.sum(v1 * v2, axis=0) / (r1s * r2s)
     half_cos = np.sqrt(np.maximum(0.5 * (1.0 + cos_dth), 0.0))
     total = float(np.sum(1.0 / (8.0 * math.pi * np.sqrt(r1s * r2s) * half_cos)))
-    return KernelValue(total / scale)
+    return KernelValue(_unscale(total, scale))
 
 
 @functools.cache
@@ -478,10 +494,10 @@ def _hermgauss(n: int):
     return np.polynomial.hermite.hermgauss(n)
 
 
-def gauss_hermite_mollify(f, t: float, h: float, n: int = 48) -> float:
+def gauss_hermite_mollify(f, t: float, h: float) -> float:
     """Gaussian time mollification of a pointwise kernel t -> f(t) by
     Gauss-Hermite quadrature (suitable away from fronts)."""
-    nodes, weights = _hermgauss(n)
+    nodes, weights = _hermgauss(HERMITE_NODES)
     taus = t + math.sqrt(2.0) * h * nodes
     vals = np.array([f(tau) for tau in taus])
     return float(np.sum(weights * vals) / math.sqrt(math.pi))

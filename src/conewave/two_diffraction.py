@@ -22,11 +22,12 @@ arrays.  Likewise `leg_amplitude` is the only one-cone amplitude and
 `amplitude_tilde` the only composed one; the stationary-phase value and
 the quadrature oracle are built from them, and the closed-form principal
 symbol is checked against them.  The module also carries numerical
-nondegeneracy checks for the four-front phase.
+rank checks of the one-cone and the composed phase.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,6 +40,8 @@ from .geometry import ConeChain, PlanarPoint, chart_angle, check_array_size
 from .special import fd_hessian, gauss_legendre
 
 QUARTER_TURN = np.exp(1j * math.pi / 4.0)
+# the half-density of which principal_symbol_lambda0 is the coefficient
+HALF_DENSITY = "|dr1 dtheta1 dtheta2 domega|^(1/2)"
 
 # Step of every finite-difference Hessian of a phase here: its O(step^4)
 # truncation and its roundoff, about eps |phase| / step^2, both stay near
@@ -98,15 +101,8 @@ class StationaryData:
 
 @dataclass(frozen=True)
 class NondegeneracyReport:
-    kind: str
     smallest_singular_value: float
     rows: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class PrincipalSymbol:
-    value: complex
-    half_density: str = "|dr1 dtheta1 dtheta2 domega|^(1/2)"
 
 
 def shifted_vertex(vertex: PlanarPoint, eps: int, s: float) -> PlanarPoint:
@@ -233,80 +229,75 @@ def amplitude_tilde(chain: ConeChain, t: float, q1: PlanarPoint,
     return complex(QUARTER_TURN / math.sqrt(omega * sd.C) * a1 * a2)
 
 
-def principal_symbol_lambda0(chain: ConeChain, theta1: float, theta2: float,
-                             omega: float) -> PrincipalSymbol:
-    """Principal symbol on the twice-diffracted front:
+def principal_symbol_lambda0(chain: ConeChain, q1: PlanarPoint,
+                             q2: PlanarPoint, omega: float) -> complex:
+    """Principal symbol on the twice-diffracted front, the coefficient of
+    HALF_DENSITY:
 
-        2 pi e^{i pi/4} omega^(-1/2) b^(-1/2) S_{a2}(theta2) S_{a1}(-pi - theta1).
+        2 pi e^{i pi/4} omega^(-1/2) b^(-1/2) S_{a2}(theta2) S_{a1}(-pi - theta1),
 
-    theta1, theta2 are the polar angles of q1, q2 around p1, p2 in the
-    reflected orientation (theta1 near 0, theta2 near pi on the base
-    configuration).  The half-density factor is carried as metadata only.
-    """
+    theta1, theta2 the polar angles of q1, q2 around p1, p2 in the reflected
+    orientation of `chart_points_from_angles` (theta1 near 0, theta2 near pi
+    on the base configuration)."""
     if not omega > 0:
         raise InvalidInput("frequency must be positive")
+    theta1 = -math.atan2(q1.y, q1.x - chain.b)
+    theta2 = -math.atan2(q2.y, q2.x)
+    theta2 = theta2 if theta2 >= 0 else theta2 + 2.0 * math.pi
     s1_val = scattering_matrix(chain.alpha1, -math.pi - theta1)
     s2_val = scattering_matrix(chain.alpha2, theta2)
     if math.isnan(s1_val) or math.isnan(s2_val):
         raise GeometricDirection(
             f"principal symbol at a geometric direction (theta1 = {theta1}, "
             f"theta2 = {theta2})")
-    value = (2.0 * math.pi * QUARTER_TURN * s2_val * s1_val
-             / math.sqrt(omega * chain.b))
-    return PrincipalSymbol(complex(value))
+    return complex(2.0 * math.pi * QUARTER_TURN * s2_val * s1_val
+                   / math.sqrt(omega * chain.b))
 
 
 def chart_points_from_angles(chain: ConeChain, r1: float, theta1: float,
                              r2: float, theta2: float) -> tuple[PlanarPoint, PlanarPoint]:
     """(q1, q2) in the chain frame from reflected-orientation polar angles
-    (the parametrization used by principal_symbol_lambda0 and the displayed
-    amplitude formulas): q1 around p1 at angle -theta1, q2 around p2 at
-    chart angle matching theta2 measured from the incoming direction."""
+    (the angles principal_symbol_lambda0 reads, and the displayed amplitude
+    formulas): q1 around p1 at angle -theta1, q2 around p2 at chart angle
+    matching theta2 measured from the incoming direction."""
     q1 = PlanarPoint(chain.b + r1 * math.cos(theta1), -r1 * math.sin(theta1))
     q2 = PlanarPoint(r2 * math.cos(theta2), -r2 * math.sin(theta2))
     return q1, q2
 
 
-def nondegeneracy_check(kind: str, chain: ConeChain | None = None,
-                        t: float | None = None, q1: PlanarPoint | None = None,
-                        q2: PlanarPoint | None = None, omega: float = 1.0,
-                        eps: int = +1) -> NondegeneracyReport:
-    """Numerical rank check of the parametrization nondegeneracy conditions.
+def one_cone_nondegeneracy(t: float, q1: PlanarPoint, q2: PlanarPoint,
+                           omega: float, eps: int) -> NondegeneracyReport:
+    """Rank check of the one-cone phase [|q1-p(s)| + |q2-p(s)| - t] w around
+    the origin: rows for dphi/ds and dphi/dw in (t, q1, q2) at s = 0."""
 
-    kind="pair": the one-cone phase [|q1-p(s)| + |q2-p(s)| - t] w; the rows
-    are the differentials of dphi/dw and dphi/ds in (t, q1, q2) at s = 0.
-    kind="system": the composed phase Psi; rows for dPsi/dw, dPsi/ds1,
-    dPsi/ds2 in (t, q1, q2) at s1 = s2 = 0.  The rows are the
-    (parameter x base) block of the phase's `fd_hessian` (step FD_STEP); the
-    conditions hold iff the stacked rows have full rank.
-    """
-    if kind == "pair":
-        if q1 is None or q2 is None or t is None:
-            raise InvalidInput("pair check needs t, q1, q2")
+    def phase(tt, p, q, s, w):
+        vertex = shifted_vertex(PlanarPoint(0.0, 0.0), eps, s)
+        return (broken_line_length(p, vertex, q) - tt) * w
 
-        def phase(v):
-            tt, x1, y1, x2, y2, w, s = v
-            vertex = shifted_vertex(PlanarPoint(0.0, 0.0), eps, s)
-            return (broken_line_length(PlanarPoint(x1, y1), vertex,
-                                       PlanarPoint(x2, y2)) - tt) * w
+    return _parameter_rank(phase, t, q1, q2, [0.0, omega])
 
-        params = [omega, 0.0]
-    elif kind == "system":
-        if chain is None or t is None or q1 is None or q2 is None:
-            raise InvalidInput("system check needs chain, t, q1, q2")
 
-        def phase(v):
-            tt, x1, y1, x2, y2, w, s1, s2 = v
-            return composed_phase_psi(chain, tt, PlanarPoint(x1, y1),
-                                      PlanarPoint(x2, y2), s1, s2, w)
+def chain_nondegeneracy(chain: ConeChain, t: float, q1: PlanarPoint,
+                        q2: PlanarPoint, omega: float) -> NondegeneracyReport:
+    """Rank check of the composed phase Psi: rows for dPsi/ds1, dPsi/ds2 and
+    dPsi/dw in (t, q1, q2) at s1 = s2 = 0."""
+    return _parameter_rank(functools.partial(composed_phase_psi, chain),
+                           t, q1, q2, [0.0, 0.0, omega])
 
-        params = [omega, 0.0, 0.0]
-    else:
-        raise InvalidInput(f"unknown phase kind {kind!r}")
-    hess = fd_hessian(phase, [t, q1.x, q1.y, q2.x, q2.y, *params], FD_STEP)
-    rows = hess[5:, :5]  # (w, s...) down, (t, x1, y1, x2, y2) across
-    smin = float(np.linalg.svd(rows, compute_uv=False)[-1])
-    return NondegeneracyReport(kind, smin, rows)
+
+def _parameter_rank(phase, t: float, q1: PlanarPoint, q2: PlanarPoint,
+                    params: list[float]) -> NondegeneracyReport:
+    """The (parameter x base) block of the `fd_hessian` (step FD_STEP) of
+    phase(t, q1, q2, *params), of full rank iff the conditions hold."""
+
+    def f(v):
+        return phase(v[0], PlanarPoint(v[1], v[2]), PlanarPoint(v[3], v[4]),
+                     *v[5:])
+
+    hess = fd_hessian(f, [t, q1.x, q1.y, q2.x, q2.y, *params], FD_STEP)
+    rows = hess[5:, :5]  # (s..., w) down, (t, x1, y1, x2, y2) across
+    return NondegeneracyReport(
+        float(np.linalg.svd(rows, compute_uv=False)[-1]), rows)
 
 
 def stationary_phase_value(chain: ConeChain, t: float, q1: PlanarPoint,

@@ -269,7 +269,9 @@ def test_compose(tmp_path):
                    "--q1=2.98,-0.2", "--q2=-0.98,-0.2", "--omega", "2"],
                   tmp_path)
     assert off.returncode == 0
-    assert len(json.loads(off.stdout)["symbol_lambda0"]) == 2
+    report = json.loads(off.stdout)
+    assert len(report["symbol_lambda0"]) == 2
+    assert report["half_density"] == "|dr1 dtheta1 dtheta2 domega|^(1/2)"
 
 
 def test_trace_outputs(tmp_path):
@@ -375,6 +377,11 @@ KERNEL_ARGS = ["kernel", "--alpha", "12.566370614359172", "--r1", "0.5",
 CHAIN = {"a": 1.0, "b": 2.0, "c": 1.0, "alpha1": 3 * PI, "alpha2": 3 * PI,
          "eps1": -1, "eps2": 1}
 COMPOSE_ARGS = ["compose", "--chain", "chain.json", "--t", "4", "--q2=-1,0"]
+# lengths near 1e-310, subnormal doubles, at which the exact kernels
+# (about 1 / (4 pi t)) lie outside the double range
+SUBNORMAL_KERNEL_ARGS = ["kernel", "--alpha", "12.566370614359172", "--r1",
+                         "1e-310", "--theta1", "0", "--r2", "1e-310",
+                         "--theta2", "1", "--ts", "2.5e-310:1e-310:3.5e-310"]
 
 
 def test_kernel_cheeger_is_one_sweep(tmp_path, monkeypatch):
@@ -576,13 +583,17 @@ def test_bad_input_exits_two(argv, capsys, tmp_path, monkeypatch):
       for alpha, rep in ((str(4 * PI), "closed4pi"), (str(4 * PI), "moving"),
                          ("7", "cheeger"))),
     ["predict", "--L", "inf", "--b", "1"],
+    *(SUBNORMAL_KERNEL_ARGS + ["--representation", rep]
+      for rep in ("closed4pi", "moving", "friedlander")),
 ], ids=["closed4pi-radii-sum-overflows",
         "friedlander-2r1r2-underflows",
         "trace-damping-exponent-overflows", "trace-index-grid-overflows",
         "friedlander-dg-dc-underflows", "angle-difference-overflows",
         "closed4pi-angle-difference-overflows",
         "moving-angle-difference-overflows",
-        "cheeger-angle-difference-overflows", "predict-L-inf"])
+        "cheeger-angle-difference-overflows", "predict-L-inf",
+        "closed4pi-value-overflows", "moving-value-overflows",
+        "friedlander-value-overflows"])
 def test_overflow_is_input_error(argv, tmp_path):
     """Numbers whose intermediate values overflow or underflow exit 2 with
     one error line: no traceback, and no NaN written."""
@@ -591,6 +602,18 @@ def test_overflow_is_input_error(argv, tmp_path):
     assert "Traceback" not in res.stderr
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert "nan" not in res.stdout
+
+
+def test_cheeger_at_subnormal_lengths_is_finite(tmp_path):
+    """The exact kernels at these lengths, about 4e308, exceed the double
+    range and exit 2 (`test_overflow_is_input_error`); the Cheeger sum,
+    mollified at h = 0.05, is odd in t, so about proportional to t there:
+    a finite value, which it writes."""
+    res = run_cli(SUBNORMAL_KERNEL_ARGS + ["--representation", "cheeger",
+                                           "--out", "k.csv"], tmp_path)
+    assert res.returncode == 0 and "Traceback" not in res.stderr
+    values = [float(v) for v in _csv_columns(tmp_path / "k.csv")["value_re"]]
+    assert len(values) == 2 and all(map(math.isfinite, values))
 
 
 @pytest.mark.parametrize("argv", [

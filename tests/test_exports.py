@@ -22,8 +22,10 @@ TEST_ONLY = (
     # every cone angle: checked against the closed cosine kernel, its
     # Hilbert transform and its frequency content
     "halfwave_series_sweep",
-    # the rank conditions that make the composed phase a parametrization
-    "nondegeneracy_check",
+    # the rank conditions that make the one-cone and the composed phase
+    # parametrizations
+    "one_cone_nondegeneracy",
+    "chain_nondegeneracy",
 )
 
 

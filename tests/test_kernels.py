@@ -203,6 +203,31 @@ def test_moving_point_is_scale_free():
         1.0 / (4.0 * PI * 1.5e308), rel=1e-14)
 
 
+TINY = 1e-310
+TINY_QUERY = KernelQuery(3.0 * TINY, ConePoint(TINY, 0.0), ConePoint(TINY, 1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sine_kernel_closed(4 * PI, [2.5 * TINY, 3.5 * TINY], TINY, TINY,
+                               -1.0),
+    lambda: sine_kernel_closed_mollified(4 * PI, 3.0 * TINY, TINY, TINY, -1.0,
+                                         0.05 * TINY),
+    lambda: sine_kernel_closed_mollified(4 * PI, 3e-160, 1e-160, 1e-160, -1.0,
+                                         5e-162, tderiv=1),
+    lambda: sine_kernel_moving_point(TINY_QUERY),
+    lambda: sine_kernel_friedlander(4 * PI, TINY_QUERY),
+], ids=["closed", "mollified", "mollified-tderiv", "moving", "friedlander"])
+def test_kernel_value_outside_double_range_is_refused(call):
+    """At lengths s = 1e-310 the exact kernels, about 1 / (4 pi s), exceed
+    the largest double, and so does the time derivative of the mollified
+    closed form, about 1 / s^2, at s = 1e-160: each raises InvalidInput
+    without an overflow warning, where it returned inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="double range"):
+            call()
+
+
 def test_cheeger_series_against_mollified_closed_forms():
     h = 0.05
     q = KernelQuery(3.0, ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2))

@@ -11,10 +11,12 @@ from conewave.errors import (GeometricDirection, InvalidInput,
                              NoInteriorCriticalPoint)
 from conewave.geometry import ConeChain, PlanarPoint, chart_window
 from conewave.two_diffraction import (CompositionPoint, amplitude_tilde,
+                                      chain_nondegeneracy,
                                       chart_points_from_angles,
                                       composed_phase_psi, leg_amplitude,
-                                      nondegeneracy_check, oscillatory_oracle,
-                                      phase_hessian_fd, phase_phi1, phase_phi2,
+                                      one_cone_nondegeneracy,
+                                      oscillatory_oracle, phase_hessian_fd,
+                                      phase_phi1, phase_phi2,
                                       principal_symbol_lambda0,
                                       stationary_eliminate,
                                       stationary_phase_value)
@@ -317,23 +319,32 @@ def test_amplitude_tilde_t0_independence():
 
 
 def test_principal_symbol():
-    chain = default_chain()
+    """The symbol falls as omega^(-1/2) and b^(-1/2), at the same angles:
+    the chart points of a wider chain sit a distance b further out."""
+    chain, wide = default_chain(), default_chain(b=4.0)
     th1, th2 = 0.2, PI - 0.2
-    sym1 = principal_symbol_lambda0(chain, th1, th2, 1.0)
-    sym4 = principal_symbol_lambda0(chain, th1, th2, 4.0)
-    assert abs(sym4.value) == pytest.approx(abs(sym1.value) / 2.0, rel=1e-12)
-    wide = principal_symbol_lambda0(default_chain(b=4.0), th1, th2, 1.0)
-    assert abs(wide.value) == pytest.approx(abs(sym1.value) / 2.0, rel=1e-12)
-    assert "dr1" in sym1.half_density
+    q1, q2 = chart_points_from_angles(chain, 1.0, th1, 1.0, th2)
+    sym1 = principal_symbol_lambda0(chain, q1, q2, 1.0)
+    sym4 = principal_symbol_lambda0(chain, q1, q2, 4.0)
+    assert isinstance(sym1, complex)
+    assert abs(sym4) == pytest.approx(abs(sym1) / 2.0, rel=1e-12)
+    q1w, q2w = chart_points_from_angles(wide, 1.0, th1, 1.0, th2)
+    assert abs(principal_symbol_lambda0(wide, q1w, q2w, 1.0)) == \
+        pytest.approx(abs(sym1) / 2.0, rel=1e-12)
+    with pytest.raises(InvalidInput):
+        principal_symbol_lambda0(chain, q1, q2, 0.0)
 
 
 def test_principal_symbol_raises_at_a_pole():
-    """theta1 = 0 puts S_{a1} at -pi and theta2 = pi puts S_{a2} at pi, the
-    geometric directions where the symbol is not defined."""
+    """q1 on the axis beyond p1 puts S_{a1} at -pi, and q2 on the axis
+    before p2 puts S_{a2} at pi: the geometric directions where the symbol
+    is not defined."""
     chain = default_chain()
-    for th1, th2 in ((0.0, PI - 0.2), (0.2, PI), (0.0, PI)):
+    on1, on2 = PlanarPoint(chain.b + 1.0, 0.0), PlanarPoint(-1.0, 0.0)
+    off1, off2 = chart_points_from_angles(chain, 1.0, 0.2, 1.0, PI - 0.2)
+    for q1, q2 in ((on1, off2), (off1, on2), (on1, on2)):
         with pytest.raises(GeometricDirection):
-            principal_symbol_lambda0(chain, th1, th2, 1.0)
+            principal_symbol_lambda0(chain, q1, q2, 1.0)
 
 
 def test_principal_symbol_consistent_with_amplitude():
@@ -351,7 +362,7 @@ def test_principal_symbol_consistent_with_amplitude():
         atilde = amplitude_tilde(chain, chain.total_length, q1, q2, omega)
         ds1, ds2 = psi_shift_derivatives(chain, q1, q2, omega)
         predicted = -(1 / (2 * PI)) * math.sqrt(r1 * r2) * atilde / (ds1 * ds2)
-        got = principal_symbol_lambda0(chain, th1, th2, omega).value
+        got = principal_symbol_lambda0(chain, q1, q2, omega)
         assert got == pytest.approx(predicted, rel=1e-10)
 
 
@@ -404,32 +415,35 @@ def test_four_front_stationary_sets():
 def test_nondegeneracy_checks():
     chain = default_chain()
     q1, q2 = chart_points_from_angles(chain, 1.0, 0.2, 1.0, PI - 0.2)
-    rep = nondegeneracy_check("system", chain=chain, t=chain.total_length,
-                              q1=q1, q2=q2, omega=1.0)
+    rep = chain_nondegeneracy(chain, chain.total_length, q1, q2, 1.0)
     assert rep.smallest_singular_value > 1e-6
     # at the on-axis base configuration: d(dPsi/ds1) ~ dy1, d(dPsi/ds2) ~ dy2,
-    # d(dPsi/dw) with a nonzero dt component ((t, x1, y1, x2, y2, w) layout)
-    base = nondegeneracy_check(
-        "system", chain=chain, t=chain.total_length,
-        q1=PlanarPoint(chain.b + chain.c, 0.0),
-        q2=PlanarPoint(-chain.a, 0.0), omega=1.0)
-    assert abs(base.rows[0][0]) > 0.5           # dt component of d(dPsi/dw)
-    assert abs(base.rows[1][2]) > 1e3 * abs(base.rows[1][1])  # dy1 dominates
-    assert abs(base.rows[2][4]) > 1e3 * abs(base.rows[2][3])  # dy2 dominates
+    # d(dPsi/dw) with a nonzero dt component ((t, x1, y1, x2, y2) across,
+    # (s1, s2, w) down)
+    base = chain_nondegeneracy(chain, chain.total_length,
+                               PlanarPoint(chain.b + chain.c, 0.0),
+                               PlanarPoint(-chain.a, 0.0), 1.0)
+    assert abs(base.rows[2][0]) > 0.5           # dt component of d(dPsi/dw)
+    assert abs(base.rows[0][2]) > 1e3 * abs(base.rows[0][1])  # dy1 dominates
+    assert abs(base.rows[1][4]) > 1e3 * abs(base.rows[1][3])  # dy2 dominates
     # dPsi/ds1 does not involve q2 nor t, dPsi/ds2 not q1 nor t: those
     # entries of the Hessian block are 0 up to the stencil's roundoff
     for rows in (rep.rows, base.rows):
-        zeros = [rows[1][0], rows[1][3], rows[1][4],
-                 rows[2][0], rows[2][1], rows[2][2]]
+        zeros = [rows[0][0], rows[0][3], rows[0][4],
+                 rows[1][0], rows[1][1], rows[1][2]]
         assert max(abs(z) for z in zeros) < 1e-8
-    # pair rows (-1, 1, 0, -1, 0) and (0, 0, 1, 0, 1): orthogonal, so the
-    # smallest singular value is the shorter norm sqrt(2)
-    pair = nondegeneracy_check("pair", t=2.0, q1=PlanarPoint(1.0, 0.0),
-                               q2=PlanarPoint(-1.0, 0.0), omega=1.0, eps=+1)
+    # one-cone rows d(dphi/ds) = (0, 0, 1, 0, 1) and d(dphi/dw) =
+    # (-1, 1, 0, -1, 0): orthogonal, so the smallest singular value is the
+    # shorter norm sqrt(2)
+    pair = one_cone_nondegeneracy(2.0, PlanarPoint(1.0, 0.0),
+                                  PlanarPoint(-1.0, 0.0), 1.0, +1)
+    assert pair.rows == pytest.approx(
+        np.array([[0.0, 0.0, 1.0, 0.0, 1.0], [-1.0, 1.0, 0.0, -1.0, 0.0]]),
+        abs=1e-8)
     assert pair.smallest_singular_value == pytest.approx(math.sqrt(2.0),
                                                          abs=1e-9)
     # a deliberately degenerate system (duplicated boundary parameter) fails
-    dup = np.vstack([rep.rows, rep.rows[-1]])
+    dup = np.vstack([rep.rows, rep.rows[1]])
     smin = float(np.linalg.svd(dup, compute_uv=False)[-1])
     assert smin < 1e-10
 
