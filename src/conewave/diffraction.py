@@ -27,8 +27,8 @@ from .geometry import check_array_size, check_cone_angle
 # |sin factor| below this counts as a pole of the closed form.
 POLE_TOL = 1e-12
 
-# Elements per block of thetas by modes in the Fourier oracle's sum; at
-# 2^17, AT-3 alone peaked 6 MB above one theta at a time, at 2^14 it does not.
+# Thetas times phasors per block of the Fourier oracle's sum (a theta takes
+# about 2 sqrt(N)), which bounds its memory at any order N.
 FOURIER_BLOCK = 2**14
 
 INCOMING_AT_0 = "incoming_at_0"
@@ -96,29 +96,51 @@ def scattering_matrix_fourier(alpha: float, theta, N: int):
     e^{-2 i k pi theta/alpha}, truncated at |k| <= N and Cesaro averaged over
     the partial sums (the coefficients do not decay, so the plain partial
     sums do not converge), for scalars or arrays theta (a complex for
-    scalar input)."""
+    scalar input).
+
+    As a cosine series in x = 2 pi theta/alpha it is (-i/alpha) sum_k c_k
+    cos(k x), k = 0..N, with c_0 = 1 and c_k = 2 (1 - k/(N + 1))
+    e^{-2 i pi^2 k/alpha}.  With k = b B + m, B = ceil(sqrt(N + 1)) and
+    cos(k x) = cos(b B x) cos(m x) - sin(b B x) sin(m x), each theta costs
+    about 4 sqrt(N) sines and cosines and one product of its (cos, sin)(m x)
+    with the B x ceil((N + 1)/B) table of c_k, made per row so that a row's
+    rounding does not depend on how many rows share its block."""
     check_cone_angle(alpha)
     if N < 0:
         raise InvalidInput(f"N must be >= 0, got {N}")
     check_array_size(N, "the Fourier sum")
-    th = np.fmod(np.abs(np.asarray(theta, dtype=float)), alpha).ravel()
+    th = np.asarray(theta, dtype=float)
+    if not np.isfinite(th).all():  # np.fmod warns on inf
+        raise InvalidInput(f"theta must be finite, at alpha = {alpha}")
+    th = np.fmod(np.abs(th), alpha).ravel()
     out = np.full(th.size, -1j / alpha)
+    span = math.isqrt(N) + 1  # B
+    n_anchors = -(-(N + 1) // span)
     k = np.arange(1, N + 1)
-    weights = 1.0 - k / (N + 1.0)
-    phases = np.exp(-2j * math.pi**2 * k / alpha)
-    rows = max(1, FOURIER_BLOCK // max(N, 1))
+    coefficients = np.zeros(span * n_anchors, dtype=complex)
+    coefficients[0] = 1.0
+    coefficients[1:N + 1] = (2.0 * (1.0 - k / (N + 1.0))
+                             * np.exp(-2j * math.pi**2 * k / alpha))
+    table = coefficients.reshape(n_anchors, span).T  # table[m, b] = c_{bB+m}
+    table = np.concatenate([table.real, table.imag], axis=1)
+    m, b = np.arange(span), span * np.arange(n_anchors)
+    rows = max(1, FOURIER_BLOCK // (span + n_anchors))
     for start in range(0, th.size if N > 0 else 0, rows):
-        block = th[start:start + rows, None]
-        terms = 2.0 * np.cos(2.0 * k * math.pi * block / alpha) * phases
-        out[start:start + rows] *= 1.0 + np.sum(weights * terms, axis=-1)
+        x = (2.0 * math.pi / alpha) * th[start:start + rows, None]
+        offsets = np.stack([np.cos(m * x), np.sin(m * x)], axis=1)
+        # (rows, 2, B) @ (B, 2 n_anchors): a stacked product, row by row
+        parts = (offsets @ table).reshape(-1, 4, n_anchors)
+        cos_b, sin_b = np.cos(b * x), np.sin(b * x)
+        out[start:start + rows] *= (
+            np.sum(cos_b * parts[:, 0] - sin_b * parts[:, 2], axis=-1)
+            + 1j * np.sum(cos_b * parts[:, 1] - sin_b * parts[:, 3], axis=-1))
     out = out.reshape(np.shape(theta))
     return complex(out) if out.ndim == 0 else out
 
 
-def _sinc(x):
-    """sin(x)/x with the removable singularity filled."""
-    x = np.asarray(x, dtype=float)
-    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+def _sinc(x, sin_x):
+    """sin(x)/x from x and its sine, with the removable singularity filled."""
+    return np.divide(sin_x, x, out=np.ones_like(x), where=x != 0.0)
 
 
 def s_times_cos_half(alpha: float, dtheta):
@@ -140,13 +162,18 @@ def s_times_cos_half(alpha: float, dtheta):
     d = np.asarray(dtheta, dtype=float)
     k = math.pi / alpha
     u = math.pi - np.abs(d)
+    ku = k * u
+    sin_ku = np.sin(ku)
     other = np.sin(k * (2.0 * math.pi - u))
-    pole = ((np.abs(np.sin(k * u)) < POLE_TOL) & (np.abs(k * u) > 1.0)
+    pole = ((np.abs(sin_ku) < POLE_TOL) & (np.abs(ku) > 1.0)
             | (np.abs(other) < POLE_TOL))
     if np.any(pole):
         raise GeometricDirection(
             f"S_{alpha}({d[pole][0]}) evaluated at a geometric direction")
-    out = -numerator / (4.0 * math.pi) * _sinc(0.5 * u) / (_sinc(k * u) * other)
+    other *= _sinc(ku, sin_ku)
+    del ku, sin_ku, pole  # AT-4 passes grids of 150k angles: free them early
+    out = (-numerator / (4.0 * math.pi) * _sinc(0.5 * u, np.sin(0.5 * u))
+           / other)
     return float(out) if out.ndim == 0 else out
 
 

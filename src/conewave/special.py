@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, QuadratureFailure
 from .geometry import MAX_ARRAY_ELEMENTS, check_array_size
 
 GAMMA_HALF = math.sqrt(math.pi)  # Gamma(1/2)
@@ -24,6 +24,9 @@ GAMMA_HALF = math.sqrt(math.pi)  # Gamma(1/2)
 # of its peak for s up to 4.7, where a crossover at 40 leaves 6e-15
 KUMMER_CROSSOVER = 60.0
 KUMMER_LARGE_X_TERMS = 40
+# Newton steps allowed to the Gauss-Legendre nodes; from Tricomi's guess
+# they converge in three or four
+LEGGAUSS_NEWTON_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -214,15 +217,45 @@ def find_roots_convex(x1, x2, t: float) -> list[float]:
                   if s >= 0.0 and abs(2.0 * d * s + n1 - n2) <= tt)
 
 
+def _legendre_and_derivative(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 @functools.lru_cache(maxsize=64)
 def leggauss(n: int):
-    """Gauss-Legendre nodes and weights of order n, read-only and cached:
-    the eigenvalue solve behind them takes about 10 ms at 256 nodes.  The
-    cache is bounded because the oracle's orders grow with omega.  numpy
-    builds a dense n x n companion matrix, so n^2 is checked against the
-    array budget first."""
+    """Gauss-Legendre nodes (ascending) and weights of order n, read-only
+    and cached, the cache bounded because the oracle's orders grow with
+    omega.  Newton's method on the three-term recurrence refines all
+    positive nodes at once from Tricomi's guess (1 - 1/(8 n^2) + 1/(8 n^3))
+    cos(pi (4k - 1)/(4n + 2)); the weights are 2/((1 - x^2) P_n'(x)^2).
+    Against 40-digit values the nodes are within 1e-16 and the weights
+    within 2e-12 relative up to 625 nodes, where numpy's eigenvalue solve
+    is 7e-10 off; 625 nodes take about 9 ms (numpy: 37 ms).  A Newton step
+    costs O(n^2), so n^2 is checked against the array budget first."""
+    if n < 1:
+        raise InvalidInput(f"a Gauss-Legendre rule needs n >= 1, got {n}")
     check_array_size(n * n, f"the {n}-node Gauss-Legendre rule")
-    rule = np.polynomial.legendre.leggauss(n)
+    k = np.arange(1, n // 2 + 1)  # the positive nodes, descending
+    x = (1.0 - 1.0 / (8 * n**2) + 1.0 / (8 * n**3)) * np.cos(
+        math.pi * (4 * k - 1) / (4 * n + 2))
+    x = np.append(x, [0.0] * (n % 2))  # P_n(0) = 0 exactly for odd n
+    for _ in range(LEGGAUSS_NEWTON_STEPS):
+        p, dp = _legendre_and_derivative(n, x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    else:
+        raise QuadratureFailure(
+            f"the {n}-node Gauss-Legendre rule did not converge")
+    dp = _legendre_and_derivative(n, x)[1]
+    weights = 2.0 / ((1.0 - x * x) * dp * dp)
+    rule = (np.concatenate([-x, x[::-1][n % 2:]]),
+            np.concatenate([weights, weights[::-1][n % 2:]]))
     for a in rule:
         a.flags.writeable = False
     return rule

@@ -191,7 +191,7 @@ def test_fourier_oracle_arrays_match_scalars(monkeypatch):
     shape of theta is kept."""
     from conewave import diffraction
 
-    monkeypatch.setattr(diffraction, "FOURIER_BLOCK", 1000)  # 2 rows a block
+    monkeypatch.setattr(diffraction, "FOURIER_BLOCK", 100)  # 2 rows at N = 500
     theta = np.linspace(-2.0, 2.0, 7)
     for n in (0, 1, 500):
         arr = scattering_matrix_fourier(7.0, theta.reshape(7, 1), n)
@@ -199,6 +199,49 @@ def test_fourier_oracle_arrays_match_scalars(monkeypatch):
         scal = [scattering_matrix_fourier(7.0, float(v), n) for v in theta]
         assert all(isinstance(v, complex) for v in scal)
         assert np.array_equal(arr.ravel(), np.array(scal))
+
+
+def _direct_fejer_sum(alpha, theta, n):
+    """The oracle's sum term by term in extended precision."""
+    pi = np.longdouble("3.141592653589793238462643383279502884")
+    alpha = np.longdouble(alpha)
+    x = 2 * pi * np.fmod(np.abs(np.asarray(theta, np.longdouble)), alpha) / alpha
+    k = np.arange(1, n + 1, dtype=np.longdouble)
+    c = 2 * (1 - k / (n + 1)) * np.exp(-2j * pi**2 * k / alpha)
+    return -1j / alpha * (1 + np.sum(c * np.cos(k * x[..., None]), axis=-1))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 8, 9, 10, 99, 100, 101, 500,
+                               8000])
+def test_fourier_oracle_matches_a_direct_sum(n):
+    """The blocked sum, at orders around perfect squares (N + 1 terms fill
+    its table exactly or leave padding), against a direct clongdouble sum.
+    The arguments k x run up to 2 pi N, so the error of any double
+    evaluation grows like N eps: 1e-14 (N + 1) of the peak is 2.5 times
+    the worst measured (alpha = 2, N = 8000, where the term-by-term double
+    sum is as far off)."""
+    for alpha in (2.0, 7.0, 3 * PI):
+        theta = np.linspace(-0.6 * alpha, 0.6 * alpha, 24).reshape(4, 6)
+        want = _direct_fejer_sum(alpha, theta, n)
+        got = scattering_matrix_fourier(alpha, theta, n)
+        assert got.shape == (4, 6)
+        peak = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got - want))) <= 1e-14 * (n + 1) * peak
+        assert scattering_matrix_fourier(alpha, theta[1, 2], n) == got[1, 2]
+        assert np.array_equal(scattering_matrix_fourier(alpha, theta[2], n),
+                              got[2])
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_fourier_oracle_of_no_angles_is_empty(shape):
+    out = scattering_matrix_fourier(7.0, np.empty(shape), 8000)
+    assert out.shape == shape and out.dtype == complex
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_fourier_oracle_refuses_non_finite_angles(theta):
+    with pytest.raises(InvalidInput, match="finite"):
+        scattering_matrix_fourier(7.0, [0.3, theta], 10)
 
 
 def test_fourier_envelope_near_poles():

@@ -435,6 +435,6 @@ def test_leggauss_is_cached_read_only_and_budgeted():
     # exact for polynomials of degree 2 n - 1 = 13
     assert float(np.sum(weights * nodes**12)) == pytest.approx(2.0 / 13.0,
                                                                rel=1e-14)
-    # the dense n x n companion matrix numpy builds must fit the budget
+    # the rule's O(n^2) work must fit the budget
     with pytest.raises(InvalidInput):
         leggauss(5000)

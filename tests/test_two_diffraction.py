@@ -495,8 +495,8 @@ def test_at4_oracle_errors_are_pinned():
     relative: a change to the oracle's grid or factors shows here long
     before it reaches AT-4's gates."""
     errors = verification.at4_two_diffraction(0).details["errors"]
-    pinned = {100.0: 0.0037687054337134226, 200.0: 0.0013557938132973094,
-              400.0: 0.000618420107319182}
+    pinned = {100.0: 0.0037687054336992703, 200.0: 0.001355793813296568,
+              400.0: 0.0006184201073184669}
     assert errors.keys() == pinned.keys()
     for omega, err in pinned.items():
         assert errors[omega] == pytest.approx(err, rel=1e-12, abs=0)
