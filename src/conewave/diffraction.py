@@ -9,10 +9,10 @@ directions with angular kernel
 the kernel of -i exp(-i pi sqrt(Delta_{S^1_alpha})) on the circle of
 circumference alpha.  S_alpha has poles at the geometric directions
 theta = +-pi (mod alpha); physical amplitudes stay finite there because a
-sin factor vanishes simultaneously, and this module provides the
-regularized products, one exact identity, used at and near those
-directions.  `scattering_matrix` also continues S_alpha off the real axis,
-to theta - i c, where Friedlander's construction reads its weight.
+sin factor vanishes simultaneously.  One closed form in the offsets of theta
+to those directions gives S_alpha, also off the real axis at theta - i c
+(Friedlander's weight), and the limits of sin * S_alpha at the poles; the
+amplitude factor S_alpha cos(theta/2) is one exact identity.
 """
 
 from __future__ import annotations
@@ -24,22 +24,23 @@ import numpy as np
 from .errors import GeometricDirection, InvalidInput
 from .geometry import check_array_size, check_cone_angle
 
-# |sin factor| below this counts as a pole of the closed form.
+# Angle, in radians, within which an offset from a geometric direction
+# counts as a pole: the sine factors sin(pi x/alpha) are compared with
+# POLE_TOL pi/alpha.
 POLE_TOL = 1e-12
 
 # Thetas times phasors per block of the Fourier oracle's sum (a theta takes
 # about 2 sqrt(N)), which bounds its memory at any order N.
 FOURIER_BLOCK = 2**14
 
-INCOMING_AT_0 = "incoming_at_0"
-OUTGOING_AT_PI = "outgoing_at_pi"
+# The two limit identities behind the trace pipeline, (incoming at 0,
+# outgoing at pi), both independent of alpha:
+#   lim_{t->0}  sin(t) * S_alpha(-pi - t)  =  1/(2 pi)
+#   lim_{t->pi} sin(t) * S_alpha(t)        = -1/(2 pi)
+SINE_PRODUCT_LIMITS = (1.0 / (2.0 * math.pi), -1.0 / (2.0 * math.pi))
 
-# The two limit identities behind the trace pipeline, both independent of
-# alpha:
-#   incoming_at_0:  lim_{t->0}  sin(t) * S_alpha(-pi - t)  =  1/(2 pi)
-#   outgoing_at_pi: lim_{t->pi} sin(t) * S_alpha(t)        = -1/(2 pi)
-SINE_PRODUCT_LIMITS = {INCOMING_AT_0: 1.0 / (2.0 * math.pi),
-                       OUTGOING_AT_PI: -1.0 / (2.0 * math.pi)}
+# Bound on `_closed_form`'s scaled sines and sinh: 2 (2 * 2^510)^2 is finite
+_SCALED_MAX = 2.0**255
 
 
 def _numerator(alpha: float) -> float:
@@ -53,41 +54,58 @@ def _numerator(alpha: float) -> float:
     return (-1.0) ** n * math.sin(math.pi * (2.0 * math.pi / alpha - n))
 
 
+def _closed_form(alpha: float, numerator: float, x1, x2, parity, theta=0.0,
+                 c=0.0):
+    """Re S_alpha(theta - i c) from the offsets x1 = pi - theta and
+    x2 = pi + theta to the geometric directions, shifted by whole periods
+    alpha of total parity `parity`.  With s_i = sin(pi x_i/alpha) and
+    S = sinh^2(pi c/alpha) it is
+
+        -sin(2 pi^2/alpha) (S cos(2 pi theta/alpha) + (-1)^parity s1 s2)
+        / (2 alpha (S + s1^2) (S + s2^2)),
+
+    so on the real axis, c = 0, theta enters through its offsets alone; NaN
+    there within POLE_TOL of a pole, and where the denominator underflows
+    (c below about 1e-154 at a pole).  s_i and sinh are taken times the
+    power of two f at or below max(1, alpha/pi), the prefactor times f^2:
+    an exact rescaling that keeps the quotient in range at any alpha.  Past
+    the caps that keep the squares finite (pi c/alpha = 150; offsets past
+    6e76 radians at alpha past 1e77) |Re S| is below 1e-130/alpha or
+    1e-154, and comes out of that size, not exact."""
+    scale = math.ldexp(0.5, math.frexp(max(1.0, alpha / math.pi))[1])
+    s1 = scale * np.sin(math.pi * x1 / alpha)
+    s2 = scale * np.sin(math.pi * x2 / alpha)
+    band = POLE_TOL * (math.pi * scale / alpha)
+    pole = (np.abs(s1) < band) | (np.abs(s2) < band)
+    if scale > _SCALED_MAX:
+        s1 = np.clip(s1, -_SCALED_MAX, _SCALED_MAX)
+        s2 = np.clip(s2, -_SCALED_MAX, _SCALED_MAX)
+    s1s2 = s1 * s2 * (1.0 - 2.0 * parity)
+    cap = min(150.0, math.asinh(_SCALED_MAX / scale))
+    kc = np.minimum((math.pi / alpha) * np.asarray(c, float), cap)
+    big_s = (scale * np.sinh(kc)) ** 2
+    denominator = 2.0 * (big_s + s1 * s1) * (big_s + s2 * s2)
+    top = -((numerator * scale) / alpha) * scale * (
+        big_s * np.cos(2.0 * math.pi * theta / alpha) + s1s2)
+    denominator = np.where((denominator < 2.0**-1021)  # 2 smallest normal
+                           | (pole & (big_s == 0.0)), math.nan, denominator)
+    return top / denominator
+
+
 def scattering_matrix(alpha: float, theta, c=0.0):
     """Re S_alpha(theta - i c) for scalars or arrays theta and c, broadcast
-    (a float for scalar input); c = 0 is the real axis.  With x1, x2 =
-    pi -+ theta reduced to the nearest image, s_i = sin(pi x_i/alpha) and
-    S = sinh^2(pi c/alpha), it is
-
-        -(sin(2 pi^2/alpha)/(2 alpha)) (S cos(2 pi theta/alpha) + s1 s2)
-        / ((S + s1^2) (S + s2^2)),
-
-    NaN at the real poles (S = 0 and a sine factor below POLE_TOL) and where
-    the denominator underflows (small c past alpha ~ 1e77).
-    """
+    (a float for scalar input); c = 0 is the real axis, NaN at its poles.
+    theta is reduced exactly to |theta| mod alpha (S_alpha is even and
+    alpha-periodic), and pi -+ theta to their nearest images."""
     numerator = _numerator(alpha)
     th = np.asarray(theta, dtype=float)
     if not np.isfinite(th).all():  # np.fmod warns on inf
         raise InvalidInput(f"theta must be finite, at alpha = {alpha}")
-    th = np.fmod(np.abs(th), alpha)  # exact; S_alpha is even, alpha-periodic
+    th = np.fmod(np.abs(th), alpha)
     k1 = np.rint((math.pi - th) / alpha)
     k2 = np.rint((-math.pi - th) / alpha)
-    s1 = np.sin(math.pi * (math.pi - (th + alpha * k1)) / alpha)
-    s2 = np.sin(math.pi * (math.pi + (th + alpha * k2)) / alpha)
-    s1s2 = s1 * s2 * (1.0 - 2.0 * ((k1 + k2) % 2))  # (-1)^(k1 + k2) s1 s2
-    pole = (np.abs(s1) < POLE_TOL) | (np.abs(s2) < POLE_TOL)
-    # capped where |Re S| ~ 2 e^{-2 pi c/alpha}/alpha < 1e-130/alpha, so
-    # that the squares below stay finite
-    big_s = np.sinh(np.minimum((math.pi / alpha) * np.asarray(c, float),
-                               150.0)) ** 2
-    # the factor 2 of 2 alpha here, not in the top, keeps 2 Re S exact where
-    # the top is subnormal (alpha past ~ 1e77)
-    denominator = 2.0 * (big_s + s1 * s1) * (big_s + s2 * s2)
-    top = -numerator / alpha * (big_s * np.cos(2.0 * math.pi * th / alpha)
-                                + s1s2)
-    denominator = np.where((denominator < 2.0 * np.finfo(float).tiny)
-                           | (pole & (big_s == 0.0)), math.nan, denominator)
-    out = top / denominator
+    out = _closed_form(alpha, numerator, math.pi - (th + alpha * k1),
+                       math.pi + (th + alpha * k2), (k1 + k2) % 2, th, c)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -165,8 +183,8 @@ def s_times_cos_half(alpha: float, dtheta):
     ku = k * u
     sin_ku = np.sin(ku)
     other = np.sin(k * (2.0 * math.pi - u))
-    pole = ((np.abs(sin_ku) < POLE_TOL) & (np.abs(ku) > 1.0)
-            | (np.abs(other) < POLE_TOL))
+    pole = ((np.abs(sin_ku) < POLE_TOL * k) & (np.abs(ku) > 1.0)
+            | (np.abs(other) < POLE_TOL * k))
     if np.any(pole):
         raise GeometricDirection(
             f"S_{alpha}({d[pole][0]}) evaluated at a geometric direction")
@@ -177,44 +195,22 @@ def s_times_cos_half(alpha: float, dtheta):
     return float(out) if out.ndim == 0 else out
 
 
-def regularized_pair_product(alpha: float, theta_a, theta_b):
-    """S_alpha(theta_a - theta_b) * (sin theta_a + sin theta_b), stable, for
-    scalars or arrays (a float for scalar input).
-
-    This is the combination entering every leading diffraction amplitude; it
-    stays finite across the geometric direction theta_a - theta_b = +-pi
-    because the sine sum vanishes there for aligned configurations.
-    """
-    theta_a = np.asarray(theta_a, dtype=float)
-    theta_b = np.asarray(theta_b, dtype=float)
-    out = 2.0 * np.sin(0.5 * (theta_a + theta_b)) * s_times_cos_half(
-        alpha, theta_a - theta_b)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def sine_product_limit_numeric(alpha: float, which: str) -> float:
-    """Richardson-extrapolated numerical version of the limit identities,
-    from the offsets t = 1e-6 / 2^j, j = 0..4.
-
-    The product is evaluated in the offset variable t directly (the sine
-    factors of S_alpha reexpanded around the pole), since forming the angle
-    -pi - t and re-adding pi inside the closed form would lose the digits
-    the extrapolation needs.
-    """
-    num = _numerator(alpha) / (2.0 * alpha)
-    # sin(t) * S_alpha(-pi - t) at sign 1, sin(pi - t) * S_alpha(pi - t) at -1
-    sign = {INCOMING_AT_0: 1.0, OUTGOING_AT_PI: -1.0}.get(which)
-    if sign is None:
-        raise InvalidInput(f"unknown limit {which!r}")
-    f = lambda t: sign * math.sin(t) * num / (
-        math.sin((math.pi / alpha) * (2.0 * math.pi + sign * t))
-        * math.sin(math.pi * t / alpha))
+def sine_product_limits_numeric(alpha: float) -> tuple[float, float]:
+    """The pair SINE_PRODUCT_LIMITS, Neville-extrapolated to t = 0 from
+    t = 1e-6 / 2^j, j = 0..4: `_closed_form` at the offsets (-t, 2 pi + t)
+    for S_alpha(-pi - t) and (t, 2 pi - t) for S_alpha(pi - t), 2 pi +- t
+    reduced to its nearest image.  No angle pi +- t is formed, whose
+    rounding would take the digits the extrapolation needs."""
+    numerator = _numerator(alpha)
     levels = 5
-    ts = np.array([1e-6 / 2.0**j for j in range(levels)])
-    vals = np.array([f(t) for t in ts])
-    # Neville extrapolation to t = 0
+    ts = 1e-6 / 2.0 ** np.arange(levels)
+    near = np.array([[-1.0], [1.0]]) * ts  # rows: incoming, outgoing
+    far = 2.0 * math.pi - near
+    n = np.rint(far / alpha)
+    vals = np.sin(ts) * _closed_form(alpha, numerator, near, far - alpha * n,
+                                     n % 2)
     for order in range(1, levels):
         for i in range(levels - order):
-            vals[i] = vals[i + 1] + (vals[i + 1] - vals[i]) * ts[i + order] / (
-                ts[i] - ts[i + order])
-    return float(vals[0])
+            vals[:, i] = vals[:, i + 1] + (vals[:, i + 1] - vals[:, i]) * (
+                ts[i + order] / (ts[i] - ts[i + order]))
+    return float(vals[0, 0]), float(vals[1, 0])

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffraction import regularized_pair_product, scattering_matrix
+from .diffraction import s_times_cos_half, scattering_matrix
 from .errors import (DegenerateDistance, GeometricDirection, InvalidInput,
                      NoInteriorCriticalPoint, QuadratureFailure)
 from .geometry import ConeChain, PlanarPoint, chart_angle, check_array_size
@@ -199,13 +199,16 @@ def leg_amplitude(alpha: float, eps: int, vertex: PlanarPoint,
         -eps * 2 pi i * S_alpha(th_out - th_in) (sin th_out + sin th_in)
             * (rho_out rho_in)^(-1/2) * omega,
 
-    the regularized product keeping geometric alignments finite.  The
-    coordinates of q_out and q_in may be arrays that broadcast together.
+    S_alpha (sin th_out + sin th_in) taken as 2 sin((th_out + th_in)/2)
+    times s_times_cos_half, finite at alignments.  The coordinates of q_out
+    and q_in may be arrays that broadcast together.
     """
     dx_out, dy_out = q_out.x - vertex.x, q_out.y - vertex.y
     dx_in, dy_in = q_in.x - vertex.x, q_in.y - vertex.y
-    product = regularized_pair_product(alpha, chart_angle(eps, dx_out, dy_out),
-                                       chart_angle(eps, dx_in, dy_in))
+    th_out = chart_angle(eps, dx_out, dy_out)
+    th_in = chart_angle(eps, dx_in, dy_in)
+    product = (2.0 * np.sin(0.5 * (th_out + th_in))
+               * s_times_cos_half(alpha, th_out - th_in))
     rho_out = np.hypot(dx_out, dy_out)
     rho_in = np.hypot(dx_in, dy_in)
     return -eps * 2.0j * math.pi * product * omega / np.sqrt(rho_out * rho_in)

@@ -169,9 +169,9 @@ def at3_scattering(seed: int = 0) -> ATReport:
     worst_4pi = float(np.max(np.abs(
         diffraction.scattering_matrix(4.0 * PI, thetas) - expect)))
     worst_limit = max(
-        abs(diffraction.sine_product_limit_numeric(alpha, which) - limit)
-        for alpha in angles
-        for which, limit in diffraction.SINE_PRODUCT_LIMITS.items())
+        abs(value - limit) for alpha in angles
+        for value, limit in zip(diffraction.sine_product_limits_numeric(alpha),
+                                diffraction.SINE_PRODUCT_LIMITS))
     return _gated("AT-3",
                   "scattering matrix: Fourier oracle, 4pi identity, limits",
                   {"fourier": worst_fourier, "identity_4pi": worst_4pi,
@@ -284,10 +284,9 @@ def at6_trace_pipeline(seed: int = 0) -> ATReport:
         b = rng.uniform(0.15, 0.85) * L
         omega = rng.uniform(0.5, 4.0)
         reps.append(wave_trace.trace_pipeline_check(L, b, omega=omega))
-    limits = max(
-        abs(diffraction.sine_product_limit_numeric(3.0 * PI, which) - limit)
-        / abs(limit)
-        for which, limit in diffraction.SINE_PRODUCT_LIMITS.items())
+    limits = max(abs(value - limit) / abs(limit) for value, limit in zip(
+        diffraction.sine_product_limits_numeric(3.0 * PI),
+        diffraction.SINE_PRODUCT_LIMITS))
     return _gated(
         "AT-6", "trace pipeline recomputation vs (1/(4 i pi^2)) sqrt(b(L-b))",
         {"final": max(r.rel_err for r in reps),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffraction import INCOMING_AT_0, OUTGOING_AT_PI, SINE_PRODUCT_LIMITS
+from .diffraction import SINE_PRODUCT_LIMITS
 from .errors import (BadLeg, IncompleteSpectrum, InvalidInput,
                      WindowContaminated)
 from .geometry import (MAX_ARRAY_ELEMENTS, ConeChain, PlanarPoint,
@@ -326,8 +326,7 @@ def trace_pipeline_check(L: float, b: float,
     hess_y = omega * span / (r1_leg * r2_leg)
     hess_y_err = abs(hess_y_fd - hess_y) / hess_y
 
-    p_in = SINE_PRODUCT_LIMITS[INCOMING_AT_0]
-    p_out = SINE_PRODUCT_LIMITS[OUTGOING_AT_PI]
+    p_in, p_out = SINE_PRODUCT_LIMITS
 
     # leading composed amplitude at the orbit, regularized limits inserted
     atilde0 = (np.exp(1j * math.pi / 4.0) * (2.0 * math.pi) ** 2

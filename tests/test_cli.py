@@ -200,6 +200,52 @@ def test_friedlander_kernel_is_symmetric_at_a_huge_cone_angle(tmp_path):
     assert values["0", "1"] != values["0", "1e-30"]
 
 
+def test_friedlander_kernel_at_alpha_1e300(tmp_path):
+    """dG/dc = 2 Re S_alpha(z - i c) is computed at any cone angle, so the
+    kernel at alpha = 1e300 is the one at 1e50 (where it underflowed to NaN
+    and exited 2 past alpha ~ 1e77)."""
+    values = {}
+    for alpha in ("1e300", "1e50"):
+        res = run_cli(["kernel", "--alpha", alpha, "--representation",
+                       "friedlander", "--r1", "1", "--r2", "1", "--theta1",
+                       "0", "--theta2", "1", "--ts", "1:1:3", "--out",
+                       f"f{alpha}.csv"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        values[alpha] = [float(v) for v in _csv_columns(
+            tmp_path / f"f{alpha}.csv")["value_re"]]
+    assert len(values["1e300"]) == 3
+    assert values["1e300"] == pytest.approx(values["1e50"], rel=1e-14, abs=0)
+
+
+def test_scatter_at_a_huge_cone_angle(tmp_path):
+    """At alpha = 1e13 the closed form is about -1/(pi^2 - theta^2), with
+    no pole on [0, 3]; the pole band of 1e-12 in |sin| covered all of it."""
+    res = run_cli(["scatter", "--alpha", "1e13", "--thetas", "0:1:3",
+                   "--out", "s.csv"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    cols = _csv_columns(tmp_path / "s.csv")
+    assert cols["is_pole"] == ("False",) * 4
+    got = [float(v) for v in cols["S_closed"]]
+    want = [-1 / (PI**2 - t**2) for t in (0.0, 1.0, 2.0, 3.0)]
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1e12, 1e14])
+def test_compose_at_huge_cone_angles(alpha, tmp_path):
+    """Off the axis the principal symbol is a pair at alpha1 = alpha2 =
+    1e12 and 1e14, where the endpoints were read as geometric directions
+    (null)."""
+    (tmp_path / "chain.json").write_text(json.dumps(
+        {**CHAIN, "alpha1": alpha, "alpha2": alpha}))
+    res = run_cli(["compose", "--chain", "chain.json", "--t", "4",
+                   "--q1=2.98,-0.2", "--q2=-0.98,-0.2", "--omega", "2"],
+                  tmp_path)
+    assert res.returncode == 0, res.stderr
+    symbol = json.loads(res.stdout)["symbol_lambda0"]
+    assert isinstance(symbol, list) and len(symbol) == 2
+    assert all(map(math.isfinite, symbol))
+
+
 def test_closed4pi_kernel_is_scale_free(tmp_path):
     """At radii 1e-13 the closed form is 1e13 times its unit-scale values;
     front tolerance and squares act relative to r1 + r2."""
@@ -573,8 +619,6 @@ def test_bad_input_exits_two(argv, capsys, tmp_path, monkeypatch):
      "1:1:2"],
     ["trace", "--h", "1e300"],
     ["trace", "--b", "1e300", "--lambda-max", "1e10"],
-    ["kernel", "--alpha", "1e300", "--representation", "friedlander", "--r1",
-     "1", "--r2", "1", "--theta1", "0", "--theta2", "1", "--ts", "1:1:3"],
     ["kernel", "--alpha", "7", "--representation", "friedlander", "--r1",
      "1", "--r2", "1", "--theta1", "1e308", "--theta2=-1e308", "--ts",
      "1:1:2"],
@@ -588,7 +632,7 @@ def test_bad_input_exits_two(argv, capsys, tmp_path, monkeypatch):
 ], ids=["closed4pi-radii-sum-overflows",
         "friedlander-2r1r2-underflows",
         "trace-damping-exponent-overflows", "trace-index-grid-overflows",
-        "friedlander-dg-dc-underflows", "angle-difference-overflows",
+        "angle-difference-overflows",
         "closed4pi-angle-difference-overflows",
         "moving-angle-difference-overflows",
         "cheeger-angle-difference-overflows", "predict-L-inf",

@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conewave.diffraction import (INCOMING_AT_0, OUTGOING_AT_PI,
-                                  SINE_PRODUCT_LIMITS,
-                                  regularized_pair_product, s_times_cos_half,
+from conewave.diffraction import (SINE_PRODUCT_LIMITS, s_times_cos_half,
                                   scattering_matrix, scattering_matrix_fourier,
-                                  sine_product_limit_numeric)
+                                  sine_product_limits_numeric)
 from conewave.errors import GeometricDirection, InvalidInput
 from conewave.friedlander import _diffracted_integral
-from conewave.geometry import angular_separation
+from conewave.geometry import PlanarPoint, angular_separation
+from conewave.two_diffraction import leg_amplitude
 
 PI = math.pi
 
@@ -112,15 +111,16 @@ def test_off_axis_values_are_finite_across_the_real_poles():
 def test_exactly_zero_where_the_cone_does_not_diffract(m):
     """At alpha = 2 pi/m, sin(2 pi^2/alpha) is computed as exactly 0, so S
     off its poles, on and off the real axis, the regularized product, both
-    limits and Friedlander's c integral of 2 Re S are 0, not roundoff."""
+    limits and Friedlander's c integral of 2 Re S are 0, not roundoff
+    (`leg_amplitude`, which holds the regularized pair product, is tested
+    in test_two_diffraction)."""
     alpha = 2 * PI / m
     theta = np.linspace(-10.0, 10.0, 401)
     vals = scattering_matrix(alpha, theta)
     assert np.all(vals[~np.isnan(vals)] == 0.0)
     assert np.all(scattering_matrix(alpha, theta, 0.5) == 0.0)
     assert s_times_cos_half(alpha, 0.1) == 0.0
-    for which in (INCOMING_AT_0, OUTGOING_AT_PI):
-        assert sine_product_limit_numeric(alpha, which) == 0.0
+    assert sine_product_limits_numeric(alpha) == (0.0, 0.0)
     for y, z in ((1.5, 0.4), (20.0, -0.1), (3.0, PI / m)):
         assert _diffracted_integral(alpha, y, z) == 0.0
 
@@ -175,10 +175,11 @@ def test_scattering_matrix_refuses_an_overflowing_numerator():
 
 @pytest.mark.parametrize("call", [
     lambda alpha: s_times_cos_half(alpha, 0.3),
-    lambda alpha: regularized_pair_product(alpha, 0.3, 0.1),
-    lambda alpha: sine_product_limit_numeric(alpha, INCOMING_AT_0),
-], ids=["s_times_cos_half", "regularized_pair_product",
-        "sine_product_limit_numeric"])
+    lambda alpha: leg_amplitude(alpha, 1, PlanarPoint(0.0, 0.0),
+                                PlanarPoint(1.0, 0.3), PlanarPoint(1.0, 0.1),
+                                1.0),
+    sine_product_limits_numeric,
+], ids=["s_times_cos_half", "leg_amplitude", "sine_product_limits_numeric"])
 def test_products_refuse_an_overflowing_numerator(call):
     """The regularized products refuse that alpha as scattering_matrix does,
     where math.sin(inf) raised a bare ValueError."""
@@ -256,14 +257,22 @@ def test_fourier_envelope_near_poles():
 
 
 def test_regularized_sine_product_limits():
-    assert SINE_PRODUCT_LIMITS == {INCOMING_AT_0: 1 / (2 * PI),
-                                   OUTGOING_AT_PI: -1 / (2 * PI)}
-    # numerical limits, theta offset 1e-6 with Richardson extrapolation,
-    # identical across diffracting cone angles (3 pi is AT-6's)
-    for alpha in (3 * PI, 4 * PI, 7.0, 5.0):
-        for which, limit in SINE_PRODUCT_LIMITS.items():
-            assert sine_product_limit_numeric(alpha, which) == pytest.approx(
-                limit, rel=1e-10, abs=0)
+    """(incoming at 0, outgoing at pi); the numerical limits, from offsets
+    of 1e-6 down with Richardson extrapolation, are the same at every
+    diffracting cone angle (3 pi is AT-6's)."""
+    assert SINE_PRODUCT_LIMITS == (1 / (2 * PI), -1 / (2 * PI))
+    for alpha in (3 * PI, 4 * PI, 7.0, 5.0, 0.5, 1e3, 1e13, 1e77):
+        assert sine_product_limits_numeric(alpha) == pytest.approx(
+            SINE_PRODUCT_LIMITS, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [1e155, 1e200, 1e300])
+def test_sine_product_limits_at_huge_cone_angles(alpha):
+    """The limits come from scattering_matrix's closed form at the offsets
+    to the poles, scaled by a power of two near alpha/pi; unscaled, the
+    sine factors underflowed from alpha ~ 1e160 (ZeroDivisionError)."""
+    got = sine_product_limits_numeric(alpha)
+    assert got == pytest.approx(SINE_PRODUCT_LIMITS, rel=0, abs=1e-12)
 
 
 def test_s_times_cos_half_regularization():
@@ -293,10 +302,6 @@ def test_s_times_cos_half_regularization():
         scal = [s_times_cos_half(alpha, float(v)) for v in d]
         assert all(isinstance(v, float) for v in scal)
         assert np.array_equal(arr, np.array(scal))
-        pair = regularized_pair_product(alpha, d[:10].reshape(2, 5), 0.1)
-        assert pair.shape == (2, 5)
-        assert np.array_equal(pair.ravel(), [
-            regularized_pair_product(alpha, float(v), 0.1) for v in d[:10]])
     # genuine poles raise, for scalars and inside arrays: S_{4pi} has poles
     # at +-3pi (sin(k (2 pi - u)) = 0), S_7 at +-(pi + 7) (sin(k u) = 0,
     # u = -7)
@@ -308,11 +313,83 @@ def test_s_times_cos_half_regularization():
             s_times_cos_half(alpha, np.array([0.0, 1.0, d, 2.0]))
 
 
-def test_regularized_pair_product_smooth_across_alignment():
-    alpha = 3 * PI
-    th_out = 0.0
-    vals = [regularized_pair_product(alpha, th_out, th_out - PI + u)
-            for u in np.linspace(-1e-3, 1e-3, 11)]
-    spread = max(vals) - min(vals)
-    assert spread < 1e-3
-    assert vals[5] == pytest.approx(-2 * math.sin(-PI / 2) / (4 * PI), rel=1e-9)
+def _re_s_plane_limit(theta, c):
+    """Re S_alpha(theta - i c) as alpha -> infinity: -1/(pi^2 - w^2)."""
+    w = theta - 1j * c
+    return (-1.0 / ((PI - w) * (PI + w))).real
+
+
+@pytest.mark.parametrize("alpha", [1e20, 1e77, 1e100, 1e300])
+def test_scattering_matrix_at_huge_cone_angles(alpha):
+    """On and off the axis S_alpha is its alpha -> infinity limit to
+    1e-12 (the next term is O(1/alpha)), NaN exactly at theta = +-pi on
+    the axis.  The sine factors are taken times a power of two near
+    alpha/pi; unscaled, the denominator underflowed past alpha ~ 1e77 and
+    every angle fell in the pole band from alpha ~ 1e13."""
+    theta = np.array([-3.0, -PI, -2.0, -0.5, 0.0, 1e-9, 1.0, 3.1, PI, 3.2,
+                      10.0])
+    poles = np.abs(theta) == PI
+    for c in (0.0, 1e-6, 0.3, 2.0):
+        got = scattering_matrix(alpha, theta, c)
+        keep = ~poles if c == 0.0 else np.ones_like(poles)
+        if c == 0.0:
+            assert np.array_equal(np.isnan(got), poles)
+        np.testing.assert_allclose(got[keep],
+                                   _re_s_plane_limit(theta[keep], c),
+                                   rtol=1e-12, atol=0)
+
+
+def test_scattering_matrix_where_it_underflows():
+    """Far from the poles at a huge cone angle, or far off the axis, |Re S|
+    is below about 1e-154; the scaled squares are bounded there, so the
+    value is finite, of that size, and no overflow is raised (the suite
+    turns RuntimeWarning into an error)."""
+    for alpha, theta, c in ((1e100, 1e90, 0.0), (1e300, 1e299, 0.0),
+                            (1e300, 1e140, 0.5), (1e13, 1.0, 1e20),
+                            (1e300, 1.0, 1e305)):
+        value = scattering_matrix(alpha, theta, c)
+        assert math.isfinite(value) and abs(value) < 2e-154
+
+
+def test_scattering_matrix_at_1e13():
+    """At alpha = 1e13 the closed form agrees with mpmath to 1e-12; the
+    band of 1e-12 in |sin| covered every angle at this alpha."""
+    mpmath = pytest.importorskip("mpmath")
+    alpha = 1e13
+    for theta in (0.0, 0.5, 2.0, 3.1, 3.2, 20.0):
+        for c in (0.0, 0.7):
+            with mpmath.workdps(40):
+                k = mpmath.pi / alpha
+                w = mpmath.mpf(theta) - 1j * mpmath.mpf(c)
+                want = float(mpmath.re(
+                    -mpmath.sin(2 * mpmath.pi**2 / alpha) / (2 * alpha)
+                    / (mpmath.sin(k * (mpmath.pi - w))
+                       * mpmath.sin(k * (mpmath.pi + w)))))
+            assert scattering_matrix(alpha, theta, c) == pytest.approx(
+                want, rel=1e-12, abs=0)
+
+
+def test_pole_band_is_an_angle():
+    """An offset counts as a pole within POLE_TOL = 1e-12 radians of a
+    geometric direction, at any cone angle: 5e-13 is a pole, 2e-12 is
+    not.  The old band, 1e-12 in |sin|, was 3e-12 radians wide at 3 pi
+    and 0.32 radians at 1e12."""
+    for alpha in (0.5, 3 * PI, 1e6, 1e12):
+        for sign in (1, -1):
+            assert math.isnan(scattering_matrix(alpha, sign * (PI - 5e-13)))
+            assert not math.isnan(scattering_matrix(alpha,
+                                                    sign * (PI - 2e-12)))
+    # s_times_cos_half: S_{4pi} has a genuine pole at dtheta = 3 pi
+    with pytest.raises(GeometricDirection):
+        s_times_cos_half(4 * PI, 3 * PI - 5e-13)
+    assert math.isfinite(s_times_cos_half(4 * PI, 3 * PI - 2e-12))
+    assert s_times_cos_half(1e12, 2.065) == pytest.approx(
+        scattering_matrix(1e12, 2.065) * math.cos(1.0325), rel=1e-12)
+
+
+def test_s_times_cos_half_at_huge_cone_angles():
+    """S cos(d/2) at d = 0 tends to -1/pi^2 as alpha grows; sin(k (2 pi -
+    u)) ~ 1e-75 at alpha = 1e76 was read as a pole."""
+    for alpha in (1e13, 1e76, 1e150):
+        assert s_times_cos_half(alpha, 0.0) == pytest.approx(-1 / PI**2,
+                                                             rel=1e-12)

@@ -57,6 +57,17 @@ def test_pullback_angle_is_exact_at_huge_cone_angles():
     assert friedlander_pullback(1e70, 3.0, 1.0, 1.0, 0.0, 1e-30)[1] == -1e-30
 
 
+def test_kernel_is_the_same_at_any_huge_cone_angle():
+    """Past the diffracted front the weight 2 Re S_alpha(z - i c) is
+    computed at any alpha, so the kernel at (t, r1, r2, dtheta) = (2.5, 1,
+    1, 1) is one value from alpha = 1e13 to 1e300 (it raised past 1e77)."""
+    q = KernelQuery(2.5, ConePoint(1.0, 1.0), ConePoint(1.0, 0.0))
+    values = [sine_kernel_friedlander(alpha, q).value
+              for alpha in (1e13, 1e100, 1e300)]
+    assert values == pytest.approx([0.024770737052004884] * 3, rel=1e-14,
+                                   abs=0)
+
+
 def _sample(alpha, seed):
     """Relative errors of the kernel against the closed form at 20 random
     points off the fronts, t up to 6 (pullback y up to about 70)."""

@@ -245,6 +245,48 @@ def test_leg_amplitude_separates_in_polar_coordinates(alpha, eps):
     assert np.all(np.abs(direct - separated) <= 1e-14 * scale)
 
 
+def test_leg_amplitude_smooth_across_alignment():
+    """Across th_out - th_in = pi the pair product S_alpha (sin th_out +
+    sin th_in) stays finite and smooth: at alignment it is 1/(2 pi), so the
+    amplitude at omega = 1 and unit radii is -i."""
+    u = np.linspace(-1e-3, 1e-3, 11)
+    vals = [_leg_amplitude_polar(3 * PI, +1, 1.0, 0.0, 1.0, -PI + v)
+            for v in u]
+    assert max(abs(v - w) for v in vals for w in vals) < 2 * PI * 1e-3
+    assert vals[5] == pytest.approx(-1j, rel=1e-9)
+
+
+def test_leg_amplitude_arrays_match_scalars():
+    """Arrays of chart points, across alignment with q_in and near the
+    window ends, give the scalar calls bit for bit, shape kept.  The points
+    lie on the unit circle: a complex array divided by radii other than 1
+    rounds differently from a complex scalar, in the last bit."""
+    # q_in at the angle pi, so that th_out = 0 is aligned
+    psi = np.array([-1.4, -1e-7, 0.0, 1e-7, 0.3, PI - 0.251, PI - 1e-7,
+                    PI, PI + 1e-7, 1.4 * PI])
+    q_in = PlanarPoint(-1.0, 0.0)
+    xs, ys = np.cos(psi), np.sin(psi)
+    for alpha in (3 * PI, 4 * PI, 7.0):
+        arr = leg_amplitude(alpha, -1, PlanarPoint(0.0, 0.0),
+                            PlanarPoint(xs.reshape(2, 5), ys.reshape(2, 5)),
+                            q_in, 1.0)
+        assert arr.shape == (2, 5)
+        scal = [leg_amplitude(alpha, -1, PlanarPoint(0.0, 0.0),
+                              PlanarPoint(float(x), float(y)), q_in, 1.0)
+                for x, y in zip(xs, ys)]
+        assert np.array_equal(arr.ravel(), np.array(scal))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_leg_amplitude_exactly_zero_where_the_cone_does_not_diffract(m):
+    """At alpha = 2 pi/m the pair product is 0, not roundoff, also near
+    the alignment th_out - th_in = pi (at it, both sine factors of S_alpha
+    vanish: a pole)."""
+    for th_out, th_in in ((0.3, -2.0), (-0.5, -1.0), (0.2, -PI + 0.2 + 1e-3)):
+        assert _leg_amplitude_polar(2 * PI / m, +1, 1.0, th_out, 1.2,
+                                    th_in) == 0.0
+
+
 def test_amplitude_tilde_structure():
     chain = default_chain()
     q1, q2 = chart_points_from_angles(chain, 1.0, 0.2, 1.0, PI - 0.2)
