@@ -92,23 +92,19 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _json_ready(obj):
-    """Copy of a report details value that json can write: complex numbers
-    as [re, im], dict keys as strings, tuples as lists, numpy scalars as
-    Python ones."""
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
+def _json_default(obj):
+    """Complex numbers as [re, im], numpy scalars as Python ones: the values
+    json cannot write (it writes float keys as strings, tuples as lists)."""
     if isinstance(obj, np.generic):
-        obj = obj.item()
+        return obj.item()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _json_dump(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True,
+                      default=_json_default) + "\n"
 
 
 def cmd_kernel(args) -> int:
@@ -201,14 +197,12 @@ def cmd_trace(args) -> int:
     spec = wave_trace.pillowcase_spectrum(surf, args.lambda_max)
     ts = _parse_range(args.t_range)
     trace = wave_trace.mollified_trace(spec, ts, moll)
-    rows = [[float(t), v.real, v.imag] for t, v in zip(ts, trace)]
-    _write_text(args.out, _csv(["t", "re", "im"], rows))
-
     peaks = wave_trace.detect_trace_peaks(ts, trace)
     # a peak t lies within min(a, b) of a multiple of 2 min(a, b), or below
     # that shortest length, so its nearest length is at most t + 2 min(a, b)
     lengths = wave_trace.pillowcase_lengths(
-        surf, float(ts[-1]) + 2.0 * min(surf.a_rect, surf.b_rect))
+        surf, float(peaks.max()) + 2.0 * min(surf.a_rect, surf.b_rect)
+    ) if peaks.size else []
     peak_report = []
     for p in peaks:
         nearest = min(lengths, key=lambda ell: abs(ell - p))
@@ -225,6 +219,9 @@ def cmd_trace(args) -> int:
                           "fitted_coefficient_im": None,
                           "valid": False, "note": str(exc)})
         peak_report.append(entry)
+    # both outputs only once the report is built: an input error writes none
+    rows = [[float(t), v.real, v.imag] for t, v in zip(ts, trace)]
+    _write_text(args.out, _csv(["t", "re", "im"], rows))
     _write_text(args.report, _json_dump({"peaks": peak_report}))
     return EXIT_OK
 
@@ -248,7 +245,7 @@ def cmd_verify(args) -> int:
             "at_id": r.at_id, "passed": bool(r.passed),
             "info_only": bool(r.info_only), "summary": r.summary,
             "runtime_s": float(r.runtime_s),
-            "details": _json_ready(r.details),
+            "details": r.details,
         } for r in reports]
         _write_text(args.out, _json_dump(payload))
     failed = [r for r in reports if not r.passed]

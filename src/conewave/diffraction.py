@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import GeometricDirection, InvalidInput
-from .geometry import check_array_size, check_cone_angle
+from .geometry import _length_scale, check_array_size, check_cone_angle
 
 # Angle, in radians, within which an offset from a geometric direction
 # counts as a pole: the sine factors sin(pi x/alpha) are compared with
@@ -72,7 +72,7 @@ def _closed_form(alpha: float, numerator: float, x1, x2, parity, theta=0.0,
     the caps that keep the squares finite (pi c/alpha = 150; offsets past
     6e76 radians at alpha past 1e77) |Re S| is below 1e-130/alpha or
     1e-154, and comes out of that size, not exact."""
-    scale = math.ldexp(0.5, math.frexp(max(1.0, alpha / math.pi))[1])
+    scale = _length_scale(max(1.0, alpha / math.pi))
     s1 = scale * np.sin(math.pi * x1 / alpha)
     s2 = scale * np.sin(math.pi * x2 / alpha)
     band = POLE_TOL * (math.pi * scale / alpha)

@@ -46,8 +46,9 @@ import numpy as np
 
 from .diffraction import scattering_matrix
 from .errors import InvalidInput
-from .geometry import angular_separation, check_array_size, check_cone_angle
-from .kernels import KernelQuery, KernelValue, _length_scale, _unscale
+from .geometry import (_length_scale, angular_separation, check_array_size,
+                       check_cone_angle)
+from .kernels import KernelQuery, KernelValue, _unscale
 from .special import gauss_legendre
 
 # The c integral runs on Gauss-Legendre panels of PANEL_NODES nodes, with

@@ -43,6 +43,12 @@ def check_array_size(n: int, what: str) -> None:
                            f"budget of {MAX_ARRAY_ELEMENTS}")
 
 
+def _length_scale(x: float) -> float:
+    """The power of two at or below a positive finite x: dividing by it is
+    exact, and brings x into [1, 2)."""
+    return math.ldexp(0.5, math.frexp(x)[1])
+
+
 @dataclass(frozen=True)
 class ConePoint:
     """Point on a cone in polar coordinates; r = 0 is the vertex."""

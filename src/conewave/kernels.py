@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, ModeTailTooLarge, OnFront, TangentRoot
-from .geometry import (ConePoint, angular_separation, check_array_size,
-                       cone_distance)
+from .geometry import (ConePoint, _length_scale, angular_separation,
+                       check_array_size, cone_distance)
 from .special import (Mollifier, find_roots_convex, gauss_legendre,
                       mollified_delta)
 
@@ -137,12 +137,6 @@ def front_region(alpha: float, ts, r1: float, r2: float, dtheta: float,
     for front in (direct, diffracted):
         labels[(front - tol <= ts) & (ts <= front + tol)] = NEAR_FRONT
     return labels
-
-
-def _length_scale(length: float) -> float:
-    """The power of two at or below a positive finite length: dividing
-    lengths by it is exact, and brings this one into [1, 2)."""
-    return math.ldexp(0.5, math.frexp(length)[1])
 
 
 def _unscale(values, scale: float, degree: int = 1):

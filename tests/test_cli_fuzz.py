@@ -1,33 +1,33 @@
 """Property test of the CLI's exit-code contract: every numeric input to
 `kernel`, `scatter`, `predict`, `trace` and `compose` (and every chain JSON
-given to `compose`) exits 0 or 2, never with a traceback, a `predict` run
-that exits 0 writes no NaN, and a `kernel` run that exits 0 writes no NaN
-and no infinity.
+given to `compose`) exits 0 or 2, never with a traceback or a warning, and
+an exit 2 writes nothing to stdout; a `predict` run that exits 0 writes
+no NaN, and a `kernel` run that exits 0 writes no NaN and no infinity.
 
 Numbers are drawn log-uniformly from 1e-320 (a subnormal double) to 1e300
-or from a few plain values, among them 0 and -1.  Angles take either sign, and half the kernel
-cone angles are 4 pi, where every representation exists.  Sweeps have one
-to four points.  The array budget is lowered to 2^17 elements while the
-examples run, so no example allocates more than about 1e5 elements: a size
-above it takes the same refusal path (exit 2) as a size above the real
-budget, and sizes that overflow fail before any budget check.  `compose`
-runs its oracle only at omega >= 50 and near a two-diffraction orbit, so
-its calls start from a valid chain, points near the orbit and omega in
-[50, 120], and one in four has one field replaced by such a number.
+or from a few plain values, among them 0 and -1.  Angles take either sign,
+and half the kernel cone angles are 4 pi, where every representation
+exists.  Sweeps have one to four points.  The array budget is lowered to
+2^17 elements while the examples run, so no example allocates more than
+about 1e5 elements: a size above it takes the same refusal path (exit 2)
+as a size above the real budget, and sizes that overflow fail before any
+budget check.  `compose` runs its oracle only at omega >= 50 and near a
+two-diffraction orbit, so its calls start from a valid chain, points near
+the orbit and omega in [50, 120], and one in four has one field replaced
+by such a number.
 """
 
-import contextlib
-import io
 import json
 import math
-import os
 import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from conewave import cli, geometry
+from cli_run import run_cli
+from conewave import geometry
 
 PI = math.pi
 PLAIN = (0.0, -1.0, 0.05, 0.5, 1.0, 1.5, 2.0, 3.0, PI, 2 * PI, 4 * PI, 7.0)
@@ -52,24 +52,20 @@ def opt(name: str, value) -> str:
     return f"--{name}={value!r}"
 
 
-def run(argv: list[str]) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of cli.main(argv) under the small budget."""
-    out, err = io.StringIO(), io.StringIO()
+def check_contract(argv: list[str], chain: dict | None = None) -> str:
+    """stdout of `conewave argv`, run under the small budget in a directory
+    that holds `chain.json` if a chain is given: it exits 0 or 2, and on 2
+    writes nothing to stdout."""
     with pytest.MonkeyPatch.context() as mp, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            tempfile.TemporaryDirectory() as tmp:
         mp.setattr(geometry, "MAX_ARRAY_ELEMENTS", 2**17)
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-def check_contract(argv: list[str]) -> str:
-    code, out, err = run(argv)
+        if chain is not None:
+            Path(tmp, "chain.json").write_text(json.dumps(chain))
+        code, out, err = run_cli(argv, tmp)
     assert code in (0, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
-    return out if code == 0 else ""
+    assert code == 0 or out == "", (argv, out)
+    return out
 
 
 @FUZZ
@@ -162,10 +158,6 @@ def compose_call(draw):
 @given(case=compose_call())
 def test_compose_exit_codes(case):
     chain, call = case
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "chain.json")
-        with open(path, "w") as handle:
-            json.dump(chain, handle)
-        check_contract(["compose", f"--chain={path}", opt("t", call["t"]),
-                        f"--q1={call['q1']}", f"--q2={call['q2']}",
-                        opt("omega", call["omega"])])
+    check_contract(["compose", "--chain=chain.json", opt("t", call["t"]),
+                    f"--q1={call['q1']}", f"--q2={call['q2']}",
+                    opt("omega", call["omega"])], chain)
