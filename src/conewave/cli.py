@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -219,10 +220,16 @@ def cmd_trace(args) -> int:
                           "fitted_coefficient_im": None,
                           "valid": False, "note": str(exc)})
         peak_report.append(entry)
-    # both outputs only once the report is built: an input error writes none
+    # both outputs only once the report is built, and the CSV removed again
+    # if the report cannot be written: an input error leaves neither
     rows = [[float(t), v.real, v.imag] for t, v in zip(ts, trace)]
     _write_text(args.out, _csv(["t", "re", "im"], rows))
-    _write_text(args.report, _json_dump({"peaks": peak_report}))
+    try:
+        _write_text(args.report, _json_dump({"peaks": peak_report}))
+    except InvalidInput:
+        if args.out not in (None, "-"):
+            os.remove(args.out)
+        raise
     return EXIT_OK
 
 

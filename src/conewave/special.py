@@ -87,14 +87,31 @@ def l1_half_derivative(values: np.ndarray, d: float) -> np.ndarray:
 
 
 def _power_series(z: np.ndarray, ratios: np.ndarray) -> np.ndarray:
-    """sum_n prod_{k<n} (z ratios[k]) for each of the 1-D points z, over
-    n = 0..len(ratios): one cumulative product over a points-by-terms table,
-    taken in chunks of points that keep the table within MAX_ARRAY_ELEMENTS."""
+    """sum_n c_n z^n, c_n = prod_{k<n} ratios[k], for each of the 1-D points
+    z, over n = 0..len(ratios).  The coefficients come from one cumulative
+    product, in blocks of w = min(8, len(ratios) + 1); Horner's rule in z
+    runs over all blocks at once, then Horner's rule in z^w over the blocks.
+    Points run in chunks that keep the blocks-by-points table within
+    MAX_ARRAY_ELEMENTS."""
+    width = min(8, ratios.size + 1)
+    blocks = ratios.size // width + 1
+    coef = np.zeros(width * blocks)
+    coef[0] = 1.0
+    np.cumprod(ratios, out=coef[1:ratios.size + 1])
+    coef = coef.reshape(blocks, width)
     out = np.empty(z.shape)
-    rows = max(1, MAX_ARRAY_ELEMENTS // ratios.size)
-    for i in range(0, z.size, rows):
-        table = np.multiply.outer(z[i:i + rows], ratios)
-        out[i:i + rows] = 1.0 + np.cumprod(table, axis=1).sum(axis=1)
+    cols = max(1, MAX_ARRAY_ELEMENTS // blocks)
+    for i in range(0, z.size, cols):
+        zi = z[i:i + cols]
+        parts = np.zeros((blocks, zi.size))
+        for c in coef.T[::-1]:
+            parts *= zi
+            parts += c[:, None]
+        zw = zi**width
+        acc = parts[-1]
+        for part in parts[-2::-1]:
+            acc = acc * zw + part
+        out[i:i + cols] = acc
     return out
 
 

@@ -27,6 +27,13 @@ from .geometry import (MAX_ARRAY_ELEMENTS, ConeChain, PlanarPoint,
 from .special import Mollifier, fd_hessian, mollified_inverse_power
 from .two_diffraction import composed_phase_psi
 
+# Oversampling ratio M / N and half-width (grid points on each side) of the
+# Gaussian gridding in mollified_trace.  Against a long-double direct sum
+# at t < 1 the error is at most 6.8e-16 sum_j |w_j|, at n = N = 32; a
+# half-width of 14 leaves 4e-15 there and 12 leaves 4e-13.
+_NUFFT_OVERSAMPLING = 2
+_NUFFT_HALF_WIDTH = 16
+
 
 @dataclass(frozen=True)
 class TracePrediction:
@@ -145,16 +152,26 @@ def pillowcase_lengths(surface: PillowcaseSurface,
 
 def mollified_trace(spec: Spectrum, t_grid: np.ndarray,
                     moll: Mollifier) -> np.ndarray:
-    """sum_j mult_j e^{-i t lambda_j} e^{-h^2 lambda_j^2 / 2} on a uniform t
-    grid, t_k = t_0 + k dt to within 16 eps max|t| (0, 1 or 2 points pass).
+    """sum_j w_j e^{-i t lambda_j}, w_j = mult_j e^{-h^2 lambda_j^2 / 2}, on a
+    uniform t grid, t_k = t_0 + k dt to within 16 eps max|t| (0, 1 or 2
+    points pass).  Requires the truncation to be damped below 1e-10 at
+    lambda_max.
 
-    Requires the truncation to be damped below 1e-10 at lambda_max.  With
-    B = ceil(sqrt(n)), e^{-i t_{bB+m} lambda} = e^{-i t_{bB} lambda}
-    e^{-i m dt lambda}, both factors straight from np.exp (no recurrence),
-    so the sum is one product of the B x L offset phasors and the
-    L x ceil(n/B) weighted anchor phasors: about 2 L sqrt(n) exponentials,
-    not n L.  lambda runs in chunks of MAX_ARRAY_ELEMENTS // max(B, n/B)
-    (at least 1), so every temporary stays within the array budget.
+    On such a grid the sum is a type-1 nonuniform FFT (Dutt & Rokhlin, SIAM
+    J. Sci. Comput. 14, 1993), summed by Gaussian gridding (Greengard & Lee,
+    SIAM Rev. 46, 2004): with k_0 = n // 2 and x_j = lambda_j dt mod 2 pi,
+
+        S(t_k) = sum_j w_j e^{-i lambda_j (t_0 + k_0 dt)} e^{-i (k - k_0) x_j},
+
+    so each frequency costs one complex exponential and a spread onto 32
+    points of a periodic grid of M = 2 N points (N the power of two at or
+    above n, at least 32).  One FFT of length M, divided by the Gaussian's
+    transform, then gives all n values.  The gridding error is below
+    1e-15 sum_j |w_j|; rounding the phases lambda_j t in double adds about
+    eps lambda t to each term, and against a long-double direct sum the
+    total is 2e-15 sum_j |w_j| on the AT-7 grid and 2e-14 at t_0 = 100
+    (lambda_max = 200).  A grid too long for M to fit MAX_ARRAY_ELEMENTS
+    is summed in segments that fit.
     """
     h = moll.width_h
     try:
@@ -171,16 +188,47 @@ def mollified_trace(spec: Spectrum, t_grid: np.ndarray,
     tol = 16.0 * np.finfo(float).eps * float(np.max(np.abs(t), initial=0.0))
     if not dev <= tol:
         raise InvalidInput(f"the t grid deviates from uniform steps by {dev:.2e}")
-    block = math.isqrt(n - 1) + 1 if n else 1
-    anchors, offsets = t[::block], dt * np.arange(block)
     weights = spec.multiplicities * np.exp(-0.5 * (h * spec.frequencies) ** 2)
-    chunk = max(1, MAX_ARRAY_ELEMENTS // max(block, anchors.size))
-    out = np.zeros((block, anchors.size), dtype=complex)
-    for start in range(0, spec.frequencies.size, chunk):
-        lam, w = spec.frequencies[start:start + chunk], weights[start:start + chunk]
-        out += (np.exp(-1j * np.outer(offsets, lam))
-                @ (np.exp(-1j * np.outer(lam, anchors)) * w[:, None]))
-    return out.T.ravel()[:n]
+    seg = max(32, (MAX_ARRAY_ELEMENTS - 2 * _NUFFT_HALF_WIDTH)
+              // (2 * _NUFFT_OVERSAMPLING))
+    out = np.empty(n, dtype=complex)
+    for i in range(0, n, seg):
+        out[i:i + seg] = _gridded_sum(spec.frequencies, weights, t[0] + i * dt,
+                                      dt, min(seg, n - i))
+    return out
+
+
+def _gridded_sum(lam: np.ndarray, weights: np.ndarray, t0: float, dt: float,
+                 n: int) -> np.ndarray:
+    """sum_j weights_j e^{-i lam_j (t0 + k dt)} for k = 0..n-1, n >= 1, by
+    the Gaussian gridding of mollified_trace; the frequencies are spread in
+    chunks of MAX_ARRAY_ELEMENTS // 32 (at least 1)."""
+    k0 = n // 2
+    r, hw = _NUFFT_OVERSAMPLING, _NUFFT_HALF_WIDTH
+    size = r * max(32, 1 << (n - 1).bit_length())
+    # the kernel e^{-(x - 2 pi m / M)^2 / (4 tau)}, with Greengard & Lee's
+    # tau, is e^{-beta (u - m)^2} in grid units u = x M / (2 pi)
+    tau = math.pi * hw * r / (size**2 * (r - 0.5))
+    beta = math.pi * (r - 0.5) / (r * hw)
+    offsets = np.arange(1 - hw, hw + 1)
+    # bin b holds grid point b - hw: one period and hw points past each end
+    spread = np.zeros(size + 2 * hw, dtype=complex)
+    chunk = max(1, MAX_ARRAY_ELEMENTS // offsets.size)
+    for start in range(0, lam.size, chunk):
+        freq = lam[start:start + chunk]
+        c = weights[start:start + chunk] * np.exp(-1j * freq * (t0 + k0 * dt))
+        u = np.mod(freq * dt, 2.0 * math.pi) * (size / (2.0 * math.pi))
+        cell = np.floor(u)
+        kernel = np.exp(-beta * np.subtract.outer(u - cell, offsets) ** 2)
+        bins = ((cell.astype(np.intp) % size + hw)[:, None] + offsets).ravel()
+        for part, amp in ((spread.real, c.real), (spread.imag, c.imag)):
+            part += np.bincount(bins, (amp[:, None] * kernel).ravel(), part.size)
+    grid = spread[hw:hw + size]
+    grid[:hw] += spread[hw + size:]
+    grid[-hw:] += spread[:hw]
+    k = np.arange(n) - k0
+    return (np.fft.fft(grid)[k]
+            * (math.sqrt(math.pi / tau) / size * np.exp(tau * k * k)))
 
 
 def detect_trace_peaks(t_grid: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -348,6 +348,16 @@ def test_trace_past_the_budget_writes_nothing(monkeypatch, tmp_path):
     assert out == "" and list(tmp_path.iterdir()) == []
 
 
+def test_trace_report_that_cannot_be_written_leaves_no_csv(tmp_path):
+    """The CSV is written first; when the report's directory is missing the
+    call exits 2 and removes the CSV again, so neither path exists."""
+    code, out, err = run_cli(["trace", "--h", "0.05", "--lambda-max", "200",
+                              "--t-range", "0.5:0.01:2.5", "--out", "t.csv",
+                              "--report", "no/such/r.json"], tmp_path)
+    assert code == 2 and "cannot write no/such/r.json" in err, err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("omega", ["1e5", "1e308"])
 def test_compose_oracle_past_the_budget_exits_two(omega, tmp_path):
     """The README compose call at a large omega: 1e5 asks the oracle for a

@@ -278,23 +278,25 @@ def test_damped_moment_cosine_half_at_s1_is_a_gaussian():
 
 
 def test_damped_moment_chunks_its_table(monkeypatch):
-    """The points-by-terms table is cut into chunks of points that fit the
+    """The blocks-by-points table is cut into chunks of points that fit the
     array budget, down to one point per chunk, and the values do not
     change."""
     u = np.linspace(-2.0, 2.0, 1001)
     want = damped_moment(u, 0.05, 1.5)
     sizes = []
-    cumprod = np.cumprod
+    zeros = np.zeros
 
-    def spy(a, *args, **kwargs):
-        sizes.append(a.size)
-        return cumprod(a, *args, **kwargs)
+    def spy(shape, *args, **kwargs):
+        if np.ndim(shape) == 1 and len(shape) == 2:
+            sizes.append(math.prod(shape))
+        return zeros(shape, *args, **kwargs)
 
-    monkeypatch.setattr(np, "cumprod", spy)
+    monkeypatch.setattr(np, "zeros", spy)
     monkeypatch.setattr(special, "MAX_ARRAY_ELEMENTS", 1000)
     assert np.array_equal(damped_moment(u, 0.05, 1.5), want)
-    assert len(sizes) > 2 * u.size // 25 and max(sizes) <= 1000
-    # a budget below one row of terms: one table per point and half
+    # each table has at least 6 blocks, so a chunk holds at most 166 points
+    assert len(sizes) >= 2 * math.ceil(u.size / 166) and max(sizes) <= 1000
+    # a budget below one column of the table: one chunk per point and half
     monkeypatch.setattr(special, "MAX_ARRAY_ELEMENTS", 1)
     sizes.clear()
     assert np.array_equal(damped_moment(u, 0.05, 1.5), want)

@@ -195,6 +195,62 @@ def test_mollified_trace_against_long_double_sum(pillowcase_400, t_grid):
     assert float(err) <= 1e-12 * np.max(np.abs(got))
 
 
+def long_double_trace(spec, t, h):
+    """sum_j w_j e^{-i t lambda_j} in long double at each t, and sum_j |w_j|."""
+    lam = spec.frequencies.astype(np.longdouble)
+    weights = spec.multiplicities * np.exp(-0.5 * (np.longdouble(h) * lam) ** 2)
+    phases = np.outer(np.asarray(t, dtype=np.longdouble), lam)
+    return np.exp(-1j * phases.astype(np.clongdouble)) @ weights, weights.sum()
+
+
+@pytest.fixture(scope="module")
+def pillowcase_200():
+    return pillowcase_spectrum(PillowcaseSurface(1.0, 1.3), 200.0)
+
+
+@pytest.mark.parametrize("t_grid", [
+    0.5 + 0.02 * np.arange(1476), 0.5 + 0.9 * np.arange(40),
+    100.0 + 0.002 * np.arange(2501),
+    *(0.5 + 0.01 * np.arange(n) for n in (1, 2, 3, 31, 32, 33, 2501))],
+    ids=["wrap-dt0.02", "wrap-dt0.9", "t0-100",
+         *(f"n{n}" for n in (1, 2, 3, 31, 32, 33, 2501))])
+def test_mollified_trace_nufft_against_long_double_sum(pillowcase_200, t_grid):
+    """The gridded sum is within 5e-14 sum_j |w_j| of a direct long-double
+    sum: on grids whose step wraps lambda_max dt past pi, far from t = 0,
+    and at sizes around the smallest FFT grid."""
+    got = mollified_trace(pillowcase_200, t_grid, Mollifier(0.05))
+    idx = np.unique(np.linspace(0, t_grid.size - 1, 60).astype(int))
+    direct, total = long_double_trace(pillowcase_200, t_grid[idx], 0.05)
+    assert got.shape == t_grid.shape
+    assert float(np.max(np.abs(got[idx] - direct))) <= 5e-14 * float(total)
+
+
+def test_mollified_trace_spreads_in_chunks(monkeypatch, pillowcase_200):
+    """A budget of 3200 spreads 100 frequencies at a time, and sums the
+    1476 times in two segments, 792 and 684 long, whose FFT grids of 2048
+    and 32 margin points fit it; the sum stays within 5e-14 sum_j |w_j| of
+    the long-double one."""
+    from conewave import wave_trace
+
+    t = 0.5 + 0.02 * np.arange(1476)
+    idx = np.linspace(0, t.size - 1, 60).astype(int)
+    direct, total = long_double_trace(pillowcase_200, t[idx], 0.05)
+    monkeypatch.setattr(wave_trace, "MAX_ARRAY_ELEMENTS", 3200)
+    bincount, calls = np.bincount, []
+
+    def spy(bins, weights, length):
+        calls.append((bins.size, length))
+        return bincount(bins, weights, length)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    got = mollified_trace(pillowcase_200, t, Mollifier(0.05))
+    chunks = -(-pillowcase_200.frequencies.size // 100)
+    assert len(calls) == 2 * 2 * chunks
+    assert {length for _, length in calls} == {2048 + 32}
+    assert max(size for size, _ in calls) == 3200
+    assert float(np.max(np.abs(got[idx] - direct))) <= 5e-14 * float(total)
+
+
 def test_mollified_trace_grid_contract():
     """A grid off uniform steps is refused; grids of 0 and 1 points work."""
     spec = pillowcase_spectrum(PillowcaseSurface(1.0, 1.3), 200.0)
