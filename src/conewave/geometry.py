@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import InvalidInput
 
-# Budget for array sizes set by input (elements): 128 MiB of float64.
+# Budget for array sizes set by input (elements): 128 MiB of float64.  Other
+# modules read it here at call time, so one setting reaches every use.
 MAX_ARRAY_ELEMENTS = 2**24
 
 

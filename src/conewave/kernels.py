@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, ModeTailTooLarge, OnFront, TangentRoot
+from .errors import InvalidInput, QuadratureFailure
 from .geometry import (ConePoint, _length_scale, angular_separation,
                        check_array_size, cone_distance)
 from .special import (Mollifier, find_roots_convex, gauss_legendre,
@@ -119,9 +119,9 @@ def front_region(alpha: float, ts, r1: float, r2: float, dtheta: float,
     dtheta is any representative of theta1 - theta2.  Each front widens by
     10 h for a kernel mollified at width h > 0, and by FRONT_TOL (r1 + r2)
     for an exact one (h = 0): the band where `sine_kernel_closed` raises
-    OnFront.  The direct front is taken at the lengths over a power of two
-    near r1 + r2, as the closed form takes it, so that the squares of the
-    radii neither underflow nor overflow."""
+    InvalidInput.  The direct front is taken at the lengths over a power of
+    two near r1 + r2, as the closed form takes it, so that the squares of
+    the radii neither underflow nor overflow."""
     if not 0.0 <= h < math.inf:
         raise InvalidInput(f"the width h must be finite and >= 0, got {h}")
     ts = _sweep_times(ts, r1, r2)
@@ -172,7 +172,7 @@ def sine_kernel_closed(alpha: float, ts, r1: float, r2: float,
     time of ts, a float for a scalar t: coeff (t^2 - d2)^(-1/2) on each
     piece of `_region_pieces`, 0 before the first; dtheta is any
     representative of theta1 - theta2.  A t within FRONT_TOL (r1 + r2) of a
-    piece start raises OnFront, naming the first such t: at 4 pi where
+    piece start raises InvalidInput, naming the first such t: at 4 pi where
     `front_region` says NEAR_FRONT, at 2 pi only at the direct front.  It
     is taken at the lengths over a power of two near r1 + r2, an exact
     scaling (the kernel is homogeneous of degree -1) that keeps the squares
@@ -193,7 +193,7 @@ def sine_kernel_closed(alpha: float, ts, r1: float, r2: float,
         inside = (start < tau) & (tau < end)
         values[inside] = coeff / np.sqrt(tau[inside] ** 2 - d2)
     if near.any():
-        raise OnFront(f"t = {times[near][0]} sits on a front of the closed form")
+        raise InvalidInput(f"t = {times[near][0]} sits on a front of the closed form")
     values = _unscale(values, scale)
     return values if np.ndim(ts) else float(values[0])
 
@@ -368,7 +368,7 @@ def _mode_sum(weights: np.ndarray, integrals: np.ndarray,
     tail = np.abs(terms[-1]) + np.abs(terms[-2])
     if np.any(tail > MODE_TAIL_TOL * np.maximum(np.abs(values), 1e-30)):
         worst = int(np.argmax(tail))
-        raise ModeTailTooLarge(
+        raise QuadratureFailure(
             f"last modes contribute {tail[worst]:.2e} relative to "
             f"{values[worst]:.2e} at t = {ts[worst]}")
     return values
@@ -474,7 +474,7 @@ def sine_kernel_moving_point(q: KernelQuery) -> KernelValue:
     # time is within ~1e-13 of the front and the contribution diverges
     tangent = np.abs(dg) < 1e-6
     if tangent.any():
-        raise TangentRoot(f"front tangency at s = {scale * roots[tangent][0]}")
+        raise InvalidInput(f"front tangency at s = {scale * roots[tangent][0]}")
     cos_dth = np.sum(v1 * v2, axis=0) / (r1s * r2s)
     half_cos = np.sqrt(np.maximum(0.5 * (1.0 + cos_dth), 0.0))
     total = float(np.sum(1.0 / (8.0 * math.pi * np.sqrt(r1s * r2s) * half_cos)))

@@ -1,6 +1,6 @@
 """Shared numerical kernels: Gaussian mollifiers, the half-derivative of
 uniformly sampled data by the L1 scheme (order-1.5 accurate on smooth data),
-the smoothed model singularities (t - L - i0)^order of any negative order
+the smoothed model singularities (t - L - i0)^order for -4.7 <= order < 0
 (one closed form in Kummer's function 1F1, whose series numpy sums), the
 exact roots of the moving-vertex front equation r1(s) + r2(s) = t, the
 package's one Gauss-Legendre rule (cached per order, and composite on
@@ -15,15 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import InvalidInput, QuadratureFailure
-from .geometry import MAX_ARRAY_ELEMENTS, check_array_size
 
 GAMMA_HALF = math.sqrt(math.pi)  # Gamma(1/2)
 # x past which Kummer's M(a, b, -x) takes its large-x expansion, and that
 # expansion's number of terms: against mpmath, damped_moment is within 4e-16
-# of its peak for s up to 4.7, where a crossover at 40 leaves 6e-15
+# of its peak for s up to DAMPED_MOMENT_MAX_S, where a crossover at 40
+# leaves 6e-15; damped_moment refuses a larger s, where nothing is measured
 KUMMER_CROSSOVER = 60.0
 KUMMER_LARGE_X_TERMS = 40
+DAMPED_MOMENT_MAX_S = 4.7
 # Newton steps allowed to the Gauss-Legendre nodes; from Tricomi's guess
 # they converge in three or four
 LEGGAUSS_NEWTON_STEPS = 10
@@ -100,7 +102,7 @@ def _power_series(z: np.ndarray, ratios: np.ndarray) -> np.ndarray:
     np.cumprod(ratios, out=coef[1:ratios.size + 1])
     coef = coef.reshape(blocks, width)
     out = np.empty(z.shape)
-    cols = max(1, MAX_ARRAY_ELEMENTS // blocks)
+    cols = max(1, geometry.MAX_ARRAY_ELEMENTS // blocks)
     for i in range(0, z.size, cols):
         zi = z[i:i + cols]
         parts = np.zeros((blocks, zi.size))
@@ -128,8 +130,8 @@ def _kummer_minus(a: float, b: float, x: np.ndarray) -> np.ndarray:
     x^(a - b), is below 1e-22 there for s up to 4.7.
 
     When a - b is large the series' first a - b terms alternate and cancel:
-    damped_moment is 1.1e-15 of its peak off mpmath at s = 10, 1.9e-14 at
-    s = 20 and 5e-13 at s = 30, where scipy's hyp1f1 stays near 1e-15.
+    damped_moment would be 1.1e-15 of its peak off mpmath at s = 10,
+    1.9e-14 at s = 20 and 5e-13 at s = 30, so it stops at s = 4.7.
     """
     out = np.empty_like(x)
     near = x <= KUMMER_CROSSOVER
@@ -152,8 +154,9 @@ def _kummer_minus(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
 
 def damped_moment(u, h: float, s: float):
-    """int_0^inf w^(s-1) e^{i u w - h^2 w^2/2} dw for s > 0, for scalars or
-    arrays u (complex, or a complex array).
+    """int_0^inf w^(s-1) e^{i u w - h^2 w^2/2} dw for 0 < s <=
+    DAMPED_MOMENT_MAX_S (4.7), the range measured against mpmath, for
+    scalars or arrays u (complex, or a complex array).
 
     With a = h^2/2 and x = u^2/(4a) the cosine and sine halves are Kummer
     functions:
@@ -164,9 +167,10 @@ def damped_moment(u, h: float, s: float):
     each summed by `_kummer_minus`; below its crossover the cosine half's
     1F1 is exactly e^{-x} at s = 1, and the sine half's at s = 2.
     """
-    if not (s > 0 and h > 0 and math.isfinite(s) and math.isfinite(h)):
+    if not (0 < s <= DAMPED_MOMENT_MAX_S and 0 < h < math.inf):
         raise InvalidInput(
-            f"exponent s and width h must be positive and finite, got {s}, {h}")
+            f"need 0 < s <= {DAMPED_MOMENT_MAX_S} and a positive finite "
+            f"width h, got s = {s}, h = {h}")
     u = np.asarray(u, dtype=float)
     a = 0.5 * h * h
     x = (u * u / (4.0 * a)).ravel()
@@ -180,7 +184,7 @@ def damped_moment(u, h: float, s: float):
 
 def mollified_inverse_power(moll: Mollifier, t, L: float, order):
     """Gaussian smoothing of the model singularity (t - L - i0)^order, for
-    any order < 0 and scalar or array t:
+    -4.7 <= order < 0 (see damped_moment) and scalar or array t:
 
         model(t) = (e^{i pi s/2} / Gamma(s)) *
                    int_0^inf w^(s-1) e^{i w (L - t)} e^{-h^2 w^2/2} dw,
@@ -255,7 +259,7 @@ def leggauss(n: int):
     costs O(n^2), so n^2 is checked against the array budget first."""
     if n < 1:
         raise InvalidInput(f"a Gauss-Legendre rule needs n >= 1, got {n}")
-    check_array_size(n * n, f"the {n}-node Gauss-Legendre rule")
+    geometry.check_array_size(n * n, f"the {n}-node Gauss-Legendre rule")
     k = np.arange(1, n // 2 + 1)  # the positive nodes, descending
     x = (1.0 - 1.0 / (8 * n**2) + 1.0 / (8 * n**3)) * np.cos(
         math.pi * (4 * k - 1) / (4 * n + 2))

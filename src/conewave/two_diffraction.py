@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffraction import s_times_cos_half, scattering_matrix
-from .errors import (DegenerateDistance, GeometricDirection, InvalidInput,
-                     NoInteriorCriticalPoint, QuadratureFailure)
+from .errors import GeometricDirection, InvalidInput, QuadratureFailure
 from .geometry import ConeChain, PlanarPoint, chart_angle, check_array_size
 from .special import fd_hessian, gauss_legendre
 
@@ -115,7 +114,7 @@ def broken_line_length(*points):
 
     The coordinates of each point may be floats or arrays that broadcast
     together; the result is a float for scalar input.  A leg shorter than
-    1e-14 raises DegenerateDistance.
+    1e-14 raises InvalidInput.
     """
     total = 0.0
     for u, v in zip(points, points[1:]):
@@ -131,7 +130,7 @@ def broken_line_length(*points):
             leg = math.hypot(dx, dy)
             short = leg < 1e-14
         if short:
-            raise DegenerateDistance("a leg of the broken line is shorter than 1e-14")
+            raise InvalidInput("a leg of the broken line is shorter than 1e-14")
         total = total + leg
     return total
 
@@ -160,7 +159,7 @@ def stationary_eliminate(cp: CompositionPoint) -> StationaryData:
     a_dist = cp.t0 - broken_line_length(p2s, cp.q2)
     b_dist = ell - a_dist
     if not (a_dist > 0 and b_dist > 0):
-        raise NoInteriorCriticalPoint(
+        raise InvalidInput(
             f"critical point at distance {a_dist:.4f} of segment length {ell:.4f}")
     ux, uy = (p1s.x - p2s.x) / ell, (p1s.y - p2s.y) / ell
     q_c = PlanarPoint(p2s.x + a_dist * ux, p2s.y + a_dist * uy)

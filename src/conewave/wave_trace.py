@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .diffraction import SINE_PRODUCT_LIMITS
-from .errors import (BadLeg, IncompleteSpectrum, InvalidInput,
-                     WindowContaminated)
-from .geometry import (MAX_ARRAY_ELEMENTS, ConeChain, PlanarPoint,
-                       check_array_size)
+from .errors import InvalidInput, WindowContaminated
+from .geometry import ConeChain, PlanarPoint, check_array_size
 from .special import Mollifier, fd_hessian, mollified_inverse_power
 from .two_diffraction import composed_phase_psi
 
@@ -100,7 +99,7 @@ def predict_two_diffraction_singularity(L: float, b: float) -> TracePrediction:
     """Leading trace singularity of the two-diffraction orbit: order -1
     with coefficient sqrt(b (L - b)) / (4 i pi^2), for 0 < b < L < inf."""
     if not 0 < b < L < math.inf:
-        raise BadLeg(f"need 0 < b < L < inf, got b = {b}, L = {L}")
+        raise InvalidInput(f"need 0 < b < L < inf, got b = {b}, L = {L}")
     # b (L - b) under- or overflows where its factors do not
     coeff = math.sqrt(b) * math.sqrt(L - b) / (4j * math.pi**2)
     return TracePrediction(L, b, -1, coeff)
@@ -179,7 +178,7 @@ def mollified_trace(spec: Spectrum, t_grid: np.ndarray,
     except OverflowError as exc:
         raise InvalidInput(f"(h lambda_max)^2 overflows, h = {h}") from exc
     if damping >= 1e-10:
-        raise IncompleteSpectrum(
+        raise InvalidInput(
             f"damping at lambda_max = {spec.lambda_max} is only {damping:.2e}")
     t = np.asarray(t_grid, dtype=float).ravel()
     n = t.size
@@ -189,7 +188,7 @@ def mollified_trace(spec: Spectrum, t_grid: np.ndarray,
     if not dev <= tol:
         raise InvalidInput(f"the t grid deviates from uniform steps by {dev:.2e}")
     weights = spec.multiplicities * np.exp(-0.5 * (h * spec.frequencies) ** 2)
-    seg = max(32, (MAX_ARRAY_ELEMENTS - 2 * _NUFFT_HALF_WIDTH)
+    seg = max(32, (geometry.MAX_ARRAY_ELEMENTS - 2 * _NUFFT_HALF_WIDTH)
               // (2 * _NUFFT_OVERSAMPLING))
     out = np.empty(n, dtype=complex)
     for i in range(0, n, seg):
@@ -213,7 +212,7 @@ def _gridded_sum(lam: np.ndarray, weights: np.ndarray, t0: float, dt: float,
     offsets = np.arange(1 - hw, hw + 1)
     # bin b holds grid point b - hw: one period and hw points past each end
     spread = np.zeros(size + 2 * hw, dtype=complex)
-    chunk = max(1, MAX_ARRAY_ELEMENTS // offsets.size)
+    chunk = max(1, geometry.MAX_ARRAY_ELEMENTS // offsets.size)
     for start in range(0, lam.size, chunk):
         freq = lam[start:start + chunk]
         c = weights[start:start + chunk] * np.exp(-1j * freq * (t0 + k0 * dt))
@@ -350,7 +349,7 @@ def trace_pipeline_check(L: float, b: float,
     relative error of each step; AT-6 gates them.
     """
     if not 0 < b < L:
-        raise BadLeg(f"leg b = {b} outside (0, {L})")
+        raise InvalidInput(f"leg b = {b} outside (0, {L})")
     span = L - b
     x0 = -span / 3.0          # base point between the unrolled cone points
     r2_leg = -x0              # distance q -> p2

@@ -1,4 +1,6 @@
-"""Every name the package exports is used by the package or the benchmark.
+"""Every name the package exports is used by the package or the benchmark,
+and every error type past the three that say what happened is told apart by
+a caller.
 
 Code that nothing calls gets deleted, so an export whose only callers are
 tests is dead weight.  References are found in the syntax tree (`Name` and
@@ -27,6 +29,10 @@ TEST_ONLY = (
     "one_cone_nondegeneracy",
     "chain_nondegeneracy",
 )
+
+# The error types that say what happened, wherever they are caught: the
+# base, a refused input and a computation that did not converge.
+OUTCOMES = ("ConewaveError", "InvalidInput", "QuadratureFailure")
 
 
 def _exports() -> list[str]:
@@ -65,3 +71,28 @@ def test_every_export_is_used_outside_the_tests():
     unused = [name for name in exports
               if name not in used and name not in TEST_ONLY]
     assert unused == []
+
+
+def _caught(path: Path) -> set[str]:
+    """Names in the exception types of the `except` clauses of a file."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for handler in ast.walk(ast.parse(path.read_text()))
+            if isinstance(handler, ast.ExceptHandler) and handler.type
+            for node in ast.walk(handler.type)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_error_type_is_told_apart_by_a_caller():
+    """A class of `conewave.errors` other than OUTCOMES exists only so that
+    a caller can tell it apart: an `except` in the package names it, or the
+    benchmark does."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = [node.name for node in tree.body
+               if isinstance(node, ast.ClassDef)]
+    assert set(OUTCOMES) <= set(classes)
+    told_apart = set().union(*(_caught(p) for p in PACKAGE.glob("*.py")),
+                             *(_references(p, strings=True)
+                               for p in BENCH.glob("*.py")))
+    untold = [name for name in classes
+              if name not in OUTCOMES and name not in told_apart]
+    assert untold == []

@@ -7,7 +7,7 @@ import scipy.integrate
 import scipy.optimize
 import scipy.special
 
-from conewave import special
+from conewave import geometry, special
 from conewave.errors import InvalidInput
 from conewave.geometry import ConePoint, cone_distance
 from conewave.kernels import KernelQuery, _moving_point_frame
@@ -245,10 +245,19 @@ def test_mollified_inverse_power_arrays(order):
     assert np.max(np.abs(got.ravel() - each)) < 1e-15 * np.max(np.abs(each))
 
 
-@pytest.mark.parametrize("order", [0, 0.5, 1, math.nan, -math.inf])
+@pytest.mark.parametrize("order", [0, 0.5, 1, math.nan, -math.inf, -5, -10])
 def test_mollified_inverse_power_rejects_order(order):
     with pytest.raises(InvalidInput):
         mollified_inverse_power(Mollifier(0.05), 2.1, 2.0, order)
+
+
+def test_damped_moment_refuses_s_past_the_measured_range():
+    """Past s = 4.7, the largest s measured against mpmath, the Kummer
+    series cancels (5e-13 of the peak at s = 30): s = 5 is refused."""
+    u = np.linspace(-1.0, 1.0, 5)
+    assert np.isfinite(damped_moment(u, 0.05, 4.7)).all()
+    with pytest.raises(InvalidInput, match="s <= 4.7"):
+        damped_moment(u, 0.05, 5.0)
 
 
 def test_damped_moment_first_moment_against_dawson():
@@ -292,12 +301,12 @@ def test_damped_moment_chunks_its_table(monkeypatch):
         return zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", spy)
-    monkeypatch.setattr(special, "MAX_ARRAY_ELEMENTS", 1000)
+    monkeypatch.setattr(geometry, "MAX_ARRAY_ELEMENTS", 1000)
     assert np.array_equal(damped_moment(u, 0.05, 1.5), want)
     # each table has at least 6 blocks, so a chunk holds at most 166 points
     assert len(sizes) >= 2 * math.ceil(u.size / 166) and max(sizes) <= 1000
     # a budget below one column of the table: one chunk per point and half
-    monkeypatch.setattr(special, "MAX_ARRAY_ELEMENTS", 1)
+    monkeypatch.setattr(geometry, "MAX_ARRAY_ELEMENTS", 1)
     sizes.clear()
     assert np.array_equal(damped_moment(u, 0.05, 1.5), want)
     assert len(sizes) == 2 * u.size

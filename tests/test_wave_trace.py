@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conewave.errors import (BadLeg, IncompleteSpectrum, InvalidInput,
-                             WindowContaminated)
+from conewave.errors import InvalidInput, WindowContaminated
 from conewave.special import Mollifier, mollified_inverse_power
 from conewave.wave_trace import (PillowcaseSurface, Spectrum,
                                  detect_trace_peaks,
@@ -42,7 +41,7 @@ def test_prediction_examples():
         pytest.approx(4.0 / (8 * PI**2))
     # degenerate leg limit
     assert abs(predict_two_diffraction_singularity(3.0, 1e-12).coefficient) < 1e-5
-    with pytest.raises(BadLeg):
+    with pytest.raises(InvalidInput, match="0 < b < L"):
         predict_two_diffraction_singularity(3.0, 3.5)
 
 
@@ -50,7 +49,7 @@ def test_prediction_examples():
 def test_prediction_needs_a_finite_orbit(L):
     """At L = inf the coefficient is NaN, which JSON cannot hold; a NaN L
     fails 0 < b < L."""
-    with pytest.raises(BadLeg, match="L < inf"):
+    with pytest.raises(InvalidInput, match="L < inf"):
         predict_two_diffraction_singularity(L, 1.0)
 
 
@@ -158,23 +157,22 @@ def test_mollified_trace_basics():
     got = mollified_trace(single, t, moll)
     expect = np.exp(-1j * t * 3.0) * math.exp(-0.5 * (0.05 * 3.0) ** 2)
     assert np.allclose(got, expect, atol=1e-15)
-    with pytest.raises(IncompleteSpectrum):
+    with pytest.raises(InvalidInput, match="damping"):
         mollified_trace(Spectrum(np.array([1.0]), np.array([1]), 10.0, 1.0),
                         t, Mollifier(0.02))
 
 
 def test_mollified_trace_block_within_budget(monkeypatch):
-    """With a small array budget the lambda blocks shrink, down to a single
-    frequency once the t grid alone exceeds the budget, and the sum is
-    unchanged."""
-    from conewave import wave_trace
+    """Budgets of 1000 and 100 spread 31 and 3 frequencies at a time and
+    cut the 251 times into 2 and 8 segments, and the sum is unchanged."""
+    from conewave import geometry
 
     spec = pillowcase_spectrum(PillowcaseSurface(1.0, 1.3), 200.0)
     t = np.linspace(0.5, 3.0, 251)
     weights = spec.multiplicities * np.exp(-0.5 * (0.05 * spec.frequencies) ** 2)
     direct = np.exp(-1j * np.outer(t, spec.frequencies)) @ weights
     for budget in (1000, 100):
-        monkeypatch.setattr(wave_trace, "MAX_ARRAY_ELEMENTS", budget)
+        monkeypatch.setattr(geometry, "MAX_ARRAY_ELEMENTS", budget)
         got = mollified_trace(spec, t, Mollifier(0.05))
         assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
 
@@ -230,12 +228,12 @@ def test_mollified_trace_spreads_in_chunks(monkeypatch, pillowcase_200):
     1476 times in two segments, 792 and 684 long, whose FFT grids of 2048
     and 32 margin points fit it; the sum stays within 5e-14 sum_j |w_j| of
     the long-double one."""
-    from conewave import wave_trace
+    from conewave import geometry
 
     t = 0.5 + 0.02 * np.arange(1476)
     idx = np.linspace(0, t.size - 1, 60).astype(int)
     direct, total = long_double_trace(pillowcase_200, t[idx], 0.05)
-    monkeypatch.setattr(wave_trace, "MAX_ARRAY_ELEMENTS", 3200)
+    monkeypatch.setattr(geometry, "MAX_ARRAY_ELEMENTS", 3200)
     bincount, calls = np.bincount, []
 
     def spy(bins, weights, length):
