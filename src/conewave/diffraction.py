@@ -29,10 +29,6 @@ from .geometry import _length_scale, check_array_size, check_cone_angle
 # POLE_TOL pi/alpha.
 POLE_TOL = 1e-12
 
-# Thetas times phasors per block of the Fourier oracle's sum (a theta takes
-# about 2 sqrt(N)), which bounds its memory at any order N.
-FOURIER_BLOCK = 2**14
-
 # The two limit identities behind the trace pipeline, (incoming at 0,
 # outgoing at pi), both independent of alpha:
 #   lim_{t->0}  sin(t) * S_alpha(-pi - t)  =  1/(2 pi)
@@ -92,20 +88,27 @@ def _closed_form(alpha: float, numerator: float, x1, x2, parity, theta=0.0,
     return top / denominator
 
 
-def scattering_matrix(alpha: float, theta, c=0.0):
-    """Re S_alpha(theta - i c) for scalars or arrays theta and c, broadcast
-    (a float for scalar input); c = 0 is the real axis, NaN at its poles.
-    theta is reduced exactly to |theta| mod alpha (S_alpha is even and
-    alpha-periodic), and pi -+ theta to their nearest images."""
-    numerator = _numerator(alpha)
+def _offsets(alpha: float, theta):
+    """|theta| reduced exactly mod alpha (S_alpha is even and alpha-periodic),
+    its offsets x1 = pi - theta and x2 = pi + theta to their nearest images,
+    within alpha/2 of 0, and the parity of the images' periods."""
     th = np.asarray(theta, dtype=float)
     if not np.isfinite(th).all():  # np.fmod warns on inf
         raise InvalidInput(f"theta must be finite, at alpha = {alpha}")
     th = np.fmod(np.abs(th), alpha)
     k1 = np.rint((math.pi - th) / alpha)
     k2 = np.rint((-math.pi - th) / alpha)
-    out = _closed_form(alpha, numerator, math.pi - (th + alpha * k1),
-                       math.pi + (th + alpha * k2), (k1 + k2) % 2, th, c)
+    return (th, math.pi - (th + alpha * k1), math.pi + (th + alpha * k2),
+            (k1 + k2) % 2)
+
+
+def scattering_matrix(alpha: float, theta, c=0.0):
+    """Re S_alpha(theta - i c) for scalars or arrays theta and c, broadcast
+    (a float for scalar input); c = 0 is the real axis, NaN at its poles.
+    theta is reduced exactly by `_offsets`."""
+    numerator = _numerator(alpha)
+    th, x1, x2, parity = _offsets(alpha, theta)
+    out = _closed_form(alpha, numerator, x1, x2, parity, th, c)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -116,42 +119,35 @@ def scattering_matrix_fourier(alpha: float, theta, N: int):
     sums do not converge), for scalars or arrays theta (a complex for
     scalar input).
 
-    As a cosine series in x = 2 pi theta/alpha it is (-i/alpha) sum_k c_k
-    cos(k x), k = 0..N, with c_0 = 1 and c_k = 2 (1 - k/(N + 1))
-    e^{-2 i pi^2 k/alpha}.  With k = b B + m, B = ceil(sqrt(N + 1)) and
-    cos(k x) = cos(b B x) cos(m x) - sin(b B x) sin(m x), each theta costs
-    about 4 sqrt(N) sines and cosines and one product of its (cos, sin)(m x)
-    with the B x ceil((N + 1)/B) table of c_k, made per row so that a row's
-    rounding does not depend on how many rows share its block."""
+    The coefficients are geometric in k, so the sum is (-i/alpha) (G(phi1)
+    + G(phi2) - 1) at phi_i = -2 pi x_i/alpha (x_i from `_offsets`, so
+    |phi_i| <= pi), with G(phi) = sum_{k=0..N} (1 - k/(N + 1)) e^{i k phi}
+    = (1 + F)/2 + i C: the Fejer kernel and its conjugate (Zygmund,
+    Trigonometric Series, ch. III),
+
+        F = (N + 1) (sinc((N + 1) phi/2) / sinc(phi/2))^2,
+        C = (sinc(phi) - sinc((N + 1) phi)) / (phi sinc(phi/2)^2),
+
+    and C = phi N (N + 2)/6 where |(N + 1) phi| < 3e-4, whose difference
+    cancels (the next term is below 4.5e-9 of it).  Neither the work per
+    angle nor the rounding grows with N."""
     check_cone_angle(alpha)
     if N < 0:
         raise InvalidInput(f"N must be >= 0, got {N}")
     check_array_size(N, "the Fourier sum")
-    th = np.asarray(theta, dtype=float)
-    if not np.isfinite(th).all():  # np.fmod warns on inf
-        raise InvalidInput(f"theta must be finite, at alpha = {alpha}")
-    th = np.fmod(np.abs(th), alpha).ravel()
-    out = np.full(th.size, -1j / alpha)
-    span = math.isqrt(N) + 1  # B
-    n_anchors = -(-(N + 1) // span)
-    k = np.arange(1, N + 1)
-    coefficients = np.zeros(span * n_anchors, dtype=complex)
-    coefficients[0] = 1.0
-    coefficients[1:N + 1] = (2.0 * (1.0 - k / (N + 1.0))
-                             * np.exp(-2j * math.pi**2 * k / alpha))
-    table = coefficients.reshape(n_anchors, span).T  # table[m, b] = c_{bB+m}
-    table = np.concatenate([table.real, table.imag], axis=1)
-    m, b = np.arange(span), span * np.arange(n_anchors)
-    rows = max(1, FOURIER_BLOCK // (span + n_anchors))
-    for start in range(0, th.size if N > 0 else 0, rows):
-        x = (2.0 * math.pi / alpha) * th[start:start + rows, None]
-        offsets = np.stack([np.cos(m * x), np.sin(m * x)], axis=1)
-        # (rows, 2, B) @ (B, 2 n_anchors): a stacked product, row by row
-        parts = (offsets @ table).reshape(-1, 4, n_anchors)
-        cos_b, sin_b = np.cos(b * x), np.sin(b * x)
-        out[start:start + rows] *= (
-            np.sum(cos_b * parts[:, 0] - sin_b * parts[:, 2], axis=-1)
-            + 1j * np.sum(cos_b * parts[:, 1] - sin_b * parts[:, 3], axis=-1))
+    _, x1, x2, _ = _offsets(alpha, theta)
+    m = N + 1.0
+    fejer = conjugate = 0.0
+    for x in (x1, x2):
+        phi = np.ravel((-2.0 * math.pi / alpha) * x)
+        half = _sinc(0.5 * phi, np.sin(0.5 * phi))
+        wave = m * phi
+        fejer += m * (_sinc(0.5 * wave, np.sin(0.5 * wave)) / half)**2
+        conjugate += np.divide(
+            _sinc(phi, np.sin(phi)) - _sinc(wave, np.sin(wave)),
+            phi * half * half, out=(N * (N + 2) / 6.0) * phi,
+            where=np.abs(wave) >= 3e-4)
+    out = conjugate / alpha - 1j * (fejer / (2.0 * alpha))
     out = out.reshape(np.shape(theta))
     return complex(out) if out.ndim == 0 else out
 

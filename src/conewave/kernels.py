@@ -116,12 +116,15 @@ class KernelValue:
 def front_region(alpha: float, ts, r1: float, r2: float, dtheta: float,
                  h: float = 0.0) -> np.ndarray:
     """Front region of each time of a sweep on C_alpha, one label per t;
-    dtheta is any representative of theta1 - theta2.  Each front widens by
-    10 h for a kernel mollified at width h > 0, and by FRONT_TOL (r1 + r2)
-    for an exact one (h = 0): the band where `sine_kernel_closed` raises
-    InvalidInput.  The direct front is taken at the lengths over a power of
-    two near r1 + r2, as the closed form takes it, so that the squares of
-    the radii neither underflow nor overflow."""
+    dtheta is any representative of theta1 - theta2.  The fronts are the
+    diffracted one, r1 + r2, and the direct one of every image
+    z_k = dtheta + alpha k with |z_k| <= pi (alpha < 2 pi has more than
+    one); before_direct ends at the nearest, `cone_distance`.  Each front
+    widens by 10 h for a kernel mollified at width h > 0, and by FRONT_TOL
+    (r1 + r2) for an exact one (h = 0): the band where `sine_kernel_closed`
+    raises InvalidInput.  The direct front is taken at the lengths over a
+    power of two near r1 + r2, as the closed form takes it, so that the
+    squares of the radii neither underflow nor overflow."""
     if not 0.0 <= h < math.inf:
         raise InvalidInput(f"the width h must be finite and >= 0, got {h}")
     ts = _sweep_times(ts, r1, r2)
@@ -136,7 +139,35 @@ def front_region(alpha: float, ts, r1: float, r2: float, dtheta: float,
                                AFTER_DIFFRACTED))
     for front in (direct, diffracted):
         labels[(front - tol <= ts) & (ts <= front + tol)] = NEAR_FRONT
+    if alpha < 2.0 * math.pi:  # else the nearest image is the only one
+        # a time past 3 (r1 + r2) is near no front, and a band wider than
+        # r1 + r2 holds none that the two bands above miss
+        tau = np.clip(ts, -3.0 * diffracted, 3.0 * diffracted) / scale
+        labels[_near_an_image_front(alpha, tau, r1 / scale, r2 / scale,
+                                    angular_separation(alpha, dtheta, 0.0),
+                                    min(tol, diffracted) / scale)] = NEAR_FRONT
     return labels
+
+
+def _near_an_image_front(alpha: float, tau: np.ndarray, a: float, b: float,
+                         z: float, tol: float) -> np.ndarray:
+    """Whether each time tau lies within tol of the direct front of an
+    image +-z + alpha k in [0, pi] of the radii a and b (lengths over a
+    power of two near a + b).  That front is at d with
+    d^2 = (a - b)^2 + 4 a b sin^2(z_k/2), increasing in |z_k|, so the band
+    [tau - tol, tau + tol] is an angle interval [lo, hi] in [0, pi], which
+    holds a front where one of the lattices +-z + alpha Z has a point in
+    it: no array per image."""
+    gap = abs(a - b)
+    edges = np.clip([tau - tol, tau + tol], gap, a + b)
+    sin2 = (edges - gap) * (edges + gap) / (4.0 * a * b)
+    lo, hi = 2.0 * np.arcsin(np.sqrt(np.minimum(sin2, 1.0)))
+    met = np.zeros(tau.shape, dtype=bool)
+    for s in (z, -z):
+        # the lattice's first point at or past lo is lo + (ahead mod alpha)
+        ahead = np.fmod(s - lo, alpha)
+        met |= np.where(ahead < 0.0, ahead + alpha, ahead) <= hi - lo
+    return met & (gap <= tau + tol) & (tau - tol <= a + b)
 
 
 def _unscale(values, scale: float, degree: int = 1):

@@ -122,33 +122,37 @@ def _kummer_minus(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
     Up to KUMMER_CROSSOVER it is Kummer's transform e^{-x} M(b - a, b, x)
     (13.2.39), whose terms are positive once n > a - b, to x + 8 sqrt(x) + 20
-    terms at the largest x (the tail is then below 1e-17); when b - a is 0
-    or a negative integer the series ends after its n = a - b term.  Past
-    the crossover it is the large-x expansion (13.7.2) Gamma(b) /
-    Gamma(b - a) x^(-a) sum_n (a)_n (a - b + 1)_n / (n! x^n) to
-    KUMMER_LARGE_X_TERMS terms; the part it drops, Gamma(b) / Gamma(a) e^{-x}
-    x^(a - b), is below 1e-22 there for s up to 4.7.
+    terms at the largest x (the tail is then below 1e-17).  When b - a is 0
+    or a negative integer that series ends after its n = a - b term, and
+    its a - b + 1 terms are summed at every x.  Past the crossover it is
+    the large-x expansion (13.7.2) Gamma(b) / Gamma(b - a) x^(-a) sum_n
+    (a)_n (a - b + 1)_n / (n! x^n) to KUMMER_LARGE_X_TERMS terms; the part
+    it drops, Gamma(b) / Gamma(a) e^{-x} x^(a - b), is below 1e-22 there for
+    s up to 4.7.
 
     When a - b is large the series' first a - b terms alternate and cancel:
     damped_moment would be 1.1e-15 of its peak off mpmath at s = 10,
     1.9e-14 at s = 20 and 5e-13 at s = 30, so it stops at s = 4.7.
     """
+    c = b - a
+    if c <= 0 and c == math.floor(c):  # where 1 / Gamma(b - a) is 0
+        # 1 + r_0 x (1 + r_1 x (...)), r_k the ratios of successive terms
+        series = 1.0
+        for k in range(int(-c) - 1, -1, -1):
+            series = 1.0 + (c + k) / ((b + k) * (k + 1.0)) * x * series
+        return np.exp(-x) * series
     out = np.empty_like(x)
     near = x <= KUMMER_CROSSOVER
-    c = b - a
-    ends = c <= 0 and c == math.floor(c)   # where 1 / Gamma(b - a) is 0
     if near.any():
         xn = x[near]
         top = float(xn.max())
-        n = int(top + 8.0 * math.sqrt(top)) + 20
-        k = np.arange(min(n, int(1 - c)) if ends else n)
+        k = np.arange(int(top + 8.0 * math.sqrt(top)) + 20)
         out[near] = np.exp(-xn) * _power_series(
             xn, (c + k) / ((b + k) * (k + 1.0)))
     if not near.all():
         far = x[~near]
         k = np.arange(KUMMER_LARGE_X_TERMS)
-        scale = 0.0 if ends else math.gamma(b) / math.gamma(c)
-        out[~near] = scale * far ** -a * _power_series(
+        out[~near] = math.gamma(b) / math.gamma(c) * far ** -a * _power_series(
             1.0 / far, (a + k) * (a - b + 1.0 + k) / (k + 1.0))
     return out
 

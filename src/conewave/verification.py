@@ -147,7 +147,10 @@ def at3_scattering(seed: int = 0) -> ATReport:
     Fejer error at distance d from a pole scales like 1/(N d^2); N = 8000
     and a pole margin of 0.4 keep the sup comfortably under 1e-3.  At that
     margin the sine factors of S_alpha are at least 0.1, so no accepted
-    theta is a pole.
+    theta is a pole.  The oracle is the Fejer mean in closed form (the
+    Fejer kernel and its conjugate), whose rounding does not grow with N:
+    the figure is the truncation error alone, within 1e-14 of an
+    extended-precision sum of the series.
     """
     rng = np.random.default_rng(seed)
     angles = (3.0 * PI, 4.0 * PI, 7.0, 5.0)
@@ -359,7 +362,7 @@ def format_table(reports: list[ATReport]) -> str:
         status = "PASS" if rep.passed else "FAIL"
         if rep.info_only:
             status += "+INFO"
-        lines.append(f"{rep.at_id:5s} {status:9s} {rep.runtime_s:7.1f}s  "
-                     f"{rep.title}")
+        lines.append(f"{rep.at_id:5s} {status:9s} "
+                     f"{1000.0 * rep.runtime_s:8.1f} ms  {rep.title}")
         lines.append(f"      {rep.summary}")
     return "\n".join(lines)

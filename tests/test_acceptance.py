@@ -15,7 +15,8 @@ from conewave import verification
 def _report(runner, *args):
     rep = runner(*args)
     status = "PASS" if rep.passed else "FAIL"
-    print(f"\n{rep.at_id} {status} ({rep.runtime_s:.1f}s): {rep.summary}")
+    print(f"\n{rep.at_id} {status} ({1000.0 * rep.runtime_s:.1f} ms): "
+          f"{rep.summary}")
     return rep
 
 
@@ -90,6 +91,16 @@ def test_gate_table_decides_and_names_the_figure(monkeypatch):
     monkeypatch.setitem(verification.GATES, "AT-2", {"missing_figure": 1.0})
     with pytest.raises(KeyError, match="missing_figure"):
         verification.at2_friedlander(0)
+
+
+def test_table_shows_a_few_milliseconds():
+    """The table prints milliseconds: in seconds to one decimal, any AT
+    under 50 ms read 0.0s, and a 4 ms report shows its time."""
+    rep = verification.ATReport("AT-3", "scattering matrix", True,
+                                "fourier 0.00033 (<= 0.001)", 0.004)
+    line = verification.format_table([rep]).splitlines()[0]
+    assert line.startswith("AT-3  PASS ")
+    assert line.endswith(" 4.0 ms  scattering matrix")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -47,6 +47,19 @@ def test_run_cli_turns_warnings_into_errors(monkeypatch, tmp_path):
         run_cli(["predict", "--L", "3", "--b", "1"], tmp_path)
 
 
+def test_run_cli_raises_what_main_does_not_catch(monkeypatch, tmp_path):
+    """An exception other than ConewaveError raises out of the runner, as a
+    traceback would end the process, so an in-process test fails on it and
+    needs no check that stderr holds no traceback."""
+    def broken_predict(L, b):
+        raise RuntimeError("not a ConewaveError")
+
+    monkeypatch.setattr(wave_trace, "predict_two_diffraction_singularity",
+                        broken_predict)
+    with pytest.raises(RuntimeError, match="not a ConewaveError"):
+        run_cli(["predict", "--L", "3", "--b", "1"], tmp_path)
+
+
 NO_SCIPY_CHILD = """
 import json, sys
 sys.modules["scipy"] = None  # any import of scipy or of a submodule raises
@@ -368,7 +381,7 @@ def test_compose_oracle_past_the_budget_exits_two(omega, tmp_path):
     (tmp_path / "chain.json").write_text(json.dumps({**CHAIN, "b": 1.0}))
     code, _, err = run_cli(argv, tmp_path)
     assert code == 2
-    assert "error:" in err and "Traceback" not in err
+    assert "error:" in err
 
 
 def test_compose_oracle_size_overflow_exits_two(tmp_path):
@@ -379,14 +392,13 @@ def test_compose_oracle_size_overflow_exits_two(tmp_path):
                             "--q1=2,-0.2", "--q2=-0.98,-0.2", "--omega",
                             "100"], tmp_path)
     assert code == 2
-    assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_negative_seed_exits_two(tmp_path):
     code, _, err = run_cli(["verify", "--seed", "-1"], tmp_path)
     assert code == 2
-    assert "seed" in err and "Traceback" not in err
+    assert "seed" in err
 
 
 def test_verify_exit_codes_exposed():
@@ -637,7 +649,6 @@ def test_overflow_is_input_error(argv, tmp_path):
     one error line: no traceback, and no NaN written."""
     code, out, err = run_cli(argv, tmp_path)
     assert code == 2, err
-    assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "nan" not in out
 
@@ -649,7 +660,7 @@ def test_cheeger_at_subnormal_lengths_is_finite(tmp_path):
     a finite value, which it writes."""
     code, _, err = run_cli(SUBNORMAL_KERNEL_ARGS + [
         "--representation", "cheeger", "--out", "k.csv"], tmp_path)
-    assert code == 0 and "Traceback" not in err
+    assert code == 0, err
     values = [float(v) for v in _csv_columns(tmp_path / "k.csv")["value_re"]]
     assert len(values) == 2 and all(map(math.isfinite, values))
 
@@ -665,7 +676,7 @@ def test_argparse_errors_exit_two(argv, tmp_path):
     exits 2 with argparse's usage line and no traceback."""
     code, _, err = run_cli(argv, tmp_path)
     assert code == 2
-    assert "usage:" in err and "Traceback" not in err
+    assert "usage:" in err
 
 
 def test_trace_thin_rectangle_nearest_lengths(tmp_path):

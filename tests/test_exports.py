@@ -11,6 +11,7 @@ string equal to the name counts too.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import conewave
@@ -96,3 +97,20 @@ def test_every_error_type_is_told_apart_by_a_caller():
     untold = [name for name in classes
               if name not in OUTCOMES and name not in told_apart]
     assert untold == []
+
+
+def test_every_benchmark_timed_name_resolves():
+    """Each (module, attribute) pair that `bench/tracer.py` wraps by name in
+    `TIMED` exists in `conewave`, so deleting or renaming a function the
+    benchmark times fails here, not only in the benchmark's own run."""
+    tree = ast.parse((BENCH / "tracer.py").read_text())
+    timed = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "TIMED"
+                         for t in node.targets))
+    pairs = [(row.elts[0].value, row.elts[1].value) for row in timed.elts]
+    assert pairs
+    missing = [pair for pair in pairs
+               if not hasattr(importlib.import_module(f"conewave.{pair[0]}"),
+                              pair[1])]
+    assert missing == []

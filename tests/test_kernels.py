@@ -84,12 +84,23 @@ def test_closed_form_is_on_front_where_front_region_says(r1, r2, dtheta):
         assert 0.0 < plane < math.inf
 
 
+def _image_fronts(alpha, r1, r2, dtheta):
+    """The direct front of every image dtheta + alpha k within pi of 0."""
+    z = math.remainder(dtheta, alpha)
+    k_max = int(2.0 * PI / alpha) + 1
+    return [math.sqrt(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(zk))
+            for zk in (z + alpha * k for k in range(-k_max, k_max + 1))
+            if abs(zk) <= PI]
+
+
 def _pointwise_front_rule(alpha, t, r1, r2, dtheta, h):
-    """The label rule of `front_region` applied to one time."""
+    """The label rule of `front_region` applied to one time, one image at a
+    time."""
     direct = cone_distance(alpha, ConePoint(r1, dtheta), ConePoint(r2, 0.0))
     diffracted = r1 + r2
     tol = 10.0 * h if h > 0 else FRONT_TOL * diffracted
-    if any(front - tol <= t <= front + tol for front in (direct, diffracted)):
+    fronts = (direct, diffracted, *_image_fronts(alpha, r1, r2, dtheta))
+    if any(front - tol <= t <= front + tol for front in fronts):
         return NEAR_FRONT
     if t < direct:
         return BEFORE_DIRECT
@@ -98,26 +109,52 @@ def _pointwise_front_rule(alpha, t, r1, r2, dtheta, h):
 
 def test_front_region_labels_a_sweep_by_the_pointwise_rule():
     """One call labels each time of a sweep as the pointwise rule does: on
-    random sweeps at six cone angles, exact (h = 0) and mollified, with the
-    times +-0.5 and +-2 tolerances off each front among them, and at
+    random sweeps at eight cone angles, exact (h = 0) and mollified, with
+    the times +-0.5 and +-2 tolerances off each front among them, and at
     dtheta = pi, where the direct front can round an ulp past r1 + r2."""
     rng = np.random.default_rng(26)
     seen = set()
     for i in range(300):
-        alpha = float(rng.choice([PI, 2 * PI, 3 * PI, 7.0, 4 * PI, 20.0]))
+        alpha = float(rng.choice([0.7, 2.0, PI, 2 * PI, 3 * PI, 7.0, 4 * PI,
+                                  20.0]))
         r1, r2 = (float(r) for r in rng.uniform(0.1, 2.0, 2))
         dtheta = PI if i % 10 == 0 else float(rng.uniform(-10.0, 10.0))
         h = 0.0 if i % 2 else float(rng.uniform(0.01, 0.1))
         direct = cone_distance(alpha, ConePoint(r1, dtheta), ConePoint(r2, 0.0))
+        fronts = (direct, r1 + r2, *_image_fronts(alpha, r1, r2, dtheta))
         tol = 10.0 * h if h > 0 else FRONT_TOL * (r1 + r2)
         ts = [*rng.uniform(0.01, 3.0 * (r1 + r2), 20).tolist(),
-              *(front + k * tol for front in (direct, r1 + r2)
+              *(front + k * tol for front in fronts
                 for k in (-2.0, -0.5, 0.5, 2.0))]
         labels = front_region(alpha, ts, r1, r2, dtheta, h).tolist()
         assert labels == [_pointwise_front_rule(alpha, t, r1, r2, dtheta, h)
                           for t in ts], i
         seen.update(labels)
     assert seen == {BEFORE_DIRECT, BETWEEN_FRONTS, AFTER_DIFFRACTED, NEAR_FRONT}
+
+
+def test_front_region_names_every_direct_front():
+    """At alpha = 2 the images 0.3 -+ 2 of dtheta = 0.3 are within pi, and
+    their direct fronts, 2 sin(0.85) and 2 sin(1.15) for r1 = r2 = 1, are
+    fronts as the nearest one is; halfway between two fronts is not."""
+    fronts = [2.0 * math.sin(0.85), 2.0 * math.sin(1.15)]
+    assert fronts == pytest.approx([1.5025608102805854, 1.825527880521042],
+                                   rel=1e-15)
+    labels = front_region(2.0, fronts + [1.66], 1.0, 1.0, 0.3, 0.01)
+    assert labels.tolist() == [NEAR_FRONT, NEAR_FRONT, BETWEEN_FRONTS]
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 5e-324])
+def test_front_region_at_a_dense_image_lattice(alpha):
+    """At a tiny cone angle the image fronts fill [|r1 - r2|, r1 + r2]; the
+    labels come from the lattice, not from an array per image: every time
+    there is near a front at h = 0.01, and before it is before_direct (no
+    time is on a band's edge, 0.4 or 1.6)."""
+    ts = np.arange(0.1, 2.0, 0.05) + 0.0125
+    labels = front_region(alpha, ts, 1.0, 0.5, 0.3, 0.01)
+    want = np.where(ts < 0.5 - 0.1, BEFORE_DIRECT,
+                    np.where(ts <= 1.5 + 0.1, NEAR_FRONT, AFTER_DIFFRACTED))
+    assert labels.tolist() == want.tolist()
 
 
 def test_moving_point_equals_closed_form():
