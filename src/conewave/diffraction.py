@@ -22,7 +22,8 @@ import math
 import numpy as np
 
 from .errors import GeometricDirection, InvalidInput
-from .geometry import _length_scale, check_array_size, check_cone_angle
+from . import geometry
+from .geometry import _length_scale, check_cone_angle
 
 # Angle, in radians, within which an offset from a geometric direction
 # counts as a pole: the sine factors sin(pi x/alpha) are compared with
@@ -130,11 +131,16 @@ def scattering_matrix_fourier(alpha: float, theta, N: int):
 
     and C = phi N (N + 2)/6 where |(N + 1) phi| < 3e-4, whose difference
     cancels (the next term is below 4.5e-9 of it).  Neither the work per
-    angle nor the rounding grows with N."""
+    angle nor the rounding grows with N, held to the array budget.  As
+    |Im| <= (N + 1)/alpha (F <= N + 1) and |Re| <= 2 N/alpha (|C| <= N),
+    2 pi (N + 1)/alpha bounds them and 2 pi/alpha: it must be finite."""
     check_cone_angle(alpha)
-    if N < 0:
-        raise InvalidInput(f"N must be >= 0, got {N}")
-    check_array_size(N, "the Fourier sum")
+    if not 0 <= N <= geometry.MAX_ARRAY_ELEMENTS:
+        raise InvalidInput(f"the Fourier order N must be in [0, "
+                           f"{geometry.MAX_ARRAY_ELEMENTS}], got {N}")
+    if not math.isfinite(2.0 * math.pi * (N + 1) / alpha):
+        raise InvalidInput(f"the Fourier oracle at N = {N}, alpha = {alpha} "
+                           f"leaves the double range")
     _, x1, x2, _ = _offsets(alpha, theta)
     m = N + 1.0
     fejer = conjugate = 0.0

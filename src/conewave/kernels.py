@@ -359,12 +359,12 @@ def _lambda_rule(lam_max: float, n_panels: int):
 
 def _mode_table(alpha: float, ts, r1: float, r2: float, dtheta_signed: float,
                 h: float):
-    """(ts, lam, damped, bessel, weights) of a mode sum: the times as an
-    array, the lambda nodes, their quadrature weights times e^{-h^2
-    lam^2/2}, the products J_nu(lam r1) J_nu(lam r2) (modes by nodes) and
-    the mode weights (c_k/alpha) cos(nu_k dtheta), c_0 = 1 and c_k = 2.
-    Every array, graded nodes included, is checked against the budget
-    before it is allocated."""
+    """(ts, lam, rows) of a mode sum: the times as an array, the lambda
+    nodes, and over them the density sum_k w_k J_nu(lam r1) J_nu(lam r2),
+    w_k = (c_k/alpha) cos(nu_k dtheta) with c_0 = 1 and c_k = 2, then its
+    last and second-to-last terms, all times the quadrature weights and
+    e^{-h^2 lam^2/2}.  Every array, graded nodes included, is checked
+    against the budget before it is allocated."""
     dtheta = angular_separation(alpha, dtheta_signed, 0.0)  # cos is even
     ts = _sweep_times(ts, r1, r2, h)
     lam_max = math.sqrt(2.0 * math.log(1e13)) / h
@@ -377,26 +377,23 @@ def _mode_table(alpha: float, ts, r1: float, r2: float, dtheta_signed: float,
     n_panels = max(1, -(-int(n_lam) // LAM_PANEL))
     n_nodes = n_panels * LAM_PANEL + len(LAM_GRADED_EDGES) * LAM_GRADED_NODES
     check_array_size(n_nodes * ts.size, "the phase block")
-    check_array_size((mode_cut + 1) * ts.size, "the mode-by-time block")
     lam, wq = _lambda_rule(lam_max, n_panels)
 
     nu = 2.0 * math.pi * np.arange(mode_cut + 1) / alpha
-    j1, j2 = np.split(_masked_bessel(nu, np.concatenate([lam * r1, lam * r2])),
-                      2, axis=1)
-    damped = np.exp(-0.5 * (h * lam) ** 2) * wq
-    coeffs = np.full(mode_cut + 1, 2.0)
-    coeffs[0] = 1.0
-    weights = (coeffs / alpha) * np.cos(nu * dtheta)
-    return ts, lam, damped, j1 * j2, weights
+    bessel = np.multiply(*np.split(
+        _masked_bessel(nu, np.concatenate([lam * r1, lam * r2])), 2, axis=1))
+    weights = (2.0 / alpha) * np.cos(nu * dtheta)
+    weights[0] /= 2.0  # c_0 = 1
+    rows = np.stack([weights @ bessel, weights[-1] * bessel[-1],
+                     weights[-2] * bessel[-2]])
+    return ts, lam, rows * (np.exp(-0.5 * (h * lam) ** 2) * wq)
 
 
-def _mode_sum(weights: np.ndarray, integrals: np.ndarray,
-              ts: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] integrals[k, i] at each time t_i, refused unless the
-    last two modes are within MODE_TAIL_TOL of the value everywhere."""
-    terms = weights[:, None] * integrals
-    values = terms.sum(axis=0)
-    tail = np.abs(terms[-1]) + np.abs(terms[-2])
+def _mode_sum(integrals: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """integrals[0] at each time t_i, refused unless the last two modes,
+    integrals[1:3], are within MODE_TAIL_TOL of it everywhere."""
+    values = integrals[0]
+    tail = np.abs(integrals[1]) + np.abs(integrals[2])
     if np.any(tail > MODE_TAIL_TOL * np.maximum(np.abs(values), 1e-30)):
         worst = int(np.argmax(tail))
         raise QuadratureFailure(
@@ -410,15 +407,13 @@ def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
     """Cheeger mode sum of the mollified sine kernel on a batch of times.
 
     Any representative of theta1 - theta2 will do for dtheta_signed.  The
-    Bessel products are time independent, so a whole t sweep costs one
-    matrix-vector product per time on top of a single Bessel table.  The
-    lambda rule (see LAM_NODES_PER_PERIOD) is within 1.5e-13 of the peak.
+    spectral density does not depend on t: the modes are summed into it on
+    one Bessel table, and the sweep is one product of its row (and the two
+    tail rows) with the sin(lam t) block.  The lambda rule (see
+    LAM_NODES_PER_PERIOD) is within 1.5e-13 of the peak.
     """
-    ts, lam, damped, bessel, weights = _mode_table(alpha, ts, r1, r2,
-                                                   dtheta_signed, h)
-    # integrals[k, i] = int sin(lam t_i) e^{-h^2 lam^2/2} J J d lam
-    return _mode_sum(weights, bessel @ (np.sin(np.outer(lam, ts))
-                                        * damped[:, None]), ts)
+    ts, lam, rows = _mode_table(alpha, ts, r1, r2, dtheta_signed, h)
+    return _mode_sum(rows @ np.sin(np.outer(lam, ts)), ts)
 
 
 def halfwave_series_sweep(alpha: float, ts, r1: float, r2: float,
@@ -429,14 +424,12 @@ def halfwave_series_sweep(alpha: float, ts, r1: float, r2: float,
         U_h = (1/alpha) sum_k c_k cos(nu_k dtheta)
               int_0^inf e^{-i lam t} e^{-h^2 lam^2/2} J J lam d lam,
 
-    the table of cheeger_series_sweep weighted by lam e^{-i lam t} instead
-    of sin(lam t).  Re U_h is the time derivative of the sine kernel and
-    Im U_h its Hilbert transform in t.
+    the density rows of cheeger_series_sweep transformed with
+    lam e^{-i lam t} instead of sin(lam t).  Re U_h is the time derivative
+    of the sine kernel and Im U_h its Hilbert transform in t.
     """
-    ts, lam, damped, bessel, weights = _mode_table(alpha, ts, r1, r2,
-                                                   dtheta_signed, h)
-    return _mode_sum(weights, bessel @ (np.exp(-1j * np.outer(lam, ts))
-                                        * (lam * damped)[:, None]), ts)
+    ts, lam, rows = _mode_table(alpha, ts, r1, r2, dtheta_signed, h)
+    return _mode_sum((rows * lam) @ np.exp(-1j * np.outer(lam, ts)), ts)
 
 
 def sine_kernel_cheeger_series(alpha: float, q: KernelQuery,

@@ -548,53 +548,64 @@ def test_budget_errors_print_short_counts(tmp_path):
         geometry.check_array_size(10**20, "the table")
 
 
-@pytest.mark.parametrize("argv", [
-    ["scatter", "--alpha", "-1", "--thetas", "0:0.1:1"],
-    ["scatter", "--alpha", "inf", "--thetas", "0:0.1:1"],
-    KERNEL_ARGS + ["--ts", "1:0.1:1.2", "--h", "0"],
-    KERNEL_ARGS + ["--ts", "nan:0.1:1"],
-    ["trace", "--h", "0", "--t-range", "0.5:0.1:1"],
-    ["trace", "--h", "inf", "--t-range", "0.5:0.1:1"],
-    ["scatter", "--alpha", "7", "--thetas", "0:0.1:1", "--fourier-n", "-1"],
-    COMPOSE_ARGS + ["--q1", "abc", "--omega", "2"],
-    COMPOSE_ARGS + ["--q1", "1,2,3", "--omega", "2"],
-    ["compose", "--chain", "chain_no_c.json", "--t", "4", "--q1=3,0",
-     "--q2=-1,0", "--omega", "2"],
-    COMPOSE_ARGS + ["--q1=3,0", "--omega=-5"],
-    KERNEL_ARGS + ["--r1", "-1", "--ts", "1:0.1:1.2"],
-    KERNEL_ARGS + ["--ts", "1:0.1:1.2", "--h", "-1"],
-    KERNEL_ARGS + ["--representation", "friedlander", "--ts", "1:0.1:1.2",
-                   "--h", "-1"],
-    KERNEL_ARGS + ["--representation", "moving", "--ts", "1:0.1:1.2",
-                   "--h", "-1"],
-    KERNEL_ARGS + ["--ts=-1:1:2"],
-    ["trace", "--a", "-1", "--t-range", "0.5:0.1:1"],
-    ["trace", "--a", "nan", "--t-range", "0.5:0.1:1"],
-    KERNEL_ARGS + ["--representation", "moving", "--theta2", "0",
-                   "--ts", "1:0.1:1.2"],
-    # closed4pi and moving exist only on C_4pi
-    ["kernel", "--alpha", "7", "--representation", "moving", "--r1", "1",
-     "--theta1", "0", "--r2", "1", "--theta2", "1.5", "--ts", "1.5:0.5:2.5",
-     "--h", "0"],
-    ["kernel", "--alpha", "7", "--representation", "closed4pi", "--r1", "1",
-     "--theta1", "0", "--r2", "1", "--theta2", "1.5", "--ts", "1.5:0.4:2.3",
-     "--h", "0"],
-    ["compose", "--chain", "chain_eps1_half.json", "--t", "4", "--q1=3,0",
-     "--q2=-1,0", "--omega", "2"],
-    # sizes past the array budget are refused before anything is allocated
-    ["scatter", "--alpha", "7", "--thetas", "0:0.1:1",
-     "--fourier-n", "100000000000"],
-    ["trace", "--t-range", "0.5:0.1:1", "--lambda-max", "1e9"],
-    KERNEL_ARGS + ["--ts", "0:1e-12:1"],
-    KERNEL_ARGS + ["--ts", "1:0.1:1.2", "--h", "1e-4"],
+@pytest.mark.parametrize("argv, refusal", [
+    *((argv, "error") for argv in [
+        ["scatter", "--alpha", "-1", "--thetas", "0:0.1:1"],
+        ["scatter", "--alpha", "inf", "--thetas", "0:0.1:1"],
+        KERNEL_ARGS + ["--ts", "1:0.1:1.2", "--h", "0"],
+        KERNEL_ARGS + ["--ts", "nan:0.1:1"],
+        ["trace", "--h", "0", "--t-range", "0.5:0.1:1"],
+        ["trace", "--h", "inf", "--t-range", "0.5:0.1:1"],
+        ["scatter", "--alpha", "7", "--thetas", "0:0.1:1", "--fourier-n", "-1"],
+        COMPOSE_ARGS + ["--q1", "abc", "--omega", "2"],
+        COMPOSE_ARGS + ["--q1", "1,2,3", "--omega", "2"],
+        ["compose", "--chain", "chain_no_c.json", "--t", "4", "--q1=3,0",
+         "--q2=-1,0", "--omega", "2"],
+        COMPOSE_ARGS + ["--q1=3,0", "--omega=-5"],
+        KERNEL_ARGS + ["--r1", "-1", "--ts", "1:0.1:1.2"],
+        KERNEL_ARGS + ["--ts", "1:0.1:1.2", "--h", "-1"],
+        KERNEL_ARGS + ["--representation", "friedlander", "--ts", "1:0.1:1.2",
+                       "--h", "-1"],
+        KERNEL_ARGS + ["--representation", "moving", "--ts", "1:0.1:1.2",
+                       "--h", "-1"],
+        KERNEL_ARGS + ["--ts=-1:1:2"],
+        ["trace", "--a", "-1", "--t-range", "0.5:0.1:1"],
+        ["trace", "--a", "nan", "--t-range", "0.5:0.1:1"],
+        KERNEL_ARGS + ["--representation", "moving", "--theta2", "0",
+                       "--ts", "1:0.1:1.2"],
+        # closed4pi and moving exist only on C_4pi
+        ["kernel", "--alpha", "7", "--representation", "moving", "--r1", "1",
+         "--theta1", "0", "--r2", "1", "--theta2", "1.5", "--ts", "1.5:0.5:2.5",
+         "--h", "0"],
+        ["kernel", "--alpha", "7", "--representation", "closed4pi", "--r1", "1",
+         "--theta1", "0", "--r2", "1", "--theta2", "1.5", "--ts", "1.5:0.4:2.3",
+         "--h", "0"],
+        ["compose", "--chain", "chain_eps1_half.json", "--t", "4", "--q1=3,0",
+         "--q2=-1,0", "--omega", "2"],
+    ]),
+    # sizes past the array budget are refused, by the name of the array,
+    # before anything is allocated
+    (["scatter", "--alpha", "7", "--thetas", "0:0.1:1",
+      "--fourier-n", "100000000000"], "the Fourier order N must be in"),
+    (["trace", "--t-range", "0.5:0.1:1", "--lambda-max", "1e9"],
+     "the pillowcase index grid needs"),
+    (KERNEL_ARGS + ["--ts", "0:1e-12:1"], "the range '0:1e-12:1' needs"),
+    (KERNEL_ARGS + ["--ts", "1:0.1:1.2", "--h", "1e-4"],
+     "the Bessel table needs"),
     # sizes that overflow to inf before they could be checked
-    KERNEL_ARGS + ["--ts", "1:0.1:1.2", "--h", "1e-320"],
-    KERNEL_ARGS + ["--ts", "1e300:1:1e300", "--h", "1e-10"],
-    ["kernel", "--alpha", "1e300", "--r1", "0.5", "--theta1", "0",
-     "--r2", "0.5", "--theta2", "2", "--ts", "1:0.1:1.2", "--h", "1e-9"],
-    # Bessel table and phase block fit; the modes x times block does not
-    ["kernel", "--alpha", "1e4", "--r1", "1e-3", "--theta1", "0",
-     "--r2", "1e-3", "--theta2", "2", "--ts", "0.1:1e-4:0.6"],
+    (KERNEL_ARGS + ["--ts", "1:0.1:1.2", "--h", "1e-320"], "sizes overflow"),
+    (KERNEL_ARGS + ["--ts", "1e300:1:1e300", "--h", "1e-10"],
+     "sizes overflow"),
+    (["kernel", "--alpha", "1e300", "--r1", "0.5", "--theta1", "0",
+      "--r2", "0.5", "--theta2", "2", "--ts", "1:0.1:1.2", "--h", "1e-9"],
+     "sizes overflow"),
+    # 30220 modes: the Bessel table of 2.32e7 elements is past the budget
+    (["kernel", "--alpha", "1e4", "--r1", "1e-3", "--theta1", "0",
+      "--r2", "1e-3", "--theta2", "2", "--ts", "0.1:1e-4:0.6"],
+     "the Bessel table needs"),
+    # the Bessel table fits; 3.65e8 lambda nodes by times do not
+    (KERNEL_ARGS + ["--ts", "1:0.0001:20", "--h", "0.05"],
+     "the phase block needs"),
 ], ids=["alpha-negative", "alpha-inf", "h-zero", "ts-nan", "trace-h-zero",
         "trace-h-inf", "fourier-n-negative", "q1-text", "q1-three-parts",
         "chain-without-c", "omega-negative", "r1-negative", "h-negative",
@@ -604,16 +615,17 @@ def test_budget_errors_print_short_counts(tmp_path):
         "chain-eps1-fractional", "fourier-n-huge", "trace-lambda-max-huge",
         "ts-huge", "cheeger-h-tiny", "cheeger-h-overflows",
         "cheeger-t-overflows", "cheeger-alpha-overflows",
-        "cheeger-modes-by-times-huge"])
-def test_bad_input_exits_two(argv, tmp_path):
-    """Out-of-domain numbers are input errors (exit 2), not tracebacks."""
+        "cheeger-modes-by-times-huge", "cheeger-phase-block-huge"])
+def test_bad_input_exits_two(argv, refusal, tmp_path):
+    """Out-of-domain numbers are input errors (exit 2), not tracebacks; a
+    size past the budget or the double range names what it refuses."""
     no_c = {k: v for k, v in CHAIN.items() if k != "c"}
     for name, chain in (("chain", CHAIN), ("chain_no_c", no_c),
                         ("chain_eps1_half", {**CHAIN, "eps1": 1.5})):
         (tmp_path / f"{name}.json").write_text(json.dumps(chain))
     code, _, err = run_cli(argv, tmp_path)
     assert code == 2
-    assert "error" in err
+    assert "error" in err and refusal in err, err
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,8 @@
 `kernel`, `scatter`, `predict`, `trace` and `compose` (and every chain JSON
 given to `compose`) exits 0 or 2, never with a traceback or a warning, and
 an exit 2 writes nothing to stdout; a `predict` run that exits 0 writes
-no NaN, and a `kernel` run that exits 0 writes no NaN and no infinity.
+no NaN, a `kernel` run that exits 0 writes no NaN and no infinity, and a
+`scatter` run that exits 0 writes a finite Fourier oracle.
 
 Numbers are drawn log-uniformly from 1e-320 (a subnormal double) to 1e300
 or from a few plain values, among them 0 and -1.  Angles take either sign,
@@ -22,7 +23,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
@@ -87,9 +88,17 @@ def test_kernel_exit_codes(alpha, rep, r1, theta1, r2, theta2, ts, h):
 @FUZZ
 @given(alpha=number, thetas=sweep(), fourier_n=st.one_of(
     st.integers(-3, 3), st.integers(-10**6, 10**6), st.just(10**30)))
+# 2 pi (N + 1)/alpha past the double range, refused; and just inside it
+@example(alpha=1e-305, thetas="0:0.1:0.2", fourier_n=100000)
+@example(alpha=1e-300, thetas="0:0.1:0.2", fourier_n=1000)
 def test_scatter_exit_codes(alpha, thetas, fourier_n):
-    check_contract(["scatter", opt("alpha", alpha), f"--thetas={thetas}",
-                    opt("fourier-n", fourier_n)])
+    out = check_contract(["scatter", opt("alpha", alpha), f"--thetas={thetas}",
+                          opt("fourier-n", fourier_n)])
+    header, *rows = [line.split(",") for line in out.splitlines()] or [[]]
+    columns = [i for i, name in enumerate(header)
+               if name.startswith("S_fourier")]
+    for row in rows:
+        assert all(math.isfinite(float(row[i])) for i in columns), row
 
 
 @FUZZ

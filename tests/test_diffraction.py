@@ -187,6 +187,22 @@ def test_products_refuse_an_overflowing_numerator(call):
         call(1.05e-307)
 
 
+@pytest.mark.parametrize("alpha, n", [(1e-305, 100000), (2e-308, 0),
+                                      (1e-310, 0)])
+def test_fourier_oracle_refuses_values_past_the_double_range(alpha, n):
+    """2 pi (N + 1)/alpha bounds the oracle and its phase factor; at 2e-308
+    only 2 pi/alpha overflows, which made inf * 0 = NaN phases."""
+    with pytest.raises(InvalidInput, match="double range"):
+        scattering_matrix_fourier(alpha, [0.0, 0.1], n)
+
+
+def test_fourier_oracle_just_inside_the_double_range():
+    """At alpha = 1e-300 every angle reduces to a pole, where F = N + 1:
+    the value is -i (N + 1)/alpha, finite."""
+    got = scattering_matrix_fourier(1e-300, np.array([0.0, 0.1, 0.2]), 1000)
+    assert np.all(got == -1001j / 1e-300)
+
+
 def test_fourier_oracle_arrays_match_scalars():
     """An array gives the scalar calls bit for bit, and the shape of theta
     is kept."""
