@@ -12,8 +12,8 @@ from .diffraction import (SINE_PRODUCT_LIMITS, scattering_matrix,
                           scattering_matrix_fourier)
 from .kernels import (KernelQuery, KernelValue, cheeger_series_sweep,
                       halfwave_series_sweep, sine_kernel_cheeger_series,
-                      sine_kernel_closed, sine_kernel_moving_point,
-                      spherical_wave_l, upsilon0)
+                      sine_kernel_closed, sine_kernel_moving,
+                      sine_kernel_moving_point, spherical_wave_l, upsilon0)
 from .friedlander import build_friedlander, sine_kernel_friedlander
 from .two_diffraction import (CompositionPoint, StationaryData,
                               amplitude_tilde, chain_nondegeneracy,

@@ -127,14 +127,15 @@ def cmd_kernel(args) -> int:
         values = kernels.cheeger_series_sweep(*sweep, h)
     elif rep == "closed4pi":
         values = kernels.sine_kernel_closed(*sweep)
+    elif rep == "moving":
+        values = kernels.sine_kernel_moving(*sweep)
     else:
         q1, q2 = ConePoint(args.r1, args.theta1), ConePoint(args.r2, args.theta2)
-        queries = [kernels.KernelQuery(t, q1, q2) for t in ts.tolist()]
-        values = [(kernels.sine_kernel_moving_point(q) if rep == "moving"
-                   else friedlander.sine_kernel_friedlander(alpha, q)).value
-                  for q in queries]
+        values = [friedlander.sine_kernel_friedlander(
+            alpha, kernels.KernelQuery(t, q1, q2)).value for t in ts.tolist()]
+    # the sine kernel is real: value_im is 0
     rows = [[t, args.r1, args.theta1, args.r2, args.theta2, alpha, rep,
-             complex(v).real, complex(v).imag, region]
+             float(v), 0.0, region]
             for t, v, region in zip(ts.tolist(), values, regions.tolist())]
     _write_text(args.out, _csv(
         ["t", "r1", "theta1", "r2", "theta2", "alpha", "representation",

@@ -44,9 +44,11 @@ def check_array_size(n: int, what: str) -> None:
                            f"budget of {MAX_ARRAY_ELEMENTS}")
 
 
-def _length_scale(x: float) -> float:
-    """The power of two at or below a positive finite x: dividing by it is
-    exact, and brings x into [1, 2)."""
+def _length_scale(x):
+    """The power of two at or below a positive finite x, elementwise for an
+    array: dividing by it is exact, and brings x into [1, 2)."""
+    if isinstance(x, np.ndarray):
+        return np.ldexp(0.5, np.frexp(x)[1])
     return math.ldexp(0.5, math.frexp(x)[1])
 
 
@@ -132,17 +134,29 @@ class ConeChain:
         return cls(**fields)
 
 
-def angular_separation(alpha: float, theta1: float, theta2: float) -> float:
-    """min over integers k of |theta1 - theta2 + k*alpha|, in [0, alpha/2].
+def angular_separation(alpha: float, theta1, theta2):
+    """min over integers k of |theta1 - theta2 + k*alpha|, in [0, alpha/2],
+    elementwise for arrays.
 
     Computed through the IEEE remainder, which is exact, so the result is
-    symmetric in (theta1, theta2) to the last bit.
+    symmetric in (theta1, theta2) to the last bit.  On arrays its magnitude
+    is read as m = |fmod(d, alpha)| or, past alpha/2, alpha - m: both are
+    exact.
     """
     check_cone_angle(alpha)
-    if not math.isfinite(theta1 - theta2):  # math.remainder raises ValueError
-        raise InvalidInput(
-            f"the angle difference {theta1} - {theta2} is not finite")
-    return abs(math.remainder(theta1 - theta2, alpha))
+    d = theta1 - theta2
+    if not isinstance(d, np.ndarray):
+        if math.isfinite(d):  # else math.remainder raises ValueError
+            return abs(math.remainder(d, alpha))
+    else:
+        bad = ~np.isfinite(d)
+        if not bad.any():
+            m = np.abs(np.fmod(d, alpha))
+            return np.where(m > 0.5 * alpha, alpha - m, m)
+        theta1, theta2 = (np.broadcast_to(x, d.shape)[bad][0]
+                          for x in (theta1, theta2))
+    raise InvalidInput(
+        f"the angle difference {theta1} - {theta2} is not finite")
 
 
 def cone_distance(alpha: float, q1: ConePoint, q2: ConePoint) -> float:
@@ -161,7 +175,9 @@ def cone_distance(alpha: float, q1: ConePoint, q2: ConePoint) -> float:
     dtheta = angular_separation(alpha, q1.theta, q2.theta)
     if dtheta > math.pi:
         return q1.r + q2.r
-    # the squares of `kernels._region_pieces`, so that the fronts agree
+    # term for term the square of `kernels._region_pieces`, so that
+    # `kernels.front_region` puts the direct front where the closed form's
+    # first piece starts
     d2 = q1.r * q1.r + q2.r * q2.r - 2.0 * q1.r * q2.r * math.cos(dtheta)
     if not math.isfinite(d2):
         raise InvalidInput(f"radii {q1.r}, {q2.r}: the squared distance overflows")

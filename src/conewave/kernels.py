@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,14 @@ NEAR_FRONT = "near_front"
 # Half-width of a front of an exact kernel, relative to r1 + r2; a kernel
 # mollified at width h widens each front by 10 h instead.
 FRONT_TOL = 1e-12
+
+# The largest double tau with 2 tau^2 finite: the closed form refuses a
+# time past it at the lengths over its scale.
+TAU_MAX = math.sqrt(0.5 * sys.float_info.max)
+
+# Arrays of the size of its points that the moving-vertex kernel holds at
+# once, at most (its budget check counts them all).
+MOVING_ARRAYS = 32
 
 # The Cheeger mode sum is converged when its last two modes contribute at
 # most this fraction of the value.
@@ -170,25 +179,42 @@ def _near_an_image_front(alpha: float, tau: np.ndarray, a: float, b: float,
     return met & (gap <= tau + tol) & (tau - tol <= a + b)
 
 
-def _unscale(values, scale: float, degree: int = 1):
+def _unscale(values, scale, degree: int = 1):
     """Values of a kernel homogeneous of degree -degree at the lengths over
-    `scale`, taken to the caller's lengths.  InvalidInput if one leaves the
-    double range, checked on the largest as a float before numpy divides."""
-    peak = (abs(values) if type(values) is float
-            else float(np.abs(values).max()))
+    `scale` (a power of two, or an array of them), taken to the caller's
+    lengths.  InvalidInput if one leaves the double range, checked before
+    numpy divides: |v| / scale overflows just where |v| passes
+    DBL_MAX min(scale, 1), an exact product."""
     for _ in range(degree):  # one division each: scale**2 can overflow
-        peak /= scale
-        if not math.isfinite(peak):
+        if type(values) is float:  # inf, not a warning
+            outside = not math.isfinite(values / scale)
+        else:
+            outside = np.any(np.abs(values)
+                             > sys.float_info.max * np.minimum(scale, 1.0))
+        if outside:
             raise InvalidInput("kernel value outside the double range")
         values = values / scale
     return values
 
 
-def _sweep_times(ts, *lengths: float) -> np.ndarray:
+def _sweep_times(ts, *lengths) -> np.ndarray:
     """The times of a sweep as an array, refused unless there is at least
-    one and all are finite, or unless the lengths (r1, r2 and a width h)
-    are positive with a finite sum."""
-    if not all(0.0 < x < math.inf for x in (*lengths, sum(lengths))):
+    one and all are finite, or unless the lengths (r1, r2 and a width h;
+    floats, or arrays broadcast together) are positive at every point with
+    a finite sum.  On arrays the sum is taken at a quarter of the lengths,
+    where three cannot overflow and where it is finite just where the sum
+    is."""
+    if any(isinstance(x, np.ndarray) for x in lengths):
+        points = np.broadcast_arrays(*lengths)
+        bad = ~np.logical_and.reduce([(0.0 < x) & (x < math.inf)
+                                      for x in points])
+        bad |= sum(np.where(bad, 0.0, 0.25 * x)
+                   for x in points) > 0.25 * sys.float_info.max
+        if bad.any():
+            lengths = tuple(float(x[bad][0]) for x in points)
+    else:
+        bad = not all(0.0 < x < math.inf for x in (*lengths, sum(lengths)))
+    if np.any(bad):
         raise InvalidInput(f"the sweep needs r1, r2 (and h) > 0 with a "
                            f"finite sum, got {lengths}")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -197,54 +223,63 @@ def _sweep_times(ts, *lengths: float) -> np.ndarray:
     return ts
 
 
-def sine_kernel_closed(alpha: float, ts, r1: float, r2: float,
-                       dtheta: float):
-    """Closed form of the sine kernel on C_{2pi} or C_{4pi} (h = 0) at each
-    time of ts, a float for a scalar t: coeff (t^2 - d2)^(-1/2) on each
-    piece of `_region_pieces`, 0 before the first; dtheta is any
-    representative of theta1 - theta2.  A t within FRONT_TOL (r1 + r2) of a
-    piece start raises InvalidInput, naming the first such t: at 4 pi where
-    `front_region` says NEAR_FRONT, at 2 pi only at the direct front.  It
-    is taken at the lengths over a power of two near r1 + r2, an exact
-    scaling (the kernel is homogeneous of degree -1) that keeps the squares
-    in range."""
+def sine_kernel_closed(alpha: float, ts, r1, r2, dtheta):
+    """Closed form of the sine kernel on C_{2pi} or C_{4pi} (h = 0),
+    elementwise in (t, r1, r2, dtheta) broadcast together, a float when all
+    four are scalars: coeff (t^2 - d2)^(-1/2) on each piece of
+    `_region_pieces`, 0 before the first; dtheta is any representative of
+    theta1 - theta2.  A t within FRONT_TOL (r1 + r2) of a piece start
+    raises InvalidInput, naming the first such t: at 4 pi where
+    `front_region` says NEAR_FRONT, at 2 pi only at the direct front.  Each
+    point is taken at the lengths over a power of two near its r1 + r2, an
+    exact scaling (the kernel is homogeneous of degree -1) that keeps the
+    squares in range."""
     times = _sweep_times(ts, r1, r2)
+    shape = np.broadcast_shapes(times.shape, *map(np.shape, (r1, r2, dtheta)))
+    times = np.broadcast_to(times, shape)
     scale = _length_scale(r1 + r2)
-    t_max = float(np.abs(times).max()) / scale  # inf, not a warning
-    if not math.isfinite(2.0 * t_max * t_max):
+    # where 2 (t / scale)^2 overflows: the product and, past scale 1, the
+    # quotient are exact and in range, as scale is a power of two
+    far = np.abs(times) / np.maximum(scale, 1.0) > TAU_MAX * np.minimum(scale, 1.0)
+    if far.any():  # the largest ratio, in floats: inf, not a warning
+        t_max = max(abs(t) / s for t, s in zip(
+            times[far].tolist(), np.broadcast_to(scale, shape)[far].tolist()))
         raise InvalidInput(f"t / (r1 + r2) = {t_max}: its square overflows")
     tau = times / scale
     d2, pieces = _region_pieces(alpha, r1 / scale, r2 / scale,
                                 angular_separation(alpha, dtheta, 0.0))
+    d2 = np.broadcast_to(d2, shape)
     tol = FRONT_TOL * (r1 + r2) / scale
-    near = np.zeros(tau.shape, dtype=bool)
-    values = np.zeros_like(tau)
+    near = np.zeros(shape, dtype=bool)
+    values = np.zeros(shape)
     for coeff, start, end in pieces:
         near |= (start - tol <= tau) & (tau <= start + tol)
         inside = (start < tau) & (tau < end)
-        values[inside] = coeff / np.sqrt(tau[inside] ** 2 - d2)
+        values[inside] = coeff / np.sqrt(tau[inside] ** 2 - d2[inside])
     if near.any():
         raise InvalidInput(f"t = {times[near][0]} sits on a front of the closed form")
     values = _unscale(values, scale)
-    return values if np.ndim(ts) else float(values[0])
+    return values if any(map(np.ndim, (ts, r1, r2, dtheta))) else float(values[0])
 
 
-def _region_pieces(alpha: float, r1: float, r2: float, dth: float):
+def _region_pieces(alpha: float, r1, r2, dth):
     """(d2, [(coeff, tau_start, tau_end)]): the closed-form kernel is coeff
-    (tau^2 - d2)^(-1/2) on each piece, d2 the squared law-of-cosines distance."""
-    d2 = max(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(dth), 0.0)
-    d_f = math.sqrt(d2)
+    (tau^2 - d2)^(-1/2) on each piece, d2 the squared law-of-cosines
+    distance; elementwise for arrays, where a piece that a point lacks
+    starts at its end."""
+    cos = np.cos(dth) if isinstance(dth, np.ndarray) else math.cos(dth)
+    d2 = np.maximum(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * cos, 0.0)
+    d_f = np.sqrt(d2)
     if abs(alpha - 2.0 * math.pi) < 1e-14:
         return d2, [(1.0 / (2.0 * math.pi), d_f, math.inf)]
     if abs(alpha - 4.0 * math.pi) > 1e-14:
         raise InvalidInput("closed forms exist only for alpha = 2 pi or 4 pi")
     diffracted = r1 + r2
-    if dth <= math.pi:
-        return d2, [
-            (1.0 / (2.0 * math.pi), d_f, diffracted),
-            (1.0 / (4.0 * math.pi), diffracted, math.inf),
-        ]
-    return d2, [(1.0 / (4.0 * math.pi), diffracted, math.inf)]
+    return d2, [
+        (1.0 / (2.0 * math.pi), np.where(dth <= math.pi, d_f, diffracted),
+         diffracted),
+        (1.0 / (4.0 * math.pi), diffracted, math.inf),
+    ]
 
 
 def sine_kernel_closed_mollified(alpha: float, ts, r1: float, r2: float,
@@ -413,7 +448,8 @@ def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
     LAM_NODES_PER_PERIOD) is within 1.5e-13 of the peak.
     """
     ts, lam, rows = _mode_table(alpha, ts, r1, r2, dtheta_signed, h)
-    return _mode_sum(rows @ np.sin(np.outer(lam, ts)), ts)
+    phase = np.outer(lam, ts)
+    return _mode_sum(rows @ np.sin(phase, out=phase), ts)
 
 
 def halfwave_series_sweep(alpha: float, ts, r1: float, r2: float,
@@ -429,7 +465,8 @@ def halfwave_series_sweep(alpha: float, ts, r1: float, r2: float,
     of the sine kernel and Im U_h its Hilbert transform in t.
     """
     ts, lam, rows = _mode_table(alpha, ts, r1, r2, dtheta_signed, h)
-    return _mode_sum((rows * lam) @ np.exp(-1j * np.outer(lam, ts)), ts)
+    phase = np.outer(lam, -1j * ts)
+    return _mode_sum((rows * lam) @ np.exp(phase, out=phase), ts)
 
 
 def sine_kernel_cheeger_series(alpha: float, q: KernelQuery,
@@ -448,61 +485,65 @@ def sine_kernel_cheeger_series(alpha: float, q: KernelQuery,
         alpha, q.t, q.q1.r, q.q2.r, q.q1.theta - q.q2.theta, h)[0]))
 
 
-def _moving_point_frame(q: KernelQuery,
-                        scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Plane coordinates of (q1, q2), divided by scale, in the moving-vertex
-    chart of C_{4pi}, whose vertex moves along the cut direction e = (0, 1).
+def sine_kernel_moving(alpha: float, ts, r1, r2, dtheta):
+    """Moving-vertex representation of the C_{4pi} sine kernel (h = 0),
+    elementwise in (t, r1, r2, dtheta) broadcast together, a float when all
+    four are scalars; dtheta is any representative of theta1 - theta2.
 
-    q1 is placed at a chart angle in (-pi/2, pi/2) and q2 at the reduced
-    separation on the far side of the vertex-shift line.  Any configuration
-    with a positive reduced separation embeds.  (The mirror chart, moving
-    along -e, gives the same kernel bit for bit.)
-    """
-    alpha = 4.0 * math.pi
-    dth = angular_separation(alpha, q.q1.theta, q.q2.theta)
-    if dth < 1e-8:
-        raise InvalidInput("coincident angular coordinates do not embed in the "
-                           "moving-vertex chart")
-    lo = max(-0.5 * math.pi, 0.5 * math.pi - dth) + 1e-9
-    hi = min(0.5 * math.pi, 1.5 * math.pi - dth) - 1e-9
-    phi1 = 0.5 * (lo + hi)
-    phi2 = phi1 + dth
-    r1, r2 = q.q1.r / scale, q.q2.r / scale
-    p1 = np.array([r1 * math.cos(phi1), r1 * math.sin(phi1)])
-    p2 = np.array([r2 * math.cos(phi2), r2 * math.sin(phi2)])
-    return p1, p2
-
-
-def sine_kernel_moving_point(q: KernelQuery) -> KernelValue:
-    """Moving-vertex representation of the C_{4pi} sine kernel (h = 0).
-
-    The vertex is shifted a distance s along the cut direction e; the kernel
-    is the integral over s >= 0 of a delta on the shifted diffracted front,
-    which collapses to a sum over the roots of
-    g(s) = r1(s) + r2(s) - t, each contributing
+    The vertex is shifted a distance s along the cut direction e = (0, 1)
+    of a plane chart; the kernel is the integral over s >= 0 of a delta on
+    the shifted diffracted front, which collapses to a sum over the roots
+    of g(s) = r1(s) + r2(s) - t, each contributing
 
         (1/8 pi) (r1(s) r2(s))^(-1/2) |cos(dtheta(s)/2)|^(-1).
 
-    It is taken at the lengths over a power of two near max(t, r1, r2), an
-    exact scaling (the kernel is homogeneous of degree -1) that keeps the
-    root finder's sextic coefficients and r1(s) r2(s) in range.
+    The chart places q1 at an angle in (-pi/2, pi/2) and q2 at the reduced
+    separation on the far side of the vertex-shift line; any positive
+    reduced separation embeds (the mirror chart, moving along -e, gives the
+    same kernel bit for bit).  Each point is taken at the lengths over a
+    power of two near its max(t, r1, r2), an exact scaling (the kernel is
+    homogeneous of degree -1) that keeps the root finder's sextic
+    coefficients and r1(s) r2(s) in range.  The arrays it holds at once are
+    checked against the budget before any is allocated.
     """
-    scale = _length_scale(max(q.t, q.q1.r, q.q2.r))
-    x1, x2 = _moving_point_frame(q, scale)
-    roots = np.array(find_roots_convex(x1, x2, q.t / scale))
-    # offsets of q1, q2 from the vertex moved to each root s e, shape (2, n)
-    v1, v2 = (x[:, None] - np.outer((0.0, 1.0), roots) for x in (x1, x2))
-    r1s, r2s = np.hypot(*v1), np.hypot(*v2)
-    dg = -v1[1] / r1s - v2[1] / r2s
+    if abs(alpha - 4.0 * math.pi) > 1e-14:
+        raise InvalidInput(f"the moving-vertex kernel needs alpha = 4 pi, "
+                           f"got {alpha}")
+    times = _sweep_times(ts, r1, r2)
+    shape = np.broadcast_shapes(times.shape, *map(np.shape, (r1, r2, dtheta)))
+    check_array_size(MOVING_ARRAYS * math.prod(shape), "the moving-vertex sweep")
+    dth = angular_separation(4.0 * math.pi, dtheta, 0.0)
+    if np.any(dth < 1e-8):
+        raise InvalidInput("coincident angular coordinates do not embed in the "
+                           "moving-vertex chart")
+    lo = np.maximum(-0.5 * math.pi, 0.5 * math.pi - dth) + 1e-9
+    hi = np.minimum(0.5 * math.pi, 1.5 * math.pi - dth) - 1e-9
+    phi1 = 0.5 * (lo + hi)
+    scale = _length_scale(np.maximum(np.maximum(times, r1), r2))
+    x1, x2 = (np.stack(np.broadcast_arrays(r / scale * np.cos(phi),
+                                           r / scale * np.sin(phi)))
+              for r, phi in ((r1, phi1), (r2, phi1 + dth)))
+    roots = find_roots_convex(x1, x2, times / scale)
+    # offsets of q1, q2 from the vertex moved to each root s e
+    v1, v2 = x1[1] - roots, x2[1] - roots
+    r1s, r2s = np.hypot(x1[0], v1), np.hypot(x2[0], v2)
     # |g'| ~ sqrt(2 curvature (t - t_front)); below 1e-6 the evaluation
     # time is within ~1e-13 of the front and the contribution diverges
-    tangent = np.abs(dg) < 1e-6
+    tangent = np.abs(-v1 / r1s - v2 / r2s) < 1e-6
     if tangent.any():
-        raise InvalidInput(f"front tangency at s = {scale * roots[tangent][0]}")
-    cos_dth = np.sum(v1 * v2, axis=0) / (r1s * r2s)
+        s = np.moveaxis(scale * roots, 0, -1)[np.moveaxis(tangent, 0, -1)][0]
+        raise InvalidInput(f"front tangency at s = {s}")
+    cos_dth = (x1[0] * x2[0] + v1 * v2) / (r1s * r2s)
     half_cos = np.sqrt(np.maximum(0.5 * (1.0 + cos_dth), 0.0))
-    total = float(np.sum(1.0 / (8.0 * math.pi * np.sqrt(r1s * r2s) * half_cos)))
-    return KernelValue(_unscale(total, scale))
+    terms = 1.0 / (8.0 * math.pi * np.sqrt(r1s * r2s) * half_cos)
+    values = _unscale(np.where(np.isnan(roots), 0.0, terms).sum(axis=0), scale)
+    return values if any(map(np.ndim, (ts, r1, r2, dtheta))) else float(values[0])
+
+
+def sine_kernel_moving_point(q: KernelQuery) -> KernelValue:
+    """`sine_kernel_moving` at one query, which the benchmark calls."""
+    return KernelValue(sine_kernel_moving(4.0 * math.pi, q.t, q.q1.r, q.q2.r,
+                                          q.q1.theta - q.q2.theta))
 
 
 @functools.cache

@@ -203,10 +203,12 @@ def mollified_inverse_power(moll: Mollifier, t, L: float, order):
     return 1j ** s / math.gamma(s) * moment
 
 
-def find_roots_convex(x1, x2, t: float) -> list[float]:
-    """Sorted roots s >= 0 of |x1 - s e| + |x2 - s e| = t, e = (0, 1) the
-    cut direction of the moving-vertex chart, for plane points x1, x2 (0, 1
-    or 2 roots).
+def find_roots_convex(x1, x2, t):
+    """Roots s >= 0 of |x1 - s e| + |x2 - s e| = t, e = (0, 1) the cut
+    direction of the moving-vertex chart, for plane points x1, x2 given as
+    arrays of shape (2, ...) and times t broadcast with their points: two
+    rows, the roots of each point in ascending order and NaN where it has
+    fewer than two (0, 1 or 2 roots).
 
     The level set r1 + r2 = t is an ellipse with foci x1 and x2, and s e runs
     along a line, so the roots are those of a quadratic.  With p_i = x_i.e
@@ -218,28 +220,28 @@ def find_roots_convex(x1, x2, t: float) -> list[float]:
     only by rounding (down to -1e-12 b^2) is a double root.
 
     The coefficients are sextic in the lengths, so these should be of order
-    one: `kernels.sine_kernel_moving_point` scales them.
+    one: `kernels.sine_kernel_moving` scales them.
     """
-    p1 = float(x1[1])
-    d = float(x2[1]) - p1
-    n1, n2 = float(x1 @ x1), float(x2 @ x2)
+    p1 = x1[1]
+    d = x2[1] - p1
+    n1, n2 = (np.vecdot(x, x, axis=0) for x in (x1, x2))
     tt = t * t
     a = 4.0 * (d * d - tt)
-    if not (t > 0 and a < 0):
-        return []
     c0 = tt + n1 - n2
     b = 4.0 * d * c0 + 8.0 * tt * p1
     c = c0 * c0 - 4.0 * tt * n1
     disc = b * b - 4.0 * a * c
-    if disc < -1e-12 * b * b:
-        return []
-    if disc <= 0.0:
-        candidates = [-b / (2.0 * a)]
-    else:
-        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-        candidates = [q / a, c / q]
-    return sorted(s for s in candidates
-                  if s >= 0.0 and abs(2.0 * d * s + n1 - n2) <= tt)
+    some = (t > 0) & (a < 0) & (disc >= -1e-12 * b * b)
+    two = some & (disc > 0.0)
+    # a and q are nonzero where their roots are read; 1 elsewhere keeps the
+    # divisions from warning
+    a = np.where(some, a, 1.0)
+    q = np.where(two, -0.5 * (b + np.copysign(np.sqrt(np.where(two, disc, 0.0)),
+                                              b)), 1.0)
+    roots = np.stack([np.where(two, q / a, -b / (2.0 * a)),
+                      np.where(two, c / q, np.nan)])
+    real = some & (roots >= 0.0) & (np.abs(2.0 * d * roots + n1 - n2) <= tt)
+    return np.sort(np.where(real, roots, np.nan), axis=0)
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray):

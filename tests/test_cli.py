@@ -606,6 +606,9 @@ def test_budget_errors_print_short_counts(tmp_path):
     # the Bessel table fits; 3.65e8 lambda nodes by times do not
     (KERNEL_ARGS + ["--ts", "1:0.0001:20", "--h", "0.05"],
      "the phase block needs"),
+    # 600001 times, each with its arrays of the moving-vertex sweep
+    (KERNEL_ARGS + ["--representation", "moving", "--ts", "1:1e-6:1.6"],
+     "the moving-vertex sweep needs"),
 ], ids=["alpha-negative", "alpha-inf", "h-zero", "ts-nan", "trace-h-zero",
         "trace-h-inf", "fourier-n-negative", "q1-text", "q1-three-parts",
         "chain-without-c", "omega-negative", "r1-negative", "h-negative",
@@ -615,7 +618,8 @@ def test_budget_errors_print_short_counts(tmp_path):
         "chain-eps1-fractional", "fourier-n-huge", "trace-lambda-max-huge",
         "ts-huge", "cheeger-h-tiny", "cheeger-h-overflows",
         "cheeger-t-overflows", "cheeger-alpha-overflows",
-        "cheeger-modes-by-times-huge", "cheeger-phase-block-huge"])
+        "cheeger-modes-by-times-huge", "cheeger-phase-block-huge",
+        "moving-sweep-huge"])
 def test_bad_input_exits_two(argv, refusal, tmp_path):
     """Out-of-domain numbers are input errors (exit 2), not tracebacks; a
     size past the budget or the double range names what it refuses."""

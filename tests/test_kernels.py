@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conewave import geometry, kernels, verification
 from conewave.errors import InvalidInput, QuadratureFailure
 from conewave.friedlander import sine_kernel_friedlander
 from conewave.geometry import ConePoint, cone_distance
@@ -14,8 +15,8 @@ from conewave.kernels import (AFTER_DIFFRACTED, BEFORE_DIRECT, BETWEEN_FRONTS,
                               halfwave_series_sweep,
                               sine_kernel_cheeger_series, sine_kernel_closed,
                               sine_kernel_closed_mollified,
-                              sine_kernel_moving_point, spherical_wave_l,
-                              upsilon0)
+                              sine_kernel_moving, sine_kernel_moving_point,
+                              spherical_wave_l, upsilon0)
 from conewave.special import Mollifier
 
 PI = math.pi
@@ -675,9 +676,11 @@ def test_representation_agreement_4pi_summary():
 def test_moving_point_tangent_root():
     """At the direct front the root of the shifted front equation is tangent."""
     import scipy.optimize
-    from conewave.kernels import _moving_point_frame
     q1, q2 = ConePoint(1.0, 0.0), ConePoint(1.0, PI / 2)
-    x1, x2 = _moving_point_frame(KernelQuery(1.0, q1, q2), 1.0)
+    # the moving-vertex chart puts q1 at pi/4 and q2 at 3 pi/4, either side
+    # of the line s (0, 1)
+    x1 = (math.cos(PI / 4), math.sin(PI / 4))
+    x2 = (math.cos(3 * PI / 4), math.sin(3 * PI / 4))
 
     def front_sum(s):
         return (math.hypot(x1[0], x1[1] - s)
@@ -688,3 +691,99 @@ def test_moving_point_tangent_root():
         options={"xatol": 1e-14}).fun
     with pytest.raises(InvalidInput, match="front tangency"):
         sine_kernel_moving_point(KernelQuery(t_tangent, q1, q2))
+    # and so does a sweep that holds that time among others
+    with pytest.raises(InvalidInput, match="front tangency"):
+        sine_kernel_moving(4 * PI, [0.5, t_tangent, 3.0], 1.0, 1.0, -PI / 2)
+
+
+def _at1_points():
+    """AT-1's 200 points, as its seed-0 run draws them: (t, r1, r2,
+    theta1 - theta2)."""
+    ts, r1, r2, dth = verification._random_offfront_points(
+        np.random.default_rng(0), 200)
+    return ts, r1, r2, -dth
+
+
+def test_exact_kernels_on_arrays_equal_their_one_point_calls():
+    """On AT-1's points, all three regions with zeros before the direct
+    front, each exact kernel broadcast over (t, r1, r2, dtheta) equals its
+    one-point calls bit for bit, and scalars give a float."""
+    ts, r1, r2, dtheta = points = _at1_points()
+    regions = {str(front_region(4 * PI, *p)[0]) for p in zip(*points)}
+    assert regions == {BEFORE_DIRECT, BETWEEN_FRONTS, AFTER_DIFFRACTED}
+    for kernel in (sine_kernel_closed, sine_kernel_moving):
+        values = kernel(4 * PI, ts, r1, r2, dtheta)
+        assert values.shape == (200,) and (values == 0.0).sum() >= 60
+        ones = [kernel(4 * PI, *p) for p in zip(*map(np.ndarray.tolist, points))]
+        assert all(type(v) is float for v in ones)
+        assert np.array_equal(values, ones)
+        # a column of points against a row of times broadcasts to a table
+        table = kernel(4 * PI, ts[:5], r1[:3, None], r2[:3, None],
+                       dtheta[:3, None])
+        assert table.shape == (3, 5)
+        assert np.array_equal(table[2], kernel(4 * PI, ts[:5], r1[2], r2[2],
+                                               dtheta[2]))
+    q = KernelQuery(ts[1], ConePoint(r1[1], 0.0), ConePoint(r2[1], -dtheta[1]))
+    assert sine_kernel_moving_point(q).value == sine_kernel_moving(
+        4 * PI, ts[1], r1[1], r2[1], dtheta[1])
+
+
+@pytest.mark.parametrize("kernel", [sine_kernel_closed, sine_kernel_moving])
+@pytest.mark.parametrize("where", [0, 97, 199])
+@pytest.mark.parametrize("field, bad, refusal", [
+    (1, -1.0, r"r1, r2 \(and h\) > 0 with a finite sum, got \(-1.0, "),
+    (1, 0.0, r"r1, r2 \(and h\) > 0 with a finite sum, got \(0.0, "),
+    (2, math.inf, r"> 0 with a finite sum, got \([0-9.]+, inf\)"),
+    (2, math.nan, r"> 0 with a finite sum, got \([0-9.]+, nan\)"),
+    (1, 1.7e308, r"> 0 with a finite sum, got \(1.7e\+308, 1.7e\+308\)"),
+    (3, math.inf, "the angle difference inf - 0.0 is not finite"),
+    (0, math.nan, "at least one time, all finite"),
+])
+def test_a_refused_point_refuses_the_array(kernel, where, field, bad,
+                                           refusal):
+    """One refused point anywhere among AT-1's raises InvalidInput with
+    the message a one-point call gives."""
+    points = [x.copy() for x in _at1_points()]
+    points[field][where] = bad
+    if bad == 1.7e308:  # a finite r1 whose sum with r2 overflows
+        points[2][where] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match=refusal):
+            kernel(4 * PI, *points)
+        with pytest.raises(InvalidInput, match=refusal):
+            kernel(4 * PI, *(float(x[where]) for x in points))
+
+
+@pytest.mark.parametrize("where", [0, 97, 199])
+def test_a_refused_point_refuses_the_moving_array(where):
+    """Coincident angles, a tangent root and a value past the double range
+    at one point refuse the whole moving-vertex array, with the one-point
+    message, and warn of nothing."""
+    for refusal, point in (
+            ("coincident angular coordinates", {3: 4 * PI}),
+            ("coincident angular coordinates", {3: 0.0}),
+            # q1 and q2 at unit radius and pi/2 apart, on the direct front
+            ("front tangency at s = ",
+             {0: math.sqrt(2.0), 1: 1.0, 2: 1.0, 3: -PI / 2}),
+            ("kernel value outside the double range",
+             {0: 3 * TINY, 1: TINY, 2: TINY})):
+        points = [x.copy() for x in _at1_points()]
+        for field, value in point.items():
+            points[field][where] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=refusal):
+                sine_kernel_moving(4 * PI, *points)
+            with pytest.raises(InvalidInput, match=refusal):
+                sine_kernel_moving(4 * PI, *(float(x[where]) for x in points))
+
+
+def test_moving_sweep_is_held_to_the_budget(monkeypatch):
+    """The moving-vertex kernel counts every array it holds at once against
+    the budget before it allocates one."""
+    monkeypatch.setattr(geometry, "MAX_ARRAY_ELEMENTS", 1000)
+    ts = np.linspace(0.5, 3.0, 1000 // kernels.MOVING_ARRAYS)
+    assert sine_kernel_moving(4 * PI, ts, 1.0, 1.0, 1.0).shape == ts.shape
+    with pytest.raises(InvalidInput, match="the moving-vertex sweep needs"):
+        sine_kernel_moving(4 * PI, np.append(ts, 3.5), 1.0, 1.0, 1.0)

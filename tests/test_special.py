@@ -10,7 +10,6 @@ import scipy.special
 from conewave import geometry, special
 from conewave.errors import InvalidInput
 from conewave.geometry import ConePoint, cone_distance
-from conewave.kernels import KernelQuery, _moving_point_frame
 from conewave.special import (GAMMA_HALF, Mollifier, damped_moment,
                               fd_hessian, find_roots_convex, gauss_legendre,
                               l1_half_derivative, leggauss, mollified_delta,
@@ -324,9 +323,11 @@ def sampled_front_roots(g, s_hi):
 
 def test_find_roots_convex():
     """Exact roots of r1(s) + r2(s) = t in the moving-vertex chart against
-    sampling, before (no root), between (two) and after (one) the fronts."""
+    sampling, before (no root), between (two) and after (one) the fronts:
+    one call on the points of every draw, each point's roots ascending in
+    two rows with NaN for a missing one."""
     rng = np.random.default_rng(3)
-    counts = set()
+    draws = []
     for i in range(90):
         r1, r2 = rng.uniform(0.4, 2.0, 2)
         q1 = ConePoint(r1, 0.0)
@@ -340,19 +341,32 @@ def test_find_roots_convex():
             t = rng.uniform(dist + 0.02, r1 + r2 - 0.02)
         else:
             continue
-        x1, x2 = _moving_point_frame(KernelQuery(t, q1, q2), 1.0)
-
+        # q1 at a chart angle in (-pi/2, pi/2), q2 at the reduced separation
+        # on the far side of the line s (0, 1)
+        dth = abs(math.remainder(q2.theta, 4 * PI))
+        phi = 0.5 * (max(-0.5 * PI, 0.5 * PI - dth)
+                     + min(0.5 * PI, 1.5 * PI - dth))
+        draws.append((r1 * math.cos(phi), r1 * math.sin(phi),
+                      r2 * math.cos(phi + dth), r2 * math.sin(phi + dth), t))
+    x1x, x1y, x2x, x2y, ts = np.array(draws).T
+    x1, x2 = np.array([x1x, x1y]), np.array([x2x, x2y])
+    roots = find_roots_convex(x1, x2, ts)
+    assert roots.shape == (2, ts.size)
+    assert np.isnan(find_roots_convex(x1, x2, -ts)).all()
+    counts = set()
+    for i, t in enumerate(ts):
         def g(s):  # float or array s
-            return np.hypot(x1[0], x1[1] - s) + np.hypot(x2[0], x2[1] - s) - t
+            return (np.hypot(x1x[i], x1y[i] - s) + np.hypot(x2x[i], x2y[i] - s)
+                    - t)
 
-        roots = find_roots_convex(x1, x2, t)
+        got = roots[:, i][~np.isnan(roots[:, i])].tolist()
         # a root s satisfies s <= r1(s) + |x1| = t - r2(s) + |x1|
-        reference = sampled_front_roots(g, t + math.hypot(*x1))
-        assert len(roots) == len(reference), i
-        assert roots == pytest.approx(reference, rel=0, abs=1e-12)
-        assert all(abs(g(s)) <= 1e-13 * t for s in roots)
-        assert find_roots_convex(x1, x2, -t) == []
-        counts.add(len(roots))
+        reference = sampled_front_roots(g, t + math.hypot(x1x[i], x1y[i]))
+        assert len(got) == len(reference), i
+        assert np.isnan(roots[len(got):, i]).all()
+        assert got == pytest.approx(reference, rel=0, abs=1e-12)
+        assert all(abs(g(s)) <= 1e-13 * t for s in got)
+        counts.add(len(got))
     assert counts == {0, 1, 2}
 
 
