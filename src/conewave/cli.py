@@ -128,7 +128,7 @@ def cmd_kernel(args) -> int:
     elif rep == "closed4pi":
         values = kernels.sine_kernel_closed(*sweep)
     elif rep == "moving":
-        values = kernels.sine_kernel_moving(*sweep)
+        values = kernels.sine_kernel_moving(*sweep[1:])
     else:
         q1, q2 = ConePoint(args.r1, args.theta1), ConePoint(args.r2, args.theta2)
         values = [friedlander.sine_kernel_friedlander(

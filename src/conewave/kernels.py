@@ -41,10 +41,6 @@ NEAR_FRONT = "near_front"
 # mollified at width h widens each front by 10 h instead.
 FRONT_TOL = 1e-12
 
-# The largest double tau with 2 tau^2 finite: the closed form refuses a
-# time past it at the lengths over its scale.
-TAU_MAX = math.sqrt(0.5 * sys.float_info.max)
-
 # Arrays of the size of its points that the moving-vertex kernel holds at
 # once, at most (its budget check counts them all).
 MOVING_ARRAYS = 32
@@ -200,23 +196,17 @@ def _unscale(values, scale, degree: int = 1):
 def _sweep_times(ts, *lengths) -> np.ndarray:
     """The times of a sweep as an array, refused unless there is at least
     one and all are finite, or unless the lengths (r1, r2 and a width h;
-    floats, or arrays broadcast together) are positive at every point with
-    a finite sum.  On arrays the sum is taken at a quarter of the lengths,
-    where three cannot overflow and where it is finite just where the sum
-    is."""
-    if any(isinstance(x, np.ndarray) for x in lengths):
-        points = np.broadcast_arrays(*lengths)
-        bad = ~np.logical_and.reduce([(0.0 < x) & (x < math.inf)
-                                      for x in points])
-        bad |= sum(np.where(bad, 0.0, 0.25 * x)
-                   for x in points) > 0.25 * sys.float_info.max
-        if bad.any():
-            lengths = tuple(float(x[bad][0]) for x in points)
-    else:
-        bad = not all(0.0 < x < math.inf for x in (*lengths, sum(lengths)))
-    if np.any(bad):
-        raise InvalidInput(f"the sweep needs r1, r2 (and h) > 0 with a "
-                           f"finite sum, got {lengths}")
+    floats or arrays, broadcast together) are positive at every point with
+    a finite sum.  The sum is taken at a quarter of the lengths, where
+    three cannot overflow and where it is finite just where the sum is."""
+    bad = ~functools.reduce(np.logical_and,
+                            [(0.0 < x) & (x < math.inf) for x in lengths])
+    bad |= sum(np.where(bad, 0.0, 0.25 * x)
+               for x in lengths) > 0.25 * sys.float_info.max
+    if bad.any():
+        first = (float(np.broadcast_to(x, bad.shape)[bad][0]) for x in lengths)
+        raise InvalidInput(f"the sweep needs r1, r2 (and h) > 0 with a finite "
+                           f"sum, got {tuple(first)}")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if not (ts.size and np.isfinite(ts).all()):
         raise InvalidInput("the sweep needs at least one time, all finite")
@@ -234,24 +224,21 @@ def sine_kernel_closed(alpha: float, ts, r1, r2, dtheta):
     point is taken at the lengths over a power of two near its r1 + r2, an
     exact scaling (the kernel is homogeneous of degree -1) that keeps the
     squares in range."""
-    times = _sweep_times(ts, r1, r2)
-    shape = np.broadcast_shapes(times.shape, *map(np.shape, (r1, r2, dtheta)))
-    times = np.broadcast_to(times, shape)
+    scalar = not any(map(np.ndim, (ts, r1, r2, dtheta)))
+    times, r1, r2, dtheta = np.broadcast_arrays(_sweep_times(ts, r1, r2),
+                                                r1, r2, dtheta)
     scale = _length_scale(r1 + r2)
-    # where 2 (t / scale)^2 overflows: the product and, past scale 1, the
-    # quotient are exact and in range, as scale is a power of two
-    far = np.abs(times) / np.maximum(scale, 1.0) > TAU_MAX * np.minimum(scale, 1.0)
-    if far.any():  # the largest ratio, in floats: inf, not a warning
-        t_max = max(abs(t) / s for t, s in zip(
-            times[far].tolist(), np.broadcast_to(scale, shape)[far].tolist()))
-        raise InvalidInput(f"t / (r1 + r2) = {t_max}: its square overflows")
-    tau = times / scale
+    with np.errstate(over="ignore"):  # inf, refused below
+        tau = times / scale
+        far = ~np.isfinite(2.0 * tau * tau)
+    if far.any():
+        raise InvalidInput(f"t / (r1 + r2) = {float(np.abs(tau[far]).max())}: "
+                           f"its square overflows")
     d2, pieces = _region_pieces(alpha, r1 / scale, r2 / scale,
                                 angular_separation(alpha, dtheta, 0.0))
-    d2 = np.broadcast_to(d2, shape)
     tol = FRONT_TOL * (r1 + r2) / scale
-    near = np.zeros(shape, dtype=bool)
-    values = np.zeros(shape)
+    near = np.zeros(tau.shape, dtype=bool)
+    values = np.zeros(tau.shape)
     for coeff, start, end in pieces:
         near |= (start - tol <= tau) & (tau <= start + tol)
         inside = (start < tau) & (tau < end)
@@ -259,7 +246,7 @@ def sine_kernel_closed(alpha: float, ts, r1, r2, dtheta):
     if near.any():
         raise InvalidInput(f"t = {times[near][0]} sits on a front of the closed form")
     values = _unscale(values, scale)
-    return values if any(map(np.ndim, (ts, r1, r2, dtheta))) else float(values[0])
+    return float(values[0]) if scalar else values
 
 
 def _region_pieces(alpha: float, r1, r2, dth):
@@ -267,7 +254,9 @@ def _region_pieces(alpha: float, r1, r2, dth):
     (tau^2 - d2)^(-1/2) on each piece, d2 the squared law-of-cosines
     distance; elementwise for arrays, where a piece that a point lacks
     starts at its end."""
-    cos = np.cos(dth) if isinstance(dth, np.ndarray) else math.cos(dth)
+    # libm's cos, as `geometry.cone_distance` takes it: numpy's own may
+    # round otherwise in the last bit
+    cos = np.vectorize(math.cos, otypes=[float])(dth)
     d2 = np.maximum(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * cos, 0.0)
     d_f = np.sqrt(d2)
     if abs(alpha - 2.0 * math.pi) < 1e-14:
@@ -485,7 +474,7 @@ def sine_kernel_cheeger_series(alpha: float, q: KernelQuery,
         alpha, q.t, q.q1.r, q.q2.r, q.q1.theta - q.q2.theta, h)[0]))
 
 
-def sine_kernel_moving(alpha: float, ts, r1, r2, dtheta):
+def sine_kernel_moving(ts, r1, r2, dtheta):
     """Moving-vertex representation of the C_{4pi} sine kernel (h = 0),
     elementwise in (t, r1, r2, dtheta) broadcast together, a float when all
     four are scalars; dtheta is any representative of theta1 - theta2.
@@ -506,9 +495,7 @@ def sine_kernel_moving(alpha: float, ts, r1, r2, dtheta):
     coefficients and r1(s) r2(s) in range.  The arrays it holds at once are
     checked against the budget before any is allocated.
     """
-    if abs(alpha - 4.0 * math.pi) > 1e-14:
-        raise InvalidInput(f"the moving-vertex kernel needs alpha = 4 pi, "
-                           f"got {alpha}")
+    scalar = not any(map(np.ndim, (ts, r1, r2, dtheta)))
     times = _sweep_times(ts, r1, r2)
     shape = np.broadcast_shapes(times.shape, *map(np.shape, (r1, r2, dtheta)))
     check_array_size(MOVING_ARRAYS * math.prod(shape), "the moving-vertex sweep")
@@ -520,29 +507,29 @@ def sine_kernel_moving(alpha: float, ts, r1, r2, dtheta):
     hi = np.minimum(0.5 * math.pi, 1.5 * math.pi - dth) - 1e-9
     phi1 = 0.5 * (lo + hi)
     scale = _length_scale(np.maximum(np.maximum(times, r1), r2))
-    x1, x2 = (np.stack(np.broadcast_arrays(r / scale * np.cos(phi),
-                                           r / scale * np.sin(phi)))
-              for r, phi in ((r1, phi1), (r2, phi1 + dth)))
+    x1, x2 = (np.stack([r / scale * np.cos(phi), r / scale * np.sin(phi)],
+                       axis=-1) for r, phi in ((r1, phi1), (r2, phi1 + dth)))
     roots = find_roots_convex(x1, x2, times / scale)
-    # offsets of q1, q2 from the vertex moved to each root s e
-    v1, v2 = x1[1] - roots, x2[1] - roots
-    r1s, r2s = np.hypot(x1[0], v1), np.hypot(x2[0], v2)
+    (u1, w1), (u2, w2) = ((x[..., 0, None], x[..., 1, None]) for x in (x1, x2))
+    # offsets of q1, q2 from the vertex moved to each root s e: (u, w - s)
+    v1, v2 = w1 - roots, w2 - roots
+    r1s, r2s = np.hypot(u1, v1), np.hypot(u2, v2)
     # |g'| ~ sqrt(2 curvature (t - t_front)); below 1e-6 the evaluation
     # time is within ~1e-13 of the front and the contribution diverges
     tangent = np.abs(-v1 / r1s - v2 / r2s) < 1e-6
     if tangent.any():
-        s = np.moveaxis(scale * roots, 0, -1)[np.moveaxis(tangent, 0, -1)][0]
-        raise InvalidInput(f"front tangency at s = {s}")
-    cos_dth = (x1[0] * x2[0] + v1 * v2) / (r1s * r2s)
+        raise InvalidInput(f"front tangency at s = "
+                           f"{(scale[..., None] * roots)[tangent][0]}")
+    cos_dth = (u1 * u2 + v1 * v2) / (r1s * r2s)
     half_cos = np.sqrt(np.maximum(0.5 * (1.0 + cos_dth), 0.0))
     terms = 1.0 / (8.0 * math.pi * np.sqrt(r1s * r2s) * half_cos)
-    values = _unscale(np.where(np.isnan(roots), 0.0, terms).sum(axis=0), scale)
-    return values if any(map(np.ndim, (ts, r1, r2, dtheta))) else float(values[0])
+    values = _unscale(np.where(np.isnan(roots), 0.0, terms).sum(axis=-1), scale)
+    return float(values[0]) if scalar else values
 
 
 def sine_kernel_moving_point(q: KernelQuery) -> KernelValue:
     """`sine_kernel_moving` at one query, which the benchmark calls."""
-    return KernelValue(sine_kernel_moving(4.0 * math.pi, q.t, q.q1.r, q.q2.r,
+    return KernelValue(sine_kernel_moving(q.t, q.q1.r, q.q2.r,
                                           q.q1.theta - q.q2.theta))
 
 

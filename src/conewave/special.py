@@ -206,9 +206,9 @@ def mollified_inverse_power(moll: Mollifier, t, L: float, order):
 def find_roots_convex(x1, x2, t):
     """Roots s >= 0 of |x1 - s e| + |x2 - s e| = t, e = (0, 1) the cut
     direction of the moving-vertex chart, for plane points x1, x2 given as
-    arrays of shape (2, ...) and times t broadcast with their points: two
-    rows, the roots of each point in ascending order and NaN where it has
-    fewer than two (0, 1 or 2 roots).
+    arrays of shape (..., 2) and times t of shape (...): shape (..., 2), the
+    roots of each point in ascending order and NaN where it has fewer than
+    two (0, 1 or 2 roots).
 
     The level set r1 + r2 = t is an ellipse with foci x1 and x2, and s e runs
     along a line, so the roots are those of a quadratic.  With p_i = x_i.e
@@ -222,9 +222,11 @@ def find_roots_convex(x1, x2, t):
     The coefficients are sextic in the lengths, so these should be of order
     one: `kernels.sine_kernel_moving` scales them.
     """
-    p1 = x1[1]
-    d = x2[1] - p1
-    n1, n2 = (np.vecdot(x, x, axis=0) for x in (x1, x2))
+    p1 = x1[..., 1]
+    d = x2[..., 1] - p1
+    # |x|^2 as one matmul per point, which rounds as a two-element `x @ x`
+    # (not as x0 x0 + x1 x1)
+    n1, n2 = ((x[..., None, :] @ x[..., :, None])[..., 0, 0] for x in (x1, x2))
     tt = t * t
     a = 4.0 * (d * d - tt)
     c0 = tt + n1 - n2
@@ -239,9 +241,10 @@ def find_roots_convex(x1, x2, t):
     q = np.where(two, -0.5 * (b + np.copysign(np.sqrt(np.where(two, disc, 0.0)),
                                               b)), 1.0)
     roots = np.stack([np.where(two, q / a, -b / (2.0 * a)),
-                      np.where(two, c / q, np.nan)])
+                      np.where(two, c / q, np.nan)], axis=-1)
+    some, d, n1, n2, tt = (x[..., None] for x in (some, d, n1, n2, tt))
     real = some & (roots >= 0.0) & (np.abs(2.0 * d * roots + n1 - n2) <= tt)
-    return np.sort(np.where(real, roots, np.nan), axis=0)
+    return np.sort(np.where(real, roots, np.nan), axis=-1)
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray):

@@ -101,7 +101,7 @@ def at1_moving_point(seed: int = 0) -> ATReport:
     ts, r1, r2, dth = _random_offfront_points(np.random.default_rng(seed), 200)
     # theta1 - theta2 = -dth
     closed = kernels.sine_kernel_closed(4.0 * PI, ts, r1, r2, -dth)
-    moving = kernels.sine_kernel_moving(4.0 * PI, ts, r1, r2, -dth)
+    moving = kernels.sine_kernel_moving(ts, r1, r2, -dth)
     err = np.abs(moving - closed) / np.where(closed != 0, np.abs(closed), 1.0)
     return _gated("AT-1", "moving point vs Cheeger-Taylor closed form (C_4pi)",
                   {"max_rel_err": float(err.max())})

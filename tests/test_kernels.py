@@ -693,7 +693,7 @@ def test_moving_point_tangent_root():
         sine_kernel_moving_point(KernelQuery(t_tangent, q1, q2))
     # and so does a sweep that holds that time among others
     with pytest.raises(InvalidInput, match="front tangency"):
-        sine_kernel_moving(4 * PI, [0.5, t_tangent, 3.0], 1.0, 1.0, -PI / 2)
+        sine_kernel_moving([0.5, t_tangent, 3.0], 1.0, 1.0, -PI / 2)
 
 
 def _at1_points():
@@ -704,6 +704,10 @@ def _at1_points():
     return ts, r1, r2, -dth
 
 
+def _closed_4pi(*points):
+    return sine_kernel_closed(4 * PI, *points)
+
+
 def test_exact_kernels_on_arrays_equal_their_one_point_calls():
     """On AT-1's points, all three regions with zeros before the direct
     front, each exact kernel broadcast over (t, r1, r2, dtheta) equals its
@@ -711,24 +715,23 @@ def test_exact_kernels_on_arrays_equal_their_one_point_calls():
     ts, r1, r2, dtheta = points = _at1_points()
     regions = {str(front_region(4 * PI, *p)[0]) for p in zip(*points)}
     assert regions == {BEFORE_DIRECT, BETWEEN_FRONTS, AFTER_DIFFRACTED}
-    for kernel in (sine_kernel_closed, sine_kernel_moving):
-        values = kernel(4 * PI, ts, r1, r2, dtheta)
+    for kernel in (_closed_4pi, sine_kernel_moving):
+        values = kernel(ts, r1, r2, dtheta)
         assert values.shape == (200,) and (values == 0.0).sum() >= 60
-        ones = [kernel(4 * PI, *p) for p in zip(*map(np.ndarray.tolist, points))]
+        ones = [kernel(*p) for p in zip(*map(np.ndarray.tolist, points))]
         assert all(type(v) is float for v in ones)
         assert np.array_equal(values, ones)
         # a column of points against a row of times broadcasts to a table
-        table = kernel(4 * PI, ts[:5], r1[:3, None], r2[:3, None],
-                       dtheta[:3, None])
+        table = kernel(ts[:5], r1[:3, None], r2[:3, None], dtheta[:3, None])
         assert table.shape == (3, 5)
-        assert np.array_equal(table[2], kernel(4 * PI, ts[:5], r1[2], r2[2],
-                                               dtheta[2]))
+        assert np.array_equal(table[2],
+                              kernel(ts[:5], r1[2], r2[2], dtheta[2]))
     q = KernelQuery(ts[1], ConePoint(r1[1], 0.0), ConePoint(r2[1], -dtheta[1]))
     assert sine_kernel_moving_point(q).value == sine_kernel_moving(
-        4 * PI, ts[1], r1[1], r2[1], dtheta[1])
+        ts[1], r1[1], r2[1], dtheta[1])
 
 
-@pytest.mark.parametrize("kernel", [sine_kernel_closed, sine_kernel_moving])
+@pytest.mark.parametrize("kernel", [_closed_4pi, sine_kernel_moving])
 @pytest.mark.parametrize("where", [0, 97, 199])
 @pytest.mark.parametrize("field, bad, refusal", [
     (1, -1.0, r"r1, r2 \(and h\) > 0 with a finite sum, got \(-1.0, "),
@@ -750,9 +753,9 @@ def test_a_refused_point_refuses_the_array(kernel, where, field, bad,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInput, match=refusal):
-            kernel(4 * PI, *points)
+            kernel(*points)
         with pytest.raises(InvalidInput, match=refusal):
-            kernel(4 * PI, *(float(x[where]) for x in points))
+            kernel(*(float(x[where]) for x in points))
 
 
 @pytest.mark.parametrize("where", [0, 97, 199])
@@ -774,9 +777,9 @@ def test_a_refused_point_refuses_the_moving_array(where):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInput, match=refusal):
-                sine_kernel_moving(4 * PI, *points)
+                sine_kernel_moving(*points)
             with pytest.raises(InvalidInput, match=refusal):
-                sine_kernel_moving(4 * PI, *(float(x[where]) for x in points))
+                sine_kernel_moving(*(float(x[where]) for x in points))
 
 
 def test_moving_sweep_is_held_to_the_budget(monkeypatch):
@@ -784,6 +787,6 @@ def test_moving_sweep_is_held_to_the_budget(monkeypatch):
     the budget before it allocates one."""
     monkeypatch.setattr(geometry, "MAX_ARRAY_ELEMENTS", 1000)
     ts = np.linspace(0.5, 3.0, 1000 // kernels.MOVING_ARRAYS)
-    assert sine_kernel_moving(4 * PI, ts, 1.0, 1.0, 1.0).shape == ts.shape
+    assert sine_kernel_moving(ts, 1.0, 1.0, 1.0).shape == ts.shape
     with pytest.raises(InvalidInput, match="the moving-vertex sweep needs"):
-        sine_kernel_moving(4 * PI, np.append(ts, 3.5), 1.0, 1.0, 1.0)
+        sine_kernel_moving(np.append(ts, 3.5), 1.0, 1.0, 1.0)

@@ -325,7 +325,7 @@ def test_find_roots_convex():
     """Exact roots of r1(s) + r2(s) = t in the moving-vertex chart against
     sampling, before (no root), between (two) and after (one) the fronts:
     one call on the points of every draw, each point's roots ascending in
-    two rows with NaN for a missing one."""
+    a row of two with NaN for a missing one."""
     rng = np.random.default_rng(3)
     draws = []
     for i in range(90):
@@ -349,9 +349,9 @@ def test_find_roots_convex():
         draws.append((r1 * math.cos(phi), r1 * math.sin(phi),
                       r2 * math.cos(phi + dth), r2 * math.sin(phi + dth), t))
     x1x, x1y, x2x, x2y, ts = np.array(draws).T
-    x1, x2 = np.array([x1x, x1y]), np.array([x2x, x2y])
+    x1, x2 = np.stack([x1x, x1y], axis=-1), np.stack([x2x, x2y], axis=-1)
     roots = find_roots_convex(x1, x2, ts)
-    assert roots.shape == (2, ts.size)
+    assert roots.shape == (ts.size, 2)
     assert np.isnan(find_roots_convex(x1, x2, -ts)).all()
     counts = set()
     for i, t in enumerate(ts):
@@ -359,11 +359,11 @@ def test_find_roots_convex():
             return (np.hypot(x1x[i], x1y[i] - s) + np.hypot(x2x[i], x2y[i] - s)
                     - t)
 
-        got = roots[:, i][~np.isnan(roots[:, i])].tolist()
+        got = roots[i][~np.isnan(roots[i])].tolist()
         # a root s satisfies s <= r1(s) + |x1| = t - r2(s) + |x1|
         reference = sampled_front_roots(g, t + math.hypot(x1x[i], x1y[i]))
         assert len(got) == len(reference), i
-        assert np.isnan(roots[len(got):, i]).all()
+        assert np.isnan(roots[i, len(got):]).all()
         assert got == pytest.approx(reference, rel=0, abs=1e-12)
         assert all(abs(g(s)) <= 1e-13 * t for s in got)
         counts.add(len(got))
