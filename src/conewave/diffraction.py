@@ -36,7 +36,7 @@ POLE_TOL = 1e-12
 #   lim_{t->pi} sin(t) * S_alpha(t)        = -1/(2 pi)
 SINE_PRODUCT_LIMITS = (1.0 / (2.0 * math.pi), -1.0 / (2.0 * math.pi))
 
-# Bound on `_closed_form`'s scaled sines and sinh: 2 (2 * 2^510)^2 is finite
+# Bound on the scaled sines and sinh: 2 (2 * 2^510)^2 is finite
 _SCALED_MAX = 2.0**255
 
 
@@ -51,24 +51,20 @@ def _numerator(alpha: float) -> float:
     return (-1.0) ** n * math.sin(math.pi * (2.0 * math.pi / alpha - n))
 
 
-def _closed_form(alpha: float, numerator: float, x1, x2, parity, theta=0.0,
-                 c=0.0):
-    """Re S_alpha(theta - i c) from the offsets x1 = pi - theta and
-    x2 = pi + theta to the geometric directions, shifted by whole periods
-    alpha of total parity `parity`.  With s_i = sin(pi x_i/alpha) and
-    S = sinh^2(pi c/alpha) it is
-
-        -sin(2 pi^2/alpha) (S cos(2 pi theta/alpha) + (-1)^parity s1 s2)
-        / (2 alpha (S + s1^2) (S + s2^2)),
-
-    so on the real axis, c = 0, theta enters through its offsets alone; NaN
-    there within POLE_TOL of a pole, and where the denominator underflows
-    (c below about 1e-154 at a pole).  s_i and sinh are taken times the
-    power of two f at or below max(1, alpha/pi), the prefactor times f^2:
-    an exact rescaling that keeps the quotient in range at any alpha.  Past
-    the caps that keep the squares finite (pi c/alpha = 150; offsets past
-    6e76 radians at alpha past 1e77) |Re S| is below 1e-130/alpha or
-    1e-154, and comes out of that size, not exact."""
+def _angle_part(alpha: float, numerator: float, x1, x2, parity,
+                theta=0.0):
+    """The half of Re S_alpha(theta - i c) that does not depend on c, from
+    the offsets x1 = pi - theta and x2 = pi + theta to the geometric
+    directions, shifted by whole periods alpha of total parity `parity`:
+    (scale, pole, s1^2, s2^2, (-1)^parity s1 s2, cos(2 pi theta/alpha),
+    prefactor), with s_i = scale sin(pi x_i/alpha), `pole` where an offset
+    is within POLE_TOL of a pole, and prefactor = -sin(2 pi^2/alpha)
+    scale^2/alpha.  `_c_part` completes the value.  scale is the power of
+    two at or below max(1, alpha/pi): the sines are taken times scale and
+    the prefactor times scale^2, an exact rescaling that keeps the quotient
+    in range at any alpha.  Past the cap that keeps the squares finite
+    (offsets past 6e76 radians at alpha past 1e77) |Re S| is below 1e-154,
+    and comes out of that size, not exact."""
     scale = _length_scale(max(1.0, alpha / math.pi))
     s1 = scale * np.sin(math.pi * x1 / alpha)
     s2 = scale * np.sin(math.pi * x2 / alpha)
@@ -77,13 +73,29 @@ def _closed_form(alpha: float, numerator: float, x1, x2, parity, theta=0.0,
     if scale > _SCALED_MAX:
         s1 = np.clip(s1, -_SCALED_MAX, _SCALED_MAX)
         s2 = np.clip(s2, -_SCALED_MAX, _SCALED_MAX)
-    s1s2 = s1 * s2 * (1.0 - 2.0 * parity)
+    return (scale, pole, s1 * s1, s2 * s2, s1 * s2 * (1.0 - 2.0 * parity),
+            np.cos(2.0 * math.pi * theta / alpha),
+            -((numerator * scale) / alpha) * scale)
+
+
+def _c_part(alpha: float, angle, c=0.0):
+    """Re S_alpha(theta - i c) from the angle part of theta (`_angle_part`)
+    and c, broadcast.  With S = sinh^2(pi c/alpha) it is
+
+        -sin(2 pi^2/alpha) (S cos(2 pi theta/alpha) + (-1)^parity s1 s2)
+        / (2 alpha (S + s1^2) (S + s2^2)),
+
+    so on the real axis, c = 0, theta enters through its offsets alone; NaN
+    there at a pole, and where the denominator underflows (c below about
+    1e-154 at a pole).  sinh is taken times the angle part's scale.  Past
+    pi c/alpha = 150, or the cap that keeps its square finite, |Re S| is
+    below 1e-130/alpha, and comes out of that size, not exact."""
+    scale, pole, s1_sq, s2_sq, s1s2, cos_theta, prefactor = angle
     cap = min(150.0, math.asinh(_SCALED_MAX / scale))
     kc = np.minimum((math.pi / alpha) * np.asarray(c, float), cap)
     big_s = (scale * np.sinh(kc)) ** 2
-    denominator = 2.0 * (big_s + s1 * s1) * (big_s + s2 * s2)
-    top = -((numerator * scale) / alpha) * scale * (
-        big_s * np.cos(2.0 * math.pi * theta / alpha) + s1s2)
+    denominator = 2.0 * (big_s + s1_sq) * (big_s + s2_sq)
+    top = prefactor * (big_s * cos_theta + s1s2)
     denominator = np.where((denominator < 2.0**-1021)  # 2 smallest normal
                            | (pole & (big_s == 0.0)), math.nan, denominator)
     return top / denominator
@@ -107,10 +119,15 @@ def scattering_matrix(alpha: float, theta, c=0.0):
     """Re S_alpha(theta - i c) for scalars or arrays theta and c, broadcast
     (a float for scalar input); c = 0 is the real axis, NaN at its poles.
     theta is reduced exactly by `_offsets`."""
+    out = _c_part(alpha, _angle_part_at(alpha, theta), c)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _angle_part_at(alpha: float, theta):
+    """`_angle_part` at the angles theta, reduced exactly by `_offsets`."""
     numerator = _numerator(alpha)
     th, x1, x2, parity = _offsets(alpha, theta)
-    out = _closed_form(alpha, numerator, x1, x2, parity, th, c)
-    return float(out) if np.ndim(out) == 0 else out
+    return _angle_part(alpha, numerator, x1, x2, parity, th)
 
 
 def scattering_matrix_fourier(alpha: float, theta, N: int):
@@ -199,18 +216,19 @@ def s_times_cos_half(alpha: float, dtheta):
 
 def sine_product_limits_numeric(alpha: float) -> tuple[float, float]:
     """The pair SINE_PRODUCT_LIMITS, Neville-extrapolated to t = 0 from
-    t = 1e-6 / 2^j, j = 0..4: `_closed_form` at the offsets (-t, 2 pi + t)
-    for S_alpha(-pi - t) and (t, 2 pi - t) for S_alpha(pi - t), 2 pi +- t
-    reduced to its nearest image.  No angle pi +- t is formed, whose
-    rounding would take the digits the extrapolation needs."""
+    t = 1e-6 / 2^j, j = 0..4: S_alpha on the real axis at the offsets
+    (-t, 2 pi + t) for S_alpha(-pi - t) and (t, 2 pi - t) for
+    S_alpha(pi - t), 2 pi +- t reduced to its nearest image.  No angle
+    pi +- t is formed, whose rounding would take the digits the
+    extrapolation needs."""
     numerator = _numerator(alpha)
     levels = 5
     ts = 1e-6 / 2.0 ** np.arange(levels)
     near = np.array([[-1.0], [1.0]]) * ts  # rows: incoming, outgoing
     far = 2.0 * math.pi - near
     n = np.rint(far / alpha)
-    vals = np.sin(ts) * _closed_form(alpha, numerator, near, far - alpha * n,
-                                     n % 2)
+    vals = np.sin(ts) * _c_part(alpha, _angle_part(
+        alpha, numerator, near, far - alpha * n, n % 2))
     for order in range(1, levels):
         for i in range(levels - order):
             vals[:, i] = vals[:, i + 1] + (vals[:, i + 1] - vals[:, i]) * (

@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .diffraction import scattering_matrix
+from .diffraction import _angle_part_at, _c_part
 from .errors import InvalidInput
 from .geometry import (_length_scale, angular_separation, check_array_size,
                        check_cone_angle)
@@ -58,6 +58,10 @@ from .special import gauss_legendre
 # 1e-12; 12 nodes reach 3e-11.
 PANEL_NODES = 16
 PANEL_RATIO = 4.0
+
+# (alpha, z) pairs whose angle terms `_angle_terms` keeps: the queries of a
+# sweep at fixed angles share one.
+ANGLE_CACHE = 64
 
 
 def build_friedlander(alpha: float) -> float:
@@ -95,16 +99,32 @@ def _image_sum(alpha: float, y: float, z: float) -> float:
 
 @functools.cache
 def _v_rule(n_graded: int):
-    """(c/C, w (1 - v), (1 - v)^2) at the Gauss nodes v, weights w, of the
-    panels with c/C edges 0, 4^-n_graded / 2, ..., 1/8, 1/2, 1 (for
-    PANEL_RATIO 4), mapped to v = (c/C) / (1 + sqrt(1 - c/C)), in which
-    edges far below 1e-16 stay distinct.  The rule depends on C only
-    through n_graded, so each count is built once."""
+    """(c/C, 2 w (1 - v), the rows (1 + c/C)/2 and (1 - v)^2/2) at the
+    Gauss nodes v, weights w, of the panels with c/C edges 0,
+    4^-n_graded / 2, ..., 1/8, 1/2, 1 (for PANEL_RATIO 4), mapped to
+    v = (c/C) / (1 + sqrt(1 - c/C)), in which edges far below 1e-16 stay
+    distinct.  The rule depends on C only through n_graded, so each count
+    is built once."""
     frac = np.array([0.0, *(0.5 / PANEL_RATIO ** np.arange(n_graded, -1, -1)),
                      1.0])
     v, weights = gauss_legendre(frac / (1.0 + np.sqrt(1.0 - frac)),
                                 PANEL_NODES)
-    return v * (2.0 - v), weights * (1.0 - v), (1.0 - v) ** 2
+    c_frac = v * (2.0 - v)
+    return c_frac, 2.0 * weights * (1.0 - v), np.stack(
+        [0.5 + 0.5 * c_frac, 0.5 * (1.0 - v) ** 2])
+
+
+@functools.lru_cache(maxsize=ANGLE_CACHE)
+def _angle_terms(alpha: float, z: float):
+    """The c-independent half of Re S_alpha(z - i c) (`diffraction.
+    _angle_part`) and the distance to the nearer shadow boundary, where the
+    poles c = i x of dG/dc come nearest (on a boundary, x = 0, the pole
+    cancels, and the other one counts).  Every query of a sweep at fixed
+    angles shares them."""
+    return _angle_part_at(alpha, z), min(
+        (x for x in (angular_separation(alpha, z, math.pi),
+                     angular_separation(alpha, z, -math.pi)) if x != 0.0),
+        default=math.inf)
 
 
 def _diffracted_integral(alpha: float, y: float, z: float) -> float:
@@ -112,27 +132,23 @@ def _diffracted_integral(alpha: float, y: float, z: float) -> float:
 
     With c = C v (2 - v), v in [0, 1], the root at c = C becomes the smooth
     weight 2 C (1 - v) / sqrt(2 sinh((C + c)/2) sinh(C (1 - v)^2 / 2)),
-    using cosh C - cosh c = 2 sinh((C + c)/2) sinh((C - c)/2).
+    using cosh C - cosh c = 2 sinh((C + c)/2) sinh((C - c)/2).  The angle
+    terms of dG/dc = 2 Re S_alpha(z - i c) come from `_angle_terms`, once
+    per (alpha, z); each call adds only the terms in c.
     """
     big_c = math.acosh(y)
-    # the distances to the shadow boundaries, where the weight's poles
-    # c = i x come nearest; on a boundary, x = 0, the pole cancels
-    scale = min((x for x in (angular_separation(alpha, z, math.pi),
-                             angular_separation(alpha, z, -math.pi))
-                 if x != 0.0), default=math.inf)
+    angle, shadow = _angle_terms(alpha, z)
     n_graded, edge = 0, 0.5 * big_c
-    while edge > scale:
+    while edge > shadow:
         n_graded, edge = n_graded + 1, edge / PANEL_RATIO
-    c_frac, weights, one_minus_v_sq = _v_rule(n_graded)
-    c = big_c * c_frac
-    left = np.sinh(0.5 * (big_c + c))
-    right = np.sinh((0.5 * big_c) * one_minus_v_sq)
+    c_frac, weights, halves = _v_rule(n_graded)
+    left, right = np.sinh(big_c * halves)
     # left * right overflows past C = 473 (y ~ 1e205)
     root = np.sqrt(left * right) if big_c < 400.0 else np.sqrt(left) * np.sqrt(right)
-    dg_dc = 2.0 * scattering_matrix(alpha, z, c)
-    if not np.isfinite(dg_dc).all():  # past alpha ~ 1e77
+    total = (weights / root) @ _c_part(alpha, angle, big_c * c_frac)
+    if not math.isfinite(total):  # dG/dc is NaN past alpha ~ 1e77
         raise InvalidInput(f"alpha = {alpha}: dG/dc underflows at z = {z}")
-    return math.sqrt(2.0) * big_c * float(np.sum(weights * dg_dc / root))
+    return math.sqrt(2.0) * big_c * float(total)
 
 
 def sine_kernel_friedlander(alpha: float, q: KernelQuery) -> KernelValue:

@@ -52,20 +52,23 @@ MODE_TAIL_TOL = 1e-8
 # Lambda quadrature of the mode sum: Gauss-Legendre panels of LAM_PANEL
 # nodes on [0, lam_max], sized at LAM_NODES_PER_PERIOD nodes per period of
 # the fastest phase, sin(lam * max_freq) with max_freq = t_max + r1 + r2,
-# and at least one panel.  The error of an n-node Gauss rule for
-# e^{i w x} on [-1, 1] falls geometrically once n exceeds w/2, i.e. pi/2
-# nodes per period, and 3 per period is nearly twice that.  At lam = 0 the
-# factor J_nu(lam r1) J_nu(lam r2) ~ lam^(2 nu) is not smooth when 2 nu is
-# not an integer (unless 4 pi / alpha is an integer), and a Gauss rule
-# converges only algebraically there.  So the first panel starts at
+# and at least one panel: 64-node panels round that need up by at most 63
+# nodes (a need of 170 takes 192, where 256-node panels took 256).  The
+# error of an n-node Gauss rule for e^{i w x} on [-1, 1] falls
+# geometrically once n exceeds w/2, i.e. pi/2 nodes per period, and 3 per
+# period is nearly twice that.  At lam = 0 the factor J_nu(lam r1)
+# J_nu(lam r2) ~ lam^(2 nu) is not smooth when 2 nu is not an integer
+# (unless 4 pi / alpha is an integer), and a Gauss rule converges only
+# algebraically there.  So the first panel starts at
 # LAM_GRADED_EDGES[-1] of its width, and [0, that] is split at the other
 # fractions into panels of LAM_GRADED_NODES nodes (at least 3 per period
 # as well).  Against a 16-nodes-per-period rule graded 12 times by 1/5,
-# this stays within 1.5e-13 of the peak for alpha from pi to 50 and h =
-# 0.03 to 0.06; ungraded it reaches 1.0e-10 at 3pi, 2.2e-9 at 5pi and
-# 3.7e-8 at alpha = 20.
+# this stays within 1.8e-14 of the peak over 36 sweeps across both fronts
+# (alpha from pi to 50, h = 0.03 and 0.06; 256-node panels read 6.1e-14
+# there); ungraded, on 256-node panels, it reached 1.0e-10 at 3pi, 2.2e-9
+# at 5pi and 3.7e-8 at alpha = 20.
 LAM_NODES_PER_PERIOD = 3
-LAM_PANEL = 256
+LAM_PANEL = 64
 LAM_GRADED_EDGES = (16.0**-4, 16.0**-3, 16.0**-2, 16.0**-1)
 LAM_GRADED_NODES = 32
 
@@ -434,7 +437,7 @@ def cheeger_series_sweep(alpha: float, ts, r1: float, r2: float,
     spectral density does not depend on t: the modes are summed into it on
     one Bessel table, and the sweep is one product of its row (and the two
     tail rows) with the sin(lam t) block.  The lambda rule (see
-    LAM_NODES_PER_PERIOD) is within 1.5e-13 of the peak.
+    LAM_NODES_PER_PERIOD) is within 1.8e-14 of the peak where measured.
     """
     ts, lam, rows = _mode_table(alpha, ts, r1, r2, dtheta_signed, h)
     phase = np.outer(lam, ts)
@@ -535,14 +538,20 @@ def sine_kernel_moving_point(q: KernelQuery) -> KernelValue:
 
 @functools.cache
 def _hermgauss(n: int):
-    """Gauss-Hermite nodes and weights of order n, computed once per order:
-    about 1 ms at 48 nodes, paid on every mollified value otherwise."""
-    return np.polynomial.hermite.hermgauss(n)
+    """Gauss-Hermite nodes and weights of order n, computed once per order
+    (about 1 ms at 48 nodes), without the nodes whose weight is at most
+    2^-53 of the largest: 36 of 48 stay.  A dropped node adds less than
+    the rounding of the sum unless f is 1e16 times larger out there."""
+    nodes, weights = np.polynomial.hermite.hermgauss(n)
+    keep = weights > 2.0**-53 * weights.max()
+    return nodes[keep], weights[keep]
 
 
 def gauss_hermite_mollify(f, t: float, h: float) -> float:
     """Gaussian time mollification of a pointwise kernel t -> f(t) by
-    Gauss-Hermite quadrature (suitable away from fronts)."""
+    Gauss-Hermite quadrature of order HERMITE_NODES without its
+    rounding-level nodes (`_hermgauss`: f is called 36 times, within
+    6 sqrt(2) h of t); suitable away from fronts."""
     nodes, weights = _hermgauss(HERMITE_NODES)
     taus = t + math.sqrt(2.0) * h * nodes
     vals = np.array([f(tau) for tau in taus])

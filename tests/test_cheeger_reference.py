@@ -4,9 +4,9 @@
 computed at commit 1215091, whose lambda rule used 12 Gauss nodes per
 period of sin(lambda * max_freq) on 2048-node panels.  The cases cover
 alpha in {pi, 2pi, 3pi, 7, 4pi} and h in {0.05, 0.06}, plus h = 0.03 at
-3pi and 7, with random radii, angles and time ranges; the h = 0.03 sweeps
-span two 256-node panels.  The current rule must stay within 1e-10 of
-each sweep's peak.
+3pi and 7, with random radii, angles and time ranges.  The current rule
+takes three to five 64-node panels on the other sweeps, and six and eight
+on the h = 0.03 ones; it must stay within 1e-10 of each sweep's peak.
 
 Regenerate the file from the root of this repository, with the package of
 that commit on the path:

@@ -599,8 +599,9 @@ def test_budget_errors_print_short_counts(tmp_path):
     (["kernel", "--alpha", "1e300", "--r1", "0.5", "--theta1", "0",
       "--r2", "0.5", "--theta2", "2", "--ts", "1:0.1:1.2", "--h", "1e-9"],
      "sizes overflow"),
-    # 30220 modes: the Bessel table of 2.32e7 elements is past the budget
-    (["kernel", "--alpha", "1e4", "--r1", "1e-3", "--theta1", "0",
+    # 60438 modes by 192 lambda nodes at each radius: the Bessel table of
+    # 2.32e7 elements is past the budget
+    (["kernel", "--alpha", "2e4", "--r1", "1e-3", "--theta1", "0",
       "--r2", "1e-3", "--theta2", "2", "--ts", "0.1:1e-4:0.6"],
      "the Bessel table needs"),
     # the Bessel table fits; 3.65e8 lambda nodes by times do not

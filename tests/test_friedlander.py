@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from conewave.diffraction import scattering_matrix
-from conewave.friedlander import friedlander_pullback, sine_kernel_friedlander
-from conewave.geometry import ConePoint
+from conewave.friedlander import (PANEL_NODES, PANEL_RATIO, _angle_terms,
+                                   _diffracted_integral, friedlander_pullback,
+                                   sine_kernel_friedlander)
+from conewave.geometry import ConePoint, angular_separation
 from conewave.kernels import (KernelQuery, cheeger_series_sweep,
                               gauss_hermite_mollify, sine_kernel_closed)
+from conewave.special import gauss_legendre
 
 PI = math.pi
 
@@ -48,6 +51,50 @@ def test_g_high_telescopes_at_2pi():
     cs = np.geomspace(1e-12, 10.0, 50)
     for z in (-PI, -PI + 1e-12, -2.0, 0.0, 0.7, PI - 1e-9):
         assert np.all(scattering_matrix(2 * PI, z, cs) == 0.0)
+
+
+def _reference_integral(alpha, y, z):
+    """The c integral of `_diffracted_integral` on its panels, with dG/dc
+    = 2 `scattering_matrix`(alpha, z, c) taken whole at every call."""
+    big_c = math.acosh(y)
+    shadow = min((x for x in (angular_separation(alpha, z, PI),
+                              angular_separation(alpha, z, -PI)) if x != 0.0),
+                 default=math.inf)
+    n_graded, edge = 0, 0.5 * big_c
+    while edge > shadow:
+        n_graded, edge = n_graded + 1, edge / PANEL_RATIO
+    frac = np.array([0.0, *(0.5 / PANEL_RATIO ** np.arange(n_graded, -1, -1)),
+                     1.0])
+    v, w = gauss_legendre(frac / (1.0 + np.sqrt(1.0 - frac)), PANEL_NODES)
+    c = big_c * v * (2.0 - v)
+    root = np.sqrt(np.sinh(0.5 * (big_c + c))
+                   * np.sinh(0.5 * big_c * (1.0 - v) ** 2))
+    dg_dc = 2.0 * scattering_matrix(alpha, z, c)
+    return math.sqrt(2.0) * big_c * np.sum(w * (1.0 - v) * dg_dc / root)
+
+
+def test_cached_angle_terms_give_each_query_its_own_value():
+    """The c integral takes its angle terms from a cache keyed by (alpha,
+    z).  One z at two cone angles in turn, a shadow boundary and a point
+    near one, then more pairs than the cache holds and the first pairs
+    again after they were evicted: each integral is the reference's to
+    1e-15 of the peak."""
+    size = _angle_terms.cache_info().maxsize
+    pairs = [(3 * PI, 1.3), (7.0, 1.3)] * 3
+    pairs += [(3 * PI, PI), (3 * PI, PI - 1e-7), (7.0, -PI + 1e-7)]
+    pairs += [(3 * PI + 0.01 * k, 0.05 * k - 2.0) for k in range(size + 8)]
+    pairs += pairs[:2]
+    ys = np.linspace(1.02, 4.0, 7)
+    _angle_terms.cache_clear()
+    for alpha, z in pairs:
+        got = np.array([_diffracted_integral(alpha, y, z) for y in ys])
+        want = np.array([_reference_integral(alpha, y, z) for y in ys])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), \
+            (alpha, z)
+    info = _angle_terms.cache_info()
+    assert info.currsize == size
+    assert info.hits == len(pairs) * ys.size - len(set(pairs)) - 2
+
 
 def test_pullback_angle_is_exact_at_huge_cone_angles():
     """z = theta1 - theta2 reduced by the IEEE remainder, which is exact: at
